@@ -57,6 +57,28 @@ fn bench_gate_construction(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gate_construct(c: &mut Criterion) {
+    // One gate diagram built into a warm package (its identity table and
+    // nodes already interned): CX with the control above and below the
+    // target, and a 3-control MCT spread over the register.
+    let mut group = c.benchmark_group("gate_construct");
+    group.sample_size(30);
+    for n in [64usize, 1024] {
+        let gates = [
+            ("cx_control_above", Gate::cx(n / 2 - 1, n / 2)),
+            ("cx_control_below", Gate::cx(n / 2, n / 2 - 1)),
+            ("mct3", Gate::mct(vec![n / 8, n / 2, n - 2], n / 4)),
+        ];
+        let mut pkg = Qmdd::new(n);
+        for (label, g) in &gates {
+            group.bench_with_input(BenchmarkId::new(*label, n), g, |b, g| {
+                b.iter(|| black_box(pkg.gate(g)))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_circuit_product(c: &mut Criterion) {
     let mut group = c.benchmark_group("qmdd_circuit_product");
     group.sample_size(10);
@@ -217,6 +239,7 @@ fn bench_verify_windowed(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gate_construction,
+    bench_gate_construct,
     bench_circuit_product,
     bench_equivalence,
     bench_gc_sweep,

@@ -715,7 +715,8 @@ impl Compiler {
     /// is [`CompileBudget::max_route_swaps`].
     ///
     /// When a trace sink is configured, one aggregate route event is
-    /// emitted at the end of the stream carrying the streaming counters
+    /// emitted at the end of the stream. Its `seconds` is the routing time
+    /// summed over all windows, and it carries the streaming counters
     /// (`windows`, `window_gates_cap`, `max_window_swaps`,
     /// `oracle_hits`/`oracle_misses`, `verified_windows`,
     /// `unverified_windows`, `peak_resident_gates`,
@@ -776,13 +777,16 @@ impl Compiler {
             verify_p95_seconds: 0.0,
             verify_jobs: 0,
         };
+        // Summed per-window routing time: the aggregate route event's
+        // duration (its span only closes after every window has run).
+        let mut route_seconds = 0.0;
         let mut buf = Circuit::new(self.device.n_qubits());
         for g in gates {
             acc.gates_in += 1;
             buf.push(g);
             if buf.gates().len() >= window {
                 self.check_deadline(started, Pass::Route)?;
-                self.stream_flush(
+                route_seconds += self.stream_flush(
                     &buf,
                     resolved,
                     lookup.as_ref(),
@@ -795,7 +799,7 @@ impl Compiler {
         }
         if !buf.gates().is_empty() {
             self.check_deadline(started, Pass::Route)?;
-            self.stream_flush(
+            route_seconds += self.stream_flush(
                 &buf,
                 resolved,
                 lookup.as_ref(),
@@ -834,7 +838,7 @@ impl Compiler {
             // Counter names come from `qsyn_trace::streaming` so the
             // emitter and `check-trace`'s validator cannot drift apart.
             use qsyn_trace::streaming as sc;
-            let mut e = self.finish(span, empty, empty, |s| {
+            let mut e = self.event(span, empty, empty, |s| {
                 s.counter(sc::STREAMING, 1.0);
                 s.counter(sc::WINDOWS, acc.windows as f64);
                 s.counter(sc::WINDOW_GATES_CAP, acc.window_gates as f64);
@@ -854,6 +858,8 @@ impl Compiler {
                 s.counter(sc::VERIFY_SECONDS_TOTAL, acc.verify_seconds_total);
                 s.counter(sc::VERIFY_JOBS, acc.verify_jobs as f64);
             });
+            e.seconds = route_seconds;
+            note_pass_metrics(&e);
             e.job = self.job;
             sink.record(&e);
             sink.flush();
@@ -900,6 +906,7 @@ impl Compiler {
 
     /// Runs one streaming window through decompose → route → optimize →
     /// windowed miter verification and hands the output to `emit`.
+    /// Returns the seconds spent routing the window.
     fn stream_flush(
         &self,
         buf: &Circuit,
@@ -908,7 +915,7 @@ impl Compiler {
         verifier: Option<&StreamVerifier>,
         acc: &mut StreamSummary,
         emit: &mut dyn FnMut(&qsyn_gate::Gate),
-    ) -> Result<(), CompileError> {
+    ) -> Result<f64, CompileError> {
         acc.windows += 1;
         let decomposed = if self.cache == CacheMode::Off {
             decompose_circuit_with(buf, Some(&self.device), self.decompose)?
@@ -927,7 +934,9 @@ impl Compiler {
             }
             None => {}
         }
+        let route_started = std::time::Instant::now();
         let outcome = resolved.instance().route(&req)?;
+        let route_seconds = route_started.elapsed().as_secs_f64();
         let window_swaps = outcome.total_swaps();
         acc.swaps_inserted += window_swaps;
         acc.max_window_swaps = acc.max_window_swaps.max(window_swaps);
@@ -1010,7 +1019,7 @@ impl Compiler {
             acc.gates_out += 1;
             emit(g);
         }
-        Ok(())
+        Ok(route_seconds)
     }
 
     /// Structural key of one compile request: every input the pipeline's
@@ -1076,8 +1085,22 @@ impl Compiler {
     }
 
     /// Prices the in/out snapshots under the active cost model, attaches
-    /// counters, and closes the span.
+    /// counters, closes the span, and records the pass histograms.
     fn finish(
+        &self,
+        span: Span,
+        input: StageSnapshot,
+        output: StageSnapshot,
+        counters: impl FnOnce(&mut Span),
+    ) -> PassEvent {
+        let event = self.event(span, input, output, counters);
+        note_pass_metrics(&event);
+        event
+    }
+
+    /// [`Compiler::finish`] without the pass histograms, for events whose
+    /// duration is not the span's own.
+    fn event(
         &self,
         mut span: Span,
         input: StageSnapshot,
@@ -1085,14 +1108,12 @@ impl Compiler {
         counters: impl FnOnce(&mut Span),
     ) -> PassEvent {
         counters(&mut span);
-        let event = span.finish(
+        span.finish(
             input,
             output,
             self.cost.cost(&input.stats),
             self.cost.cost(&output.stats),
-        );
-        note_pass_metrics(&event);
-        event
+        )
     }
 
     /// Fails with a wall-clock [`CompileError::BudgetExceeded`] when the
@@ -2348,6 +2369,13 @@ mod tests {
             Some(summary.verify_seconds_total)
         );
         assert_eq!(e.counter("verify_jobs"), Some(1.0));
+        // The event times the windows' routing, not its own emission.
+        assert!(
+            e.seconds > 0.0 && e.seconds <= summary.total_seconds,
+            "route seconds {} vs total {}",
+            e.seconds,
+            summary.total_seconds
+        );
         assert!(
             qsyn_trace::streaming::validate_streaming_route_event(e)
                 .unwrap()

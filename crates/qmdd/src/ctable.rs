@@ -53,6 +53,19 @@ impl WeightTable {
     /// Interns `v`, returning the id of an existing value within tolerance
     /// or a fresh id.
     pub fn intern(&mut self, v: C64) -> WeightId {
+        // Exact seeds skip the bucket probe; the seeds are interned first,
+        // so the probe would find them anyway.
+        if v.im == 0.0 && self.values.len() >= 3 {
+            if v.re == 0.0 {
+                return W_ZERO;
+            }
+            if v.re == 1.0 {
+                return W_ONE;
+            }
+            if v.re == -1.0 {
+                return W_NEG_ONE;
+            }
+        }
         let (kr, ki) = Self::key(v);
         for dr in -1..=1i64 {
             for di in -1..=1i64 {

@@ -14,7 +14,7 @@
 //! visits every variable) so that level bookkeeping stays trivial; zero
 //! matrices are the sole early-terminating edges.
 
-use crate::ctable::{WeightId, WeightTable, W_NEG_ONE, W_ONE, W_ZERO};
+use crate::ctable::{WeightId, WeightTable, W_ONE, W_ZERO};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use qsyn_circuit::Circuit;
 use qsyn_gate::{C64, Gate, Matrix};
@@ -68,17 +68,29 @@ struct Node {
 /// needed after a garbage collection relocates node ids — is a single
 /// generation bump instead of an `O(capacity)` clear, so sweeps stay cheap
 /// no matter how full the table is.
+///
+/// Tables start at [`INITIAL_CACHE_SLOTS`] and double (rehashing their live
+/// entries) once the evictions since the last resize exceed a quarter of
+/// the slots, up to a fixed cap. Small checks thus never pay for zeroing
+/// and faulting in a table sized for the largest ones.
 #[derive(Debug)]
 struct ComputeTable<K> {
     slots: Vec<Option<(K, Edge, u32)>>,
     generation: u32,
+    /// Slot count the table may grow to (a power of two).
+    cap: usize,
+    /// Evictions since the last resize.
+    pressure: usize,
 }
 
 impl<K: Hash + Eq + Copy> ComputeTable<K> {
-    fn new(capacity: usize) -> Self {
+    fn new(cap: usize) -> Self {
+        let cap = cap.next_power_of_two().max(16);
         ComputeTable {
-            slots: vec![None; capacity.next_power_of_two().max(16)],
+            slots: vec![None; INITIAL_CACHE_SLOTS.min(cap)],
             generation: 0,
+            cap,
+            pressure: 0,
         }
     }
 
@@ -103,7 +115,27 @@ impl<K: Hash + Eq + Copy> ComputeTable<K> {
         let evicted =
             matches!(self.slots[i], Some((k, _, g)) if g == self.generation && k != key);
         self.slots[i] = Some((key, value, self.generation));
+        if evicted {
+            self.pressure += 1;
+            if self.pressure > self.slots.len() / 4 && self.slots.len() < self.cap {
+                self.grow();
+            }
+        }
         evicted
+    }
+
+    /// Doubles the table. A key's new slot index only adds the hash's next
+    /// bit, so the live entries of distinct old slots never collide.
+    fn grow(&mut self) {
+        let doubled = vec![None; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for (k, v, g) in old.into_iter().flatten() {
+            if g == self.generation {
+                let i = self.slot(&k);
+                self.slots[i] = Some((k, v, g));
+            }
+        }
+        self.pressure = 0;
     }
 
     /// Invalidates every entry in `O(1)` by advancing the generation.
@@ -115,25 +147,20 @@ impl<K: Hash + Eq + Copy> ComputeTable<K> {
             self.slots.iter_mut().for_each(|s| *s = None);
         }
     }
-
-    fn resize(&mut self, capacity: usize) {
-        self.slots = vec![None; capacity.next_power_of_two().max(16)];
-        self.generation = 0;
-    }
 }
 
-/// Default slot counts of the bounded compute tables. `add`/`mul` carry the
-/// recursive arithmetic and get the large tables; the adjoint memo is
-/// touched once per distinct node and stays small.
+/// Initial slot count of every compute table.
+const INITIAL_CACHE_SLOTS: usize = 1 << 10;
+
+/// Default slot caps of the bounded compute tables. `add`/`mul` carry the
+/// recursive arithmetic and may grow large; the adjoint memo is touched
+/// once per distinct node and stays small.
 const ADD_CACHE_SLOTS: usize = 1 << 15;
 const MUL_CACHE_SLOTS: usize = 1 << 15;
 const ADJ_CACHE_SLOTS: usize = 1 << 12;
 
 /// A 2x2 complex matrix used when assembling gate diagrams.
 pub type M2 = [[C64; 2]; 2];
-
-const IDENT2: M2 = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]];
-const PROJ1: M2 = [[C64::ZERO, C64::ZERO], [C64::ZERO, C64::ONE]];
 
 /// The QMDD package for diagrams over a fixed number of qubit variables.
 ///
@@ -170,6 +197,9 @@ pub struct Qmdd {
     adj_cache: ComputeTable<NodeId>,
     /// Externally registered roots that every collection must preserve.
     protected: Vec<Edge>,
+    /// `ident[l]` is the identity node over levels `l..n` (the terminal at
+    /// `n`); empty until first needed and after every collection.
+    ident: Vec<NodeId>,
     /// Scratch buffers reused across collections and gate constructions.
     spare_nodes: Vec<Node>,
     gc_map: FxHashMap<NodeId, NodeId>,
@@ -233,6 +263,7 @@ impl Qmdd {
             mul_cache: ComputeTable::new(MUL_CACHE_SLOTS),
             adj_cache: ComputeTable::new(ADJ_CACHE_SLOTS),
             protected: Vec::new(),
+            ident: Vec::new(),
             spare_nodes: Vec::new(),
             gc_map: FxHashMap::default(),
             gc_stack: Vec::new(),
@@ -340,13 +371,24 @@ impl Qmdd {
         self.budget_exceeded = false;
     }
 
-    /// Resizes the bounded add/mul compute tables to `entries` slots each
-    /// (rounded up to a power of two; existing entries are dropped). A
-    /// tuning/testing hook: tiny tables force evictions, large tables trade
-    /// memory for hit rate.
+    /// Caps the bounded add/mul compute tables at `entries` slots each
+    /// (rounded up to a power of two, at least 16; existing entries are
+    /// dropped). Each table restarts at `min(1024, cap)` slots and doubles
+    /// under eviction pressure until it reaches the cap. A tuning/testing
+    /// hook: tiny caps force evictions, large caps let busy checks trade
+    /// memory for hit rate. The default cap is `2^15` slots.
     pub fn set_cache_capacity(&mut self, entries: usize) {
-        self.add_cache.resize(entries);
-        self.mul_cache.resize(entries);
+        self.add_cache = ComputeTable::new(entries);
+        self.mul_cache = ComputeTable::new(entries);
+    }
+
+    /// Current slot counts of the `[add, mul, adjoint]` compute tables.
+    pub fn cache_slots(&self) -> [usize; 3] {
+        [
+            self.add_cache.slots.len(),
+            self.mul_cache.slots.len(),
+            self.adj_cache.slots.len(),
+        ]
     }
 
     /// The canonical complex value of a weight id.
@@ -495,6 +537,15 @@ impl Qmdd {
             };
         }
         debug_assert_eq!(self.var_of(a), self.var_of(b));
+        // An identity operand leaves the other one unchanged, so products
+        // with a gate diagram stop at the gate's lowest qubit.
+        let ident = self.ident.get(self.node(a.node).var as usize).copied();
+        if ident == Some(a.node) {
+            return self.scale(b, a.weight);
+        }
+        if ident == Some(b.node) {
+            return self.scale(a, b.weight);
+        }
         let w = self.weights.mul(a.weight, b.weight);
         self.ct_lookups += 1;
         if let Some(hit) = self.mul_cache.get(&(a.node, b.node)) {
@@ -569,54 +620,89 @@ impl Qmdd {
         e
     }
 
+    /// The identity diagram over levels `level..n` (the scalar one at
+    /// `n`), from a per-level table built on first use.
+    fn identity_from(&mut self, level: usize) -> Edge {
+        if self.ident.is_empty() {
+            self.ident.resize(self.n + 1, TERMINAL);
+            for l in (0..self.n).rev() {
+                let below = Edge {
+                    node: self.ident[l + 1],
+                    weight: W_ONE,
+                };
+                self.ident[l] = self
+                    .make_node(l as u32, [below, Edge::ZERO, Edge::ZERO, below])
+                    .node;
+            }
+        }
+        Edge {
+            node: self.ident[level],
+            weight: W_ONE,
+        }
+    }
+
     /// The identity diagram.
     pub fn identity(&mut self) -> Edge {
-        self.tensor(|_| IDENT2)
+        self.identity_from(0)
     }
 
     /// Diagram of a one-qubit gate `u` acting on `qubit`.
     pub fn single(&mut self, qubit: usize, u: M2) -> Edge {
         assert!(qubit < self.n, "qubit out of range");
-        self.tensor(|l| if l == qubit { u } else { IDENT2 })
+        self.controlled(&[], qubit, u)
     }
 
     /// Diagram of `u` on `target` controlled on every qubit in `controls`
     /// being |1>.
     ///
-    /// Uses the tensor decomposition
-    /// `gate = I - P + (P with U at the target)`, where `P` projects onto
-    /// all-controls-one; both summands are plain tensor products, so the
-    /// construction is linear in the number of qubits regardless of how the
-    /// controls and target interleave.
+    /// Built bottom-up in one pass from `G = I + (U - I)_target ⊗ P`, where
+    /// `P` projects onto all-controls-one; no diagram arithmetic runs.
+    /// Below the target one track per entry `(r, c)` of `U` holds
+    /// `δ_rc·I + (U_rc - δ_rc)·P_below`: a control level wraps it as
+    /// `[δ_rc·I, 0, 0, track]`, any other level as `[track, 0, 0, track]`,
+    /// and below the lowest control every track is `U_rc·I`. The target
+    /// level joins the four tracks into one node. Above it, a control
+    /// level becomes `[I, 0, 0, e]` and any other level `[e, 0, 0, e]`.
+    /// Every identity factor comes from the cached per-level table, so the
+    /// cost is one node lookup per level above the lowest touched qubit.
     pub fn controlled(&mut self, controls: &[usize], target: usize, u: M2) -> Edge {
         assert!(target < self.n, "target out of range");
-        if controls.is_empty() {
-            return self.single(target, u);
-        }
         // Reusable control mask: O(n + k) per gate instead of O(n * k)
-        // `contains` scans per tensor level (the hot path of `gate` and
-        // `Simulator::apply` on multi-controlled cascades).
+        // `contains` scans per level.
         let mut mask = std::mem::take(&mut self.ctrl_mask);
         mask.clear();
         mask.resize(self.n, false);
         for &c in controls {
             mask[c] = true;
         }
-        let proj = self.tensor(|l| if mask[l] { PROJ1 } else { IDENT2 });
-        let act = self.tensor(|l| {
-            if mask[l] {
-                PROJ1
-            } else if l == target {
-                u
-            } else {
-                IDENT2
+        let lowest = controls.iter().copied().fold(target, usize::max);
+        let below = self.identity_from(lowest + 1);
+        let mut tracks = [Edge::ZERO; 4];
+        for (k, track) in tracks.iter_mut().enumerate() {
+            let v = u[k / 2][k % 2];
+            if !v.is_zero() {
+                let w = self.weights.intern(v);
+                *track = self.scale(below, w);
             }
-        });
+        }
+        for l in (target + 1..=lowest).rev() {
+            let id = self.identity_from(l + 1);
+            for (k, track) in tracks.iter_mut().enumerate() {
+                let low = match (mask[l], k) {
+                    (false, _) => *track,
+                    (true, 0 | 3) => id,
+                    (true, _) => Edge::ZERO,
+                };
+                *track = self.make_node(l as u32, [low, Edge::ZERO, Edge::ZERO, *track]);
+            }
+        }
+        let mut e = self.make_node(target as u32, tracks);
+        for l in (0..target).rev() {
+            let low = if mask[l] { self.identity_from(l + 1) } else { e };
+            e = self.make_node(l as u32, [low, Edge::ZERO, Edge::ZERO, e]);
+        }
         self.ctrl_mask = mask;
-        let id = self.identity();
-        let neg_proj = self.scale(proj, W_NEG_ONE);
-        let partial = self.add(id, neg_proj);
-        self.add(partial, act)
+        e
     }
 
     /// Diagram of an arbitrary [`Gate`].
@@ -768,6 +854,7 @@ impl Qmdd {
         self.protected = protected;
         self.gc_map = map;
         self.gc_stack = stack;
+        self.ident.clear();
         self.add_cache.invalidate();
         self.mul_cache.invalidate();
         self.adj_cache.invalidate();
@@ -973,7 +1060,7 @@ mod tests {
 
     #[test]
     fn control_below_target_works() {
-        // The tensor-sum construction must not care about level order.
+        // The direct construction must not care about level order.
         check_gate_matches_dense(Gate::cx(2, 0), 4);
         check_gate_matches_dense(Gate::mct(vec![1, 3], 0), 4);
         check_gate_matches_dense(Gate::mct(vec![0, 3], 1), 4);
