@@ -16,7 +16,7 @@ use qsyn_bench::big::big_by_name;
 use qsyn_bench::revlib::revlib_by_name;
 use qsyn_core::{
     decompose_circuit, decompose_circuit_for, optimize_with, Compiler, DecomposeStrategy,
-    OptimizeConfig, PlacementStrategy, SwapStrategy, Verification,
+    OptimizeConfig, PlacementStrategy, RouteStrategyKind, Verification,
 };
 use std::hint::black_box;
 
@@ -77,13 +77,13 @@ fn bench_ancilla_proximity(c: &mut Criterion) {
 fn bench_route_style(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_route_style");
     let circuit = revlib_by_name("4gt13-v1_93").unwrap().circuit();
-    for (name, swaps) in [
-        ("ctr_swap_back", SwapStrategy::ReturnControl),
-        ("persistent_layout", SwapStrategy::PersistentLayout),
+    for (name, strategy) in [
+        ("ctr_swap_back", RouteStrategyKind::Ctr),
+        ("persistent_layout", RouteStrategyKind::Persistent),
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &swaps, |b, s| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &strategy, |b, s| {
             let compiler = Compiler::new(devices::ibmqx3())
-                .with_swap_strategy(*s)
+                .with_route_strategy(*s)
                 .with_verification(Verification::None);
             b.iter(|| black_box(compiler.compile(&circuit).unwrap()))
         });

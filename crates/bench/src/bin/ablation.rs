@@ -12,7 +12,7 @@ use qsyn_bench::big::BIG_BENCHMARKS;
 use qsyn_bench::revlib::REVLIB_BENCHMARKS;
 use qsyn_core::{
     decompose_circuit, decompose_circuit_for, optimize_with, route_circuit, Compiler,
-    DecomposeStrategy, OptimizeConfig, PlacementStrategy, SwapStrategy, Verification,
+    DecomposeStrategy, OptimizeConfig, PlacementStrategy, RouteStrategyKind, Verification,
 };
 
 fn main() {
@@ -106,14 +106,14 @@ fn main() {
         }
     }
 
-    println!("\n## Ablation 4: SWAP strategy (CTR swap-back vs. persistent layout)\n");
+    println!("\n## Ablation 4: routing strategy (CTR swap-back vs. persistent layout)\n");
     println!("| benchmark | device | CTR cost | persistent cost | delta % |");
     println!("|---|---|---|---|---|");
     for b in REVLIB_BENCHMARKS {
         for device in [devices::ibmqx3(), devices::ibmqx5()] {
-            let run = |swaps| {
+            let run = |strategy| {
                 Compiler::new(device.clone())
-                    .with_swap_strategy(swaps)
+                    .with_route_strategy(strategy)
                     .compile(&b.circuit())
                     .map(|r| {
                         assert_eq!(r.verified, Some(true));
@@ -122,8 +122,8 @@ fn main() {
                     .ok()
             };
             if let (Some(ctr), Some(persist)) = (
-                run(SwapStrategy::ReturnControl),
-                run(SwapStrategy::PersistentLayout),
+                run(RouteStrategyKind::Ctr),
+                run(RouteStrategyKind::Persistent),
             ) {
                 println!(
                     "| {} | {} | {ctr:.2} | {persist:.2} | {:+.1} |",

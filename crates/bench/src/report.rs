@@ -155,7 +155,7 @@ impl SweepConfig {
         };
         let cache = match flag_value(args, "--cache") {
             Some(v) => CacheMode::parse(v)
-                .ok_or_else(|| format!("--cache requires off, tables or mem, got `{v}`"))?,
+                .ok_or_else(|| format!("--cache requires {}, got `{v}`", CacheMode::choices()))?,
             None => CacheMode::default(),
         };
         Ok(SweepConfig {

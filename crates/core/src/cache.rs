@@ -37,16 +37,13 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Which caching layers a [`Compiler`](crate::Compiler) uses.
+/// Which caching layers a [`Compiler`](crate::Compiler) uses. The shared
+/// routing lookup and the decomposition memo are always on: both are
+/// byte-identical to the per-gate searches they replace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// No caching at all: every pass recomputes from scratch (the legacy
-    /// per-gate searches; kept reachable for differential tests and
-    /// benchmarks).
-    Off,
     /// The transparent layers only: shared routing tables and the
-    /// decomposition memo. Output is byte-identical to [`CacheMode::Off`],
-    /// so this is the default.
+    /// decomposition memo.
     #[default]
     Tables,
     /// [`CacheMode::Tables`] plus the whole-compile memo: a repeated
@@ -57,23 +54,26 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
+    /// Every selectable mode, in `--cache` listing order.
+    pub const ALL: [CacheMode; 2] = [CacheMode::Tables, CacheMode::Mem];
+
     /// Parses the `--cache=MODE` CLI value.
     pub fn parse(s: &str) -> Option<CacheMode> {
-        match s {
-            "off" => Some(CacheMode::Off),
-            "tables" => Some(CacheMode::Tables),
-            "mem" => Some(CacheMode::Mem),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|m| m.name() == s)
     }
 
     /// Stable lowercase identifier (the `--cache` value that selects it).
     pub fn name(self) -> &'static str {
         match self {
-            CacheMode::Off => "off",
             CacheMode::Tables => "tables",
             CacheMode::Mem => "mem",
         }
+    }
+
+    /// The accepted values as prose (`tables or mem`), for "unknown cache
+    /// mode" errors.
+    pub fn choices() -> String {
+        crate::one_of(&Self::ALL.map(Self::name))
     }
 }
 
@@ -1192,10 +1192,12 @@ mod tests {
 
     #[test]
     fn cache_mode_parses_and_names_round_trip() {
-        for mode in [CacheMode::Off, CacheMode::Tables, CacheMode::Mem] {
+        for mode in CacheMode::ALL {
             assert_eq!(CacheMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(CacheMode::parse("disk"), None);
+        assert_eq!(CacheMode::parse("off"), None, "retired");
+        assert_eq!(CacheMode::choices(), "tables or mem");
         assert_eq!(CacheMode::default(), CacheMode::Tables);
     }
 

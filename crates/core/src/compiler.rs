@@ -14,14 +14,13 @@
 //! ```
 
 use crate::budget::{BudgetResource, CompileBudget, VerifyMode};
-use crate::cache::CacheMode;
-use crate::decompose::{decompose_circuit_memo, decompose_circuit_with, DecomposeStrategy};
+use crate::cache::{CacheMode, RoutingLookup};
+use crate::decompose::{decompose_circuit_memo, DecomposeCounters, DecomposeStrategy};
 use crate::error::CompileError;
 use crate::optimize::{optimize_bounded, OptimizeConfig, OptimizeCounters};
 use crate::place::{place, Placement, PlacementStrategy};
-use crate::remap::{route_circuit_persistent_traced, SwapStrategy};
-use crate::route::{route_bounded_uncached, route_bounded_via, RoutingObjective};
-use crate::strategy::{RouteRequest, RouteStrategyKind};
+use crate::route::RoutingObjective;
+use crate::strategy::{RouteOutcome, RouteRequest, RouteStrategyKind};
 use qsyn_arch::{CostModel, Device, TransmonCost};
 use qsyn_circuit::{Circuit, CircuitStats};
 use qsyn_qmdd::{
@@ -126,7 +125,6 @@ pub struct Compiler {
     placement: PlacementStrategy,
     routing: RoutingObjective,
     strategy: RouteStrategyKind,
-    swaps: SwapStrategy,
     decompose: DecomposeStrategy,
     verification: Verification,
     optimization: Optimization,
@@ -166,7 +164,6 @@ impl Compiler {
             placement: PlacementStrategy::Identity,
             routing: RoutingObjective::FewestSwaps,
             strategy: RouteStrategyKind::Ctr,
-            swaps: SwapStrategy::ReturnControl,
             decompose: DecomposeStrategy::Exact,
             verification: Verification::Auto,
             optimization: Optimization::default_enabled(),
@@ -215,11 +212,10 @@ impl Compiler {
         &self.budget
     }
 
-    /// Selects the caching layers (see [`CacheMode`]): `Off` disables
-    /// everything and runs the legacy per-gate searches, `Tables` (the
-    /// default) uses the shared routing tables and decomposition memo —
-    /// both transparent, byte-identical accelerations — and `Mem` adds
-    /// whole-result compile memoization keyed by the structural hash of
+    /// Selects the caching layers (see [`CacheMode`]). The shared routing
+    /// tables and decomposition memo — both transparent, byte-identical
+    /// accelerations — are always on; `Mem` adds whole-result compile
+    /// memoization keyed by the structural hash of
     /// `(circuit, device, cost model, options, budget)`.
     pub fn with_cache(mut self, cache: CacheMode) -> Self {
         self.cache = cache;
@@ -256,13 +252,6 @@ impl Compiler {
         self
     }
 
-    /// Selects the SWAP strategy: the paper's swap-out/swap-back CTR or
-    /// the persistent-layout router with one final restoration network.
-    pub fn with_swap_strategy(mut self, swaps: SwapStrategy) -> Self {
-        self.swaps = swaps;
-        self
-    }
-
     /// Selects how generalized Toffolis are lowered (exact Clifford+T
     /// chains, as in the paper, or paired relative-phase chains with about
     /// half the T-count).
@@ -280,12 +269,9 @@ impl Compiler {
 
     /// Selects the routing strategy (`--route-strategy` on the CLI): the
     /// paper's CTR (the default), the SABRE-style lookahead router, the
-    /// lazy-synthesis skeleton, or `Auto`, which resolves per compile from
-    /// the cost model's [`route_hint`](qsyn_arch::CostModel::route_hint).
-    ///
-    /// Only [`RouteStrategyKind::Ctr`] also honors the
-    /// [`SwapStrategy`] setting; the second-generation strategies manage
-    /// their own layout and restoration.
+    /// persistent-layout router, or `Auto`, which resolves per compile
+    /// from the cost model's
+    /// [`route_hint`](qsyn_arch::CostModel::route_hint).
     pub fn with_route_strategy(mut self, strategy: RouteStrategyKind) -> Self {
         self.strategy = strategy;
         self
@@ -427,165 +413,50 @@ impl Compiler {
         self.check_deadline(started, Pass::Decompose)?;
         self.maybe_inject(Pass::Decompose)?;
         let span = Span::begin(Pass::Decompose);
-        let (decomposed, memo) = if self.cache == CacheMode::Off {
-            let c = decompose_circuit_with(&placed, Some(&self.device), self.decompose)?;
-            (c, None)
-        } else {
-            let (c, k) = decompose_circuit_memo(&placed, Some(&self.device), self.decompose)?;
-            (c, Some(k))
-        };
+        let (decomposed, memo) = self.decompose_stage(&placed)?;
         let snap_decomposed = StageSnapshot::of(&decomposed);
         record(self.finish(span, snap_placed, snap_decomposed, |s| {
-            if let Some(k) = memo {
-                s.counter("mct_memo_hits", k.memo_hits as f64);
-                s.counter("mct_memo_misses", k.memo_misses as f64);
-            }
+            s.counter("mct_memo_hits", memo.memo_hits as f64);
+            s.counter("mct_memo_misses", memo.memo_misses as f64);
         }));
 
-        // Routing against the coupling map.
+        // Routing against the coupling map, over the shared routing state
+        // for this (device, objective): the dense all-pairs table on small
+        // devices, the sparse distance oracle at scale.
         self.check_deadline(started, Pass::Route)?;
         self.maybe_inject(Pass::Route)?;
         let span = Span::begin(Pass::Route);
-        let resolved = self.strategy.resolve(self.cost.route_hint());
-        let mut extra_counters: Vec<(String, f64)> = Vec::new();
-        let (mut unoptimized, swaps_inserted, gates_rerouted, restoration, table_reused) =
-            if resolved == RouteStrategyKind::Ctr {
-                // CTR is the only strategy that also honors the
-                // SwapStrategy knob; its three arms stay byte-identical to
-                // the pre-strategy compiler.
-                match self.swaps {
-                    SwapStrategy::ReturnControl if self.cache == CacheMode::Off => {
-                        // Legacy path: a fresh BFS/Dijkstra per CNOT.
-                        let (c, k) = route_bounded_uncached(
-                            &decomposed,
-                            &self.device,
-                            self.routing,
-                            self.budget.max_route_swaps,
-                        )?;
-                        (c, k.swaps_inserted, k.gates_rerouted, 0, None)
-                    }
-                    SwapStrategy::ReturnControl => {
-                        // Shared routing state for this (device, objective):
-                        // the dense all-pairs table on small devices, the
-                        // sparse distance oracle at scale (identical routes
-                        // either way — both memoize the same per-pair
-                        // search).
-                        let (lookup, reused) =
-                            crate::cache::routing_lookup(&self.device, self.routing);
-                        let (c, k) = match &lookup {
-                            crate::cache::RoutingLookup::Dense(table) => route_bounded_via(
-                                &decomposed,
-                                &self.device,
-                                table,
-                                self.budget.max_route_swaps,
-                            )?,
-                            crate::cache::RoutingLookup::Sparse(oracle) => {
-                                let (h0, m0) = (oracle.hit_count(), oracle.miss_count());
-                                let out = crate::route::route_bounded_via_oracle(
-                                    &decomposed,
-                                    &self.device,
-                                    oracle,
-                                    self.budget.max_route_swaps,
-                                )?;
-                                extra_counters.push((
-                                    "oracle_hits".to_string(),
-                                    (oracle.hit_count() - h0) as f64,
-                                ));
-                                extra_counters.push((
-                                    "oracle_misses".to_string(),
-                                    (oracle.miss_count() - m0) as f64,
-                                ));
-                                out
-                            }
-                        };
-                        (c, k.swaps_inserted, k.gates_rerouted, 0, Some(reused))
-                    }
-                    SwapStrategy::PersistentLayout => {
-                        let (c, k) = route_circuit_persistent_traced(
-                            &decomposed,
-                            &self.device,
-                            self.routing,
-                        )?;
-                        // The persistent router computes the restoration network at
-                        // the end, so the cap is enforced on the completed total.
-                        if let Some(cap) = self.budget.max_route_swaps {
-                            let total = k.swaps_inserted + k.restoration_swaps;
-                            if total > cap {
-                                return Err(CompileError::BudgetExceeded {
-                                    pass: Pass::Route,
-                                    resource: BudgetResource::RouteSwaps,
-                                    limit: cap as u64,
-                                    used: total as u64,
-                                });
-                            }
-                        }
-                        (c, k.swaps_inserted, k.gates_rerouted, k.restoration_swaps, None)
-                    }
-                }
-            } else {
-                // Second-generation strategies run through the trait with a
-                // RouteRequest; they manage layout and restoration
-                // themselves, so the SwapStrategy knob does not apply.
-                let mut req = RouteRequest::new(&decomposed, &self.device)
-                    .with_objective(self.routing)
-                    .with_max_swaps(self.budget.max_route_swaps);
-                let mut oracle_used = None;
-                let reused = if self.cache == CacheMode::Off {
-                    None
-                } else {
-                    let (lookup, reused) =
-                        crate::cache::routing_lookup(&self.device, self.routing);
-                    match lookup {
-                        crate::cache::RoutingLookup::Dense(table) => {
-                            req = req.with_table(table);
-                        }
-                        crate::cache::RoutingLookup::Sparse(oracle) => {
-                            oracle_used = Some(oracle.clone());
-                            req = req.with_oracle(oracle);
-                        }
-                    }
-                    Some(reused)
-                };
-                let baseline =
-                    oracle_used.as_ref().map(|o| (o.hit_count(), o.miss_count()));
-                if let Some(sink) = &self.trace {
-                    req = req.with_trace(sink.clone());
-                }
-                let outcome = resolved.instance().route(&req)?;
-                extra_counters = outcome.extra;
-                if let (Some(o), Some((h0, m0))) = (&oracle_used, baseline) {
-                    extra_counters
-                        .push(("oracle_hits".to_string(), (o.hit_count() - h0) as f64));
-                    extra_counters
-                        .push(("oracle_misses".to_string(), (o.miss_count() - m0) as f64));
-                }
-                (
-                    outcome.circuit,
-                    outcome.swaps_inserted,
-                    outcome.gates_rerouted,
-                    outcome.restoration_swaps,
-                    reused,
-                )
-            };
+        let (lookup, table_reused) = crate::cache::routing_lookup(&self.device, self.routing);
+        let (routed, oracle) = self.route_stage(&decomposed, &lookup)?;
+        let RouteOutcome {
+            circuit: mut unoptimized,
+            swaps_inserted,
+            gates_rerouted,
+            restoration_swaps,
+            extra,
+            ..
+        } = routed;
         unoptimized.set_name(format!("{base_name}@{}", self.device.name()));
         let snap_routed = StageSnapshot::of(&unoptimized);
         record(self.finish(span, snap_decomposed, snap_routed, |s| {
-            if let Some(tag) = resolved.tag() {
+            if let Some(tag) = self.strategy.resolve(self.cost.route_hint()).tag() {
                 s.counter("strategy", tag);
             }
             s.counter("swaps_inserted", swaps_inserted as f64);
             s.counter("gates_rerouted", gates_rerouted as f64);
-            if self.swaps == SwapStrategy::PersistentLayout || restoration > 0 {
-                s.counter("restoration_swaps", restoration as f64);
+            if restoration_swaps > 0 {
+                s.counter("restoration_swaps", restoration_swaps as f64);
             }
             if let Some(cap) = self.budget.max_route_swaps {
                 s.counter("swap_cap", cap as f64);
             }
-            if let Some(reused) = table_reused {
-                s.counter("routing_table_reused", f64::from(u8::from(reused)));
-            }
-            for (name, value) in &extra_counters {
+            s.counter("routing_table_reused", f64::from(u8::from(table_reused)));
+            for (name, value) in &extra {
                 s.counter(name, *value);
+            }
+            if let Some((hits, misses)) = oracle {
+                s.counter("oracle_hits", hits as f64);
+                s.counter("oracle_misses", misses as f64);
             }
         }));
 
@@ -594,16 +465,9 @@ impl Compiler {
         self.check_deadline(started, Pass::Optimize)?;
         self.maybe_inject(Pass::Optimize)?;
         let span = Span::begin(Pass::Optimize);
-        let (optimized, opt_counters) = match self.optimization.config() {
-            Some(cfg) => optimize_bounded(
-                &unoptimized,
-                Some(&self.device),
-                self.cost.as_ref(),
-                cfg,
-                self.budget.max_optimize_rounds,
-            ),
-            None => (unoptimized.clone(), OptimizeCounters::default()),
-        };
+        let (optimized, opt_counters) = self
+            .optimize_stage(&unoptimized)
+            .unwrap_or_else(|| (unoptimized.clone(), OptimizeCounters::default()));
         let snap_optimized = StageSnapshot::of(&optimized);
         record(self.finish(span, snap_routed, snap_optimized, |s| {
             s.counter(
@@ -686,9 +550,10 @@ impl Compiler {
     /// the lookahead family appends one restoration network), so the
     /// emitted windows concatenate into a circuit equivalent to the input
     /// stream. Placement is always identity — a streaming compile never
-    /// sees the whole circuit, so there is nothing to place against — and
-    /// the [`SwapStrategy`] knob does not apply (windows route through the
-    /// strategy trait).
+    /// sees the whole circuit, so there is nothing to place against.
+    /// Windows run the same decompose, route and optimize stages as
+    /// [`Compiler::compile`], and the wall-clock deadline is checked before
+    /// each stage of each window.
     ///
     /// Verification is windowed: each window's output is checked against
     /// its own specification with the interleaved miter under the
@@ -747,14 +612,7 @@ impl Compiler {
         }
         let started = std::time::Instant::now();
         let window = window.max(1);
-        let resolved = self.strategy.resolve(self.cost.route_hint());
-        let lookup = (self.cache != CacheMode::Off)
-            .then(|| crate::cache::routing_lookup(&self.device, self.routing).0);
-        let oracle = match &lookup {
-            Some(crate::cache::RoutingLookup::Sparse(o)) => Some(o.clone()),
-            _ => None,
-        };
-        let baseline = oracle.as_ref().map(|o| (o.hit_count(), o.miss_count()));
+        let lookup = crate::cache::routing_lookup(&self.device, self.routing).0;
         let verify = !matches!(self.effective_verification(), Verification::None);
         let verifier = verify.then(|| self.stream_verifier());
 
@@ -785,11 +643,10 @@ impl Compiler {
             acc.gates_in += 1;
             buf.push(g);
             if buf.gates().len() >= window {
-                self.check_deadline(started, Pass::Route)?;
                 route_seconds += self.stream_flush(
                     &buf,
-                    resolved,
-                    lookup.as_ref(),
+                    started,
+                    &lookup,
                     verifier.as_ref(),
                     &mut acc,
                     &mut emit,
@@ -798,11 +655,10 @@ impl Compiler {
             }
         }
         if !buf.gates().is_empty() {
-            self.check_deadline(started, Pass::Route)?;
             route_seconds += self.stream_flush(
                 &buf,
-                resolved,
-                lookup.as_ref(),
+                started,
+                &lookup,
                 verifier.as_ref(),
                 &mut acc,
                 &mut emit,
@@ -812,10 +668,6 @@ impl Compiler {
             v.finish(&mut acc)?;
         }
 
-        if let (Some(o), Some((h0, m0))) = (&oracle, baseline) {
-            acc.oracle_hits = o.hit_count() - h0;
-            acc.oracle_misses = o.miss_count() - m0;
-        }
         acc.verdict = if !verify {
             Verdict::Skipped
         } else if acc.unverified_windows == 0 {
@@ -847,7 +699,7 @@ impl Compiler {
                 if let Some(cap) = self.budget.max_route_swaps {
                     s.counter(sc::WINDOW_SWAP_CAP, cap as f64);
                 }
-                if oracle.is_some() {
+                if matches!(lookup, RoutingLookup::Sparse(_)) {
                     s.counter(sc::ORACLE_HITS, acc.oracle_hits as f64);
                     s.counter(sc::ORACLE_MISSES, acc.oracle_misses as f64);
                 }
@@ -910,53 +762,37 @@ impl Compiler {
     fn stream_flush(
         &self,
         buf: &Circuit,
-        resolved: RouteStrategyKind,
-        lookup: Option<&crate::cache::RoutingLookup>,
+        started: std::time::Instant,
+        lookup: &RoutingLookup,
         verifier: Option<&StreamVerifier>,
         acc: &mut StreamSummary,
         emit: &mut dyn FnMut(&qsyn_gate::Gate),
     ) -> Result<f64, CompileError> {
         acc.windows += 1;
-        let decomposed = if self.cache == CacheMode::Off {
-            decompose_circuit_with(buf, Some(&self.device), self.decompose)?
-        } else {
-            decompose_circuit_memo(buf, Some(&self.device), self.decompose)?.0
-        };
-        let mut req = RouteRequest::new(&decomposed, &self.device)
-            .with_objective(self.routing)
-            .with_max_swaps(self.budget.max_route_swaps);
-        match lookup {
-            Some(crate::cache::RoutingLookup::Dense(table)) => {
-                req = req.with_table(table.clone());
-            }
-            Some(crate::cache::RoutingLookup::Sparse(oracle)) => {
-                req = req.with_oracle(oracle.clone());
-            }
-            None => {}
-        }
+        self.check_deadline(started, Pass::Decompose)?;
+        let (decomposed, _) = self.decompose_stage(buf)?;
+        self.check_deadline(started, Pass::Route)?;
         let route_started = std::time::Instant::now();
-        let outcome = resolved.instance().route(&req)?;
+        let (routed, oracle) = self.route_stage(&decomposed, lookup)?;
         let route_seconds = route_started.elapsed().as_secs_f64();
-        let window_swaps = outcome.total_swaps();
+        if let Some((hits, misses)) = oracle {
+            acc.oracle_hits += hits;
+            acc.oracle_misses += misses;
+        }
+        let window_swaps = routed.total_swaps();
         acc.swaps_inserted += window_swaps;
         acc.max_window_swaps = acc.max_window_swaps.max(window_swaps);
-        let optimized = match self.optimization.config() {
-            Some(cfg) => {
-                optimize_bounded(
-                    &outcome.circuit,
-                    Some(&self.device),
-                    self.cost.as_ref(),
-                    cfg,
-                    self.budget.max_optimize_rounds,
-                )
-                .0
-            }
-            None => outcome.circuit,
+        self.check_deadline(started, Pass::Optimize)?;
+        let routed_gates = routed.circuit.gates().len();
+        let optimized = match self.optimize_stage(&routed.circuit) {
+            Some((optimized, _)) => optimized,
+            None => routed.circuit,
         };
         acc.peak_resident_gates = acc
             .peak_resident_gates
             .max(buf.gates().len())
             .max(decomposed.gates().len())
+            .max(routed_gates)
             .max(optimized.gates().len());
         if let Some(v) = verifier {
             if let Some(par) = &v.par {
@@ -1022,6 +858,60 @@ impl Compiler {
         Ok(route_seconds)
     }
 
+    /// The decompose stage: generalized Toffolis (Barenco) and the
+    /// Toffoli/CZ/SWAP → Clifford+T + CNOT lowering, through the shared
+    /// decomposition memo.
+    fn decompose_stage(
+        &self,
+        circuit: &Circuit,
+    ) -> Result<(Circuit, DecomposeCounters), CompileError> {
+        decompose_circuit_memo(circuit, Some(&self.device), self.decompose)
+    }
+
+    /// The route stage, and the compiler's one routing dispatch: the
+    /// configured strategy, resolved against the cost model, legalizes
+    /// `circuit` over the shared table or oracle of `lookup` under the
+    /// budget's SWAP cap. Also returns the oracle's `(hits, misses)`
+    /// during this call when `lookup` is sparse.
+    fn route_stage(
+        &self,
+        circuit: &Circuit,
+        lookup: &RoutingLookup,
+    ) -> Result<(RouteOutcome, Option<(u64, u64)>), CompileError> {
+        let strategy = self.strategy.resolve(self.cost.route_hint());
+        let mut req = RouteRequest::new(circuit, &self.device)
+            .with_objective(self.routing)
+            .with_max_swaps(self.budget.max_route_swaps);
+        let oracle = match lookup {
+            RoutingLookup::Dense(table) => {
+                req = req.with_table(table.clone());
+                None
+            }
+            RoutingLookup::Sparse(oracle) => {
+                req = req.with_oracle(oracle.clone());
+                Some((oracle, oracle.hit_count(), oracle.miss_count()))
+            }
+        };
+        if let Some(sink) = &self.trace {
+            req = req.with_trace(sink.clone());
+        }
+        let outcome = strategy.instance().route(&req)?;
+        let delta = oracle.map(|(o, h0, m0)| (o.hit_count() - h0, o.miss_count() - m0));
+        Ok((outcome, delta))
+    }
+
+    /// The optimize stage; `None` when optimization is disabled.
+    fn optimize_stage(&self, routed: &Circuit) -> Option<(Circuit, OptimizeCounters)> {
+        let cfg = self.optimization.config()?;
+        Some(optimize_bounded(
+            routed,
+            Some(&self.device),
+            self.cost.as_ref(),
+            cfg,
+            self.budget.max_optimize_rounds,
+        ))
+    }
+
     /// Structural key of one compile request: every input the pipeline's
     /// output depends on. Two requests with equal keys are guaranteed to
     /// produce identical results, so the memoized result can be replayed.
@@ -1030,6 +920,10 @@ impl Compiler {
     /// ([`CostModel::cache_params`] returns `None`): its name alone cannot
     /// distinguish it from a same-named model with different pricing, so
     /// memoization is skipped rather than risking a key collision.
+    ///
+    /// Options are hashed field by field, with a fixed tag byte per enum
+    /// variant, so renaming a variant or reordering a field cannot move a
+    /// persisted key (golden keys are pinned by a unit test).
     pub(crate) fn compile_key(&self, input: &Circuit) -> Option<u128> {
         let params = self.cost.cache_params()?;
         let mut h = qsyn_circuit::Fnv128::new();
@@ -1040,15 +934,66 @@ impl Compiler {
         for p in params {
             h.write_f64(p);
         }
-        // Option enums all have stable, value-complete Debug forms.
-        h.write_str(&format!("{:?}", self.placement));
-        h.write_str(&format!("{:?}", self.routing));
-        h.write_str(&format!("{:?}", self.strategy));
-        h.write_str(&format!("{:?}", self.swaps));
-        h.write_str(&format!("{:?}", self.decompose));
-        h.write_str(&format!("{:?}", self.verification));
-        h.write_str(&format!("{:?}", self.optimization));
-        h.write_str(&format!("{:?}", self.budget));
+        h.write_u8(match self.placement {
+            PlacementStrategy::Identity => 0,
+            PlacementStrategy::Greedy => 1,
+            PlacementStrategy::Annealed => 2,
+        });
+        h.write_u8(match self.routing {
+            RoutingObjective::FewestSwaps => 0,
+            RoutingObjective::HighestFidelity => 1,
+        });
+        h.write_u8(match self.strategy {
+            RouteStrategyKind::Ctr => 0,
+            RouteStrategyKind::Lookahead => 1,
+            RouteStrategyKind::Persistent => 2,
+            RouteStrategyKind::Auto => 3,
+        });
+        h.write_u8(match self.decompose {
+            DecomposeStrategy::Exact => 0,
+            DecomposeStrategy::RelativePhase => 1,
+        });
+        h.write_u8(match self.verification {
+            Verification::None => 0,
+            Verification::Canonical => 1,
+            Verification::Miter => 2,
+            Verification::Auto => 3,
+        });
+        match self.optimization {
+            Optimization::Disabled => h.write_u8(0),
+            Optimization::Enabled(OptimizeConfig {
+                cancel_identities,
+                rewrite_identities,
+            }) => {
+                h.write_u8(1);
+                h.write_u8(u8::from(cancel_identities));
+                h.write_u8(u8::from(rewrite_identities));
+            }
+        }
+        // Destructured without `..`: a new budget field fails to compile
+        // until it is hashed here.
+        let CompileBudget {
+            deadline,
+            qmdd_node_budget,
+            max_optimize_rounds,
+            max_route_swaps,
+            verify_mode,
+        } = self.budget;
+        let mut write_opt = |v: Option<u128>| match v {
+            None => h.write_u8(0),
+            Some(v) => {
+                h.write_u8(1);
+                h.write_u128(v);
+            }
+        };
+        write_opt(deadline.map(|d| d.as_nanos()));
+        write_opt(qmdd_node_budget.map(|n| n as u128));
+        write_opt(max_optimize_rounds.map(|n| n as u128));
+        write_opt(max_route_swaps.map(|n| n as u128));
+        h.write_u8(match verify_mode {
+            VerifyMode::Strict => 0,
+            VerifyMode::Degrade => 1,
+        });
         Some(h.finish())
     }
 
@@ -1941,6 +1886,32 @@ mod tests {
         assert_eq!(traced.verified, plain.verified);
     }
 
+    /// The pipeline `compile` runs, rebuilt from public stage functions
+    /// with no shared state: identity placement, uncached decomposition,
+    /// a table-less route request, then the optimizer. Returns the
+    /// (unoptimized, optimized) circuits.
+    fn reference_pipeline(
+        spec: &Circuit,
+        device: &qsyn_arch::Device,
+        kind: RouteStrategyKind,
+        objective: RoutingObjective,
+        optimize: bool,
+    ) -> (Circuit, Circuit) {
+        let placed = Placement::identity(spec.n_qubits()).apply(spec, device);
+        let decomposed =
+            crate::decompose::decompose_circuit_with(&placed, Some(device), DecomposeStrategy::Exact)
+                .unwrap();
+        let req = RouteRequest::new(&decomposed, device).with_objective(objective);
+        let routed = kind.instance().route(&req).unwrap().circuit;
+        let optimized = if optimize {
+            let cost = TransmonCost::default();
+            optimize_bounded(&routed, Some(device), &cost, OptimizeConfig::default(), None).0
+        } else {
+            routed.clone()
+        };
+        (routed, optimized)
+    }
+
     #[test]
     fn persistent_layout_strategy_compiles_and_verifies() {
         let mut spec = Circuit::new(5);
@@ -1949,7 +1920,7 @@ mod tests {
         spec.push(Gate::cx(0, 4));
         for device in devices::ibm_devices() {
             let r = Compiler::new(device.clone())
-                .with_swap_strategy(SwapStrategy::PersistentLayout)
+                .with_route_strategy(RouteStrategyKind::Persistent)
                 .compile(&spec)
                 .unwrap();
             assert_eq!(r.verified, Some(true), "{}", device.name());
@@ -2006,20 +1977,79 @@ mod tests {
     }
 
     #[test]
-    fn cache_modes_produce_identical_circuits() {
-        // Tables (the default) must be a transparent acceleration: same
-        // bytes out as the legacy per-gate searches.
+    fn persistent_strategy_matches_the_persistent_router() {
+        // Selecting `Persistent` routes exactly as the persistent-layout
+        // router does, and enforces the SWAP cap on the completed total
+        // (drifting plus restoration SWAPs).
+        let mut spec = Circuit::new(5).with_name("persistent-ref");
+        spec.push(Gate::toffoli(0, 2, 4));
+        spec.push(Gate::cx(4, 0));
+        spec.push(Gate::cx(0, 4));
+        spec.push(Gate::cx(1, 4));
+        for device in devices::ibm_devices() {
+            let decomposed = crate::decompose::decompose_circuit_with(
+                &Placement::identity(5).apply(&spec, &device),
+                Some(&device),
+                DecomposeStrategy::Exact,
+            )
+            .unwrap();
+            let (reference, k) = crate::remap::route_circuit_persistent_traced(
+                &decomposed,
+                &device,
+                RoutingObjective::FewestSwaps,
+            )
+            .unwrap();
+            let compiler = Compiler::new(device.clone())
+                .with_route_strategy(RouteStrategyKind::Persistent);
+            let r = compiler.compile(&spec).unwrap();
+            assert_eq!(r.unoptimized.gates(), reference.gates(), "{}", device.name());
+            let route = r.metrics().pass(Pass::Route).unwrap();
+            assert_eq!(route.counter("strategy"), Some(3.0));
+            assert_eq!(route.counter("swaps_inserted"), Some(k.swaps_inserted as f64));
+            let restoration = route.counter("restoration_swaps").unwrap_or(0.0);
+            assert_eq!(restoration, k.restoration_swaps as f64);
+            let total = k.swaps_inserted + k.restoration_swaps;
+            if total == 0 {
+                continue;
+            }
+            let capped = |cap: usize| {
+                Compiler::new(device.clone())
+                    .with_route_strategy(RouteStrategyKind::Persistent)
+                    .with_budget(CompileBudget::default().with_max_route_swaps(cap))
+                    .compile(&spec)
+            };
+            assert_eq!(capped(total).unwrap().unoptimized, r.unoptimized);
+            match capped(total - 1) {
+                Err(CompileError::BudgetExceeded {
+                    pass: Pass::Route,
+                    resource: BudgetResource::RouteSwaps,
+                    limit,
+                    used,
+                }) => assert_eq!((limit, used), ((total - 1) as u64, total as u64)),
+                other => panic!("{}: expected the cap error, got {other:?}", device.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn compiles_match_the_uncached_reference_pipeline() {
+        // The shared routing tables and decomposition memo must be a
+        // transparent acceleration: same bytes out as the per-gate
+        // searches, for every strategy.
         let mut spec = Circuit::new(5).with_name("cache-modes");
         spec.push(Gate::mct(vec![0, 1, 2], 4));
         spec.push(Gate::cx(0, 4));
         for d in devices::ibm_devices() {
-            let off = Compiler::new(d.clone())
-                .with_cache(CacheMode::Off)
-                .compile(&spec)
-                .unwrap();
-            let tables = Compiler::new(d.clone()).compile(&spec).unwrap();
-            assert_eq!(off.optimized.gates(), tables.optimized.gates(), "{}", d.name());
-            assert_eq!(off.unoptimized.gates(), tables.unoptimized.gates(), "{}", d.name());
+            for kind in RouteStrategyKind::CONCRETE {
+                let (routed, optimized) =
+                    reference_pipeline(&spec, &d, kind, RoutingObjective::FewestSwaps, true);
+                let tables = Compiler::new(d.clone())
+                    .with_route_strategy(kind)
+                    .compile(&spec)
+                    .unwrap();
+                assert_eq!(optimized.gates(), tables.optimized.gates(), "{}", d.name());
+                assert_eq!(routed.gates(), tables.unoptimized.gates(), "{}", d.name());
+            }
         }
     }
 
@@ -2503,6 +2533,132 @@ mod tests {
                 available: 5
             }
         );
+    }
+
+    #[test]
+    fn streaming_peak_resident_gates_counts_the_routed_window() {
+        // Repeated distant CNOTs: CTR swaps out and back per gate, and the
+        // optimizer cancels the back-to-back SWAP chains, so the routed
+        // window is the largest stage.
+        let d = devices::ibmqx5();
+        let mut spec = Circuit::new(d.n_qubits());
+        for _ in 0..4 {
+            spec.push(Gate::cx(0, 8));
+        }
+        let (routed, optimized) =
+            reference_pipeline(&spec, &d, RouteStrategyKind::Ctr, RoutingObjective::FewestSwaps, true);
+        assert!(optimized.len() < routed.len(), "optimize must shrink the window");
+        assert!(routed.len() > spec.len());
+        let summary = Compiler::new(d.clone())
+            .compile_stream(d.n_qubits(), spec.len(), spec.gates().iter().cloned(), |_| {})
+            .unwrap();
+        assert_eq!(summary.windows, 1);
+        assert!(
+            summary.peak_resident_gates >= routed.len(),
+            "peak {} < routed {}",
+            summary.peak_resident_gates,
+            routed.len()
+        );
+    }
+
+    #[test]
+    fn streaming_zero_deadline_names_the_first_stage() {
+        let err = Compiler::new(devices::ibmqx4())
+            .with_budget(CompileBudget::default().with_deadline(std::time::Duration::ZERO))
+            .compile_stream(3, 4, toffoli_spec().gates().iter().cloned(), |_| {})
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompileError::BudgetExceeded {
+                    pass: Pass::Decompose,
+                    resource: BudgetResource::WallClock,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn compile_keys_are_golden_and_cover_every_field() {
+        let mut spec = Circuit::new(3).with_name("golden");
+        spec.push(Gate::toffoli(0, 1, 2));
+        spec.push(Gate::cx(2, 0));
+        let key = |c: Compiler| c.compile_key(&spec).expect("built-in cost models are keyed");
+        let base = || Compiler::new(devices::ibmqx4());
+        // Pinned: a change here silently orphans every persisted
+        // `--cache-dir` entry, so it must be deliberate.
+        let golden = [
+            ("default", key(base()), 0xea067d559667d8c180afb1043c5150ca),
+            (
+                "lookahead + fidelity",
+                key(base()
+                    .with_route_strategy(RouteStrategyKind::Lookahead)
+                    .with_routing(RoutingObjective::HighestFidelity)),
+                0xe39eca447f63a762f6d8f85757bca2f0,
+            ),
+            (
+                "persistent + optimization off",
+                key(base()
+                    .with_route_strategy(RouteStrategyKind::Persistent)
+                    .with_optimization(false)),
+                0x54b17e6ca97aab1c5edf9a3da74cc103,
+            ),
+            (
+                "budgeted",
+                key(base().with_budget(
+                    CompileBudget::default()
+                        .with_deadline(std::time::Duration::from_millis(1500))
+                        .with_node_budget(1 << 16)
+                        .with_max_optimize_rounds(3)
+                        .with_max_route_swaps(40)
+                        .with_verify_mode(VerifyMode::Strict),
+                )),
+                0x23809e62cad85a3e3c65ddd9db7e146b,
+            ),
+        ];
+        for (name, got, want) in golden {
+            assert_eq!(got, want, "{name}: {got:#x}");
+        }
+
+        // Every single-field change moves the key, and no two collide.
+        let budget = CompileBudget::default();
+        let variants = vec![
+            base(),
+            base().with_placement(PlacementStrategy::Greedy),
+            base().with_placement(PlacementStrategy::Annealed),
+            base().with_routing(RoutingObjective::HighestFidelity),
+            base().with_route_strategy(RouteStrategyKind::Lookahead),
+            base().with_route_strategy(RouteStrategyKind::Persistent),
+            base().with_route_strategy(RouteStrategyKind::Auto),
+            base().with_decompose_strategy(DecomposeStrategy::RelativePhase),
+            base().with_verification(Verification::None),
+            base().with_verification(Verification::Canonical),
+            base().with_verification(Verification::Miter),
+            base().with_optimization(false),
+            base().with_optimization(OptimizeConfig {
+                cancel_identities: false,
+                rewrite_identities: true,
+            }),
+            base().with_optimization(OptimizeConfig {
+                cancel_identities: true,
+                rewrite_identities: false,
+            }),
+            base().with_budget(budget.with_deadline(std::time::Duration::from_secs(1))),
+            base().with_budget(budget.with_node_budget(1000)),
+            base().with_budget(budget.with_max_optimize_rounds(1000)),
+            base().with_budget(budget.with_max_route_swaps(1000)),
+            base().with_budget(budget.with_verify_mode(VerifyMode::Strict)),
+            base().with_cost_model(Box::new(qsyn_arch::VolumeCost)),
+            Compiler::new(devices::ibmqx2()),
+        ];
+        let keys: Vec<u128> = variants.into_iter().map(key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "variants {i} and {j} share a key");
+            }
+        }
     }
 
     #[cfg(feature = "fault-injection")]

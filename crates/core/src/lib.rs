@@ -73,16 +73,22 @@ pub use persist::{DiskCache, DiskLoad, EvictionSummary};
 pub use place::{place, Placement, PlacementStrategy};
 pub use remap::{
     route_circuit_persistent, route_circuit_persistent_traced, PersistentRouteCounters,
-    SwapStrategy,
 };
 pub use sk::{approximate_rz, approximate_rz_to_accuracy, approximate_unitary, SkApproximation};
 pub use route::{
     ctr_route, ctr_route_with, emit_cnot, emit_cnot_with, route_circuit, CtrRoute, RouteCounters,
     RoutingObjective, DEFAULT_CNOT_ERROR,
 };
-#[allow(deprecated)]
-pub use route::{route_circuit_bounded, route_circuit_bounded_uncached, route_circuit_bounded_via};
 pub use strategy::{
-    CtrStrategy, LazySynthStrategy, LookaheadStrategy, RouteOutcome, RouteRequest,
+    CtrStrategy, LookaheadStrategy, PersistentStrategy, RouteOutcome, RouteRequest,
     RouteStrategyKind, RoutingStrategy,
 };
+
+/// Joins option names as prose for "want ..." errors: `a, b or c`.
+fn one_of(names: &[&str]) -> String {
+    match names.split_last() {
+        Some((last, [])) => (*last).to_string(),
+        Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
+        None => String::new(),
+    }
+}

@@ -21,18 +21,6 @@ use qsyn_circuit::Circuit;
 use qsyn_gate::Gate;
 use std::collections::VecDeque;
 
-/// How rerouting SWAPs are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwapStrategy {
-    /// The paper's CTR: swap out, execute, swap back (line assignment
-    /// preserved gate by gate).
-    #[default]
-    ReturnControl,
-    /// SWAPs persist and the layout drifts; one restoration network at the
-    /// end re-establishes the original assignment.
-    PersistentLayout,
-}
-
 /// Tracks the drifting logical-to-physical assignment (shared with the
 /// lookahead strategy, which also routes under a persistent layout).
 pub(crate) struct Layout {

@@ -408,9 +408,7 @@ impl RouteCounters {
 /// [`RoutingStrategy`](crate::RoutingStrategy) trait, against the shared
 /// precomputed routing table for the device. For a different objective,
 /// a SWAP cap, per-route counters, or a second-generation router, build a
-/// [`RouteRequest`](crate::RouteRequest) and call a strategy directly —
-/// the historical `route_circuit_with`/`route_circuit_traced`/
-/// `route_circuit_bounded*` family collapsed into that API.
+/// [`RouteRequest`](crate::RouteRequest) and call a strategy directly.
 ///
 /// # Errors
 ///
@@ -424,32 +422,20 @@ pub fn route_circuit(circuit: &Circuit, device: &Device) -> Result<Circuit, Comp
     crate::strategy::CtrStrategy.route(&req).map(|o| o.circuit)
 }
 
-/// CTR routing under an objective and optional SWAP cap, resolving the
-/// shared [`RoutingTable`](crate::cache::RoutingTable) from the registry.
-pub(crate) fn route_bounded(
-    circuit: &Circuit,
-    device: &Device,
-    objective: RoutingObjective,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
-    let (table, _) = crate::cache::routing_table(device, objective);
-    route_bounded_via(circuit, device, &table, max_swaps)
-}
-
 /// CTR routing running the legacy per-gate search instead of a shared
 /// [`RoutingTable`](crate::cache::RoutingTable).
 ///
 /// The table path is byte-identical to this one (the table stores exactly
 /// what these searches return); this entry point exists so differential
-/// tests and benchmarks can compare the two directly, and for
-/// [`CacheMode::Off`](crate::cache::CacheMode::Off).
+/// tests and benchmarks can compare the two directly (a table-less
+/// [`RouteRequest`](crate::RouteRequest) routes through it).
 pub(crate) fn route_bounded_uncached(
     circuit: &Circuit,
     device: &Device,
     objective: RoutingObjective,
     max_swaps: Option<usize>,
 ) -> Result<(Circuit, RouteCounters), CompileError> {
-    route_circuit_bounded_impl(circuit, device, max_swaps, |control, target| {
+    ctr_route_each_gate(circuit, device, max_swaps, |control, target| {
         ctr_route_with(device, control, target, objective)
     })
 }
@@ -464,7 +450,7 @@ pub(crate) fn route_bounded_via(
     max_swaps: Option<usize>,
 ) -> Result<(Circuit, RouteCounters), CompileError> {
     debug_assert_eq!(table.n_qubits(), device.n_qubits(), "table/device mismatch");
-    route_circuit_bounded_impl(circuit, device, max_swaps, |control, target| {
+    ctr_route_each_gate(circuit, device, max_swaps, |control, target| {
         table.route(control, target)
     })
 }
@@ -480,74 +466,14 @@ pub(crate) fn route_bounded_via_oracle(
     max_swaps: Option<usize>,
 ) -> Result<(Circuit, RouteCounters), CompileError> {
     debug_assert_eq!(oracle.n_qubits(), device.n_qubits(), "oracle/device mismatch");
-    route_circuit_bounded_impl(circuit, device, max_swaps, |control, target| {
+    ctr_route_each_gate(circuit, device, max_swaps, |control, target| {
         oracle.route(control, target)
     })
 }
 
-/// Deprecated compatibility alias for the pre-strategy bounded router.
-///
-/// # Errors
-///
-/// See [`route_circuit`], plus [`CompileError::BudgetExceeded`] on a blown
-/// cap.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.6.0",
-    note = "use a RoutingStrategy (CtrStrategy) with a RouteRequest instead"
-)]
-pub fn route_circuit_bounded(
-    circuit: &Circuit,
-    device: &Device,
-    objective: RoutingObjective,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
-    route_bounded(circuit, device, objective, max_swaps)
-}
-
-/// Deprecated compatibility alias for the pre-strategy uncached router.
-///
-/// # Errors
-///
-/// See [`route_circuit`], plus [`CompileError::BudgetExceeded`] on a blown
-/// cap.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.6.0",
-    note = "use CtrStrategy with a table-less RouteRequest instead"
-)]
-pub fn route_circuit_bounded_uncached(
-    circuit: &Circuit,
-    device: &Device,
-    objective: RoutingObjective,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
-    route_bounded_uncached(circuit, device, objective, max_swaps)
-}
-
-/// Deprecated compatibility alias for the pre-strategy table router.
-///
-/// # Errors
-///
-/// See [`route_circuit`], plus [`CompileError::BudgetExceeded`] on a blown
-/// cap.
-#[doc(hidden)]
-#[deprecated(
-    since = "0.6.0",
-    note = "use CtrStrategy with RouteRequest::with_table instead"
-)]
-pub fn route_circuit_bounded_via(
-    circuit: &Circuit,
-    device: &Device,
-    table: &crate::cache::RoutingTable,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
-    route_bounded_via(circuit, device, table, max_swaps)
-}
-
 /// The shared routing loop; `route_for` yields the CTR route per two-qubit
 /// gate, either borrowed from a table or freshly searched.
-fn route_circuit_bounded_impl<R, F>(
+fn ctr_route_each_gate<R, F>(
     circuit: &Circuit,
     device: &Device,
     max_swaps: Option<usize>,
@@ -659,6 +585,18 @@ mod tests {
     use super::*;
     use qsyn_arch::devices;
     use qsyn_qmdd::circuits_equal;
+
+    /// CTR routing under an objective and optional SWAP cap, resolving the
+    /// shared [`RoutingTable`](crate::cache::RoutingTable) from the registry.
+    fn route_bounded(
+        circuit: &Circuit,
+        device: &Device,
+        objective: RoutingObjective,
+        max_swaps: Option<usize>,
+    ) -> Result<(Circuit, RouteCounters), CompileError> {
+        let (table, _) = crate::cache::routing_table(device, objective);
+        route_bounded_via(circuit, device, &table, max_swaps)
+    }
 
     #[test]
     fn fig5_ibmqx3_q5_to_q10_routes_via_q12_q11() {

@@ -376,7 +376,8 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
                     fail(
                         RequestErrorKind::BadValue,
                         format!(
-                            "unknown route strategy `{s}` (want ctr, lookahead, lazy-synth or auto)"
+                            "unknown route strategy `{s}` (want {})",
+                            RouteStrategyKind::choices()
                         ),
                     )
                 })?;
@@ -389,7 +390,7 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
                 cache = CacheMode::parse(&s).ok_or_else(|| {
                     fail(
                         RequestErrorKind::BadValue,
-                        format!("unknown cache mode `{s}` (want off, tables or mem)"),
+                        format!("unknown cache mode `{s}` (want {})", CacheMode::choices()),
                     )
                 })?;
             }

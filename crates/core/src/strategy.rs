@@ -1,43 +1,42 @@
 //! Pluggable routing strategies: the trait behind every router, the
 //! paper-exact [`CtrStrategy`], the SABRE-style [`LookaheadStrategy`], and
-//! the lazy-resynthesis skeleton [`LazySynthStrategy`].
+//! the [`PersistentStrategy`] layout router.
 //!
 //! The paper's CTR router (Figs. 4 and 5) legalizes one CNOT at a time:
 //! SWAP the control out along a BFS tree path, execute, SWAP back. That is
 //! correct and simple, but second-generation routers do markedly better by
-//! looking *ahead*: a SWAP that helps the next gate often helps the ten
-//! gates after it too. This module turns routing into a first-class
-//! extension point:
+//! letting the layout drift or by looking *ahead*: a SWAP that helps the
+//! next gate often helps the ten gates after it too. This module turns
+//! routing into a first-class extension point, and the compiler routes
+//! every circuit through it:
 //!
 //! * [`RoutingStrategy`] — the trait: one [`RouteRequest`] in (circuit,
 //!   device, objective, SWAP cap, shared routing table, trace sink), one
 //!   [`RouteOutcome`] out (routed circuit plus SWAP/depth counters);
 //! * [`CtrStrategy`] — the paper's router re-homed behind the trait,
-//!   byte-identical to the historical `route_circuit*` free functions;
+//!   byte-identical to the per-gate search;
 //! * [`LookaheadStrategy`] — a bidirectional SABRE-style search
 //!   (Li/Ding/Xie): SWAPs persist, candidates are scored against a
 //!   decaying window of future two-qubit gates using the precomputed
 //!   hop / negative-log-fidelity distance matrices of the shared
 //!   [`RoutingTable`], and one restoration network at the end returns
 //!   every line home so the result stays QMDD-verifiable;
-//! * [`LazySynthStrategy`] — a skeleton of lazy CNOT/phase resynthesis
-//!   (Martiel & Goubault de Brugière): it already segments the circuit
-//!   into resynthesizable runs and reports them, delegating legalization
-//!   to the lookahead machinery until full run resynthesis lands;
+//! * [`PersistentStrategy`] — shortest-path drifting SWAPs with one final
+//!   restoration network ([`crate::remap`]);
 //! * [`RouteStrategyKind`] — the registry the compiler and CLI select
-//!   strategies through (`--route-strategy ctr|lookahead|lazy-synth|auto`),
+//!   strategies through (`--route-strategy ctr|lookahead|persistent|auto`),
 //!   with `auto` resolved from the cost model's
 //!   [`RouteHint`].
 
 use crate::cache::{DistanceOracle, RoutingTable};
 use crate::error::CompileError;
-use crate::remap::{restoration_swaps, Layout};
+use crate::remap::{restoration_swaps, route_circuit_persistent_traced, Layout};
 use crate::route::{
     emit_adjacent_cnot, emit_adjacent_cz, emit_adjacent_swap, RoutingObjective,
 };
 use qsyn_arch::{Device, RouteHint, TwoQubitNative};
 use qsyn_circuit::Circuit;
-use qsyn_gate::{Gate, SingleOp};
+use qsyn_gate::Gate;
 use qsyn_trace::TraceSink;
 use std::sync::Arc;
 
@@ -58,9 +57,9 @@ pub struct RouteRequest<'a> {
     /// many adjacent SWAPs would be inserted (`None` = unbounded); the cap
     /// a [`CompileBudget`](crate::CompileBudget) sets.
     pub max_swaps: Option<usize>,
-    /// The shared precomputed routing table for `(device, objective)`,
-    /// when caching is on. `None` makes strategies recompute distances
-    /// locally (the `CacheMode::Off` differential path).
+    /// The shared precomputed routing table for `(device, objective)`.
+    /// `None` makes strategies recompute distances locally (the
+    /// table-less reference path differential tests compare against).
     pub table: Option<Arc<RoutingTable>>,
     /// The shared sparse [`DistanceOracle`] for `(device, objective)`,
     /// the large-device alternative to `table`: distances are answered
@@ -139,7 +138,7 @@ pub struct RouteOutcome {
     /// Depth of the routed circuit.
     pub depth: usize,
     /// Strategy-specific extra counters, merged into the route pass event
-    /// (e.g. `lazy_runs` for [`LazySynthStrategy`]).
+    /// (none of the built-in strategies report any).
     pub extra: Vec<(String, f64)>,
 }
 
@@ -227,7 +226,7 @@ impl RoutingStrategy for CtrStrategy {
 
 /// All-pairs distances under the active objective, served from the shared
 /// [`RoutingTable`] when one is in the request and recomputed locally
-/// otherwise (so `CacheMode::Off` stays a true no-cache differential path).
+/// otherwise (so a table-less request stays a true no-cache reference).
 struct DistanceField {
     n: usize,
     /// Hop-count matrix (`u32::MAX` = disconnected). Always present: it is
@@ -573,72 +572,37 @@ impl LookaheadStrategy {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy-synthesis skeleton.
+// Persistent layout behind the trait.
 // ---------------------------------------------------------------------------
 
-/// Skeleton of architecture-aware lazy synthesis (Martiel & Goubault de
-/// Brugière): instead of legalizing CNOTs one by one, accumulate maximal
-/// runs of CNOT and Z-basis phase gates — each run implements a phase
-/// polynomial over a linear reversible function — and resynthesize each
-/// run directly onto the coupling map.
+/// The persistent-layout router ([`route_circuit_persistent_traced`])
+/// behind the [`RoutingStrategy`] trait: SWAPs move a logical line and
+/// stay, and one restoration network at the end returns every line home.
 ///
-/// **Status:** the run accumulator ships now (run boundaries and counts
-/// are reported as `lazy_runs` / `lazy_max_run` on the route event);
-/// per-run resynthesis is follow-up work, so legalization currently
-/// delegates to the [`LookaheadStrategy`] machinery. The strategy is
-/// registered and selectable so traces, benches, and CLI plumbing are
-/// already in place when resynthesis lands.
+/// The restoration network is only known once the whole circuit is
+/// routed, so the SWAP cap is checked against the completed total
+/// (drifting plus restoration SWAPs). Path search is hop-based, so the
+/// request's table or oracle is not consulted.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LazySynthStrategy {
-    inner: LookaheadStrategy,
-}
+pub struct PersistentStrategy;
 
-/// Gates a CNOT/phase run absorbs: CNOTs plus diagonal Z-basis phase
-/// gates (the run then implements a phase polynomial over a linear
-/// reversible function, the object lazy synthesis re-expresses).
-fn absorbs_into_run(g: &Gate) -> bool {
-    match g {
-        Gate::Cx { .. } => true,
-        Gate::Single { op, .. } => matches!(
-            op,
-            SingleOp::Z | SingleOp::S | SingleOp::Sdg | SingleOp::T | SingleOp::Tdg
-        ),
-        _ => false,
-    }
-}
-
-/// Maximal CNOT/phase runs of a circuit as `(start, len)` gate-index
-/// spans; gates outside every span are barriers (H, X, Y, CZ, ...).
-pub(crate) fn cnot_phase_runs(circuit: &Circuit) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut start: Option<usize> = None;
-    for (i, g) in circuit.gates().iter().enumerate() {
-        if absorbs_into_run(g) {
-            start.get_or_insert(i);
-        } else if let Some(s) = start.take() {
-            runs.push((s, i - s));
-        }
-    }
-    if let Some(s) = start {
-        runs.push((s, circuit.gates().len() - s));
-    }
-    runs
-}
-
-impl RoutingStrategy for LazySynthStrategy {
+impl RoutingStrategy for PersistentStrategy {
     fn name(&self) -> &'static str {
-        "lazy-synth"
+        "persistent"
     }
 
     fn route(&self, req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
-        let runs = cnot_phase_runs(req.circuit);
-        let mut outcome = self.inner.route(req)?;
-        outcome.extra.push(("lazy_runs".to_string(), runs.len() as f64));
-        outcome.extra.push((
-            "lazy_max_run".to_string(),
-            runs.iter().map(|&(_, len)| len).max().unwrap_or(0) as f64,
-        ));
-        Ok(outcome)
+        let (circuit, k) = route_circuit_persistent_traced(req.circuit, req.device, req.objective)?;
+        let total = k.swaps_inserted + k.restoration_swaps;
+        if let Some(cap) = req.max_swaps.filter(|&cap| total > cap) {
+            return Err(CompileError::BudgetExceeded {
+                pass: qsyn_trace::Pass::Route,
+                resource: crate::budget::BudgetResource::RouteSwaps,
+                limit: cap as u64,
+                used: total as u64,
+            });
+        }
+        Ok(RouteOutcome::of(circuit, k.swaps_inserted, k.gates_rerouted, k.restoration_swaps))
     }
 }
 
@@ -650,15 +614,14 @@ impl RoutingStrategy for LazySynthStrategy {
 /// configured with (`--route-strategy` on the CLI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouteStrategyKind {
-    /// The paper's CTR router ([`CtrStrategy`]); the default, and the only
-    /// kind that also honors the compiler's
-    /// [`SwapStrategy`](crate::SwapStrategy) setting.
+    /// The paper's CTR router ([`CtrStrategy`]); the default.
     #[default]
     Ctr,
     /// SABRE-style lookahead ([`LookaheadStrategy`]).
     Lookahead,
-    /// Lazy CNOT/phase resynthesis skeleton ([`LazySynthStrategy`]).
-    LazySynth,
+    /// Persistent layout with one restoration network
+    /// ([`PersistentStrategy`]).
+    Persistent,
     /// Pick per compile from the cost model's
     /// [`route_hint`](qsyn_arch::CostModel::route_hint): SWAP- and
     /// fidelity-dominated models get the lookahead router, opaque models
@@ -671,18 +634,20 @@ impl RouteStrategyKind {
     pub const CONCRETE: [RouteStrategyKind; 3] = [
         RouteStrategyKind::Ctr,
         RouteStrategyKind::Lookahead,
-        RouteStrategyKind::LazySynth,
+        RouteStrategyKind::Persistent,
+    ];
+
+    /// Every selectable kind, in `--route-strategy` listing order.
+    pub const ALL: [RouteStrategyKind; 4] = [
+        RouteStrategyKind::Ctr,
+        RouteStrategyKind::Lookahead,
+        RouteStrategyKind::Persistent,
+        RouteStrategyKind::Auto,
     ];
 
     /// Parses the `--route-strategy=NAME` CLI value.
     pub fn parse(s: &str) -> Option<RouteStrategyKind> {
-        match s {
-            "ctr" => Some(RouteStrategyKind::Ctr),
-            "lookahead" => Some(RouteStrategyKind::Lookahead),
-            "lazy-synth" => Some(RouteStrategyKind::LazySynth),
-            "auto" => Some(RouteStrategyKind::Auto),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// Stable lowercase identifier (the `--route-strategy` value).
@@ -690,9 +655,15 @@ impl RouteStrategyKind {
         match self {
             RouteStrategyKind::Ctr => "ctr",
             RouteStrategyKind::Lookahead => "lookahead",
-            RouteStrategyKind::LazySynth => "lazy-synth",
+            RouteStrategyKind::Persistent => "persistent",
             RouteStrategyKind::Auto => "auto",
         }
+    }
+
+    /// The accepted values as prose (`ctr, lookahead, persistent or
+    /// auto`), for "unknown strategy" errors.
+    pub fn choices() -> String {
+        crate::one_of(&Self::ALL.map(Self::name))
     }
 
     /// Resolves `Auto` against a cost model's [`RouteHint`]; concrete
@@ -714,7 +685,7 @@ impl RouteStrategyKind {
         match self {
             RouteStrategyKind::Ctr | RouteStrategyKind::Auto => Box::new(CtrStrategy),
             RouteStrategyKind::Lookahead => Box::new(LookaheadStrategy::default()),
-            RouteStrategyKind::LazySynth => Box::new(LazySynthStrategy::default()),
+            RouteStrategyKind::Persistent => Box::new(PersistentStrategy),
         }
     }
 
@@ -747,15 +718,11 @@ mod tests {
 
     #[test]
     fn kind_parse_name_round_trips() {
-        for kind in [
-            RouteStrategyKind::Ctr,
-            RouteStrategyKind::Lookahead,
-            RouteStrategyKind::LazySynth,
-            RouteStrategyKind::Auto,
-        ] {
+        for kind in RouteStrategyKind::ALL {
             assert_eq!(RouteStrategyKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(RouteStrategyKind::parse("sabre"), None);
+        assert_eq!(RouteStrategyKind::choices(), "ctr, lookahead, persistent or auto");
         assert_eq!(RouteStrategyKind::default(), RouteStrategyKind::Ctr);
     }
 
@@ -951,37 +918,5 @@ mod tests {
             LookaheadStrategy::default().route(&RouteRequest::new(&c, &d)),
             Err(CompileError::UnmappedGate(_))
         ));
-    }
-
-    #[test]
-    fn lazy_synth_reports_runs_and_stays_equivalent() {
-        let d = devices::ibmqx4();
-        let mut c = Circuit::new(5);
-        c.push(Gate::cx(0, 4));
-        c.push(Gate::t(4)); // same run: phase gate
-        c.push(Gate::cx(4, 1));
-        c.push(Gate::h(2)); // barrier
-        c.push(Gate::cx(2, 3));
-        assert_eq!(cnot_phase_runs(&c), vec![(0, 3), (4, 1)]);
-        let out = LazySynthStrategy::default()
-            .route(&RouteRequest::new(&c, &d))
-            .unwrap();
-        assert!(circuits_equal(&c, &out.circuit));
-        assert!(out.extra.contains(&("lazy_runs".to_string(), 2.0)));
-        assert!(out.extra.contains(&("lazy_max_run".to_string(), 3.0)));
-    }
-
-    #[test]
-    fn run_segmentation_edge_cases() {
-        let empty = Circuit::new(2);
-        assert!(cnot_phase_runs(&empty).is_empty());
-        let mut all_barrier = Circuit::new(2);
-        all_barrier.push(Gate::h(0));
-        all_barrier.push(Gate::x(1));
-        assert!(cnot_phase_runs(&all_barrier).is_empty());
-        let mut one_run = Circuit::new(2);
-        one_run.push(Gate::cx(0, 1));
-        one_run.push(Gate::single(SingleOp::S, 1));
-        assert_eq!(cnot_phase_runs(&one_run), vec![(0, 2)]);
     }
 }

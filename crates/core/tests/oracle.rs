@@ -6,11 +6,12 @@
 //! large-device paths the oracle exists for: generated-family compiles
 //! and streaming.
 
-use qsyn_arch::{devices, Device};
+use qsyn_arch::{devices, Device, TransmonCost};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    routing_lookup, routing_oracle, routing_table, CacheMode, Compiler, RouteRequest,
-    RouteStrategyKind, RoutingLookup, RoutingObjective, Verification, SPARSE_ORACLE_MIN_QUBITS,
+    decompose_circuit_with, optimize_bounded, routing_lookup, routing_oracle, routing_table,
+    Compiler, DecomposeStrategy, OptimizeConfig, Placement, RouteRequest, RouteStrategyKind,
+    RoutingLookup, RoutingObjective, Verification, SPARSE_ORACLE_MIN_QUBITS,
 };
 use qsyn_gate::Gate;
 
@@ -78,12 +79,34 @@ fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
     }
 }
 
+/// The pipeline `Compiler::compile` runs, rebuilt from public stage
+/// functions with no shared state: identity placement, uncached
+/// decomposition, a table-less route request, then the optimizer.
+/// Returns the (unoptimized, optimized) circuits.
+fn reference_pipeline(
+    spec: &Circuit,
+    d: &Device,
+    kind: RouteStrategyKind,
+    objective: RoutingObjective,
+) -> (Circuit, Circuit) {
+    let placed = Placement::identity(spec.n_qubits()).apply(spec, d);
+    let decomposed = decompose_circuit_with(&placed, Some(d), DecomposeStrategy::Exact).unwrap();
+    let routed = kind
+        .instance()
+        .route(&RouteRequest::new(&decomposed, d).with_objective(objective))
+        .unwrap()
+        .circuit;
+    let cost = TransmonCost::default();
+    let optimized = optimize_bounded(&routed, Some(d), &cost, OptimizeConfig::default(), None).0;
+    (routed, optimized)
+}
+
 #[test]
 fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
-    // lnn(n >= threshold) selects the sparse oracle under the default
-    // cache mode; CacheMode::Off runs the legacy per-gate search. Both
-    // must produce the same bytes — the acceptance bar for swapping the
-    // dense table out from under big devices.
+    // lnn(n >= threshold) selects the sparse oracle in the compiler; the
+    // reference pipeline runs the per-gate search with no shared state.
+    // Both must produce the same bytes — the acceptance bar for swapping
+    // the dense table out from under big devices.
     let d = devices::lnn(SPARSE_ORACLE_MIN_QUBITS + 2);
     assert!(matches!(
         routing_lookup(&d, RoutingObjective::FewestSwaps).0,
@@ -102,20 +125,14 @@ fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
                 .with_verification(Verification::None)
                 .compile(&spec)
                 .unwrap();
-            let off = Compiler::new(d.clone())
-                .with_route_strategy(strategy)
-                .with_routing(objective)
-                .with_verification(Verification::None)
-                .with_cache(CacheMode::Off)
-                .compile(&spec)
-                .unwrap();
+            let (routed, optimized) = reference_pipeline(&spec, &d, strategy, objective);
             assert_eq!(
                 cached.unoptimized.gates(),
-                off.unoptimized.gates(),
+                routed.gates(),
                 "{} {objective:?}",
                 strategy.name()
             );
-            assert_eq!(cached.optimized.gates(), off.optimized.gates());
+            assert_eq!(cached.optimized.gates(), optimized.gates());
             // The route event reports the oracle's activity.
             let route = cached.metrics().pass(qsyn_trace::Pass::Route).unwrap();
             assert!(route.counter("oracle_misses").is_some(), "{}", strategy.name());

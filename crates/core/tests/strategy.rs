@@ -6,8 +6,9 @@
 use qsyn_arch::{devices, CostModel, Device, RouteHint, TransmonCost};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    routing_table, CompileBudget, CompileError, Compiler, LazySynthStrategy, LookaheadStrategy,
-    RouteRequest, RouteStrategyKind, RoutingObjective, RoutingStrategy, SwapStrategy,
+    decompose_circuit_with, route_circuit_persistent, routing_table, CompileBudget, CompileError,
+    Compiler, DecomposeStrategy, LookaheadStrategy, PersistentStrategy, RouteRequest,
+    RouteStrategyKind, RoutingObjective, RoutingStrategy,
 };
 use qsyn_gate::Gate;
 use qsyn_qmdd::{circuits_equal, equivalent_miter};
@@ -59,16 +60,16 @@ fn lookahead_is_qmdd_equivalent_on_every_device_and_objective() {
 }
 
 #[test]
-fn lazy_synth_is_qmdd_equivalent_on_every_device_and_objective() {
+fn persistent_is_qmdd_equivalent_on_every_device_and_objective() {
     for d in devices::all_devices() {
         let spec = mixed_workload(&d);
         for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
-            let out = LazySynthStrategy::default()
+            let out = PersistentStrategy
                 .route(&RouteRequest::new(&spec, &d).with_objective(objective))
                 .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", d.name()));
             assert!(
                 equivalent_for(&d, &spec, &out.circuit),
-                "lazy-synth output diverged on {} under {objective:?}",
+                "persistent output diverged on {} under {objective:?}",
                 d.name()
             );
         }
@@ -109,12 +110,7 @@ fn compiler_with_every_strategy_verifies() {
     // passes the built-in QMDD verification.
     let mut spec = Circuit::new(3).with_name("tof");
     spec.push(Gate::toffoli(0, 1, 2));
-    for kind in [
-        RouteStrategyKind::Ctr,
-        RouteStrategyKind::Lookahead,
-        RouteStrategyKind::LazySynth,
-        RouteStrategyKind::Auto,
-    ] {
+    for kind in RouteStrategyKind::ALL {
         let r = Compiler::new(devices::ibmqx3())
             .with_route_strategy(kind)
             .compile(&spec)
@@ -190,22 +186,26 @@ fn lookahead_under_the_compiler_respects_swap_caps() {
 
 #[test]
 fn ctr_strategy_selection_is_byte_identical_to_the_default() {
-    // `--route-strategy ctr` must not perturb the paper pipeline, under
-    // either SwapStrategy.
+    // `--route-strategy ctr` must not perturb the paper pipeline, and
+    // `persistent` must route exactly as the persistent-layout router.
+    let d = devices::ibmqx4();
     let mut spec = Circuit::new(5).with_name("ctr-regress");
     spec.push(Gate::toffoli(0, 2, 4));
     spec.push(Gate::cx(4, 0));
-    for swaps in [SwapStrategy::ReturnControl, SwapStrategy::PersistentLayout] {
-        let default = Compiler::new(devices::ibmqx4())
-            .with_swap_strategy(swaps)
-            .compile(&spec)
-            .unwrap();
-        let explicit = Compiler::new(devices::ibmqx4())
-            .with_swap_strategy(swaps)
-            .with_route_strategy(RouteStrategyKind::Ctr)
-            .compile(&spec)
-            .unwrap();
-        assert_eq!(default.optimized, explicit.optimized, "{swaps:?}");
-        assert_eq!(default.unoptimized, explicit.unoptimized, "{swaps:?}");
-    }
+    let default = Compiler::new(d.clone()).compile(&spec).unwrap();
+    let explicit = Compiler::new(d.clone())
+        .with_route_strategy(RouteStrategyKind::Ctr)
+        .compile(&spec)
+        .unwrap();
+    assert_eq!(default.optimized, explicit.optimized);
+    assert_eq!(default.unoptimized, explicit.unoptimized);
+    let persistent = Compiler::new(d.clone())
+        .with_route_strategy(RouteStrategyKind::Persistent)
+        .compile(&spec)
+        .unwrap();
+    let decomposed =
+        decompose_circuit_with(&persistent.placed, Some(&d), DecomposeStrategy::Exact).unwrap();
+    let reference =
+        route_circuit_persistent(&decomposed, &d, RoutingObjective::FewestSwaps).unwrap();
+    assert_eq!(persistent.unoptimized.gates(), reference.gates());
 }

@@ -63,7 +63,11 @@ impl std::fmt::Display for Pass {
 /// Counters are numeric by design (see [`PassEvent::counters`]), so the
 /// strategy travels as a small integer; this table is the single shared
 /// registry both the emitting and the validating side use.
-pub const ROUTE_STRATEGY_NAMES: [&str; 3] = ["ctr", "lookahead", "lazy-synth"];
+///
+/// Tags are never reused: tag 2 names the retired `lazy-synth` skeleton,
+/// which no current build emits, so traces written while it existed
+/// still decode truthfully.
+pub const ROUTE_STRATEGY_NAMES: [&str; 4] = ["ctr", "lookahead", "lazy-synth", "persistent"];
 
 /// The routing-strategy name behind a route event's `strategy` counter
 /// value, or `None` when the value is not an exact known tag.

@@ -29,18 +29,18 @@ USAGE:
   qsyn compile <input> --device <name> [--out FILE] [--no-opt]
                [--no-verify] [--placement identity|greedy|annealed] [--report]
                [--cost eqn2|volume|fidelity] [--trace[=FILE]]
-               [--route-strategy ctr|lookahead|lazy-synth|auto]
+               [--route-strategy ctr|lookahead|persistent|auto]
                [--deadline SECONDS] [--node-budget NODES] [--strict-verify]
-               [--cache off|tables|mem] [--cache-stats] [--repeat N]
+               [--cache tables|mem] [--cache-stats] [--repeat N]
                [--stream WINDOW] [--stream-verify-jobs N]
       Map a circuit (.qasm/.qc/.real/.pla) to a device; emit OpenQASM 2.0.
       --report prints a stage-by-stage metrics table on stderr.
       --route-strategy selects the coupling-map router: `ctr` (default,
       the paper's swap-out/swap-back reroute), `lookahead` (SABRE-style
       persistent-layout search scoring SWAPs against upcoming gates),
-      `lazy-synth` (lazy CNOT/phase resynthesis skeleton), or `auto`
-      (picked from the cost model). Every strategy's output is
-      QMDD-verified like any other pass.
+      `persistent` (shortest-path SWAPs that stay, plus one final
+      restoration network), or `auto` (picked from the cost model).
+      Every strategy's output is QMDD-verified like any other pass.
       --trace streams one JSON line per compiler pass (wall time, gate/T/
       CNOT counts, cost delta, backend counters) to stderr, or to FILE
       with --trace=FILE.
@@ -52,10 +52,9 @@ USAGE:
       --cache selects the caching layers (docs/PERFORMANCE.md): `tables`
       (default) precomputes routing tables and memoizes MCT cascades —
       byte-identical output, just faster; `mem` adds whole-compile
-      memoization; `off` runs the legacy per-gate searches. --cache-stats
-      prints per-layer hit/miss totals on stderr. --repeat N compiles the
-      same input N times in one process (exercising the caches) and fails
-      if any two runs diverge.
+      memoization. --cache-stats prints per-layer hit/miss totals on
+      stderr. --repeat N compiles the same input N times in one process
+      (exercising the caches) and fails if any two runs diverge.
       --stream WINDOW compiles the input window by window (WINDOW input
       gates at a time) with a bounded resident circuit, writing QASM
       incrementally — each window is QMDD-verified against its input
@@ -69,7 +68,7 @@ USAGE:
 
   qsyn serve [--workers N] [--queue-cap N] [--node-ceiling NODES]
              [--deadline SECONDS] [--node-budget NODES] [--max-swaps N]
-             [--cache off|tables|mem] [--cache-dir DIR] [--trace[=FILE]]
+             [--cache tables|mem] [--cache-dir DIR] [--trace[=FILE]]
              [--max-line-bytes N] [--no-retry] [--no-emit] [--strict-verify]
              [--cache-stats] [--metrics-file FILE]
              [--cache-max-bytes BYTES] [--cache-max-age SECONDS]
@@ -368,8 +367,8 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             Some(kind) => compiler = compiler.with_route_strategy(kind),
             None => {
                 eprintln!(
-                    "error: bad --route-strategy `{spec}` (want ctr, lookahead, \
-                     lazy-synth or auto)"
+                    "error: bad --route-strategy `{spec}` (want {})",
+                    RouteStrategyKind::choices()
                 );
                 return ExitCode::from(2);
             }
@@ -405,7 +404,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         Some(spec) => match CacheMode::parse(spec) {
             Some(mode) => compiler = compiler.with_cache(mode),
             None => {
-                eprintln!("error: bad --cache `{spec}` (want off, tables or mem)");
+                eprintln!("error: bad --cache `{spec}` (want {})", CacheMode::choices());
                 return ExitCode::from(2);
             }
         },
@@ -698,7 +697,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Some(spec) => match CacheMode::parse(spec) {
             Some(mode) => opts.defaults.cache = mode,
             None => {
-                eprintln!("error: bad --cache `{spec}` (want off, tables or mem)");
+                eprintln!("error: bad --cache `{spec}` (want {})", CacheMode::choices());
                 return ExitCode::from(2);
             }
         },

@@ -66,10 +66,9 @@ pub mod prelude {
     pub use qsyn_circuit::{Circuit, CircuitStats};
     pub use qsyn_core::{
         BudgetResource, CacheMode, CacheStatsSnapshot, CompileBudget, CompileError, CompileResult,
-        Compiler, CtrStrategy, DecomposeStrategy, LazySynthStrategy, LookaheadStrategy,
-        Optimization, OptimizeConfig, PlacementStrategy, RouteOutcome, RouteRequest,
-        RouteStrategyKind, RoutingObjective, RoutingStrategy, SwapStrategy, Verification,
-        VerifyMode,
+        Compiler, CtrStrategy, DecomposeStrategy, LookaheadStrategy, Optimization, OptimizeConfig,
+        PersistentStrategy, PlacementStrategy, RouteOutcome, RouteRequest, RouteStrategyKind,
+        RoutingObjective, RoutingStrategy, Verification, VerifyMode,
     };
     pub use qsyn_esop::{
         cascade_from_esop, parse_pla, synthesize_multi_output, synthesize_single_target, Cube,

@@ -394,7 +394,7 @@ fn compile_route_strategy_smoke_through_check_trace() {
     for (spec, tag) in [
         ("ctr", "ctr"),
         ("lookahead", "lookahead"),
-        ("lazy-synth", "lazy-synth"),
+        ("persistent", "persistent"),
         ("auto", "lookahead"), // default TransmonCost hints the lookahead
     ] {
         let trace = tmp(&format!("strategy-{spec}.trace.jsonl"), "");
@@ -429,6 +429,46 @@ fn compile_rejects_unknown_route_strategy() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("teleport"));
+}
+
+#[test]
+fn retired_strategy_and_cache_names_fail_with_the_current_choices() {
+    // `lazy-synth` and `--cache off` were removed; both the compile flags
+    // and serve request fields reject them, listing what is accepted.
+    use std::io::Write as _;
+    use std::process::Stdio;
+    let input = tmp("tof16.real", TOFFOLI_REAL);
+    for (flag, value, want) in [
+        ("--route-strategy", "lazy-synth", "want ctr, lookahead, persistent or auto"),
+        ("--cache", "off", "want tables or mem"),
+    ] {
+        let out = qsyn(&["compile", input.to_str().unwrap(), "--device", "ibmqx4", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert!(log.contains(value) && log.contains(want), "{flag} {value}: {log}");
+    }
+    for (field, value, want) in [
+        ("route_strategy", "lazy-synth", "want ctr, lookahead, persistent or auto"),
+        ("cache", "off", "want tables or mem"),
+    ] {
+        let request = format!(
+            "{{\"id\":\"r\",\"circuit\":\"{}\",\"device\":\"ibmqx4\",\"{field}\":\"{value}\"}}\n",
+            "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[3];\\nccx q[0],q[1],q[2];\\n"
+        );
+        let mut child = Command::new(env!("CARGO_BIN_EXE_qsyn"))
+            .arg("serve")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("qsyn serve starts");
+        child.stdin.take().unwrap().write_all(request.as_bytes()).unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let row = String::from_utf8_lossy(&out.stdout);
+        assert!(row.contains("\"kind\":\"bad-value\""), "{field}: {row}");
+        assert!(row.contains(want), "{field}: {row}");
+    }
 }
 
 #[test]

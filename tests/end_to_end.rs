@@ -170,14 +170,14 @@ fn qc96_small_workload_verifies() {
 #[test]
 fn adder_across_strategies() {
     let adder = qsyn::bench::arith::cuccaro_adder(2); // 6 lines
-    for swaps in [SwapStrategy::ReturnControl, SwapStrategy::PersistentLayout] {
+    for strategy in [RouteStrategyKind::Ctr, RouteStrategyKind::Persistent] {
         for decompose in [DecomposeStrategy::Exact, DecomposeStrategy::RelativePhase] {
             let r = Compiler::new(devices::ibmqx5())
-                .with_swap_strategy(swaps)
+                .with_route_strategy(strategy)
                 .with_decompose_strategy(decompose)
                 .compile(&adder)
                 .unwrap();
-            assert_eq!(r.verified, Some(true), "{swaps:?}/{decompose:?}");
+            assert_eq!(r.verified, Some(true), "{strategy:?}/{decompose:?}");
         }
     }
 }

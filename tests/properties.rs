@@ -170,15 +170,15 @@ proptest! {
     /// legal mapping of random circuits.
     #[test]
     fn strategy_matrix_is_sound(c in arb_circuit(4, 6)) {
-        for swaps in [SwapStrategy::ReturnControl, SwapStrategy::PersistentLayout] {
+        for strategy in [RouteStrategyKind::Ctr, RouteStrategyKind::Persistent] {
             for decompose in [DecomposeStrategy::Exact, DecomposeStrategy::RelativePhase] {
                 match Compiler::new(devices::ibmqx5())
-                    .with_swap_strategy(swaps)
+                    .with_route_strategy(strategy)
                     .with_decompose_strategy(decompose)
                     .compile(&c)
                 {
                     Ok(r) => {
-                        prop_assert_eq!(r.verified, Some(true), "{:?}/{:?}", swaps, decompose);
+                        prop_assert_eq!(r.verified, Some(true), "{:?}/{:?}", strategy, decompose);
                         for g in r.optimized.gates() {
                             if let Gate::Cx { control, target } = g {
                                 prop_assert!(devices::ibmqx5().has_coupling(*control, *target));
