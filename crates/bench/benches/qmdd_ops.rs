@@ -135,7 +135,8 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     // Parallel sweep engine: the same batch of independent compilations
     // through `par_map` at 1 worker vs. all CPUs.
     use qsyn_arch::devices;
-    use qsyn_bench::par::{default_jobs, par_map};
+    use qsyn_bench::par::par_map;
+    use qsyn_core::pool::default_jobs;
     use qsyn_core::{Compiler, Verification};
 
     let mut group = c.benchmark_group("sweep_throughput");

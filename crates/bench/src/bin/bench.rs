@@ -50,7 +50,10 @@ use qsyn_core::{
     RouteRequest, RoutingObjective, RoutingStrategy, RoutingTable, Verification,
 };
 use qsyn_gate::Gate;
-use qsyn_qmdd::{equivalent_miter, equivalent_miter_with_gc_threshold, EquivReport};
+use qsyn_qmdd::{
+    equivalent_miter, equivalent_miter_with_gc_threshold, try_equivalent_miter, EquivBudget,
+    EquivReport,
+};
 use qsyn_trace::json::Value;
 use qsyn_trace::{Pass, TableSink};
 use std::sync::Arc;
@@ -426,7 +429,7 @@ const STREAM_GATES: usize = 1_000_000;
 /// the support covered most of the device and restriction bought ~1×.
 const STREAM_WINDOW: usize = 64;
 /// Windows of the stream prefix re-verified with the pre-optimization
-/// full-register serial path to measure `verified_speedup` in the same
+/// full-register serial miter to measure `verified_speedup` in the same
 /// run (the whole million-gate stream at baseline speed would take ~15
 /// minutes for a number the prefix already gives).
 const BASELINE_WINDOWS: usize = 128;
@@ -640,29 +643,41 @@ fn scale_bench(scale_out: &str) {
     );
 
     // Differential baseline, same run: the first BASELINE_WINDOWS
-    // windows of the identical stream re-verified with the
-    // pre-optimization full-register serial miter. The generator is
-    // uniform window to window, so prefix throughput is representative,
-    // and the restricted run above having the same window contents
-    // makes the ratio a true like-for-like verified-throughput speedup.
+    // windows of the identical stream, each compiled as a one-window
+    // batch without verification and then checked with the
+    // pre-optimization full-register, unbatched miter under the stream's
+    // node budget. The generator is uniform window to window, so prefix
+    // throughput is representative, and the restricted run above having
+    // the same window contents makes the ratio a true like-for-like
+    // verified-throughput speedup.
     let baseline_gates = (BASELINE_WINDOWS * STREAM_WINDOW).min(stream_gates);
     eprintln!(
         "bench perf: re-verifying a {baseline_gates}-gate prefix with the \
          full-register serial baseline..."
     );
+    let window_compiler =
+        Compiler::new(compiler.device().clone()).with_verification(Verification::None);
+    let baseline_budget = EquivBudget {
+        gc_threshold: Some(STREAM_NODE_BUDGET / 2),
+        node_budget: Some(STREAM_NODE_BUDGET),
+    };
+    let prefix: Vec<Gate> = grid_stream(n, 32, baseline_gates).collect();
     let t = Instant::now();
-    let baseline = compiler
-        .with_stream_verify(qsyn_core::StreamVerifyConfig::full_register_serial())
-        .compile_stream(n, STREAM_WINDOW, grid_stream(n, 32, baseline_gates), |_| {})
-        .expect("baseline streaming compile fits its budget");
+    for window in prefix.chunks(STREAM_WINDOW) {
+        let mut spec = Circuit::new(n);
+        for g in window {
+            spec.push(g.clone());
+        }
+        let r = window_compiler
+            .compile(&spec)
+            .expect("baseline window compiles");
+        let report = try_equivalent_miter(&r.placed, &r.optimized, baseline_budget)
+            .expect("the baseline path must also verify every window within the node budget");
+        assert!(report.equivalent, "a baseline window failed verification");
+    }
     let baseline_s = t.elapsed().as_secs_f64();
-    assert!(
-        !baseline.verdict.is_unverified(),
-        "the baseline path must also verify every window: {:?}",
-        baseline.verdict
-    );
     let gates_per_second = summary.gates_in as f64 / stream_s;
-    let baseline_gates_per_second = baseline.gates_in as f64 / baseline_s;
+    let baseline_gates_per_second = baseline_gates as f64 / baseline_s;
     let verified_speedup = gates_per_second / baseline_gates_per_second;
     eprintln!(
         "bench perf: verified throughput {gates_per_second:.0} gates/s vs \
@@ -688,7 +703,7 @@ fn scale_bench(scale_out: &str) {
             "baseline_gates_per_second",
             Value::Num(baseline_gates_per_second),
         ),
-        ("baseline_gates", Value::Num(baseline.gates_in as f64)),
+        ("baseline_gates", Value::Num(baseline_gates as f64)),
         ("verified_speedup", Value::Num(verified_speedup)),
         (
             "verify_seconds_total",

@@ -12,13 +12,9 @@
 //! index, which balances load well when per-job cost varies by orders of
 //! magnitude (small STG functions vs. 96-qubit cascades).
 
+use qsyn_core::pool::default_jobs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-// The long-lived pool moved into the core crate so `compile_stream` can
-// verify windows on it; re-exported here for the daemon front-end and
-// the serve bench, which adopted it under this path.
-pub use qsyn_core::pool::{default_jobs, WorkerPool};
 
 /// Parses a `--jobs N` (or `--jobs=N`) flag from pre-collected CLI args.
 ///
@@ -209,26 +205,6 @@ mod tests {
         let out = try_par_map(&[1u8], 1, |_, _| -> u8 { panic!("lone job") });
         assert_eq!(out.len(), 1);
         assert!(out[0].as_ref().unwrap_err().contains("lone job"));
-    }
-
-    #[test]
-    fn reexported_worker_pool_runs_every_job() {
-        // The pool itself is tested where it lives (`qsyn_core::pool`);
-        // this locks the `qsyn_bench::par::WorkerPool` re-export path its
-        // original callers still use.
-        use std::sync::atomic::AtomicUsize;
-        let pool = WorkerPool::new(4);
-        let count = std::sync::Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let count = std::sync::Arc::clone(&count);
-            pool.submit(move || {
-                count.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.drain();
-        assert_eq!(count.load(Ordering::SeqCst), 100);
-        assert_eq!(pool.pending(), 0);
-        pool.shutdown();
     }
 
     #[test]

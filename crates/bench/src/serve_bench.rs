@@ -2,7 +2,7 @@
 //!
 //! Drives the same request pipeline the `qsyn serve` daemon runs —
 //! [`qsyn_core::serve::parse_request`] into [`qsyn_core::serve::execute`]
-//! on a [`crate::par::WorkerPool`] — without the stdin/stdout shell, so
+//! on a [`qsyn_core::pool::WorkerPool`] — without the stdin/stdout shell, so
 //! the figures isolate compile throughput from client I/O. Each worker
 //! count (1, 2, 4) runs one batch **cold** (every request a distinct
 //! circuit, compile cache empty for these keys) and once more **warm**
@@ -13,7 +13,7 @@
 //! The batch size defaults to [`DEFAULT_REQUESTS`] and can be lowered for
 //! smoke runs with `QSYN_SERVE_BENCH_REQUESTS`.
 
-use crate::par::WorkerPool;
+use qsyn_core::pool::WorkerPool;
 use qsyn_core::serve::{execute, parse_request, ServeContext, ServeDefaults};
 use qsyn_trace::json::Value;
 use qsyn_trace::metrics::{self, HistogramSnapshot};

@@ -24,8 +24,8 @@ use crate::strategy::{RouteOutcome, RouteRequest, RouteStrategyKind};
 use qsyn_arch::{CostModel, Device, TransmonCost};
 use qsyn_circuit::{Circuit, CircuitStats};
 use qsyn_qmdd::{
-    miter_support, try_equivalent, try_equivalent_miter, try_equivalent_miter_batched,
-    try_equivalent_miter_on_batched, EquivBudget, EquivBudgetError, DEFAULT_MITER_BATCH,
+    miter_support, try_equivalent, try_equivalent_miter, try_equivalent_miter_on_batched,
+    EquivBudget, EquivBudgetError, DEFAULT_MITER_BATCH,
 };
 use qsyn_trace::{CompileMetrics, Pass, PassEvent, Span, StageSnapshot, TraceSink, Verdict};
 use std::sync::{Arc, Condvar, Mutex};
@@ -133,7 +133,7 @@ pub struct Compiler {
     disk: Option<Arc<crate::persist::DiskCache>>,
     trace: Option<Arc<dyn TraceSink>>,
     job: Option<u64>,
-    stream_verify: StreamVerifyConfig,
+    stream_verify_jobs: usize,
     #[cfg(feature = "fault-injection")]
     inject: Option<crate::budget::FaultSpec>,
 }
@@ -172,31 +172,20 @@ impl Compiler {
             disk: None,
             trace: None,
             job: None,
-            stream_verify: StreamVerifyConfig::default(),
+            stream_verify_jobs: 1,
             #[cfg(feature = "fault-injection")]
             inject: None,
         }
     }
 
-    /// Configures how [`Compiler::compile_stream`] verifies completed
-    /// windows — worker count, support restriction, and miter batching;
-    /// see [`StreamVerifyConfig`]. The default is serial,
-    /// support-restricted, batched verification.
-    pub fn with_stream_verify(mut self, config: StreamVerifyConfig) -> Self {
-        self.stream_verify = config;
-        self
-    }
-
-    /// Shorthand for [`Compiler::with_stream_verify`] changing only the
-    /// worker count (the optimization levers keep their defaults).
+    /// Verifies [`Compiler::compile_stream`]'s completed windows on a
+    /// pool of `jobs` workers, pipelined behind the following windows'
+    /// stages (`<= 1`, the default, verifies inline). The pool engages
+    /// only under [`VerifyMode::Degrade`]; Strict mode always verifies
+    /// inline so it can abort before a failing window is emitted.
     pub fn with_stream_verify_jobs(mut self, jobs: usize) -> Self {
-        self.stream_verify.jobs = jobs;
+        self.stream_verify_jobs = jobs;
         self
-    }
-
-    /// The active streaming-verification configuration.
-    pub fn stream_verify(&self) -> StreamVerifyConfig {
-        self.stream_verify
     }
 
     /// Bounds this compiler's resource usage (wall clock, QMDD nodes,
@@ -355,12 +344,7 @@ impl Compiler {
     ///   hit (deadline, QMDD nodes under [`VerifyMode::Strict`], or
     ///   routing SWAPs).
     pub fn compile(&self, input: &Circuit) -> Result<CompileResult, CompileError> {
-        if input.n_qubits() > self.device.n_qubits() {
-            return Err(CompileError::TooWide {
-                needed: input.n_qubits(),
-                available: self.device.n_qubits(),
-            });
-        }
+        check_width(input.n_qubits(), self.device.n_qubits())?;
         let started = std::time::Instant::now();
         // Whole-result memoization (Mem mode only). Armed fault injection
         // bypasses the cache: injected failures must actually fire.
@@ -387,8 +371,7 @@ impl Compiler {
             None
         };
         let mut events: Vec<PassEvent> = Vec::new();
-        let mut record = |mut e: PassEvent| {
-            e.job = self.job;
+        let mut record = |e: PassEvent| {
             if let Some(sink) = &self.trace {
                 sink.record(&e);
             }
@@ -398,86 +381,74 @@ impl Compiler {
         // Placement.
         self.check_deadline(started, Pass::Place)?;
         self.maybe_inject(Pass::Place)?;
-        let snap_input = StageSnapshot::of(input);
-        let span = Span::begin(Pass::Place);
+        let place_started = std::time::Instant::now();
         let placement = place(input, &self.device, self.placement);
         let mut placed = placement.apply(input, &self.device);
         let base_name = input.name().unwrap_or("circuit").to_string();
         placed.set_name(base_name.clone());
-        let snap_placed = StageSnapshot::of(&placed);
-        record(self.finish(span, snap_input, snap_placed, |s| {
-            s.counter("identity_placement", f64::from(u8::from(placement.is_identity())));
-        }));
-
-        // Decomposition (Barenco + Clifford+T lowering).
-        self.check_deadline(started, Pass::Decompose)?;
-        self.maybe_inject(Pass::Decompose)?;
-        let span = Span::begin(Pass::Decompose);
-        let (decomposed, memo) = self.decompose_stage(&placed)?;
-        let snap_decomposed = StageSnapshot::of(&decomposed);
-        record(self.finish(span, snap_placed, snap_decomposed, |s| {
-            s.counter("mct_memo_hits", memo.memo_hits as f64);
-            s.counter("mct_memo_misses", memo.memo_misses as f64);
-        }));
-
-        // Routing against the coupling map, over the shared routing state
-        // for this (device, objective): the dense all-pairs table on small
-        // devices, the sparse distance oracle at scale.
-        self.check_deadline(started, Pass::Route)?;
-        self.maybe_inject(Pass::Route)?;
-        let span = Span::begin(Pass::Route);
-        let (lookup, table_reused) = crate::cache::routing_lookup(&self.device, self.routing);
-        let (routed, oracle) = self.route_stage(&decomposed, &lookup)?;
-        let RouteOutcome {
-            circuit: mut unoptimized,
-            swaps_inserted,
-            gates_rerouted,
-            restoration_swaps,
-            extra,
-            ..
-        } = routed;
-        unoptimized.set_name(format!("{base_name}@{}", self.device.name()));
-        let snap_routed = StageSnapshot::of(&unoptimized);
-        record(self.finish(span, snap_decomposed, snap_routed, |s| {
-            if let Some(tag) = self.strategy.resolve(self.cost.route_hint()).tag() {
-                s.counter("strategy", tag);
-            }
-            s.counter("swaps_inserted", swaps_inserted as f64);
-            s.counter("gates_rerouted", gates_rerouted as f64);
-            if restoration_swaps > 0 {
-                s.counter("restoration_swaps", restoration_swaps as f64);
-            }
-            if let Some(cap) = self.budget.max_route_swaps {
-                s.counter("swap_cap", cap as f64);
-            }
-            s.counter("routing_table_reused", f64::from(u8::from(table_reused)));
-            for (name, value) in &extra {
-                s.counter(name, *value);
-            }
-            if let Some((hits, misses)) = oracle {
-                s.counter("oracle_hits", hits as f64);
-                s.counter("oracle_misses", misses as f64);
-            }
-        }));
-
-        // Local optimization (an event is emitted even when disabled, so
-        // the Fig. 2 event order is stable; `enabled` disambiguates).
-        self.check_deadline(started, Pass::Optimize)?;
-        self.maybe_inject(Pass::Optimize)?;
-        let span = Span::begin(Pass::Optimize);
-        let (optimized, opt_counters) = self
-            .optimize_stage(&unoptimized)
-            .unwrap_or_else(|| (unoptimized.clone(), OptimizeCounters::default()));
-        let snap_optimized = StageSnapshot::of(&optimized);
-        record(self.finish(span, snap_routed, snap_optimized, |s| {
+        let seconds = place_started.elapsed().as_secs_f64();
+        let (snap_input, mut snap) = (StageSnapshot::of(input), StageSnapshot::of(&placed));
+        record(self.event(Pass::Place, seconds, snap_input, snap, |s| {
             s.counter(
-                "enabled",
-                f64::from(u8::from(self.optimization != Optimization::Disabled)),
+                "identity_placement",
+                f64::from(u8::from(placement.is_identity())),
             );
-            s.counter("rounds", opt_counters.rounds as f64);
-            s.counter("gates_removed", opt_counters.gates_removed as f64);
-            s.counter("capped", f64::from(u8::from(opt_counters.capped)));
         }));
+
+        // Decompose, route and optimize: the whole placed circuit is one
+        // window. Each stage's event is recorded the moment the stage
+        // finishes, so a later failure still leaves the earlier events.
+        // Routing runs over the shared state for this (device,
+        // objective): the dense all-pairs table on small devices, the
+        // sparse distance oracle at scale.
+        let (lookup, table_reused) = crate::cache::routing_lookup(&self.device, self.routing);
+        let window = self.run_window(&placed, started, &lookup, &mut |done, seconds| {
+            let out = StageSnapshot::of(done.output());
+            record(self.event(done.pass(), seconds, snap, out, |s| match done {
+                StageDone::Decompose(_, memo) => {
+                    s.counter("mct_memo_hits", memo.memo_hits as f64);
+                    s.counter("mct_memo_misses", memo.memo_misses as f64);
+                }
+                StageDone::Route(routed, oracle) => {
+                    if let Some(tag) = self.strategy.resolve(self.cost.route_hint()).tag() {
+                        s.counter("strategy", tag);
+                    }
+                    s.counter("swaps_inserted", routed.swaps_inserted as f64);
+                    s.counter("gates_rerouted", routed.gates_rerouted as f64);
+                    if routed.restoration_swaps > 0 {
+                        s.counter("restoration_swaps", routed.restoration_swaps as f64);
+                    }
+                    if let Some(cap) = self.budget.max_route_swaps {
+                        s.counter("swap_cap", cap as f64);
+                    }
+                    s.counter("routing_table_reused", f64::from(u8::from(table_reused)));
+                    for (name, value) in &routed.extra {
+                        s.counter(name, *value);
+                    }
+                    if let Some((hits, misses)) = oracle {
+                        s.counter("oracle_hits", hits as f64);
+                        s.counter("oracle_misses", misses as f64);
+                    }
+                }
+                // Emitted even when optimization is disabled, so the Fig. 2
+                // event order is stable; `enabled` disambiguates.
+                StageDone::Optimize(_, counters) => {
+                    s.counter(
+                        "enabled",
+                        f64::from(u8::from(self.optimization != Optimization::Disabled)),
+                    );
+                    s.counter("rounds", counters.rounds as f64);
+                    s.counter("gates_removed", counters.gates_removed as f64);
+                    s.counter("capped", f64::from(u8::from(counters.capped)));
+                }
+            }));
+            snap = out;
+        })?;
+        let mut unoptimized = window.routed.circuit;
+        let mut optimized = window.optimized.unwrap_or_else(|| unoptimized.clone());
+        let mapped_name = format!("{base_name}@{}", self.device.name());
+        unoptimized.set_name(mapped_name.clone());
+        optimized.set_name(mapped_name);
 
         // QMDD formal verification (degradation ladder under the budget).
         // The injection hook fires at the pass boundary even when
@@ -486,14 +457,9 @@ impl Compiler {
         self.maybe_inject(Pass::Verify)?;
         let verdict = match self.effective_verification() {
             Verification::None => Verdict::Skipped,
-            mode => self.run_verify_ladder(
-                mode,
-                started,
-                &placed,
-                &optimized,
-                snap_optimized,
-                &mut record,
-            )?,
+            mode => {
+                self.run_verify_ladder(mode, started, &placed, &optimized, snap, &mut record)?
+            }
         };
         let verified = verdict.as_verified();
 
@@ -543,37 +509,35 @@ impl Compiler {
     /// million-gate input on a thousand-qubit device compiles in
     /// near-constant memory.
     ///
-    /// Gates are buffered into windows of at most `window` input gates;
-    /// each window runs the decompose → route → optimize stages and is
-    /// handed to `emit` gate by gate. Every built-in strategy returns the
-    /// layout to identity at its window boundary (CTR restores per gate,
-    /// the lookahead family appends one restoration network), so the
-    /// emitted windows concatenate into a circuit equivalent to the input
-    /// stream. Placement is always identity — a streaming compile never
-    /// sees the whole circuit, so there is nothing to place against.
-    /// Windows run the same decompose, route and optimize stages as
-    /// [`Compiler::compile`], and the wall-clock deadline is checked before
-    /// each stage of each window.
+    /// Gates are buffered into windows of at most `window` input gates.
+    /// Each window runs through the same window driver as
+    /// [`Compiler::compile`] — decompose → route → optimize, with the
+    /// wall-clock deadline checked before each stage — is verified, and
+    /// is handed to `emit` gate by gate. Every built-in strategy returns
+    /// the layout to identity at its window boundary (CTR restores per
+    /// gate, the lookahead family appends one restoration network), so
+    /// the emitted windows concatenate into a circuit equivalent to the
+    /// input stream, and a stream that fits in one window emits exactly
+    /// the gates `compile` outputs under identity placement. Placement is
+    /// always identity — a streaming compile never sees the whole
+    /// circuit, so there is nothing to place against.
     ///
     /// Verification is windowed: each window's output is checked against
     /// its own specification with the interleaved miter under the
     /// compiler's [`CompileBudget`] node budget (window equivalence
-    /// composes to whole-stream equivalence). By default the miter is
-    /// *support-restricted* — built on a compacted register holding only
-    /// the qubits the window actually touches, which on sparse windows of
-    /// a wide device shrinks the QMDD walks by an order of magnitude —
-    /// and applies gates in small fused blocks; both levers are proven
-    /// verdict-identical to the full-register serial miter and are
-    /// configurable through [`Compiler::with_stream_verify`] (the
-    /// [`StreamVerifyConfig::full_register_serial`] configuration keeps
-    /// the original path callable for differential runs). With
-    /// `jobs > 1`, completed windows are verified as jobs on a
-    /// [`crate::pool::WorkerPool`], pipelined behind the
-    /// decompose → route → optimize of subsequent windows; at most
-    /// `2 × jobs` windows are in flight, so pipelining cannot grow memory
-    /// with stream length. Under [`VerifyMode::Degrade`] an exhausted
-    /// window is counted in [`StreamSummary::unverified_windows`] instead
-    /// of aborting; under [`VerifyMode::Strict`] it is a hard
+    /// composes to whole-stream equivalence). The miter is built on a
+    /// compacted register holding only the qubits the window touches
+    /// ([`qsyn_qmdd::miter_support`]), which on sparse windows of a wide
+    /// device shrinks the QMDD walks by an order of magnitude, and it
+    /// multiplies gates in fused blocks of [`DEFAULT_MITER_BATCH`]; both
+    /// are verdict-identical to the full-register miter. With
+    /// [`Compiler::with_stream_verify_jobs`] above 1, completed windows
+    /// are verified as jobs on a [`crate::pool::WorkerPool`], pipelined
+    /// behind the stages of subsequent windows; at most `2 × jobs` windows
+    /// are in flight, so pipelining cannot grow memory with stream
+    /// length. Under [`VerifyMode::Degrade`] an exhausted window is
+    /// counted in [`StreamSummary::unverified_windows`] instead of
+    /// aborting; under [`VerifyMode::Strict`] it is a hard
     /// [`CompileError::BudgetExceeded`] — and because Strict must abort
     /// *before* the offending window is emitted, Strict verification
     /// always runs inline regardless of `jobs`. The per-window SWAP cap
@@ -591,7 +555,8 @@ impl Compiler {
     /// # Errors
     ///
     /// The same pipeline errors as [`Compiler::compile`], surfaced at the
-    /// window that triggers them; additionally
+    /// window that triggers them; [`CompileError::TooWide`] also for a
+    /// streamed gate outside the declared `n_qubits` register; and
     /// [`CompileError::VerificationFailed`] if any window's miter check
     /// rejects (a compiler defect, never expected).
     pub fn compile_stream<I>(
@@ -604,93 +569,61 @@ impl Compiler {
     where
         I: IntoIterator<Item = qsyn_gate::Gate>,
     {
-        if n_qubits > self.device.n_qubits() {
-            return Err(CompileError::TooWide {
-                needed: n_qubits,
-                available: self.device.n_qubits(),
-            });
-        }
+        check_width(n_qubits, self.device.n_qubits())?;
         let started = std::time::Instant::now();
         let window = window.max(1);
         let lookup = crate::cache::routing_lookup(&self.device, self.routing).0;
-        let verify = !matches!(self.effective_verification(), Verification::None);
-        let verifier = verify.then(|| self.stream_verifier());
-
+        let verifier =
+            (self.effective_verification() != Verification::None).then(|| self.stream_verifier());
         let mut acc = StreamSummary {
-            windows: 0,
             window_gates: window,
-            gates_in: 0,
-            gates_out: 0,
-            swaps_inserted: 0,
-            max_window_swaps: 0,
-            verified_windows: 0,
-            unverified_windows: 0,
-            peak_resident_gates: 0,
-            max_window_support: 0,
-            oracle_hits: 0,
-            oracle_misses: 0,
-            verdict: Verdict::Skipped,
-            total_seconds: 0.0,
-            verify_seconds_total: 0.0,
-            verify_p95_seconds: 0.0,
-            verify_jobs: 0,
+            ..StreamSummary::default()
         };
         // Summed per-window routing time: the aggregate route event's
-        // duration (its span only closes after every window has run).
+        // duration (the event is only built after every window has run).
         let mut route_seconds = 0.0;
-        let mut buf = Circuit::new(self.device.n_qubits());
-        for g in gates {
-            acc.gates_in += 1;
-            buf.push(g);
-            if buf.gates().len() >= window {
-                route_seconds += self.stream_flush(
-                    &buf,
-                    started,
-                    &lookup,
-                    verifier.as_ref(),
-                    &mut acc,
-                    &mut emit,
-                )?;
-                buf = Circuit::new(self.device.n_qubits());
+        let mut gates = gates.into_iter().peekable();
+        while gates.peek().is_some() {
+            let mut spec = Circuit::new(self.device.n_qubits());
+            for g in gates.by_ref().take(window) {
+                check_width(g.max_qubit() + 1, n_qubits)?;
+                spec.push(g);
             }
-        }
-        if !buf.gates().is_empty() {
-            route_seconds += self.stream_flush(
-                &buf,
-                started,
-                &lookup,
-                verifier.as_ref(),
-                &mut acc,
-                &mut emit,
-            )?;
+            acc.windows += 1;
+            acc.gates_in += spec.len();
+            let out = self.run_window(&spec, started, &lookup, &mut |done, seconds| {
+                if let StageDone::Route(..) = done {
+                    route_seconds += seconds;
+                }
+            })?;
+            if let Some((hits, misses)) = out.oracle {
+                acc.oracle_hits += hits;
+                acc.oracle_misses += misses;
+            }
+            let window_swaps = out.routed.total_swaps();
+            acc.swaps_inserted += window_swaps;
+            acc.max_window_swaps = acc.max_window_swaps.max(window_swaps);
+            acc.peak_resident_gates = acc.peak_resident_gates.max(out.peak_gates);
+            let optimized = out.optimized.unwrap_or(out.routed.circuit);
+            if let Some(v) = &verifier {
+                v.verify(spec, &optimized, &mut acc)?;
+            }
+            acc.gates_out += optimized.len();
+            for g in optimized.gates() {
+                emit(g);
+            }
         }
         if let Some(v) = &verifier {
             v.finish(&mut acc)?;
         }
-
-        acc.verdict = if !verify {
-            Verdict::Skipped
-        } else if acc.unverified_windows == 0 {
-            Verdict::Verified {
-                method: "windowed-miter".to_string(),
-            }
-        } else {
-            Verdict::Unverified {
-                reason: format!(
-                    "{} of {} window(s) exhausted the QMDD node budget",
-                    acc.unverified_windows, acc.windows
-                ),
-            }
-        };
         acc.total_seconds = started.elapsed().as_secs_f64();
 
         if let Some(sink) = &self.trace {
-            let span = Span::begin(Pass::Route);
             let empty = StageSnapshot::of(&Circuit::new(self.device.n_qubits()));
             // Counter names come from `qsyn_trace::streaming` so the
             // emitter and `check-trace`'s validator cannot drift apart.
             use qsyn_trace::streaming as sc;
-            let mut e = self.event(span, empty, empty, |s| {
+            let e = self.event(Pass::Route, route_seconds, empty, empty, |s| {
                 s.counter(sc::STREAMING, 1.0);
                 s.counter(sc::WINDOWS, acc.windows as f64);
                 s.counter(sc::WINDOW_GATES_CAP, acc.window_gates as f64);
@@ -710,26 +643,79 @@ impl Compiler {
                 s.counter(sc::VERIFY_SECONDS_TOTAL, acc.verify_seconds_total);
                 s.counter(sc::VERIFY_JOBS, acc.verify_jobs as f64);
             });
-            e.seconds = route_seconds;
-            note_pass_metrics(&e);
-            e.job = self.job;
             sink.record(&e);
             sink.flush();
         }
         Ok(acc)
     }
 
+    /// The one window driver, shared by [`Compiler::compile`] (a single
+    /// window: the whole placed circuit) and [`Compiler::compile_stream`]
+    /// (one call per window). Runs decompose → route → optimize; before
+    /// each stage it checks the deadline, naming the stage, and fires the
+    /// fault-injection hook, and as each stage finishes it hands the
+    /// stage's output and wall seconds to `on_stage`.
+    fn run_window(
+        &self,
+        window: &Circuit,
+        started: std::time::Instant,
+        lookup: &RoutingLookup,
+        on_stage: &mut dyn FnMut(StageDone<'_>, f64),
+    ) -> Result<WindowOutput, CompileError> {
+        let ((decomposed, memo), seconds) =
+            self.run_stage(started, Pass::Decompose, || self.decompose_stage(window))?;
+        on_stage(StageDone::Decompose(&decomposed, memo), seconds);
+        let ((routed, oracle), seconds) = self.run_stage(started, Pass::Route, || {
+            self.route_stage(&decomposed, lookup)
+        })?;
+        on_stage(StageDone::Route(&routed, oracle), seconds);
+        let (optimized, seconds) = self.run_stage(started, Pass::Optimize, || {
+            Ok(self.optimize_stage(&routed.circuit))
+        })?;
+        let (output, counters) = match &optimized {
+            Some((circuit, counters)) => (circuit, *counters),
+            None => (&routed.circuit, OptimizeCounters::default()),
+        };
+        on_stage(StageDone::Optimize(output, counters), seconds);
+        let peak_gates = window
+            .len()
+            .max(decomposed.len())
+            .max(routed.circuit.len())
+            .max(output.len());
+        Ok(WindowOutput {
+            routed,
+            oracle,
+            optimized: optimized.map(|(circuit, _)| circuit),
+            peak_gates,
+        })
+    }
+
+    /// One stage of [`Compiler::run_window`]: the deadline check naming
+    /// `pass`, the fault-injection hook, then `stage`, timed.
+    fn run_stage<T>(
+        &self,
+        started: std::time::Instant,
+        pass: Pass,
+        stage: impl FnOnce() -> Result<T, CompileError>,
+    ) -> Result<(T, f64), CompileError> {
+        self.check_deadline(started, pass)?;
+        self.maybe_inject(pass)?;
+        let stage_started = std::time::Instant::now();
+        let out = stage()?;
+        Ok((out, stage_started.elapsed().as_secs_f64()))
+    }
+
     /// Builds the per-stream verification state for `compile_stream`:
-    /// the resolved [`StreamVerifyConfig`], the equivalence budget, the
-    /// local latency histogram, and — for parallel runs — the worker
-    /// pool plus the shared accumulator its jobs write into.
+    /// the equivalence budget, the local latency histogram, and — for
+    /// parallel runs — the worker pool plus the shared accumulator its
+    /// jobs write into.
     ///
     /// Parallel verification requires [`VerifyMode::Degrade`]: Strict
     /// mode must abort before the failing window is emitted, which only
     /// an inline check can guarantee, so Strict (or `jobs <= 1`) runs
     /// serial regardless of the configured job count.
     fn stream_verifier(&self) -> StreamVerifier {
-        let cfg = self.stream_verify.normalized();
+        let jobs = self.stream_verify_jobs.max(1);
         // Jump straight to the ladder's forced-GC rung: under a node
         // budget the default watermark (far above any sane window
         // budget) would let the arena latch the budget before a single
@@ -738,124 +724,22 @@ impl Compiler {
             gc_threshold: self.budget.qmdd_node_budget.map(|n| (n / 2).max(2)),
             node_budget: self.budget.qmdd_node_budget,
         };
-        let par = (cfg.jobs > 1 && self.budget.verify_mode == VerifyMode::Degrade).then(|| {
+        let par = (jobs > 1 && self.budget.verify_mode == VerifyMode::Degrade).then(|| {
             StreamVerifyPool {
-                pool: crate::pool::WorkerPool::new(cfg.jobs),
+                pool: crate::pool::WorkerPool::new(jobs),
                 shared: Arc::new(StreamVerifyShared {
                     state: Mutex::new(StreamVerifyState::default()),
                     done: Condvar::new(),
                 }),
-                cap: cfg.in_flight_cap(),
+                jobs,
             }
         });
         StreamVerifier {
-            cfg,
+            mode: self.budget.verify_mode,
             equiv_budget,
             hist: Arc::new(qsyn_trace::metrics::Histogram::default()),
             par,
         }
-    }
-
-    /// Runs one streaming window through decompose → route → optimize →
-    /// windowed miter verification and hands the output to `emit`.
-    /// Returns the seconds spent routing the window.
-    fn stream_flush(
-        &self,
-        buf: &Circuit,
-        started: std::time::Instant,
-        lookup: &RoutingLookup,
-        verifier: Option<&StreamVerifier>,
-        acc: &mut StreamSummary,
-        emit: &mut dyn FnMut(&qsyn_gate::Gate),
-    ) -> Result<f64, CompileError> {
-        acc.windows += 1;
-        self.check_deadline(started, Pass::Decompose)?;
-        let (decomposed, _) = self.decompose_stage(buf)?;
-        self.check_deadline(started, Pass::Route)?;
-        let route_started = std::time::Instant::now();
-        let (routed, oracle) = self.route_stage(&decomposed, lookup)?;
-        let route_seconds = route_started.elapsed().as_secs_f64();
-        if let Some((hits, misses)) = oracle {
-            acc.oracle_hits += hits;
-            acc.oracle_misses += misses;
-        }
-        let window_swaps = routed.total_swaps();
-        acc.swaps_inserted += window_swaps;
-        acc.max_window_swaps = acc.max_window_swaps.max(window_swaps);
-        self.check_deadline(started, Pass::Optimize)?;
-        let routed_gates = routed.circuit.gates().len();
-        let optimized = match self.optimize_stage(&routed.circuit) {
-            Some((optimized, _)) => optimized,
-            None => routed.circuit,
-        };
-        acc.peak_resident_gates = acc
-            .peak_resident_gates
-            .max(buf.gates().len())
-            .max(decomposed.gates().len())
-            .max(routed_gates)
-            .max(optimized.gates().len());
-        if let Some(v) = verifier {
-            if let Some(par) = &v.par {
-                // Bounded in-flight window queue: block until a slot frees
-                // up, so at most `cap` (spec, output) window clones are
-                // alive awaiting verification no matter how long the
-                // stream runs.
-                {
-                    let mut st = par.shared.state.lock().expect("stream verify poisoned");
-                    while st.in_flight >= par.cap && !st.failed {
-                        st = par.shared.done.wait(st).expect("stream verify poisoned");
-                    }
-                    if st.failed {
-                        return Err(CompileError::VerificationFailed);
-                    }
-                    st.in_flight += 1;
-                }
-                let spec = buf.clone();
-                let out = optimized.clone();
-                let shared = Arc::clone(&par.shared);
-                let hist = Arc::clone(&v.hist);
-                let (budget, cfg) = (v.equiv_budget, v.cfg);
-                par.pool.submit(move || {
-                    let _slot = StreamSlotGuard(Arc::clone(&shared));
-                    let (res, support, seconds) = verify_one_window(&spec, &out, budget, cfg);
-                    hist.record_seconds(seconds);
-                    let mut st = shared.state.lock().expect("stream verify poisoned");
-                    st.seconds_total += seconds;
-                    st.max_support = st.max_support.max(support);
-                    match res {
-                        Ok(true) => st.verified += 1,
-                        Ok(false) => st.failed = true,
-                        Err(_) => st.unverified += 1,
-                    }
-                });
-            } else {
-                let (res, support, seconds) =
-                    verify_one_window(buf, &optimized, v.equiv_budget, v.cfg);
-                v.hist.record_seconds(seconds);
-                acc.verify_seconds_total += seconds;
-                acc.max_window_support = acc.max_window_support.max(support);
-                match res {
-                    Ok(true) => acc.verified_windows += 1,
-                    Ok(false) => return Err(CompileError::VerificationFailed),
-                    Err(e) => match self.budget.verify_mode {
-                        VerifyMode::Strict => {
-                            return Err(CompileError::BudgetExceeded {
-                                pass: Pass::Verify,
-                                resource: BudgetResource::QmddNodes,
-                                limit: e.limit as u64,
-                                used: e.used as u64,
-                            })
-                        }
-                        VerifyMode::Degrade => acc.unverified_windows += 1,
-                    },
-                }
-            }
-        }
-        for g in optimized.gates() {
-            acc.gates_out += 1;
-            emit(g);
-        }
-        Ok(route_seconds)
     }
 
     /// The decompose stage: generalized Toffolis (Barenco) and the
@@ -1029,36 +913,29 @@ impl Compiler {
         false
     }
 
-    /// Prices the in/out snapshots under the active cost model, attaches
-    /// counters, closes the span, and records the pass histograms.
-    fn finish(
-        &self,
-        span: Span,
-        input: StageSnapshot,
-        output: StageSnapshot,
-        counters: impl FnOnce(&mut Span),
-    ) -> PassEvent {
-        let event = self.event(span, input, output, counters);
-        note_pass_metrics(&event);
-        event
-    }
-
-    /// [`Compiler::finish`] without the pass histograms, for events whose
-    /// duration is not the span's own.
+    /// Builds one pass event: attaches the counters, prices the in/out
+    /// snapshots under the active cost model, stamps the job id, and
+    /// records the pass histograms.
     fn event(
         &self,
-        mut span: Span,
+        pass: Pass,
+        seconds: f64,
         input: StageSnapshot,
         output: StageSnapshot,
         counters: impl FnOnce(&mut Span),
     ) -> PassEvent {
+        let mut span = Span::begin(pass);
         counters(&mut span);
-        span.finish(
+        let mut event = span.finish(
             input,
             output,
             self.cost.cost(&input.stats),
             self.cost.cost(&output.stats),
-        )
+        );
+        event.seconds = seconds;
+        event.job = self.job;
+        note_pass_metrics(&event);
+        event
     }
 
     /// Fails with a wall-clock [`CompileError::BudgetExceeded`] when the
@@ -1137,8 +1014,7 @@ impl Compiler {
             match self.budget.verify_mode {
                 VerifyMode::Strict => return Err(e),
                 VerifyMode::Degrade => {
-                    let span = Span::begin(Pass::Verify);
-                    record(self.finish(span, snap, snap, |s| {
+                    record(self.event(Pass::Verify, 0.0, snap, snap, |s| {
                         s.counter("unverified", 1.0);
                         s.counter("ladder_rungs_tried", 0.0);
                     }));
@@ -1171,7 +1047,8 @@ impl Compiler {
             }
         }
 
-        let span = Span::begin(Pass::Verify);
+        let verify_started = std::time::Instant::now();
+        let seconds = || verify_started.elapsed().as_secs_f64();
         let mut tried = 0usize;
         let mut last_err: Option<EquivBudgetError> = None;
         for (rung, (method, budget, miter)) in rungs.into_iter().enumerate() {
@@ -1186,7 +1063,7 @@ impl Compiler {
             };
             match result {
                 Ok(report) => {
-                    record(self.finish(span, snap, snap, |s| {
+                    record(self.event(Pass::Verify, seconds(), snap, snap, |s| {
                         s.counter("peak_nodes", report.peak_nodes as f64);
                         s.counter("unique_nodes", report.unique_nodes as f64);
                         s.counter("cache_lookups", report.cache_lookups as f64);
@@ -1224,7 +1101,7 @@ impl Compiler {
             Some(e) => format!("verification ladder exhausted after {tried} rung(s): {e}"),
             None => "wall-clock deadline cut the verification ladder short".to_string(),
         };
-        record(self.finish(span, snap, snap, |s| {
+        record(self.event(Pass::Verify, seconds(), snap, snap, |s| {
             s.counter("unverified", 1.0);
             s.counter("ladder_rungs_tried", tried as f64);
         }));
@@ -1243,6 +1120,55 @@ impl Compiler {
             other => other,
         }
     }
+}
+
+/// [`CompileError::TooWide`] unless `needed` lines fit in `available`.
+fn check_width(needed: usize, available: usize) -> Result<(), CompileError> {
+    if needed > available {
+        Err(CompileError::TooWide { needed, available })
+    } else {
+        Ok(())
+    }
+}
+
+/// A stage the window driver has just finished, as handed to its
+/// per-stage callback: the stage's output and what the stage counted.
+#[derive(Clone, Copy)]
+enum StageDone<'a> {
+    Decompose(&'a Circuit, DecomposeCounters),
+    /// The route outcome and the sparse oracle's `(hits, misses)`.
+    Route(&'a RouteOutcome, Option<(u64, u64)>),
+    /// The optimized circuit (the routed one when optimization is off).
+    Optimize(&'a Circuit, OptimizeCounters),
+}
+
+impl<'a> StageDone<'a> {
+    fn pass(self) -> Pass {
+        match self {
+            StageDone::Decompose(..) => Pass::Decompose,
+            StageDone::Route(..) => Pass::Route,
+            StageDone::Optimize(..) => Pass::Optimize,
+        }
+    }
+
+    fn output(self) -> &'a Circuit {
+        match self {
+            StageDone::Decompose(circuit, _) | StageDone::Optimize(circuit, _) => circuit,
+            StageDone::Route(routed, _) => &routed.circuit,
+        }
+    }
+}
+
+/// What one window brings out of [`Compiler::run_window`].
+struct WindowOutput {
+    /// The route stage's outcome: the unoptimized circuit and its SWAPs.
+    routed: RouteOutcome,
+    /// The sparse oracle's `(hits, misses)` while routing the window.
+    oracle: Option<(u64, u64)>,
+    /// The optimize stage's output; `None` when optimization is disabled.
+    optimized: Option<Circuit>,
+    /// The most gates any stage held at once: the window's footprint.
+    peak_gates: usize,
 }
 
 /// Feeds one closed pass span into the live metrics registry: a
@@ -1279,7 +1205,7 @@ fn note_pass_metrics(e: &PassEvent) {
 /// Aggregate counters of one [`Compiler::compile_stream`] run — the
 /// streaming counterpart of [`CompileResult`], sized O(1) regardless of
 /// stream length.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamSummary {
     /// Windows processed (the last one may be short).
     pub windows: usize,
@@ -1331,71 +1257,6 @@ pub struct StreamSummary {
     /// pool ran, `1` for inline (serial or Strict-mode) verification,
     /// `0` when verification was disabled.
     pub verify_jobs: usize,
-}
-
-/// Tuning knobs for windowed stream verification — see
-/// [`Compiler::with_stream_verify`] and the `compile_stream` docs.
-///
-/// Every combination produces bit-identical verdicts and output; the
-/// knobs trade only time and memory. The default is the fast safe
-/// configuration: serial, support-restricted, batch
-/// [`DEFAULT_MITER_BATCH`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamVerifyConfig {
-    /// Worker threads verifying completed windows (`<= 1` means inline on
-    /// the compile thread). Parallel verification engages only under
-    /// [`VerifyMode::Degrade`]; Strict mode always verifies inline so it
-    /// can abort before a failing window is emitted.
-    pub jobs: usize,
-    /// Build each window's miter on a compacted register of just the
-    /// window's touched qubits instead of the full device register.
-    pub restricted: bool,
-    /// Fuse up to this many consecutive same-circuit gates into one block
-    /// before multiplying into the miter accumulator (`0` and `1` both
-    /// mean unbatched).
-    pub batch: usize,
-}
-
-impl Default for StreamVerifyConfig {
-    fn default() -> Self {
-        StreamVerifyConfig {
-            jobs: 1,
-            restricted: true,
-            batch: DEFAULT_MITER_BATCH,
-        }
-    }
-}
-
-impl StreamVerifyConfig {
-    /// The pre-optimization configuration — full-register, unbatched,
-    /// inline — kept callable as the differential baseline: any run under
-    /// any other configuration must produce byte-identical output and
-    /// identical verdicts to this one.
-    pub fn full_register_serial() -> Self {
-        StreamVerifyConfig {
-            jobs: 1,
-            restricted: false,
-            batch: 1,
-        }
-    }
-
-    /// Clamps degenerate values (`jobs`/`batch` of zero) to 1.
-    fn normalized(self) -> Self {
-        StreamVerifyConfig {
-            jobs: self.jobs.max(1),
-            restricted: self.restricted,
-            batch: self.batch.max(1),
-        }
-    }
-
-    /// Bound on windows admitted to the verify pipeline but not yet
-    /// verified. Each in-flight window holds a clone of its spec and
-    /// routed output, so the cap — two windows per worker, enough to keep
-    /// every worker fed while the coordinator routes ahead — is what
-    /// keeps streaming memory independent of stream length.
-    fn in_flight_cap(self) -> usize {
-        2 * self.jobs.max(1)
-    }
 }
 
 /// Mutable state shared between the streaming coordinator and its
@@ -1450,13 +1311,17 @@ impl Drop for StreamSlotGuard {
 struct StreamVerifyPool {
     pool: crate::pool::WorkerPool,
     shared: Arc<StreamVerifyShared>,
-    /// In-flight window cap ([`StreamVerifyConfig::in_flight_cap`]).
-    cap: usize,
+    /// Worker count. At most `2 × jobs` windows are admitted but not yet
+    /// verified: each holds its spec and routed output, so the cap — two
+    /// windows per worker, enough to keep every worker fed while the
+    /// coordinator routes ahead — keeps streaming memory independent of
+    /// stream length.
+    jobs: usize,
 }
 
 /// Per-stream verification state built by `Compiler::stream_verifier`.
 struct StreamVerifier {
-    cfg: StreamVerifyConfig,
+    mode: VerifyMode,
     equiv_budget: EquivBudget,
     /// Local per-window latency histogram (µs buckets) feeding
     /// [`StreamSummary::verify_p95_seconds`]; kept separate from the
@@ -1467,9 +1332,70 @@ struct StreamVerifier {
 }
 
 impl StreamVerifier {
+    /// Verifies one window's output against its spec: inline, or — on a
+    /// parallel run — as a job on the pool, after blocking until the
+    /// bounded in-flight queue has a free slot.
+    fn verify(
+        &self,
+        spec: Circuit,
+        out: &Circuit,
+        acc: &mut StreamSummary,
+    ) -> Result<(), CompileError> {
+        let Some(par) = &self.par else {
+            let (res, support, seconds) = verify_one_window(&spec, out, self.equiv_budget);
+            self.hist.record_seconds(seconds);
+            acc.verify_seconds_total += seconds;
+            acc.max_window_support = acc.max_window_support.max(support);
+            match res {
+                Ok(true) => acc.verified_windows += 1,
+                Ok(false) => return Err(CompileError::VerificationFailed),
+                Err(e) => match self.mode {
+                    VerifyMode::Strict => {
+                        return Err(CompileError::BudgetExceeded {
+                            pass: Pass::Verify,
+                            resource: BudgetResource::QmddNodes,
+                            limit: e.limit as u64,
+                            used: e.used as u64,
+                        })
+                    }
+                    VerifyMode::Degrade => acc.unverified_windows += 1,
+                },
+            }
+            return Ok(());
+        };
+        {
+            let mut st = par.shared.state.lock().expect("stream verify poisoned");
+            while st.in_flight >= 2 * par.jobs && !st.failed {
+                st = par.shared.done.wait(st).expect("stream verify poisoned");
+            }
+            if st.failed {
+                return Err(CompileError::VerificationFailed);
+            }
+            st.in_flight += 1;
+        }
+        let out = out.clone();
+        let shared = Arc::clone(&par.shared);
+        let hist = Arc::clone(&self.hist);
+        let budget = self.equiv_budget;
+        par.pool.submit(move || {
+            let _slot = StreamSlotGuard(Arc::clone(&shared));
+            let (res, support, seconds) = verify_one_window(&spec, &out, budget);
+            hist.record_seconds(seconds);
+            let mut st = shared.state.lock().expect("stream verify poisoned");
+            st.seconds_total += seconds;
+            st.max_support = st.max_support.max(support);
+            match res {
+                Ok(true) => st.verified += 1,
+                Ok(false) => st.failed = true,
+                Err(_) => st.unverified += 1,
+            }
+        });
+        Ok(())
+    }
+
     /// Drains the pool (if any), folds the workers' shared counters into
-    /// the summary, and computes the p95. Called once after the last
-    /// window is flushed.
+    /// the summary, and sets the p95 and the aggregate verdict. Called
+    /// once after the last window.
     fn finish(&self, acc: &mut StreamSummary) -> Result<(), CompileError> {
         if let Some(par) = &self.par {
             par.pool.drain();
@@ -1485,12 +1411,24 @@ impl StreamVerifier {
         if let Some(p95_us) = self.hist.snapshot().quantile(0.95) {
             acc.verify_p95_seconds = p95_us as f64 / 1e6;
         }
-        acc.verify_jobs = if self.par.is_some() { self.cfg.jobs } else { 1 };
+        acc.verify_jobs = self.par.as_ref().map_or(1, |par| par.jobs);
+        acc.verdict = if acc.unverified_windows == 0 {
+            Verdict::Verified {
+                method: "windowed-miter".to_string(),
+            }
+        } else {
+            Verdict::Unverified {
+                reason: format!(
+                    "{} of {} window(s) exhausted the QMDD node budget",
+                    acc.unverified_windows, acc.windows
+                ),
+            }
+        };
         Ok(())
     }
 }
 
-/// Runs one window's miter check under the configured levers and returns
+/// Runs one window's support-restricted, batched miter check and returns
 /// the verdict (`Ok(equivalent)` or the budget error), the window's
 /// support size, and the seconds spent. Also feeds the process-wide
 /// `stream.verify_us` histogram and the
@@ -1499,20 +1437,14 @@ fn verify_one_window(
     spec: &Circuit,
     out: &Circuit,
     budget: EquivBudget,
-    cfg: StreamVerifyConfig,
 ) -> (Result<bool, EquivBudgetError>, usize, f64) {
     let started = std::time::Instant::now();
     let support = miter_support(spec, out);
-    let support_len = support.len();
-    let res = if cfg.restricted {
-        try_equivalent_miter_on_batched(&support, spec, out, budget, cfg.batch)
-    } else {
-        try_equivalent_miter_batched(spec, out, budget, cfg.batch)
-    }
-    .map(|report| report.equivalent);
+    let res = try_equivalent_miter_on_batched(&support, spec, out, budget, DEFAULT_MITER_BATCH)
+        .map(|report| report.equivalent);
     let seconds = started.elapsed().as_secs_f64();
     note_window_verify(seconds, &res);
-    (res, support_len, seconds)
+    (res, support.len(), seconds)
 }
 
 /// Process-wide streaming-verify metrics: one latency sample per window
@@ -2311,6 +2243,33 @@ mod tests {
             }
             assert!(qsyn_qmdd::circuits_equal(&spec, &streamed), "window={window}");
         }
+
+        // A batch compile is one window: with the whole input in a single
+        // window, the stream emits exactly the batch compiler's output for
+        // every router, with optimization on and off, on dense and sparse
+        // devices.
+        for device in [devices::ibmqx4(), devices::ibmqx5(), devices::grid_calibrated(8, 8)] {
+            for strategy in RouteStrategyKind::ALL {
+                for optimize in [false, true] {
+                    let compiler = Compiler::new(device.clone())
+                        .with_route_strategy(strategy)
+                        .with_optimization(optimize);
+                    let batch = compiler.compile(&spec).unwrap();
+                    let mut streamed = Vec::new();
+                    compiler
+                        .compile_stream(5, spec.len(), spec.gates().iter().cloned(), |g| {
+                            streamed.push(g.clone())
+                        })
+                        .unwrap();
+                    assert_eq!(
+                        streamed,
+                        batch.optimized.gates(),
+                        "{} {strategy:?} optimize={optimize}",
+                        device.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -2427,20 +2386,19 @@ mod tests {
 
     #[test]
     fn streaming_verify_configs_agree_bit_for_bit() {
-        // Every StreamVerifyConfig is an observational no-op: support
-        // restriction, batching, and pool parallelism must leave the
-        // emitted gates, the verdict, and the window accounting
-        // byte-identical to the full-register serial baseline.
+        // Pool parallelism is an observational no-op: any worker count
+        // leaves the emitted gates, the verdict, and the window accounting
+        // byte-identical to inline verification.
         let gates = verify_test_stream(12, 36);
-        let run = |cfg: StreamVerifyConfig| {
+        let run = |jobs: usize| {
             let mut out = Circuit::new(16);
             let summary = Compiler::new(devices::ibmqx5())
-                .with_stream_verify(cfg)
+                .with_stream_verify_jobs(jobs)
                 .compile_stream(12, 6, gates.iter().cloned(), |g| out.push(g.clone()))
                 .unwrap();
-            (out.to_qasm().unwrap(), summary)
+            (out, summary)
         };
-        let (base_qasm, base) = run(StreamVerifyConfig::full_register_serial());
+        let (base_out, base) = run(1);
         assert_eq!(base.verify_jobs, 1);
         assert_eq!(
             base.verdict,
@@ -2448,28 +2406,42 @@ mod tests {
                 method: "windowed-miter".into()
             }
         );
-        for cfg in [
-            StreamVerifyConfig::default(),
-            StreamVerifyConfig {
-                jobs: 4,
-                ..StreamVerifyConfig::default()
-            },
-            StreamVerifyConfig {
-                jobs: 3,
-                restricted: false,
-                batch: 1,
-            },
-        ] {
-            let (qasm, summary) = run(cfg);
-            assert_eq!(qasm, base_qasm, "{cfg:?} changed the output");
-            assert_eq!(summary.verdict, base.verdict, "{cfg:?}");
-            assert_eq!(summary.windows, base.windows, "{cfg:?}");
-            assert_eq!(summary.verified_windows, base.verified_windows, "{cfg:?}");
-            assert_eq!(summary.unverified_windows, 0, "{cfg:?}");
-            // Support is a property of the windows, not of the config.
-            assert_eq!(summary.max_window_support, base.max_window_support, "{cfg:?}");
-            assert_eq!(summary.verify_jobs, cfg.jobs.max(1), "{cfg:?}");
+        for jobs in [3, 4] {
+            let (out, summary) = run(jobs);
+            assert_eq!(out.to_qasm().unwrap(), base_out.to_qasm().unwrap(), "jobs={jobs}");
+            assert_eq!(summary.verdict, base.verdict, "jobs={jobs}");
+            assert_eq!(summary.windows, base.windows, "jobs={jobs}");
+            assert_eq!(summary.verified_windows, base.verified_windows, "jobs={jobs}");
+            assert_eq!(summary.unverified_windows, 0, "jobs={jobs}");
+            // Support is a property of the windows, not of the job count.
+            assert_eq!(summary.max_window_support, base.max_window_support, "jobs={jobs}");
+            assert_eq!(summary.verify_jobs, jobs);
         }
+
+        // Reference: each window compiled as a one-window batch and
+        // checked with the full-register, unbatched miter. The windows
+        // concatenate to the stream's output, every one verifies, and the
+        // widest support matches the stream's restricted miters.
+        let mut reference = Vec::new();
+        let mut widest = 0;
+        for window in gates.chunks(6) {
+            let mut spec = Circuit::new(12);
+            for g in window {
+                spec.push(g.clone());
+            }
+            let r = Compiler::new(devices::ibmqx5())
+                .with_verification(Verification::None)
+                .compile(&spec)
+                .unwrap();
+            let report =
+                try_equivalent_miter(&r.placed, &r.optimized, EquivBudget::default()).unwrap();
+            assert!(report.equivalent);
+            widest = widest.max(miter_support(&r.placed, &r.optimized).len());
+            reference.extend_from_slice(r.optimized.gates());
+        }
+        assert_eq!(base_out.gates(), reference);
+        assert_eq!(base.windows, gates.len().div_ceil(6));
+        assert_eq!(base.max_window_support, widest);
         // The stream touches several-but-not-all device lines per window.
         assert!(base.max_window_support >= 2);
         assert!(base.max_window_support <= 12);
@@ -2533,6 +2505,26 @@ mod tests {
                 available: 5
             }
         );
+    }
+
+    #[test]
+    fn streaming_rejects_gates_outside_the_declared_register() {
+        // Beyond the device register (ibmqx4, 5 qubits) and inside the
+        // device but beyond the declared 3-qubit register (ibmqx5, 16).
+        for device in [devices::ibmqx4(), devices::ibmqx5()] {
+            let err = Compiler::new(device.clone())
+                .compile_stream(3, 4, [Gate::cx(0, 7)], |_| {})
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::TooWide {
+                    needed: 8,
+                    available: 3
+                },
+                "{}",
+                device.name()
+            );
+        }
     }
 
     #[test]

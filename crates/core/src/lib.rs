@@ -58,9 +58,7 @@ pub use cache::{
 };
 #[cfg(feature = "fault-injection")]
 pub use budget::{FaultKind, FaultSpec};
-pub use compiler::{
-    CompileResult, Compiler, Optimization, StreamSummary, StreamVerifyConfig, Verification,
-};
+pub use compiler::{CompileResult, Compiler, Optimization, StreamSummary, Verification};
 pub use error::CompileError;
 pub use decompose::{
     decompose_circuit, decompose_circuit_for, decompose_circuit_with, mct_decompose,

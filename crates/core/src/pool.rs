@@ -2,10 +2,10 @@
 //!
 //! Started life in `qsyn-bench` driving the serve daemon's request
 //! execution; it lives in the core crate now so `compile_stream` can
-//! verify completed windows on the same pool machinery (the bench crate
-//! re-exports it as `qsyn_bench::par::WorkerPool` for its original
-//! callers). Workers stay alive across jobs: submit closures as they
-//! arrive, ask [`WorkerPool::pending`] for backpressure decisions,
+//! verify completed windows on the same pool machinery, and the daemon
+//! front-end and the serve bench import it from here. Workers stay alive
+//! across jobs: submit closures as they arrive, ask
+//! [`WorkerPool::pending`] for backpressure decisions,
 //! [`WorkerPool::drain`] to wait for quiescence, and
 //! [`WorkerPool::shutdown`] to finish everything and join.
 //!

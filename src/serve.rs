@@ -35,7 +35,7 @@
 //! serve.responses_error` holds in every drained snapshot
 //! (`qsyn check-metrics` verifies exactly this).
 
-use qsyn_bench::par::WorkerPool;
+use qsyn_core::pool::{default_jobs, WorkerPool};
 use qsyn_core::serve::{
     parse_request, NodeBudgetGate, ServeContext, ServeDefaults, ServeResponse,
 };
@@ -89,7 +89,7 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            workers: qsyn_bench::par::default_jobs(),
+            workers: default_jobs(),
             queue_cap: 64,
             max_line_bytes: 4 << 20,
             defaults: ServeDefaults::default(),
