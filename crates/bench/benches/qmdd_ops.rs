@@ -160,42 +160,14 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// One streaming window of the `bench scale` grid workload: `gates`
-/// consecutive gates of the nearest-neighbor stream on an `n`-qubit,
-/// `w`-column grid (same generator as `grid_stream` in the bench binary).
-fn grid_window(n: usize, w: usize, gates: usize) -> Circuit {
-    let mut c = Circuit::new(n);
-    for i in 0..gates {
-        c.push(match i % 4 {
-            0 => Gate::h((i * 37 + 11) % n),
-            1 => {
-                let q = (i * 73 + 5) % n;
-                if q % w < w - 1 {
-                    Gate::cx(q, q + 1)
-                } else {
-                    Gate::cx(q, q - 1)
-                }
-            }
-            2 => Gate::t((i * 29 + 3) % n),
-            _ => {
-                let q = (i * 41 + 17) % n;
-                if q + w < n {
-                    Gate::cx(q, q + w)
-                } else {
-                    Gate::cx(q, q - w)
-                }
-            }
-        });
-    }
-    c
-}
-
 fn bench_verify_windowed(c: &mut Criterion) {
     // The streaming-verification levers in isolation: the same window
     // checked with the full-register miter (every gate product drags all
     // 1024 lines), the support-restricted miter (compacted register of
     // just the window's touched qubits), and the restricted miter with
-    // fused gate blocks. Window sizes match the streaming sweep.
+    // fused gate blocks. Each window is a prefix of the grid stream
+    // (`qsyn_bench::random::grid_stream`).
+    use qsyn_bench::random::grid_stream;
     use qsyn_qmdd::{
         miter_support, try_equivalent_miter, try_equivalent_miter_on_batched, EquivBudget,
         DEFAULT_MITER_BATCH,
@@ -204,7 +176,7 @@ fn bench_verify_windowed(c: &mut Criterion) {
     group.sample_size(10);
     let (n, w) = (1024, 32);
     for window in [64usize, 256, 1024] {
-        let spec = grid_window(n, w, window);
+        let spec = Circuit::from_gates(n, grid_stream(n, w, window).collect());
         let out = spec.clone();
         let support = miter_support(&spec, &out);
         let b = EquivBudget::default();

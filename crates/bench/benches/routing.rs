@@ -2,8 +2,9 @@
 //! the precomputed all-pairs routing table (`qsyn_core::cache`). The
 //! workload is a CNOT for every ordered qubit pair, so every table entry
 //! (and every per-gate search) is exercised; both paths produce
-//! byte-identical circuits, which `bench perf` asserts — here we only
-//! time them.
+//! byte-identical circuits, which
+//! `crates/core/tests/cache.rs::table_routing_matches_legacy_on_every_device`
+//! asserts — here we only time them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsyn_arch::{devices, Device};

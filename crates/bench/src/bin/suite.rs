@@ -65,12 +65,20 @@ fn main() {
     } else {
         device_names
             .iter()
-            .map(|n| devices::device_by_name(n).unwrap_or_else(|| panic!("unknown device {n}")))
+            .map(|n| {
+                devices::device_by_name(n).unwrap_or_else(|| {
+                    eprintln!("error: unknown device `{n}`");
+                    std::process::exit(2);
+                })
+            })
             .collect()
     };
 
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+    let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| {
+        eprintln!("error: {dir}: {e}");
+        std::process::exit(1);
+    });
+    let mut paths: Vec<_> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
             matches!(

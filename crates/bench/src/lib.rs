@@ -29,5 +29,4 @@ pub mod par;
 pub mod random;
 pub mod report;
 pub mod revlib;
-pub mod serve_bench;
 pub mod stg;

@@ -1,5 +1,5 @@
-//! Seeded random workload generation for stress testing and benchmarking
-//! beyond the paper's fixed suites.
+//! Seeded random and deterministic synthetic workloads for stress testing
+//! and benchmarking beyond the paper's fixed suites.
 
 use qsyn_circuit::Circuit;
 use qsyn_gate::{Gate, SINGLE_OPS};
@@ -59,6 +59,42 @@ pub fn random_clifford_t(n_lines: usize, n_gates: usize, seed: u64) -> Circuit {
         }
     }
     c
+}
+
+/// A nearest-neighbor-heavy native gate stream over an `n`-qubit,
+/// `w`-column grid — the shape of workload a 2D fabric is built for. The
+/// stream cycles `h`, a row-neighbor CNOT, `t`, and a column-neighbor
+/// CNOT, each on a strided qubit, so it is deterministic and uniform from
+/// one window to the next.
+///
+/// # Examples
+///
+/// ```
+/// use qsyn_bench::random::grid_stream;
+/// let window: Vec<_> = grid_stream(1024, 32, 64).collect();
+/// assert_eq!(window.len(), 64);
+/// ```
+pub fn grid_stream(n: usize, w: usize, gates: usize) -> impl Iterator<Item = Gate> {
+    (0..gates).map(move |i| match i % 4 {
+        0 => Gate::h((i * 37 + 11) % n),
+        1 => {
+            let q = (i * 73 + 5) % n;
+            if q % w < w - 1 {
+                Gate::cx(q, q + 1)
+            } else {
+                Gate::cx(q, q - 1)
+            }
+        }
+        2 => Gate::t((i * 29 + 3) % n),
+        _ => {
+            let q = (i * 41 + 17) % n;
+            if q + w < n {
+                Gate::cx(q, q + w)
+            } else {
+                Gate::cx(q, q - w)
+            }
+        }
+    })
 }
 
 fn distinct_pair(rng: &mut StdRng, n: usize) -> (usize, usize) {

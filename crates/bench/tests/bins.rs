@@ -81,6 +81,32 @@ fn suite_binary_rejects_missing_dir() {
 }
 
 #[test]
+fn suite_binary_names_a_bad_argument_in_one_error_line() {
+    let tmp = std::env::temp_dir();
+    let missing = tmp.join(format!("qsyn-suite-missing-{}", std::process::id()));
+    for (args, code, named) in [
+        ([tmp.to_str().unwrap(), "nosuchdevice"], 2, "nosuchdevice"),
+        (
+            [missing.to_str().unwrap(), "ibmqx4"],
+            1,
+            "qsyn-suite-missing-",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_suite"))
+            .args(args)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with("error:") && stderr.contains(named),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn scaling_binary_smallest_width() {
     let (ok, stdout, _) = run(env!("CARGO_BIN_EXE_scaling"), &["8"]);
     assert!(ok);

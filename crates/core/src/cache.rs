@@ -24,7 +24,7 @@
 //!
 //! Which layers are active is the compiler's [`CacheMode`]; per-layer
 //! hit/miss/insert/evict totals are process-global (see [`stats`]) and
-//! surface through `--cache-stats` and `bench perf`.
+//! surface through `--cache-stats`.
 
 use crate::decompose::DecomposeStrategy;
 use crate::error::CompileError;
