@@ -202,69 +202,54 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
 // Every per-layer counter is a named metric in the process-wide
 // [`qsyn_trace::metrics`] registry, so cache activity shows up live in
 // metrics snapshots (serve `--metrics-file`, `{"cmd":"metrics"}` polls)
-// rather than only in end-of-run `--cache-stats` renders. The accessor
-// caches the `Arc` handle in a `OnceLock`, keeping the bump sites at the
-// cost of two relaxed atomic ops after first use.
-macro_rules! stat_counters {
-    ($($name:ident => $metric:literal),* $(,)?) => {
-        $(
-            #[allow(non_snake_case)]
-            fn $name() -> &'static qsyn_trace::metrics::Counter {
-                static CELL: std::sync::OnceLock<std::sync::Arc<qsyn_trace::metrics::Counter>> =
-                    std::sync::OnceLock::new();
-                CELL.get_or_init(|| qsyn_trace::metrics::global().counter($metric))
-            }
-        )*
-    };
+// rather than only in end-of-run `--cache-stats` renders.
+qsyn_trace::metric_handles! {
+    fn m_routing_builds() -> Counter = "cache.routing_table.builds";
+    fn m_routing_hits() -> Counter = "cache.routing_table.hits";
+    fn m_routing_evictions() -> Counter = "cache.routing_table.evictions";
+    fn m_oracle_builds() -> Counter = "cache.oracle.builds";
+    fn m_oracle_hits() -> Counter = "cache.oracle.hits";
+    fn m_oracle_evictions() -> Counter = "cache.oracle.evictions";
+    fn m_decompose_lookups() -> Counter = "cache.decompose.lookups";
+    fn m_decompose_hits() -> Counter = "cache.decompose.hits";
+    fn m_decompose_misses() -> Counter = "cache.decompose.misses";
+    fn m_decompose_evictions() -> Counter = "cache.decompose.evictions";
+    fn m_compile_lookups() -> Counter = "cache.compile.lookups";
+    fn m_compile_hits() -> Counter = "cache.compile.hits";
+    fn m_compile_misses() -> Counter = "cache.compile.misses";
+    fn m_compile_inserts() -> Counter = "cache.compile.inserts";
+    fn m_compile_evictions() -> Counter = "cache.compile.evictions";
+    fn m_disk_lookups() -> Counter = "cache.disk.lookups";
+    fn m_disk_hits() -> Counter = "cache.disk.hits";
+    fn m_disk_misses() -> Counter = "cache.disk.misses";
+    fn m_disk_writes() -> Counter = "cache.disk.writes";
+    fn m_disk_quarantines() -> Counter = "cache.disk.quarantines";
+    fn m_disk_evicted_entries() -> Counter = "cache.disk.evicted_entries";
+    fn m_disk_evicted_bytes() -> Counter = "cache.disk.evicted_bytes";
 }
-
-stat_counters!(
-    ROUTING_BUILDS => "cache.routing_table.builds",
-    ROUTING_HITS => "cache.routing_table.hits",
-    ROUTING_EVICTIONS => "cache.routing_table.evictions",
-    ORACLE_BUILDS => "cache.oracle.builds",
-    ORACLE_HITS => "cache.oracle.hits",
-    ORACLE_EVICTIONS => "cache.oracle.evictions",
-    DECOMPOSE_LOOKUPS => "cache.decompose.lookups",
-    DECOMPOSE_HITS => "cache.decompose.hits",
-    DECOMPOSE_MISSES => "cache.decompose.misses",
-    DECOMPOSE_EVICTIONS => "cache.decompose.evictions",
-    COMPILE_LOOKUPS => "cache.compile.lookups",
-    COMPILE_HITS => "cache.compile.hits",
-    COMPILE_MISSES => "cache.compile.misses",
-    COMPILE_INSERTS => "cache.compile.inserts",
-    COMPILE_EVICTIONS => "cache.compile.evictions",
-    DISK_LOOKUPS => "cache.disk.lookups",
-    DISK_HITS => "cache.disk.hits",
-    DISK_MISSES => "cache.disk.misses",
-    DISK_WRITES => "cache.disk.writes",
-    DISK_QUARANTINES => "cache.disk.quarantines",
-    DISK_EVICTED_ENTRIES => "cache.disk.evicted_entries",
-    DISK_EVICTED_BYTES => "cache.disk.evicted_bytes",
-);
 
 /// Counter bumps for the on-disk persistence tier (`crate::persist`).
 /// Every load outcome — hit, miss, or quarantine — also counts one disk
 /// lookup, so `hits + misses + quarantines == lookups` holds by
 /// construction (`qsyn check-metrics` cross-checks it).
 pub(crate) fn note_disk_hit() {
-    DISK_LOOKUPS().inc();
-    DISK_HITS().inc();
+    m_disk_lookups().inc();
+    m_disk_hits().inc();
 }
 pub(crate) fn note_disk_miss() {
-    DISK_LOOKUPS().inc();
-    DISK_MISSES().inc();
+    m_disk_lookups().inc();
+    m_disk_misses().inc();
 }
 pub(crate) fn note_disk_write() {
-    DISK_WRITES().inc();
+    m_disk_writes().inc();
 }
 pub(crate) fn note_disk_quarantine() {
-    DISK_LOOKUPS().inc();
-    DISK_QUARANTINES().inc();
+    m_disk_lookups().inc();
+    m_disk_quarantines().inc();
 }
 pub(crate) fn note_disk_eviction(entries: u64, bytes: u64) {
-    DISK_EVICTED_ENTRIES().add(entries);
-    DISK_EVICTED_BYTES().add(bytes);
+    m_disk_evicted_entries().add(entries);
+    m_disk_evicted_bytes().add(bytes);
 }
 
 /// A point-in-time copy of the process-global per-layer cache counters.
@@ -314,56 +299,6 @@ pub struct CacheStatsSnapshot {
 }
 
 impl CacheStatsSnapshot {
-    /// Counter deltas relative to an earlier snapshot (saturating, so a
-    /// mismatched pair never underflows).
-    pub fn since(&self, earlier: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            routing_tables_built: self
-                .routing_tables_built
-                .saturating_sub(earlier.routing_tables_built),
-            routing_table_hits: self
-                .routing_table_hits
-                .saturating_sub(earlier.routing_table_hits),
-            routing_table_evictions: self
-                .routing_table_evictions
-                .saturating_sub(earlier.routing_table_evictions),
-            routing_oracles_built: self
-                .routing_oracles_built
-                .saturating_sub(earlier.routing_oracles_built),
-            routing_oracle_hits: self
-                .routing_oracle_hits
-                .saturating_sub(earlier.routing_oracle_hits),
-            routing_oracle_evictions: self
-                .routing_oracle_evictions
-                .saturating_sub(earlier.routing_oracle_evictions),
-            decompose_memo_hits: self
-                .decompose_memo_hits
-                .saturating_sub(earlier.decompose_memo_hits),
-            decompose_memo_misses: self
-                .decompose_memo_misses
-                .saturating_sub(earlier.decompose_memo_misses),
-            decompose_memo_evictions: self
-                .decompose_memo_evictions
-                .saturating_sub(earlier.decompose_memo_evictions),
-            compile_hits: self.compile_hits.saturating_sub(earlier.compile_hits),
-            compile_misses: self.compile_misses.saturating_sub(earlier.compile_misses),
-            compile_inserts: self.compile_inserts.saturating_sub(earlier.compile_inserts),
-            compile_evictions: self
-                .compile_evictions
-                .saturating_sub(earlier.compile_evictions),
-            disk_hits: self.disk_hits.saturating_sub(earlier.disk_hits),
-            disk_misses: self.disk_misses.saturating_sub(earlier.disk_misses),
-            disk_writes: self.disk_writes.saturating_sub(earlier.disk_writes),
-            disk_quarantines: self.disk_quarantines.saturating_sub(earlier.disk_quarantines),
-            disk_evicted_entries: self
-                .disk_evicted_entries
-                .saturating_sub(earlier.disk_evicted_entries),
-            disk_evicted_bytes: self
-                .disk_evicted_bytes
-                .saturating_sub(earlier.disk_evicted_bytes),
-        }
-    }
-
     /// Hit rate of a (hits, misses) pair; 0 when nothing was looked up.
     fn rate(hits: u64, misses: u64) -> f64 {
         let total = hits + misses;
@@ -426,25 +361,25 @@ impl CacheStatsSnapshot {
 /// the `cache.*` metrics in [`qsyn_trace::metrics::global`]).
 pub fn stats() -> CacheStatsSnapshot {
     CacheStatsSnapshot {
-        routing_tables_built: ROUTING_BUILDS().get(),
-        routing_table_hits: ROUTING_HITS().get(),
-        routing_table_evictions: ROUTING_EVICTIONS().get(),
-        routing_oracles_built: ORACLE_BUILDS().get(),
-        routing_oracle_hits: ORACLE_HITS().get(),
-        routing_oracle_evictions: ORACLE_EVICTIONS().get(),
-        decompose_memo_hits: DECOMPOSE_HITS().get(),
-        decompose_memo_misses: DECOMPOSE_MISSES().get(),
-        decompose_memo_evictions: DECOMPOSE_EVICTIONS().get(),
-        compile_hits: COMPILE_HITS().get(),
-        compile_misses: COMPILE_MISSES().get(),
-        compile_inserts: COMPILE_INSERTS().get(),
-        compile_evictions: COMPILE_EVICTIONS().get(),
-        disk_hits: DISK_HITS().get(),
-        disk_misses: DISK_MISSES().get(),
-        disk_writes: DISK_WRITES().get(),
-        disk_quarantines: DISK_QUARANTINES().get(),
-        disk_evicted_entries: DISK_EVICTED_ENTRIES().get(),
-        disk_evicted_bytes: DISK_EVICTED_BYTES().get(),
+        routing_tables_built: m_routing_builds().get(),
+        routing_table_hits: m_routing_hits().get(),
+        routing_table_evictions: m_routing_evictions().get(),
+        routing_oracles_built: m_oracle_builds().get(),
+        routing_oracle_hits: m_oracle_hits().get(),
+        routing_oracle_evictions: m_oracle_evictions().get(),
+        decompose_memo_hits: m_decompose_hits().get(),
+        decompose_memo_misses: m_decompose_misses().get(),
+        decompose_memo_evictions: m_decompose_evictions().get(),
+        compile_hits: m_compile_hits().get(),
+        compile_misses: m_compile_misses().get(),
+        compile_inserts: m_compile_inserts().get(),
+        compile_evictions: m_compile_evictions().get(),
+        disk_hits: m_disk_hits().get(),
+        disk_misses: m_disk_misses().get(),
+        disk_writes: m_disk_writes().get(),
+        disk_quarantines: m_disk_quarantines().get(),
+        disk_evicted_entries: m_disk_evicted_entries().get(),
+        disk_evicted_bytes: m_disk_evicted_bytes().get(),
     }
 }
 
@@ -698,7 +633,7 @@ pub fn routing_table(device: &Device, objective: RoutingObjective) -> (Arc<Routi
                 let cell: RoutingCell = Arc::new(OnceLock::new());
                 let evicted =
                     map.insert_weighted(key, cell.clone(), dense_bytes_estimate(device.n_qubits()));
-                ROUTING_EVICTIONS().add(evicted);
+                m_routing_evictions().add(evicted);
                 cell
             }
         }
@@ -710,12 +645,12 @@ pub fn routing_table(device: &Device, objective: RoutingObjective) -> (Arc<Routi
     let table = cell
         .get_or_init(|| {
             built = true;
-            ROUTING_BUILDS().inc();
+            m_routing_builds().inc();
             Arc::new(RoutingTable::build(device, objective))
         })
         .clone();
     if !built {
-        ROUTING_HITS().inc();
+        m_routing_hits().inc();
     }
     (table, !built)
 }
@@ -1021,7 +956,7 @@ pub fn routing_oracle(device: &Device, objective: RoutingObjective) -> (Arc<Dist
                 let cell: OracleCell = Arc::new(OnceLock::new());
                 let evicted =
                     map.insert_weighted(key, cell.clone(), oracle_bytes_estimate(device.n_qubits()));
-                ORACLE_EVICTIONS().add(evicted);
+                m_oracle_evictions().add(evicted);
                 cell
             }
         }
@@ -1030,12 +965,12 @@ pub fn routing_oracle(device: &Device, objective: RoutingObjective) -> (Arc<Dist
     let oracle = cell
         .get_or_init(|| {
             built = true;
-            ORACLE_BUILDS().inc();
+            m_oracle_builds().inc();
             Arc::new(DistanceOracle::build(device, objective))
         })
         .clone();
     if !built {
-        ORACLE_HITS().inc();
+        m_oracle_hits().inc();
     }
     (oracle, !built)
 }
@@ -1100,18 +1035,18 @@ pub fn mct_template(
     let key = (m, spare_len, strategy_tag(strategy));
     let registry = MCT_TEMPLATES.get_or_init(|| Mutex::new(LruMap::new(MCT_TEMPLATE_CAP)));
     let mut map = registry.lock().expect("MCT template registry poisoned");
-    DECOMPOSE_LOOKUPS().inc();
+    m_decompose_lookups().inc();
     if let Some(template) = map.get(&key) {
-        DECOMPOSE_HITS().inc();
+        m_decompose_hits().inc();
         return Ok((template, true));
     }
     let controls: Vec<usize> = (0..m).collect();
     let spare: Vec<usize> = (m + 1..m + 1 + spare_len).collect();
     let gates = crate::decompose::mct_decompose(&controls, m, &spare, strategy)?;
     let template = Arc::new(gates);
-    DECOMPOSE_MISSES().inc();
+    m_decompose_misses().inc();
     let evicted = map.insert(key, template.clone());
-    DECOMPOSE_EVICTIONS().add(evicted);
+    m_decompose_evictions().add(evicted);
     Ok((template, false))
 }
 
@@ -1164,14 +1099,14 @@ fn compile_cache() -> &'static Mutex<LruMap<u128, Arc<CompileResult>>> {
 /// hit or miss in the global stats.
 pub(crate) fn compile_cache_get(key: u128) -> Option<Arc<CompileResult>> {
     let mut map = compile_cache().lock().expect("compile cache poisoned");
-    COMPILE_LOOKUPS().inc();
+    m_compile_lookups().inc();
     match map.get(&key) {
         Some(hit) => {
-            COMPILE_HITS().inc();
+            m_compile_hits().inc();
             Some(hit)
         }
         None => {
-            COMPILE_MISSES().inc();
+            m_compile_misses().inc();
             None
         }
     }
@@ -1180,9 +1115,9 @@ pub(crate) fn compile_cache_get(key: u128) -> Option<Arc<CompileResult>> {
 /// Memoizes a successful compile under its content key.
 pub(crate) fn compile_cache_insert(key: u128, result: Arc<CompileResult>) {
     let mut map = compile_cache().lock().expect("compile cache poisoned");
-    COMPILE_INSERTS().inc();
+    m_compile_inserts().inc();
     let evicted = map.insert(key, result);
-    COMPILE_EVICTIONS().add(evicted);
+    m_compile_evictions().add(evicted);
 }
 
 #[cfg(test)]

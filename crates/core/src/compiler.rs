@@ -422,9 +422,6 @@ impl Compiler {
                         s.counter("swap_cap", cap as f64);
                     }
                     s.counter("routing_table_reused", f64::from(u8::from(table_reused)));
-                    for (name, value) in &routed.extra {
-                        s.counter(name, *value);
-                    }
                     if let Some((hits, misses)) = oracle {
                         s.counter("oracle_hits", hits as f64);
                         s.counter("oracle_misses", misses as f64);
@@ -543,9 +540,10 @@ impl Compiler {
     /// always runs inline regardless of `jobs`. The per-window SWAP cap
     /// is [`CompileBudget::max_route_swaps`].
     ///
-    /// When a trace sink is configured, one aggregate route event is
-    /// emitted at the end of the stream. Its `seconds` is the routing time
-    /// summed over all windows, and it carries the streaming counters
+    /// One aggregate route event is built at the end of the stream,
+    /// recorded into the live `pass.route_us` histogram, and handed to the
+    /// trace sink when one is configured. Its `seconds` is the routing
+    /// time summed over all windows, and it carries the streaming counters
     /// (`windows`, `window_gates_cap`, `max_window_swaps`,
     /// `oracle_hits`/`oracle_misses`, `verified_windows`,
     /// `unverified_windows`, `peak_resident_gates`,
@@ -606,7 +604,7 @@ impl Compiler {
             acc.peak_resident_gates = acc.peak_resident_gates.max(out.peak_gates);
             let optimized = out.optimized.unwrap_or(out.routed.circuit);
             if let Some(v) = &verifier {
-                v.verify(spec, &optimized, &mut acc)?;
+                v.verify(spec, &optimized)?;
             }
             acc.gates_out += optimized.len();
             for g in optimized.gates() {
@@ -618,31 +616,31 @@ impl Compiler {
         }
         acc.total_seconds = started.elapsed().as_secs_f64();
 
+        let empty = StageSnapshot::of(&Circuit::new(self.device.n_qubits()));
+        // Counter names come from `qsyn_trace::streaming` so the emitter
+        // and `check-trace`'s validator cannot drift apart.
+        use qsyn_trace::streaming as sc;
+        let e = self.event(Pass::Route, route_seconds, empty, empty, |s| {
+            s.counter(sc::STREAMING, 1.0);
+            s.counter(sc::WINDOWS, acc.windows as f64);
+            s.counter(sc::WINDOW_GATES_CAP, acc.window_gates as f64);
+            s.counter(sc::SWAPS_INSERTED, acc.swaps_inserted as f64);
+            s.counter(sc::MAX_WINDOW_SWAPS, acc.max_window_swaps as f64);
+            if let Some(cap) = self.budget.max_route_swaps {
+                s.counter(sc::WINDOW_SWAP_CAP, cap as f64);
+            }
+            if matches!(lookup, RoutingLookup::Sparse(_)) {
+                s.counter(sc::ORACLE_HITS, acc.oracle_hits as f64);
+                s.counter(sc::ORACLE_MISSES, acc.oracle_misses as f64);
+            }
+            s.counter(sc::VERIFIED_WINDOWS, acc.verified_windows as f64);
+            s.counter(sc::UNVERIFIED_WINDOWS, acc.unverified_windows as f64);
+            s.counter(sc::PEAK_RESIDENT_GATES, acc.peak_resident_gates as f64);
+            s.counter(sc::MAX_WINDOW_SUPPORT, acc.max_window_support as f64);
+            s.counter(sc::VERIFY_SECONDS_TOTAL, acc.verify_seconds_total);
+            s.counter(sc::VERIFY_JOBS, acc.verify_jobs as f64);
+        });
         if let Some(sink) = &self.trace {
-            let empty = StageSnapshot::of(&Circuit::new(self.device.n_qubits()));
-            // Counter names come from `qsyn_trace::streaming` so the
-            // emitter and `check-trace`'s validator cannot drift apart.
-            use qsyn_trace::streaming as sc;
-            let e = self.event(Pass::Route, route_seconds, empty, empty, |s| {
-                s.counter(sc::STREAMING, 1.0);
-                s.counter(sc::WINDOWS, acc.windows as f64);
-                s.counter(sc::WINDOW_GATES_CAP, acc.window_gates as f64);
-                s.counter(sc::SWAPS_INSERTED, acc.swaps_inserted as f64);
-                s.counter(sc::MAX_WINDOW_SWAPS, acc.max_window_swaps as f64);
-                if let Some(cap) = self.budget.max_route_swaps {
-                    s.counter(sc::WINDOW_SWAP_CAP, cap as f64);
-                }
-                if matches!(lookup, RoutingLookup::Sparse(_)) {
-                    s.counter(sc::ORACLE_HITS, acc.oracle_hits as f64);
-                    s.counter(sc::ORACLE_MISSES, acc.oracle_misses as f64);
-                }
-                s.counter(sc::VERIFIED_WINDOWS, acc.verified_windows as f64);
-                s.counter(sc::UNVERIFIED_WINDOWS, acc.unverified_windows as f64);
-                s.counter(sc::PEAK_RESIDENT_GATES, acc.peak_resident_gates as f64);
-                s.counter(sc::MAX_WINDOW_SUPPORT, acc.max_window_support as f64);
-                s.counter(sc::VERIFY_SECONDS_TOTAL, acc.verify_seconds_total);
-                s.counter(sc::VERIFY_JOBS, acc.verify_jobs as f64);
-            });
             sink.record(&e);
             sink.flush();
         }
@@ -706,9 +704,8 @@ impl Compiler {
     }
 
     /// Builds the per-stream verification state for `compile_stream`:
-    /// the equivalence budget, the local latency histogram, and — for
-    /// parallel runs — the worker pool plus the shared accumulator its
-    /// jobs write into.
+    /// the equivalence budget, the window-outcome tally, and — for
+    /// parallel runs — the worker pool whose jobs fold into that tally.
     ///
     /// Parallel verification requires [`VerifyMode::Degrade`]: Strict
     /// mode must abort before the failing window is emitted, which only
@@ -727,17 +724,16 @@ impl Compiler {
         let par = (jobs > 1 && self.budget.verify_mode == VerifyMode::Degrade).then(|| {
             StreamVerifyPool {
                 pool: crate::pool::WorkerPool::new(jobs),
-                shared: Arc::new(StreamVerifyShared {
-                    state: Mutex::new(StreamVerifyState::default()),
-                    done: Condvar::new(),
-                }),
                 jobs,
             }
         });
         StreamVerifier {
             mode: self.budget.verify_mode,
             equiv_budget,
-            hist: Arc::new(qsyn_trace::metrics::Histogram::default()),
+            shared: Arc::new(StreamVerifyShared {
+                state: Mutex::new(StreamVerifyState::default()),
+                done: Condvar::new(),
+            }),
             par,
         }
     }
@@ -776,9 +772,6 @@ impl Compiler {
                 Some((oracle, oracle.hit_count(), oracle.miss_count()))
             }
         };
-        if let Some(sink) = &self.trace {
-            req = req.with_trace(sink.clone());
-        }
         let outcome = strategy.instance().route(&req)?;
         let delta = oracle.map(|(o, h0, m0)| (o.hit_count() - h0, o.miss_count() - m0));
         Ok((outcome, delta))
@@ -915,7 +908,7 @@ impl Compiler {
 
     /// Builds one pass event: attaches the counters, prices the in/out
     /// snapshots under the active cost model, stamps the job id, and
-    /// records the pass histograms.
+    /// records it into the live metrics registry.
     fn event(
         &self,
         pass: Pass,
@@ -924,17 +917,17 @@ impl Compiler {
         output: StageSnapshot,
         counters: impl FnOnce(&mut Span),
     ) -> PassEvent {
-        let mut span = Span::begin(pass);
+        let mut span = Span::new(pass);
         counters(&mut span);
         let mut event = span.finish(
+            seconds,
             input,
             output,
             self.cost.cost(&input.stats),
             self.cost.cost(&output.stats),
         );
-        event.seconds = seconds;
         event.job = self.job;
-        note_pass_metrics(&event);
+        qsyn_trace::metrics::global().record_pass(&event);
         event
     }
 
@@ -1171,37 +1164,6 @@ struct WindowOutput {
     peak_gates: usize,
 }
 
-/// Feeds one closed pass span into the live metrics registry: a
-/// wall-time histogram per pass (`pass.<name>_us`) and, for routing
-/// events carrying a strategy tag, one per routing strategy
-/// (`route.<strategy>_us`). Cached compiles replay their events without
-/// re-closing spans, so replayed (zero-work) events never pollute these
-/// histograms.
-fn note_pass_metrics(e: &PassEvent) {
-    use qsyn_trace::metrics::{global, Histogram};
-    use std::sync::{Arc, OnceLock};
-    const PASSES: usize = Pass::FIG2_ORDER.len();
-    static PER_PASS: [OnceLock<Arc<Histogram>>; PASSES] = [const { OnceLock::new() }; PASSES];
-    static PER_STRATEGY: [OnceLock<Arc<Histogram>>; qsyn_trace::ROUTE_STRATEGY_NAMES.len()] =
-        [const { OnceLock::new() }; qsyn_trace::ROUTE_STRATEGY_NAMES.len()];
-    if let Some(i) = Pass::FIG2_ORDER.iter().position(|p| *p == e.pass) {
-        PER_PASS[i]
-            .get_or_init(|| global().histogram(&format!("pass.{}_us", e.pass.name())))
-            .record_seconds(e.seconds);
-    }
-    if e.pass == Pass::Route {
-        if let Some(name) = e.counter("strategy").and_then(qsyn_trace::route_strategy_name) {
-            let i = qsyn_trace::ROUTE_STRATEGY_NAMES
-                .iter()
-                .position(|n| *n == name)
-                .expect("strategy name comes from the table");
-            PER_STRATEGY[i]
-                .get_or_init(|| global().histogram(&format!("route.{name}_us")))
-                .record_seconds(e.seconds);
-        }
-    }
-}
-
 /// Aggregate counters of one [`Compiler::compile_stream`] run — the
 /// streaming counterpart of [`CompileResult`], sized O(1) regardless of
 /// stream length.
@@ -1259,16 +1221,16 @@ pub struct StreamSummary {
     pub verify_jobs: usize,
 }
 
-/// Mutable state shared between the streaming coordinator and its
-/// pool-parallel verify jobs; every field is guarded by
-/// [`StreamVerifyShared::state`].
+/// The window-outcome tally of one stream: every verified window, inline
+/// or on the pool, folds into it through [`StreamVerifyState::tally`],
+/// and [`StreamVerifier::finish`] reads the summary's counters from it.
 #[derive(Default)]
 struct StreamVerifyState {
     /// Windows submitted to the pool and not yet finished.
     in_flight: usize,
     /// Windows whose miter check completed and passed.
     verified: usize,
-    /// Windows that exhausted the node budget (Degrade mode).
+    /// Windows that exhausted the node budget.
     unverified: usize,
     /// A miter check rejected, or a verify job panicked: the stream must
     /// end in [`CompileError::VerificationFailed`].
@@ -1277,6 +1239,26 @@ struct StreamVerifyState {
     seconds_total: f64,
     /// Widest per-window miter support seen.
     max_support: usize,
+    /// Per-window latency (µs buckets) feeding
+    /// [`StreamSummary::verify_p95_seconds`]; kept apart from the
+    /// process-wide `stream.verify_us` metric so concurrent streams do
+    /// not pollute each other's p95.
+    hist: qsyn_trace::metrics::Histogram,
+}
+
+impl StreamVerifyState {
+    /// Folds one window's check — its verdict, support size and seconds,
+    /// as [`verify_one_window`] returns them — into the tally.
+    fn tally(&mut self, res: &Result<bool, EquivBudgetError>, support: usize, seconds: f64) {
+        self.hist.record_seconds(seconds);
+        self.seconds_total += seconds;
+        self.max_support = self.max_support.max(support);
+        match res {
+            Ok(true) => self.verified += 1,
+            Ok(false) => self.failed = true,
+            Err(_) => self.unverified += 1,
+        }
+    }
 }
 
 struct StreamVerifyShared {
@@ -1310,7 +1292,6 @@ impl Drop for StreamSlotGuard {
 /// parallel (Degrade-mode, `jobs > 1`) runs.
 struct StreamVerifyPool {
     pool: crate::pool::WorkerPool,
-    shared: Arc<StreamVerifyShared>,
     /// Worker count. At most `2 × jobs` windows are admitted but not yet
     /// verified: each holds its spec and routed output, so the cap — two
     /// windows per worker, enough to keep every worker fed while the
@@ -1323,50 +1304,39 @@ struct StreamVerifyPool {
 struct StreamVerifier {
     mode: VerifyMode,
     equiv_budget: EquivBudget,
-    /// Local per-window latency histogram (µs buckets) feeding
-    /// [`StreamSummary::verify_p95_seconds`]; kept separate from the
-    /// process-wide `stream.verify_us` metric so concurrent streams do
-    /// not pollute each other's p95.
-    hist: Arc<qsyn_trace::metrics::Histogram>,
+    /// The window-outcome tally, shared with the pool's jobs.
+    shared: Arc<StreamVerifyShared>,
     par: Option<StreamVerifyPool>,
 }
 
 impl StreamVerifier {
     /// Verifies one window's output against its spec: inline, or — on a
     /// parallel run — as a job on the pool, after blocking until the
-    /// bounded in-flight queue has a free slot.
-    fn verify(
-        &self,
-        spec: Circuit,
-        out: &Circuit,
-        acc: &mut StreamSummary,
-    ) -> Result<(), CompileError> {
+    /// bounded in-flight queue has a free slot. Inline checks fail the
+    /// stream here, before the window is emitted: a rejected window, or
+    /// an exhausted one under [`VerifyMode::Strict`].
+    fn verify(&self, spec: Circuit, out: &Circuit) -> Result<(), CompileError> {
         let Some(par) = &self.par else {
             let (res, support, seconds) = verify_one_window(&spec, out, self.equiv_budget);
-            self.hist.record_seconds(seconds);
-            acc.verify_seconds_total += seconds;
-            acc.max_window_support = acc.max_window_support.max(support);
-            match res {
-                Ok(true) => acc.verified_windows += 1,
-                Ok(false) => return Err(CompileError::VerificationFailed),
-                Err(e) => match self.mode {
-                    VerifyMode::Strict => {
-                        return Err(CompileError::BudgetExceeded {
-                            pass: Pass::Verify,
-                            resource: BudgetResource::QmddNodes,
-                            limit: e.limit as u64,
-                            used: e.used as u64,
-                        })
-                    }
-                    VerifyMode::Degrade => acc.unverified_windows += 1,
-                },
+            let mut st = self.shared.state.lock().expect("stream verify poisoned");
+            st.tally(&res, support, seconds);
+            if st.failed {
+                return Err(CompileError::VerificationFailed);
             }
-            return Ok(());
+            return match res {
+                Err(e) if self.mode == VerifyMode::Strict => Err(CompileError::BudgetExceeded {
+                    pass: Pass::Verify,
+                    resource: BudgetResource::QmddNodes,
+                    limit: e.limit as u64,
+                    used: e.used as u64,
+                }),
+                _ => Ok(()),
+            };
         };
         {
-            let mut st = par.shared.state.lock().expect("stream verify poisoned");
+            let mut st = self.shared.state.lock().expect("stream verify poisoned");
             while st.in_flight >= 2 * par.jobs && !st.failed {
-                st = par.shared.done.wait(st).expect("stream verify poisoned");
+                st = self.shared.done.wait(st).expect("stream verify poisoned");
             }
             if st.failed {
                 return Err(CompileError::VerificationFailed);
@@ -1374,41 +1344,33 @@ impl StreamVerifier {
             st.in_flight += 1;
         }
         let out = out.clone();
-        let shared = Arc::clone(&par.shared);
-        let hist = Arc::clone(&self.hist);
+        let shared = Arc::clone(&self.shared);
         let budget = self.equiv_budget;
         par.pool.submit(move || {
             let _slot = StreamSlotGuard(Arc::clone(&shared));
             let (res, support, seconds) = verify_one_window(&spec, &out, budget);
-            hist.record_seconds(seconds);
             let mut st = shared.state.lock().expect("stream verify poisoned");
-            st.seconds_total += seconds;
-            st.max_support = st.max_support.max(support);
-            match res {
-                Ok(true) => st.verified += 1,
-                Ok(false) => st.failed = true,
-                Err(_) => st.unverified += 1,
-            }
+            st.tally(&res, support, seconds);
         });
         Ok(())
     }
 
-    /// Drains the pool (if any), folds the workers' shared counters into
-    /// the summary, and sets the p95 and the aggregate verdict. Called
-    /// once after the last window.
+    /// Drains the pool (if any), then copies the tally into the summary
+    /// and sets the p95 and the aggregate verdict. Called once after the
+    /// last window.
     fn finish(&self, acc: &mut StreamSummary) -> Result<(), CompileError> {
         if let Some(par) = &self.par {
             par.pool.drain();
-            let st = par.shared.state.lock().expect("stream verify poisoned");
-            if st.failed {
-                return Err(CompileError::VerificationFailed);
-            }
-            acc.verified_windows += st.verified;
-            acc.unverified_windows += st.unverified;
-            acc.verify_seconds_total += st.seconds_total;
-            acc.max_window_support = acc.max_window_support.max(st.max_support);
         }
-        if let Some(p95_us) = self.hist.snapshot().quantile(0.95) {
+        let st = self.shared.state.lock().expect("stream verify poisoned");
+        if st.failed {
+            return Err(CompileError::VerificationFailed);
+        }
+        acc.verified_windows = st.verified;
+        acc.unverified_windows = st.unverified;
+        acc.verify_seconds_total = st.seconds_total;
+        acc.max_window_support = st.max_support;
+        if let Some(p95_us) = st.hist.snapshot().quantile(0.95) {
             acc.verify_p95_seconds = p95_us as f64 / 1e6;
         }
         acc.verify_jobs = self.par.as_ref().map_or(1, |par| par.jobs);
@@ -1431,44 +1393,32 @@ impl StreamVerifier {
 /// Runs one window's support-restricted, batched miter check and returns
 /// the verdict (`Ok(equivalent)` or the budget error), the window's
 /// support size, and the seconds spent. Also feeds the process-wide
-/// `stream.verify_us` histogram and the
-/// `stream.windows_verified`/`stream.windows_unverified` counters.
+/// streaming-verify metrics: one `stream.verify_us` sample per window and
+/// an outcome counter (`stream.windows_verified` +
+/// `stream.windows_unverified` equals the histogram count in steady state;
+/// a rejected window aborts the stream and is counted by neither).
 fn verify_one_window(
     spec: &Circuit,
     out: &Circuit,
     budget: EquivBudget,
 ) -> (Result<bool, EquivBudgetError>, usize, f64) {
+    qsyn_trace::metric_handles! {
+        fn m_verify_us() -> Histogram = "stream.verify_us";
+        fn m_windows_verified() -> Counter = "stream.windows_verified";
+        fn m_windows_unverified() -> Counter = "stream.windows_unverified";
+    }
     let started = std::time::Instant::now();
     let support = miter_support(spec, out);
     let res = try_equivalent_miter_on_batched(&support, spec, out, budget, DEFAULT_MITER_BATCH)
         .map(|report| report.equivalent);
     let seconds = started.elapsed().as_secs_f64();
-    note_window_verify(seconds, &res);
-    (res, support.len(), seconds)
-}
-
-/// Process-wide streaming-verify metrics: one latency sample per window
-/// plus an outcome counter (`verified` + `unverified` always equals the
-/// histogram count in steady state — a rejected window aborts the stream
-/// and is counted by neither). Handles are cached like
-/// [`note_pass_metrics`]'s.
-fn note_window_verify(seconds: f64, res: &Result<bool, EquivBudgetError>) {
-    use qsyn_trace::metrics::{global, Counter, Histogram};
-    use std::sync::OnceLock;
-    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-    static VERIFIED: OnceLock<Arc<Counter>> = OnceLock::new();
-    static UNVERIFIED: OnceLock<Arc<Counter>> = OnceLock::new();
-    HIST.get_or_init(|| global().histogram("stream.verify_us"))
-        .record_seconds(seconds);
+    m_verify_us().record_seconds(seconds);
     match res {
-        Ok(true) => VERIFIED
-            .get_or_init(|| global().counter("stream.windows_verified"))
-            .inc(),
+        Ok(true) => m_windows_verified().inc(),
         Ok(false) => {}
-        Err(_) => UNVERIFIED
-            .get_or_init(|| global().counter("stream.windows_unverified"))
-            .inc(),
+        Err(_) => m_windows_unverified().inc(),
     }
+    (res, support.len(), seconds)
 }
 
 /// Everything the pipeline produced for one input circuit.

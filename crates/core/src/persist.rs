@@ -758,9 +758,9 @@ mod tests {
         cache.store(41, &toffoli_result()).unwrap();
         let before = crate::cache::stats();
         cache.evict(Some(0), None).unwrap();
-        let delta = crate::cache::stats().since(&before);
-        assert_eq!(delta.disk_evicted_entries, 1);
-        assert!(delta.disk_evicted_bytes > 0);
+        let after = crate::cache::stats();
+        assert_eq!(after.disk_evicted_entries - before.disk_evicted_entries, 1);
+        assert!(after.disk_evicted_bytes > before.disk_evicted_bytes);
         let _ = fs::remove_dir_all(cache.dir());
     }
 

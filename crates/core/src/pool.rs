@@ -51,37 +51,14 @@ struct PoolInner {
 // Pool utilization metrics in the process-wide registry: how many
 // workers exist, how many are busy right now, and the per-job run-time
 // distribution (utilization over a window = Σ `pool.job_run_us` delta /
-// (workers × window)). Handles are cached so the per-job overhead is a
-// few relaxed atomic ops.
-macro_rules! pool_metric {
-    ($fn_name:ident, counter, $name:literal) => {
-        fn $fn_name() -> &'static qsyn_trace::metrics::Counter {
-            static CELL: std::sync::OnceLock<std::sync::Arc<qsyn_trace::metrics::Counter>> =
-                std::sync::OnceLock::new();
-            CELL.get_or_init(|| qsyn_trace::metrics::global().counter($name))
-        }
-    };
-    ($fn_name:ident, gauge, $name:literal) => {
-        fn $fn_name() -> &'static qsyn_trace::metrics::Gauge {
-            static CELL: std::sync::OnceLock<std::sync::Arc<qsyn_trace::metrics::Gauge>> =
-                std::sync::OnceLock::new();
-            CELL.get_or_init(|| qsyn_trace::metrics::global().gauge($name))
-        }
-    };
-    ($fn_name:ident, histogram, $name:literal) => {
-        fn $fn_name() -> &'static qsyn_trace::metrics::Histogram {
-            static CELL: std::sync::OnceLock<std::sync::Arc<qsyn_trace::metrics::Histogram>> =
-                std::sync::OnceLock::new();
-            CELL.get_or_init(|| qsyn_trace::metrics::global().histogram($name))
-        }
-    };
+// (workers × window)).
+qsyn_trace::metric_handles! {
+    fn m_pool_workers() -> Gauge = "pool.workers";
+    fn m_pool_busy() -> Gauge = "pool.busy_workers";
+    fn m_pool_submitted() -> Counter = "pool.jobs_submitted";
+    fn m_pool_completed() -> Counter = "pool.jobs_completed";
+    fn m_pool_job_run() -> Histogram = "pool.job_run_us";
 }
-
-pool_metric!(m_pool_workers, gauge, "pool.workers");
-pool_metric!(m_pool_busy, gauge, "pool.busy_workers");
-pool_metric!(m_pool_submitted, counter, "pool.jobs_submitted");
-pool_metric!(m_pool_completed, counter, "pool.jobs_completed");
-pool_metric!(m_pool_job_run, histogram, "pool.job_run_us");
 
 impl WorkerPool {
     /// A pool of `workers` threads (clamped to at least 1).

@@ -735,36 +735,18 @@ impl ServeResponse {
 // Execution.
 // ---------------------------------------------------------------------------
 
-// Per-request live metrics: registered once in the process-wide registry
-// (`qsyn_trace::metrics::global`), with the `Arc` handle cached behind a
-// `OnceLock` so the hot path is a couple of relaxed atomic adds.
-macro_rules! serve_metric {
-    ($fn_name:ident, $kind:ident, $name:literal) => {
-        fn $fn_name() -> &'static qsyn_trace::metrics::$kind {
-            static CELL: std::sync::OnceLock<Arc<qsyn_trace::metrics::$kind>> =
-                std::sync::OnceLock::new();
-            CELL.get_or_init(|| {
-                let reg = qsyn_trace::metrics::global();
-                serve_metric!(@get reg, $kind, $name)
-            })
-        }
-    };
-    (@get $reg:ident, Counter, $name:literal) => {
-        $reg.counter($name)
-    };
-    (@get $reg:ident, Histogram, $name:literal) => {
-        $reg.histogram($name)
-    };
+// Per-request live metrics in the process-wide registry
+// (`qsyn_trace::metrics::global`).
+qsyn_trace::metric_handles! {
+    fn m_queue_wait() -> Histogram = "serve.queue_wait_us";
+    fn m_gate_wait() -> Histogram = "serve.gate_wait_us";
+    fn m_compile() -> Histogram = "serve.compile_us";
+    fn m_latency() -> Histogram = "serve.latency_us";
+    fn m_deadline_expired() -> Counter = "serve.deadline_expired";
+    fn m_panics() -> Counter = "serve.panics";
+    fn m_retries() -> Counter = "serve.retries";
+    fn m_cache_hits() -> Counter = "serve.cache_hits";
 }
-
-serve_metric!(m_queue_wait, Histogram, "serve.queue_wait_us");
-serve_metric!(m_gate_wait, Histogram, "serve.gate_wait_us");
-serve_metric!(m_compile, Histogram, "serve.compile_us");
-serve_metric!(m_latency, Histogram, "serve.latency_us");
-serve_metric!(m_deadline_expired, Counter, "serve.deadline_expired");
-serve_metric!(m_panics, Counter, "serve.panics");
-serve_metric!(m_retries, Counter, "serve.retries");
-serve_metric!(m_cache_hits, Counter, "serve.cache_hits");
 
 /// Runs one parsed request to a response. Never panics: the compile runs
 /// under `catch_unwind`, and every failure mode (deadline in queue,

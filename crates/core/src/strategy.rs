@@ -11,8 +11,8 @@
 //! every circuit through it:
 //!
 //! * [`RoutingStrategy`] — the trait: one [`RouteRequest`] in (circuit,
-//!   device, objective, SWAP cap, shared routing table, trace sink), one
-//!   [`RouteOutcome`] out (routed circuit plus SWAP/depth counters);
+//!   device, objective, SWAP cap, shared routing table or oracle), one
+//!   [`RouteOutcome`] out (routed circuit plus SWAP counters);
 //! * [`CtrStrategy`] — the paper's router re-homed behind the trait,
 //!   byte-identical to the per-gate search;
 //! * [`LookaheadStrategy`] — a bidirectional SABRE-style search
@@ -37,14 +37,13 @@ use crate::route::{
 use qsyn_arch::{Device, RouteHint, TwoQubitNative};
 use qsyn_circuit::Circuit;
 use qsyn_gate::Gate;
-use qsyn_trace::TraceSink;
 use std::sync::Arc;
 
 /// Everything a [`RoutingStrategy`] needs to legalize one circuit.
 ///
 /// Built with [`RouteRequest::new`] plus the `with_*` setters; the
 /// defaults are the paper's (fewest-SWAPs objective, no cap, no shared
-/// table, no trace).
+/// table).
 pub struct RouteRequest<'a> {
     /// The technology-ready circuit to legalize (CNOT/CZ + one-qubit
     /// gates; run decomposition first).
@@ -68,16 +67,11 @@ pub struct RouteRequest<'a> {
     /// exactly one, per the [`routing_lookup`](crate::routing_lookup)
     /// size threshold).
     pub oracle: Option<Arc<DistanceOracle>>,
-    /// An optional sink for fine-grained strategy events. The compiler
-    /// emits the per-pass route event itself; strategies may additionally
-    /// stream their own diagnostics here (the built-in strategies
-    /// currently do not).
-    pub trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl<'a> RouteRequest<'a> {
     /// A request with the paper's defaults: fewest SWAPs, no cap, no
-    /// shared table, no trace sink.
+    /// shared table.
     pub fn new(circuit: &'a Circuit, device: &'a Device) -> Self {
         RouteRequest {
             circuit,
@@ -86,7 +80,6 @@ impl<'a> RouteRequest<'a> {
             max_swaps: None,
             table: None,
             oracle: None,
-            trace: None,
         }
     }
 
@@ -114,12 +107,6 @@ impl<'a> RouteRequest<'a> {
         self.oracle = Some(oracle);
         self
     }
-
-    /// Streams strategy diagnostics to a sink.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
 }
 
 /// What a [`RoutingStrategy`] produced: the legalized circuit plus the
@@ -135,22 +122,15 @@ pub struct RouteOutcome {
     /// Adjacent SWAPs of a final restoration network (zero for strategies
     /// that restore per gate, like CTR).
     pub restoration_swaps: usize,
-    /// Depth of the routed circuit.
-    pub depth: usize,
-    /// Strategy-specific extra counters, merged into the route pass event
-    /// (none of the built-in strategies report any).
-    pub extra: Vec<(String, f64)>,
 }
 
 impl RouteOutcome {
     fn of(circuit: Circuit, swaps: usize, rerouted: usize, restoration: usize) -> Self {
         RouteOutcome {
-            depth: qsyn_circuit::depth(&circuit),
             circuit,
             swaps_inserted: swaps,
             gates_rerouted: rerouted,
             restoration_swaps: restoration,
-            extra: Vec::new(),
         }
     }
 
@@ -759,7 +739,6 @@ mod tests {
         let via_free = route_circuit(&c, &d).unwrap();
         assert_eq!(via_trait.circuit.gates(), via_free.gates());
         assert_eq!(via_trait.restoration_swaps, 0);
-        assert!(via_trait.depth > 0);
         // And the table path is identical to the uncached one.
         let (table, _) = crate::cache::routing_table(&d, RoutingObjective::FewestSwaps);
         let via_table = CtrStrategy

@@ -1,10 +1,9 @@
 //! The structured event model: passes, per-pass snapshots and events, the
-//! [`Span`] timing helper, and the aggregate [`CompileMetrics`].
+//! [`Span`] event builder, and the aggregate [`CompileMetrics`].
 
 use crate::json::{self, Value};
 use qsyn_circuit::{depth, t_depth, Circuit, CircuitStats};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One stage of the compiler's Fig. 2 back-end pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,11 +71,13 @@ pub const ROUTE_STRATEGY_NAMES: [&str; 4] = ["ctr", "lookahead", "lazy-synth", "
 /// The routing-strategy name behind a route event's `strategy` counter
 /// value, or `None` when the value is not an exact known tag.
 pub fn route_strategy_name(tag: f64) -> Option<&'static str> {
-    ROUTE_STRATEGY_NAMES
-        .iter()
-        .enumerate()
-        .find(|&(i, _)| tag == i as f64)
-        .map(|(_, name)| *name)
+    route_strategy_index(tag).map(|i| ROUTE_STRATEGY_NAMES[i])
+}
+
+/// The index into [`ROUTE_STRATEGY_NAMES`] a `strategy` counter value
+/// names, or `None` when the value is not an exact known tag.
+pub(crate) fn route_strategy_index(tag: f64) -> Option<usize> {
+    (0..ROUTE_STRATEGY_NAMES.len()).find(|&i| tag == i as f64)
 }
 
 /// Inverse of [`route_strategy_name`]: the numeric tag a strategy name is
@@ -236,21 +237,23 @@ impl PassEvent {
     }
 }
 
-/// An in-flight pass measurement: start it before the pass runs, attach
-/// counters as they become known, finish it into a [`PassEvent`].
+/// A pass event under construction: attach counters as they become
+/// known, then finish it with the seconds the caller measured for exactly
+/// the pass's own work.
+///
+/// A span keeps no clock: the caller times the work it names, so the
+/// event never includes time spent building the event itself.
 #[derive(Debug)]
 pub struct Span {
     pass: Pass,
-    started: Instant,
     counters: Vec<(String, f64)>,
 }
 
 impl Span {
-    /// Starts timing a pass.
-    pub fn begin(pass: Pass) -> Self {
+    /// Starts collecting counters for a pass.
+    pub fn new(pass: Pass) -> Self {
         Span {
             pass,
-            started: Instant::now(),
             counters: Vec::new(),
         }
     }
@@ -261,9 +264,11 @@ impl Span {
         self
     }
 
-    /// Stops the clock and produces the event.
+    /// Produces the event, taking the pass's measured wall-clock
+    /// `seconds`.
     pub fn finish(
         self,
+        seconds: f64,
         input: StageSnapshot,
         output: StageSnapshot,
         cost_in: f64,
@@ -272,7 +277,7 @@ impl Span {
         PassEvent {
             pass: self.pass,
             job: None,
-            seconds: self.started.elapsed().as_secs_f64(),
+            seconds,
             input,
             output,
             cost_in,
@@ -580,9 +585,9 @@ mod tests {
         c.push(Gate::t(0));
         c.push(Gate::cx(0, 1));
         let snap = StageSnapshot::of(&c);
-        let mut span = Span::begin(Pass::Route);
+        let mut span = Span::new(Pass::Route);
         span.counter("swaps_inserted", 4.0);
-        span.finish(snap, snap, 2.75, 3.5)
+        span.finish(0.0, snap, snap, 2.75, 3.5)
     }
 
     #[test]

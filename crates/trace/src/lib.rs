@@ -5,10 +5,14 @@
 //! local optimization, QMDD verification. This crate gives each pass a
 //! structured footprint instead of an opaque report string:
 //!
-//! * [`Span`] times a pass and collects backend counters (SWAPs inserted,
-//!   optimizer rounds, QMDD unique-table size, compute-cache hit rate);
+//! * [`Span`] collects a pass's backend counters (SWAPs inserted,
+//!   optimizer rounds, QMDD unique-table size, compute-cache hit rate)
+//!   and finishes with the seconds the caller measured for the pass;
 //! * [`PassEvent`] is the finished record: input/output [`StageSnapshot`]s
 //!   plus the cost movement under the compiler's Eqn. 2 cost model;
+//! * [`metrics`] holds the process-wide live registry, the one mapping
+//!   from pass events to metrics ([`metrics::MetricsRegistry::record_pass`])
+//!   and the [`metric_handles!`] macro that declares cached handles;
 //! * [`CompileMetrics`] aggregates one compilation's events and renders
 //!   the stage table that the CLI's `--report` flag shows;
 //! * [`TraceSink`] is the streaming destination — [`NullSink`] discards
@@ -26,9 +30,10 @@
 //! use qsyn_trace::{Pass, Span, StageSnapshot, TableSink, TraceSink};
 //!
 //! let sink = TableSink::new();
-//! let span = Span::begin(Pass::Route);
-//! // ... run the pass ...
-//! let event = span.finish(StageSnapshot::default(), StageSnapshot::default(), 4.0, 5.5);
+//! let mut span = Span::new(Pass::Route);
+//! // ... run and time the pass ...
+//! span.counter("swaps_inserted", 2.0);
+//! let event = span.finish(0.004, StageSnapshot::default(), StageSnapshot::default(), 4.0, 5.5);
 //! sink.record(&event);
 //! assert!(sink.render().contains("| route |"));
 //! ```

@@ -11,8 +11,14 @@
 //! * **Zero-allocation hot path.** Recording into a [`Counter`],
 //!   [`Gauge`], or [`Histogram`] is a handful of relaxed atomic adds on
 //!   pre-registered handles. Registration (the only allocating step)
-//!   happens once per metric name and is amortized behind `OnceLock`s at
-//!   the call sites.
+//!   happens once per metric name and is amortized behind `OnceLock`s:
+//!   call sites declare their handles with [`crate::metric_handles!`], and the
+//!   pass histograms are cached inside the registry itself.
+//! * **One event→metric mapping.** [`MetricsRegistry::record_pass`] is
+//!   the only code that turns a [`PassEvent`] into metrics. The compiler
+//!   feeds it every event it builds and `qsyn report` feeds it every
+//!   event of a replayed trace, so live metrics and trace replays cannot
+//!   disagree.
 //! * **Deterministic, mergeable snapshots.** Histogram bucket bounds are
 //!   a fixed log-linear base-2 grid ([`bucket_index`] / [`bucket_bounds`]),
 //!   so two snapshots taken on different machines — or the same machine at
@@ -30,9 +36,11 @@
 //! `{"cmd":"metrics"}` protocol row, `qsyn report` — snapshot it on
 //! demand.
 
+use crate::event::route_strategy_index;
 use crate::json::Value;
+use crate::{Pass, PassEvent, ROUTE_STRATEGY_NAMES};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Schema tag stamped into every JSON snapshot.
@@ -365,7 +373,14 @@ pub struct MetricsRegistry {
     counters: Mutex<Vec<(String, Arc<Counter>)>>,
     gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
     histograms: Mutex<Vec<(String, Arc<Histogram>)>>,
+    /// `pass.<name>_us` handles, in [`Pass::FIG2_ORDER`].
+    pass_us: [OnceLock<Arc<Histogram>>; PASSES],
+    /// `route.<strategy>_us` handles, in [`ROUTE_STRATEGY_NAMES`] order.
+    route_us: [OnceLock<Arc<Histogram>>; STRATEGIES],
 }
+
+const PASSES: usize = Pass::FIG2_ORDER.len();
+const STRATEGIES: usize = ROUTE_STRATEGY_NAMES.len();
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
@@ -380,6 +395,8 @@ impl MetricsRegistry {
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             histograms: Mutex::new(Vec::new()),
+            pass_us: [const { OnceLock::new() }; PASSES],
+            route_us: [const { OnceLock::new() }; STRATEGIES],
         }
     }
 
@@ -406,6 +423,36 @@ impl MetricsRegistry {
     /// The histogram registered under `name` (registering it on first use).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         Self::get_or_insert(&self.histograms, name)
+    }
+
+    /// Records one pass event: its seconds go into `pass.<name>_us`, and
+    /// a route event's also into `route.<strategy>_us` when it carries a
+    /// known `strategy` tag. Compile-cache replays (`cache_hit = 1`) did
+    /// no work and are skipped.
+    ///
+    /// This is the only place pass events become metrics: the compiler
+    /// calls it on [`global`] for every event it builds, traced or not,
+    /// and `qsyn report` calls it on a fresh registry for every event of a
+    /// trace file.
+    pub fn record_pass(&self, e: &PassEvent) {
+        if e.counter("cache_hit") == Some(1.0) {
+            return;
+        }
+        let i = Pass::FIG2_ORDER
+            .iter()
+            .position(|p| *p == e.pass)
+            .expect("FIG2_ORDER lists every pass");
+        self.pass_us[i]
+            .get_or_init(|| self.histogram(&format!("pass.{}_us", e.pass.name())))
+            .record_seconds(e.seconds);
+        if e.pass != Pass::Route {
+            return;
+        }
+        if let Some(i) = e.counter("strategy").and_then(route_strategy_index) {
+            self.route_us[i]
+                .get_or_init(|| self.histogram(&format!("route.{}_us", ROUTE_STRATEGY_NAMES[i])))
+                .record_seconds(e.seconds);
+        }
     }
 
     /// A deterministic point-in-time snapshot: every registered metric,
@@ -438,6 +485,50 @@ impl MetricsRegistry {
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: MetricsRegistry = MetricsRegistry::new();
     &GLOBAL
+}
+
+/// Declares cached accessors for metrics in the [`global`] registry.
+///
+/// Each `fn name() -> Kind = "metric.name";` item expands to a function
+/// returning `&'static Kind`, where `Kind` is [`Counter`], [`Gauge`] or
+/// [`Histogram`]. The first call registers the metric and caches the
+/// handle in a `OnceLock`, so every later bump is a few relaxed atomic
+/// ops. This is the one way code outside this crate holds a metric
+/// handle.
+///
+/// ```
+/// qsyn_trace::metric_handles! {
+///     fn m_requests() -> Counter = "doc.requests";
+///     pub(crate) fn m_latency() -> Histogram = "doc.latency_us";
+/// }
+///
+/// m_requests().inc();
+/// m_latency().record(42);
+/// let snap = qsyn_trace::metrics::global().snapshot();
+/// assert_eq!(snap.counter("doc.requests"), Some(1));
+/// assert_eq!(snap.histogram("doc.latency_us").unwrap().count, 1);
+/// ```
+#[macro_export]
+macro_rules! metric_handles {
+    (@register Counter, $metric:literal) => {
+        $crate::metrics::global().counter($metric)
+    };
+    (@register Gauge, $metric:literal) => {
+        $crate::metrics::global().gauge($metric)
+    };
+    (@register Histogram, $metric:literal) => {
+        $crate::metrics::global().histogram($metric)
+    };
+    ($($(#[$attr:meta])* $vis:vis fn $name:ident() -> $kind:ident = $metric:literal;)*) => {
+        $(
+            $(#[$attr])*
+            $vis fn $name() -> &'static $crate::metrics::$kind {
+                static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::$kind>> =
+                    ::std::sync::OnceLock::new();
+                CELL.get_or_init(|| $crate::metric_handles!(@register $kind, $metric))
+            }
+        )*
+    };
 }
 
 /// A frozen view of a registry: all metrics, sorted by name.
@@ -804,6 +895,36 @@ mod tests {
         assert!(page.contains("qsyn_pass_route_us_bucket{le=\"+Inf\"} 2"), "{page}");
         assert!(page.contains("qsyn_pass_route_us_count 2"), "{page}");
         assert!(page.contains("qsyn_pass_route_us_sum 30"), "{page}");
+    }
+
+    #[test]
+    fn record_pass_maps_events_and_skips_replays() {
+        use crate::{route_strategy_tag, Span, StageSnapshot};
+        let event = |pass, counters: &[(&str, f64)]| {
+            let mut span = Span::new(pass);
+            for &(k, v) in counters {
+                span.counter(k, v);
+            }
+            let snap = StageSnapshot::default();
+            span.finish(0.002, snap, snap, 0.0, 0.0)
+        };
+        let lookahead = route_strategy_tag("lookahead").unwrap();
+        let reg = MetricsRegistry::new();
+        reg.record_pass(&event(Pass::Place, &[]));
+        reg.record_pass(&event(Pass::Route, &[("strategy", lookahead)]));
+        reg.record_pass(&event(Pass::Route, &[("strategy", 99.0)]));
+        // A compile-cache replay did no work: no sample anywhere.
+        let replay = [("strategy", lookahead), ("cache_hit", 1.0)];
+        reg.record_pass(&event(Pass::Route, &replay));
+        let snap = reg.snapshot();
+        assert_eq!(snap.histogram("pass.place_us").unwrap().count, 1);
+        assert_eq!(snap.histogram("pass.route_us").unwrap().count, 2);
+        let per_strategy = snap.histogram("route.lookahead_us").unwrap();
+        assert_eq!((per_strategy.count, per_strategy.sum), (1, 2000));
+        // Unknown tags add no per-strategy histogram; unseen passes none.
+        let names: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        let expected = ["pass.place_us", "pass.route_us", "route.lookahead_us"];
+        assert_eq!(names, expected);
     }
 
     #[test]

@@ -144,7 +144,8 @@ mod tests {
     use std::sync::Arc;
 
     fn event(pass: Pass) -> PassEvent {
-        Span::begin(pass).finish(
+        Span::new(pass).finish(
+            0.0,
             StageSnapshot::default(),
             StageSnapshot::default(),
             2.0,

@@ -45,35 +45,11 @@ pub const VERIFY_SECONDS_TOTAL: &str = "verify_seconds_total";
 /// inline verification, 0 when verification was disabled.
 pub const VERIFY_JOBS: &str = "verify_jobs";
 
-/// The streaming counters recovered from a validated route event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingCounters {
-    /// Gate windows processed.
-    pub windows: f64,
-    /// Windows that passed the windowed-miter check.
-    pub verified_windows: f64,
-    /// Windows left unverified by budget exhaustion.
-    pub unverified_windows: f64,
-    /// Largest per-window SWAP count.
-    pub max_window_swaps: f64,
-    /// Oracle memo hits (0 when the dense table served the stream).
-    pub oracle_hits: f64,
-    /// Oracle memo misses (0 when the dense table served the stream).
-    pub oracle_misses: f64,
-    /// Widest per-window miter support (0 on traces predating support
-    /// restriction or with verification off).
-    pub max_window_support: f64,
-    /// Total verify CPU seconds across workers.
-    pub verify_seconds_total: f64,
-    /// Verify workers used (0 = verification off).
-    pub verify_jobs: f64,
-}
-
 /// Validates the streaming counters of a route event.
 ///
 /// Returns `Ok(None)` when the event is not a streaming route event (not
-/// [`Pass::Route`], or no [`STREAMING`] marker), and `Ok(Some(_))` with
-/// the recovered counters when the event is internally consistent:
+/// [`Pass::Route`], or no [`STREAMING`] marker), and `Ok(Some(windows))`
+/// with the [`WINDOWS`] count when the event is internally consistent:
 ///
 /// * the [`STREAMING`] marker is boolean;
 /// * [`WINDOWS`] is present and >= 1;
@@ -90,9 +66,7 @@ pub struct StreamingCounters {
 /// # Errors
 ///
 /// A human-readable description of the first violated invariant.
-pub fn validate_streaming_route_event(
-    e: &PassEvent,
-) -> Result<Option<StreamingCounters>, String> {
+pub fn validate_streaming_route_event(e: &PassEvent) -> Result<Option<f64>, String> {
     if e.pass != Pass::Route {
         return Ok(None);
     }
@@ -138,23 +112,14 @@ pub fn validate_streaming_route_event(
             }
         }
     }
-    let verify_jobs = e.counter(VERIFY_JOBS).unwrap_or(0.0);
-    if verified + unverified > 0.0 && e.counter(VERIFY_JOBS).is_some() && verify_jobs < 1.0 {
-        return Err(format!(
-            "stream verified {verified} window(s) but reports `{VERIFY_JOBS}` = {verify_jobs}"
-        ));
+    if let Some(verify_jobs) = e.counter(VERIFY_JOBS) {
+        if verified + unverified > 0.0 && verify_jobs < 1.0 {
+            return Err(format!(
+                "stream verified {verified} window(s) but reports `{VERIFY_JOBS}` = {verify_jobs}"
+            ));
+        }
     }
-    Ok(Some(StreamingCounters {
-        windows,
-        verified_windows: verified,
-        unverified_windows: unverified,
-        max_window_swaps,
-        oracle_hits: e.counter(ORACLE_HITS).unwrap_or(0.0),
-        oracle_misses: e.counter(ORACLE_MISSES).unwrap_or(0.0),
-        max_window_support: e.counter(MAX_WINDOW_SUPPORT).unwrap_or(0.0),
-        verify_seconds_total: e.counter(VERIFY_SECONDS_TOTAL).unwrap_or(0.0),
-        verify_jobs,
-    }))
+    Ok(Some(windows))
 }
 
 #[cfg(test)]
@@ -163,11 +128,12 @@ mod tests {
     use crate::{Span, StageSnapshot};
 
     fn event(counters: &[(&str, f64)]) -> PassEvent {
-        let mut span = Span::begin(Pass::Route);
+        let mut span = Span::new(Pass::Route);
         for &(k, v) in counters {
             span.counter(k, v);
         }
-        span.finish(StageSnapshot::default(), StageSnapshot::default(), 0.0, 0.0)
+        let snap = StageSnapshot::default();
+        span.finish(0.0, snap, snap, 0.0, 0.0)
     }
 
     #[test]
@@ -177,15 +143,15 @@ mod tests {
             validate_streaming_route_event(&event(&[(STREAMING, 0.0)])),
             Ok(None)
         );
-        let mut verify = Span::begin(Pass::Verify);
+        let mut verify = Span::new(Pass::Verify);
         verify.counter(STREAMING, 1.0);
-        let verify =
-            verify.finish(StageSnapshot::default(), StageSnapshot::default(), 0.0, 0.0);
+        let snap = StageSnapshot::default();
+        let verify = verify.finish(0.0, snap, snap, 0.0, 0.0);
         assert_eq!(validate_streaming_route_event(&verify), Ok(None));
     }
 
     #[test]
-    fn consistent_streaming_event_is_recovered() {
+    fn consistent_streaming_event_yields_its_window_count() {
         let e = event(&[
             (STREAMING, 1.0),
             (WINDOWS, 4.0),
@@ -199,13 +165,7 @@ mod tests {
             (VERIFY_SECONDS_TOTAL, 0.25),
             (VERIFY_JOBS, 4.0),
         ]);
-        let c = validate_streaming_route_event(&e).unwrap().unwrap();
-        assert_eq!(c.windows, 4.0);
-        assert_eq!(c.verified_windows, 3.0);
-        assert_eq!(c.oracle_misses, 12.0);
-        assert_eq!(c.max_window_support, 9.0);
-        assert_eq!(c.verify_seconds_total, 0.25);
-        assert_eq!(c.verify_jobs, 4.0);
+        assert_eq!(validate_streaming_route_event(&e), Ok(Some(4.0)));
     }
 
     #[test]

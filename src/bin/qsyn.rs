@@ -1040,9 +1040,9 @@ fn cmd_check_trace(args: &[String]) -> ExitCode {
     for (k, e) in events.iter().enumerate() {
         match qsyn::trace::streaming::validate_streaming_route_event(e) {
             Ok(None) => {}
-            Ok(Some(c)) => {
+            Ok(Some(windows)) => {
                 stream_events += 1;
-                stream_windows += c.windows;
+                stream_windows += windows;
             }
             Err(msg) => {
                 eprintln!("error: {input}: event {}: {msg}", k + 1);

@@ -17,8 +17,10 @@
 //! a drained daemon snapshot (`requests == ok + error` rows) has an
 //! empty queue.
 
-use qsyn_trace::metrics::{bucket_bounds, HistogramSnapshot, MetricsSnapshot, BUCKETS, SCHEMA};
-use qsyn_trace::{json, Pass, PassEvent};
+use qsyn_trace::metrics::{
+    bucket_bounds, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, BUCKETS, SCHEMA,
+};
+use qsyn_trace::{json, PassEvent};
 
 /// How a report input file was interpreted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,8 +35,10 @@ pub enum ReportSource {
 /// row, or a trace JSONL stream (in that sniffing order).
 ///
 /// Trace streams are converted to a snapshot by replaying every event
-/// into fresh histograms (`pass.<name>_us`, `route.<strategy>_us`) and
-/// counting events into `trace.events` / `trace.cache_hit_events`.
+/// through [`MetricsRegistry::record_pass`] — the same mapping live
+/// metrics use, so compile-cache replays add no `pass.<name>_us` or
+/// `route.<strategy>_us` sample — and counting events into
+/// `trace.events` / `trace.cache_hit_events`.
 pub fn load(text: &str) -> Result<(MetricsSnapshot, ReportSource), String> {
     if let Ok(v) = json::parse(text.trim()) {
         if v.get("schema").is_some() {
@@ -72,7 +76,7 @@ pub fn load(text: &str) -> Result<(MetricsSnapshot, ReportSource), String> {
 /// Replays trace events into a registry-shaped snapshot so the snapshot
 /// renderer below serves both input kinds.
 fn snapshot_from_events(events: &[PassEvent]) -> MetricsSnapshot {
-    let reg = qsyn_trace::metrics::MetricsRegistry::new();
+    let reg = MetricsRegistry::new();
     let total = reg.counter("trace.events");
     let cache_hits = reg.counter("trace.cache_hit_events");
     for e in events {
@@ -80,16 +84,7 @@ fn snapshot_from_events(events: &[PassEvent]) -> MetricsSnapshot {
         if e.counter("cache_hit") == Some(1.0) {
             cache_hits.inc();
         }
-        if Pass::FIG2_ORDER.contains(&e.pass) {
-            reg.histogram(&format!("pass.{}_us", e.pass.name()))
-                .record_seconds(e.seconds);
-        }
-        if e.pass == Pass::Route {
-            if let Some(name) = e.counter("strategy").and_then(qsyn_trace::route_strategy_name) {
-                reg.histogram(&format!("route.{name}_us"))
-                    .record_seconds(e.seconds);
-            }
-        }
+        reg.record_pass(e);
     }
     reg.snapshot()
 }
@@ -299,7 +294,7 @@ pub const METRICS_SCHEMA: &str = SCHEMA;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsyn_trace::metrics::MetricsRegistry;
+    use qsyn_trace::Pass;
 
     fn sample_registry() -> MetricsRegistry {
         let reg = MetricsRegistry::new();

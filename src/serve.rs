@@ -124,29 +124,16 @@ pub struct ServeSummary {
 }
 
 // Session-level metrics handles (the per-request histograms live in
-// `qsyn_core::serve`); cached so the per-line cost is one atomic add.
-macro_rules! session_metric {
-    ($fn_name:ident, counter, $name:literal) => {
-        fn $fn_name() -> &'static metrics::Counter {
-            static CELL: std::sync::OnceLock<Arc<metrics::Counter>> = std::sync::OnceLock::new();
-            CELL.get_or_init(|| metrics::global().counter($name))
-        }
-    };
-    ($fn_name:ident, gauge, $name:literal) => {
-        fn $fn_name() -> &'static metrics::Gauge {
-            static CELL: std::sync::OnceLock<Arc<metrics::Gauge>> = std::sync::OnceLock::new();
-            CELL.get_or_init(|| metrics::global().gauge($name))
-        }
-    };
+// `qsyn_core::serve`).
+qsyn_trace::metric_handles! {
+    fn m_requests() -> Counter = "serve.requests";
+    fn m_responses_ok() -> Counter = "serve.responses_ok";
+    fn m_responses_error() -> Counter = "serve.responses_error";
+    fn m_overloaded() -> Counter = "serve.overloaded";
+    fn m_shed() -> Counter = "serve.shed";
+    fn m_metrics_polls() -> Counter = "serve.metrics_polls";
+    fn m_queue_depth() -> Gauge = "serve.queue_depth";
 }
-
-session_metric!(m_requests, counter, "serve.requests");
-session_metric!(m_responses_ok, counter, "serve.responses_ok");
-session_metric!(m_responses_error, counter, "serve.responses_error");
-session_metric!(m_overloaded, counter, "serve.overloaded");
-session_metric!(m_shed, counter, "serve.shed");
-session_metric!(m_metrics_polls, counter, "serve.metrics_polls");
-session_metric!(m_queue_depth, gauge, "serve.queue_depth");
 
 /// Renders the `status: metrics` response row for a `{"cmd":"metrics"}`
 /// poll: the full registry snapshot inline, correlated like any other

@@ -557,6 +557,34 @@ fn report_renders_tables_from_snapshot_and_trace_files() {
         "source kind announced on stderr"
     );
 
+    // A cached replay did no work, so the report agrees with live metrics:
+    // two in-process runs under --cache mem leave one route sample, while
+    // the five replayed events still count as cache-hit events.
+    let cached = tmp("rep1.cached.trace.jsonl", "");
+    let out = qsyn(&[
+        "compile",
+        input.to_str().unwrap(),
+        "--device",
+        "ibmqx4",
+        "--cache",
+        "mem",
+        "--repeat",
+        "2",
+        &format!("--trace={}", cached.to_str().unwrap()),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report = qsyn(&["report", cached.to_str().unwrap()]);
+    assert!(report.status.success());
+    let text = String::from_utf8_lossy(&report.stdout);
+    let value_of = |name: &str| -> Option<u64> {
+        text.lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&name))
+            .and_then(|cols| cols.get(1)?.parse().ok())
+    };
+    assert_eq!(value_of("pass.route_us"), Some(1), "replay counted:\n{text}");
+    assert_eq!(value_of("trace.cache_hit_events"), Some(5), "{text}");
+
     // Snapshot source: a hand-built snapshot renders counters and hit
     // rates; --prometheus switches to the exposition format.
     let snap = tmp(
