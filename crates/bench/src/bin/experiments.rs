@@ -12,35 +12,27 @@
 //! Pass `--jobs N` to fan the (circuit, device) jobs across N worker
 //! threads (default: all CPUs); results are identical for every N.
 
-use qsyn_bench::par::jobs_from_args;
 use qsyn_bench::report::*;
-use qsyn_trace::{JsonlSink, TraceSink};
+use qsyn_core::Args;
+use qsyn_trace::JsonlSink;
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let verify = !args.iter().any(|a| a == "--no-verify");
-    let Some(jobs) = jobs_from_args(&args) else {
-        eprintln!("error: --jobs requires a positive integer");
-        std::process::exit(2);
-    };
-    let trace: Option<Arc<dyn TraceSink>> = match args.iter().position(|a| a == "--trace") {
-        None => None,
-        Some(i) => {
-            let Some(path) = args.get(i + 1) else {
-                eprintln!("error: flag --trace requires a value");
-                std::process::exit(2);
-            };
-            match JsonlSink::to_file(path) {
-                Ok(sink) => Some(Arc::new(sink)),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    std::process::exit(2);
-                }
-            }
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = Args::parse(&raw, &["no-verify"], &["jobs", "trace"]).and_then(|args| {
+        let mut cfg = SweepConfig::from_parsed(&args)?;
+        if let Some(path) = args.value("trace") {
+            let sink = JsonlSink::to_file(path).map_err(|e| format!("{path}: {e}"))?;
+            cfg.trace = Some(Arc::new(sink));
         }
-    };
+        Ok(cfg)
+    });
+    let cfg = parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let (verify, jobs) = (cfg.options.verify, cfg.jobs);
     let t0 = Instant::now();
 
     println!("# qsyn experiment report\n");
@@ -55,7 +47,7 @@ fn main() {
 
     println!("\n## Table 3 — single-target gates mapped to IBM devices\n");
     let t3 = Instant::now();
-    let rows3 = run_table3_jobs(verify, trace.clone(), jobs);
+    let rows3 = run_table3(&cfg);
     print!("{}", render_table3(&rows3));
     println!("\n## Table 4 — percent cost decrease (single-target gates)\n");
     print!("{}", render_table4(&rows3));
@@ -63,7 +55,7 @@ fn main() {
 
     println!("\n## Table 5 — RevLib Toffoli cascades mapped to IBM devices\n");
     let t5 = Instant::now();
-    let rows5 = run_table5_jobs(verify, trace.clone(), jobs);
+    let rows5 = run_table5(&cfg);
     print!("{}", render_table5(&rows5));
     println!("\n## Table 6 — percent cost decrease (RevLib cascades)\n");
     print!("{}", render_table6(&rows5));
@@ -74,7 +66,7 @@ fn main() {
 
     println!("\n## Table 8 — 96-qubit compilation results\n");
     let t8 = Instant::now();
-    let rows8 = run_table8_jobs(verify, trace.clone(), jobs);
+    let rows8 = run_table8(&cfg);
     print!("{}", render_table8(&rows8));
     let t8 = t8.elapsed().as_secs_f64();
 
@@ -85,7 +77,7 @@ fn main() {
     println!("| Tables 5+6 (5 cascades x 5 devices) | {t5:.2} |");
     println!("| Table 8 (5 cascades on qc96) | {t8:.2} |");
     println!("| Total | {:.2} |", t0.elapsed().as_secs_f64());
-    if let Some(sink) = trace {
+    if let Some(sink) = &cfg.trace {
         sink.flush();
     }
 }

@@ -12,9 +12,9 @@
 //! because each job is an independent seeded compilation.
 
 use qsyn_arch::{devices, TransmonCost};
-use qsyn_bench::par::{jobs_from_args, par_map};
+use qsyn_bench::par::{jobs_arg, par_map};
 use qsyn_bench::random::random_classical;
-use qsyn_core::{CompileError, Compiler};
+use qsyn_core::{Args, CompileError, Compiler};
 
 enum Outcome {
     Compiled { expansion: f64, improved: bool },
@@ -22,24 +22,21 @@ enum Outcome {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(jobs) = jobs_from_args(&args) else {
-        eprintln!("error: --jobs requires a positive integer");
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = Args::parse(&raw, &[], &["jobs"]).and_then(|args| {
+        let count = match args.positional.as_slice() {
+            [] => 25,
+            [n] => n
+                .parse::<u64>()
+                .map_err(|_| format!("bad count `{n}` (want circuits per device)"))?,
+            [_, extra, ..] => return Err(format!("unexpected argument `{extra}`")),
+        };
+        Ok((count, jobs_arg(&args)?))
+    });
+    let (count, jobs) = parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    };
-    // First positional arg (skipping --jobs and its value) is the count.
-    let mut positional = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-        } else if a == "--jobs" {
-            skip_next = true;
-        } else if !a.starts_with("--") {
-            positional.push(a.clone());
-        }
-    }
-    let count: u64 = positional.first().and_then(|a| a.parse().ok()).unwrap_or(25);
+    });
     let cost = TransmonCost::default();
 
     let cases: Vec<(qsyn_arch::Device, u64)> = devices::ibm_devices()

@@ -11,50 +11,28 @@
 //! regardless of which job finished first.
 
 use qsyn_arch::{devices, CostModel, TransmonCost};
-use qsyn_bench::par::{jobs_from_args, par_map};
+use qsyn_bench::par::{jobs_arg, par_map};
 use qsyn_circuit::Circuit;
-use qsyn_core::{CompileError, Compiler};
+use qsyn_core::{load_circuit, Args, CompileError, Compiler};
 use std::path::Path;
 
+/// Loads one circuit file, named after its file stem.
 fn load(path: &Path) -> Result<Circuit, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
     let name = path
         .file_stem()
         .and_then(|s| s.to_str())
-        .unwrap_or("circuit")
-        .to_string();
-    let c = match ext {
-        "real" => Circuit::from_real(&src).map_err(|e| e.to_string())?,
-        "qc" => Circuit::from_qc(&src).map_err(|e| e.to_string())?,
-        "pla" => qsyn_esop::parse_pla(&src)?.synthesize(),
-        "qasm" => Circuit::from_qasm(&src).map_err(|e| e.to_string())?,
-        other => return Err(format!("unsupported extension `{other}`")),
-    };
-    Ok(c.with_name(name))
+        .unwrap_or("circuit");
+    Ok(load_circuit(path)?.with_name(name))
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(jobs) = jobs_from_args(&raw) else {
-        eprintln!("error: --jobs requires a positive integer");
+    let parsed = Args::parse(&raw, &[], &["jobs"]).and_then(|args| Ok((jobs_arg(&args)?, args)));
+    let (jobs, args) = parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(2);
-    };
-    // Drop the --jobs flag (and its value) before positional parsing.
-    let mut positional: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in &raw {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--jobs" {
-            skip_next = true;
-        } else if !a.starts_with("--jobs=") {
-            positional.push(a.clone());
-        }
-    }
-    let mut positional = positional.into_iter();
+    });
+    let mut positional = args.positional.into_iter();
     let Some(dir) = positional.next() else {
         eprintln!("usage: suite <dir> [--jobs N] [device ...]");
         std::process::exit(2);
@@ -98,7 +76,7 @@ fn main() {
         .filter_map(|path| match load(path) {
             Ok(c) => Some(c),
             Err(e) => {
-                eprintln!("skipping {}: {e}", path.display());
+                eprintln!("skipping {e}");
                 None
             }
         })

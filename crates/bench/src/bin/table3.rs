@@ -6,7 +6,7 @@
 //! (`--node-budget`, `--deadline`, `--strict-verify`, `--inject-fault`)
 //! are documented in docs/ROBUSTNESS.md.
 
-use qsyn_bench::report::{count_failed, render_table3, render_table4, run_table3_sweep, SweepConfig};
+use qsyn_bench::report::{count_failed, render_table3, render_table4, run_table3, SweepConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,9 +19,9 @@ fn main() {
     };
     println!(
         "Table 3: single-target gates on IBM devices (verify = {}, jobs = {})\n",
-        cfg.verify, cfg.jobs
+        cfg.options.verify, cfg.jobs
     );
-    let rows = run_table3_sweep(&cfg);
+    let rows = run_table3(&cfg);
     print!("{}", render_table3(&rows));
     println!("\nTable 4: percent cost decrease after optimization\n");
     print!("{}", render_table4(&rows));

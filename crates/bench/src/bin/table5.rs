@@ -4,7 +4,7 @@
 //! governance flags (`--node-budget`, `--deadline`, `--strict-verify`,
 //! `--inject-fault`) are documented in docs/ROBUSTNESS.md.
 
-use qsyn_bench::report::{count_failed, render_table5, render_table6, run_table5_sweep, SweepConfig};
+use qsyn_bench::report::{count_failed, render_table5, render_table6, run_table5, SweepConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -17,9 +17,9 @@ fn main() {
     };
     println!(
         "Table 5: RevLib Toffoli cascades on IBM devices (verify = {}, jobs = {})\n",
-        cfg.verify, cfg.jobs
+        cfg.options.verify, cfg.jobs
     );
-    let rows = run_table5_sweep(&cfg);
+    let rows = run_table5(&cfg);
     print!("{}", render_table5(&rows));
     println!("\nTable 6: percent cost decrease after optimization\n");
     print!("{}", render_table6(&rows));

@@ -6,7 +6,7 @@
 //! (`--node-budget`, `--deadline`, `--strict-verify`, `--inject-fault`)
 //! are documented in docs/ROBUSTNESS.md.
 
-use qsyn_bench::report::{count_failed, render_table8, run_table8_sweep, SweepConfig};
+use qsyn_bench::report::{count_failed, render_table8, run_table8, SweepConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,9 +19,9 @@ fn main() {
     };
     println!(
         "Table 8: 96-qubit QC benchmark compilation results (verify = {}, jobs = {})\n",
-        cfg.verify, cfg.jobs
+        cfg.options.verify, cfg.jobs
     );
-    let rows = run_table8_sweep(&cfg);
+    let rows = run_table8(&cfg);
     print!("{}", render_table8(&rows));
     println!(
         "\nfailed jobs: {}",

@@ -12,37 +12,21 @@
 //! index, which balances load well when per-job cost varies by orders of
 //! magnitude (small STG functions vs. 96-qubit cascades).
 
-use qsyn_core::pool::default_jobs;
+use qsyn_core::pool::{default_jobs, panic_message};
+use qsyn_core::Args;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Parses a `--jobs N` (or `--jobs=N`) flag from pre-collected CLI args.
+/// The sweep binaries' `--jobs N` flag: a positive worker count,
+/// [`default_jobs`] when absent.
 ///
-/// Returns [`default_jobs`] when the flag is absent and `None` when its
-/// value is missing or not a positive integer (callers report the usage
-/// error themselves).
-pub fn jobs_from_args(args: &[String]) -> Option<usize> {
-    match flag_value(args, "--jobs") {
-        Some(v) => v.parse().ok().filter(|&n| n > 0),
-        None => Some(default_jobs()),
-    }
-}
-
-/// Extracts a `--flag VALUE` / `--flag=VALUE` argument, or `None` when the
-/// flag is absent. A flag present with no value yields `Some("")` so
-/// callers can report the usage error.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return Some(args.get(i + 1).map_or("", |v| v.as_str()));
-        }
-        if let Some(v) = a.strip_prefix(flag) {
-            if let Some(v) = v.strip_prefix('=') {
-                return Some(v);
-            }
-        }
-    }
-    None
+/// # Errors
+///
+/// A message naming the flag when its value is not a positive integer.
+pub fn jobs_arg(args: &Args) -> Result<usize, String> {
+    Ok(args
+        .count("jobs", 1, "a positive integer")?
+        .unwrap_or_else(default_jobs))
 }
 
 /// Applies `f` to every item, using up to `jobs` worker threads, and
@@ -115,17 +99,6 @@ where
     })
 }
 
-/// Best-effort extraction of the human-readable panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked (non-string payload)".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,18 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn flag_value_parses_both_forms() {
-        let args: Vec<String> = ["--deadline", "2.5", "--node-budget=4096", "--bare"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--deadline"), Some("2.5"));
-        assert_eq!(flag_value(&args, "--node-budget"), Some("4096"));
-        assert_eq!(flag_value(&args, "--missing"), None);
-        assert_eq!(flag_value(&args, "--bare"), Some(""));
-    }
-
-    #[test]
     fn try_par_map_isolates_panics() {
         let items: Vec<usize> = (0..16).collect();
         let out = try_par_map(&items, 4, |_, &x| {
@@ -209,12 +170,15 @@ mod tests {
 
     #[test]
     fn jobs_flag_parses_both_forms() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&args(&["--jobs", "4"])), Some(4));
-        assert_eq!(jobs_from_args(&args(&["--jobs=8"])), Some(8));
-        assert_eq!(jobs_from_args(&args(&[])), Some(default_jobs()));
-        assert_eq!(jobs_from_args(&args(&["--jobs"])), None);
-        assert_eq!(jobs_from_args(&args(&["--jobs", "zero"])), None);
-        assert_eq!(jobs_from_args(&args(&["--jobs", "0"])), None);
+        let parse = |v: &[&str]| {
+            let v: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+            jobs_arg(&Args::parse(&v, &[], &["jobs"])?)
+        };
+        assert_eq!(parse(&["--jobs", "4"]), Ok(4));
+        assert_eq!(parse(&["--jobs=8"]), Ok(8));
+        assert_eq!(parse(&[]), Ok(default_jobs()));
+        assert!(parse(&["--jobs"]).is_err());
+        assert!(parse(&["--jobs", "zero"]).is_err());
+        assert!(parse(&["--jobs", "0"]).is_err());
     }
 }

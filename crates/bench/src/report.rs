@@ -13,7 +13,7 @@ use crate::revlib::{RevlibBenchmark, REVLIB_BENCHMARKS};
 use crate::stg::{StgFunction, STG_FUNCTIONS};
 use qsyn_arch::{devices, CostModel, Device, TransmonCost};
 use qsyn_circuit::Circuit;
-use qsyn_core::{CacheMode, CompileBudget, CompileError, Compiler, FaultSpec, Verification};
+use qsyn_core::{Args, CompileError, CompileOptions, Compiler, FaultSpec, Verification};
 use qsyn_trace::TraceSink;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -77,22 +77,17 @@ impl Cell {
     }
 }
 
-/// Everything a table sweep needs beyond its inputs: verification on/off,
-/// an optional shared trace sink, the worker count, the per-job resource
-/// budget, and (for harness tests and CI smoke runs) a fault to inject.
+/// Everything a table sweep needs beyond its inputs: the compile options
+/// every job runs with, an optional shared trace sink, the worker count,
+/// and (for harness tests and CI smoke runs) a fault to inject.
 #[derive(Clone, Default)]
 pub struct SweepConfig {
-    /// Run the built-in QMDD verification for every job.
-    pub verify: bool,
+    /// Compile options applied to every job's compiler.
+    pub options: CompileOptions,
     /// Optional shared sink receiving every job's pass events.
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Worker threads (`<= 1` runs serially on the calling thread).
     pub jobs: usize,
-    /// Resource budget applied to every job's compiler.
-    pub budget: CompileBudget,
-    /// Caching layers for every job's compiler (default
-    /// [`CacheMode::Tables`]; see `docs/PERFORMANCE.md`).
-    pub cache: CacheMode,
     /// Deliberate fault injected into job 0 only; the remaining jobs
     /// demonstrate isolation by completing normally.
     pub inject: Option<FaultSpec>,
@@ -101,73 +96,56 @@ pub struct SweepConfig {
 impl std::fmt::Debug for SweepConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepConfig")
-            .field("verify", &self.verify)
+            .field("options", &self.options)
             .field("traced", &self.trace.is_some())
             .field("jobs", &self.jobs)
-            .field("budget", &self.budget)
-            .field("cache", &self.cache)
             .field("inject", &self.inject)
             .finish()
     }
 }
 
 impl SweepConfig {
-    /// A serial, untraced, unbudgeted sweep.
-    pub fn new(verify: bool) -> Self {
-        SweepConfig {
-            verify,
-            ..SweepConfig::default()
-        }
-    }
-
     /// Parses the sweep flags the table binaries share: `--no-verify`,
     /// `--jobs N`, `--node-budget NODES`, `--deadline SECONDS`,
-    /// `--strict-verify`, and `--inject-fault pass:kind`.
+    /// `--strict-verify`, `--cache MODE` and `--inject-fault pass:kind`.
+    /// Any other flag or argument is an error.
     ///
     /// # Errors
     ///
     /// Returns a usage message naming the offending flag.
     pub fn from_args(args: &[String]) -> Result<SweepConfig, String> {
-        use crate::par::{flag_value, jobs_from_args};
-        let jobs =
-            jobs_from_args(args).ok_or("--jobs requires a positive integer")?;
-        let mut budget = CompileBudget::default();
-        if let Some(v) = flag_value(args, "--node-budget") {
-            let nodes: usize = v
-                .parse()
-                .map_err(|_| format!("--node-budget requires a node count, got `{v}`"))?;
-            budget = budget.with_node_budget(nodes);
+        let args = Args::parse(
+            args,
+            &["no-verify", "strict-verify"],
+            &["jobs", "node-budget", "deadline", "cache", "inject-fault"],
+        )?;
+        SweepConfig::from_parsed(&args)
+    }
+
+    /// Reads whichever sweep flags a binary declared from already-parsed
+    /// arguments (a trace sink stays with the binary). Sweeps take no
+    /// positional arguments.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message naming the offending flag or argument.
+    pub fn from_parsed(args: &Args) -> Result<SweepConfig, String> {
+        if let Some(extra) = args.positional.first() {
+            return Err(format!("unexpected argument `{extra}`"));
         }
-        if let Some(v) = flag_value(args, "--deadline") {
-            let secs: f64 = v
-                .parse()
-                .ok()
-                .filter(|s: &f64| *s >= 0.0 && s.is_finite())
-                .ok_or_else(|| format!("--deadline requires seconds, got `{v}`"))?;
-            budget = budget.with_deadline(std::time::Duration::from_secs_f64(secs));
-        }
-        if args.iter().any(|a| a == "--strict-verify") {
-            budget = budget.with_verify_mode(qsyn_core::VerifyMode::Strict);
-        }
-        let inject = match flag_value(args, "--inject-fault") {
+        let mut options = CompileOptions::default();
+        options.apply_args(args)?;
+        let inject = match args.value("inject-fault") {
             Some(v) => Some(FaultSpec::parse(v).map_err(|e| format!("--inject-fault: {e}"))?),
             None => None,
         };
-        let cache = match flag_value(args, "--cache") {
-            Some(v) => CacheMode::parse(v)
-                .ok_or_else(|| format!("--cache requires {}, got `{v}`", CacheMode::choices()))?,
-            None => CacheMode::default(),
-        };
         Ok(SweepConfig {
-            verify: !args.iter().any(|a| a == "--no-verify"),
+            options,
             trace: None,
-            jobs,
-            budget,
-            cache,
+            jobs: crate::par::jobs_arg(args)?,
             inject,
         })
     }
-
 }
 
 /// Counts [`Cell::Failed`] entries — the summary line every sweep binary
@@ -176,65 +154,23 @@ pub fn count_failed<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> usize {
     cells.into_iter().filter(|c| c.is_failed()).count()
 }
 
-/// Compiles a circuit for a device and extracts the table metrics.
+/// Compiles a circuit for a device under the sweep's options and extracts
+/// the table metrics. `job` stamps every pass event (so events from
+/// concurrent jobs interleaved in one JSONL stream stay attributable) and
+/// selects the fault-injection target (job 0, or an unnumbered job).
 ///
 /// Returns [`Cell::NotApplicable`] for the paper's `N/A` conditions
 /// (circuit too wide, or a generalized Toffoli with no borrowable line)
 /// and [`Cell::Failed`] for every other error — the harness tabulates
 /// failures rather than tearing down a sweep.
-pub fn map_benchmark(circuit: &Circuit, device: &Device, verify: bool) -> Cell {
-    map_benchmark_traced(circuit, device, verify, None)
-}
-
-/// [`map_benchmark`] with an optional pass-event sink: every compiler pass
-/// of every benchmark streams to `trace` (e.g. a shared
-/// [`qsyn_trace::JsonlSink`]), so an experiment sweep leaves a per-pass
-/// record alongside the rendered tables.
-pub fn map_benchmark_traced(
-    circuit: &Circuit,
-    device: &Device,
-    verify: bool,
-    trace: Option<Arc<dyn TraceSink>>,
-) -> Cell {
-    map_benchmark_job(circuit, device, verify, trace, None)
-}
-
-/// [`map_benchmark_traced`] with an optional sweep job id: every pass
-/// event the compilation emits carries `job`, so events from concurrent
-/// jobs interleaved in one JSONL stream stay attributable.
-pub fn map_benchmark_job(
-    circuit: &Circuit,
-    device: &Device,
-    verify: bool,
-    trace: Option<Arc<dyn TraceSink>>,
-    job: Option<u64>,
-) -> Cell {
-    let cfg = SweepConfig {
-        verify,
-        trace,
-        ..SweepConfig::default()
-    };
-    map_benchmark_cell(circuit, device, &cfg, job)
-}
-
-/// The full-configuration mapper every sweep funnels through: applies the
-/// [`SweepConfig`] budget (and, for job 0, any injected fault) and converts
-/// every outcome into a [`Cell`].
-pub fn map_benchmark_cell(
+pub fn map_benchmark(
     circuit: &Circuit,
     device: &Device,
     cfg: &SweepConfig,
     job: Option<u64>,
 ) -> Cell {
     let cost = TransmonCost::default();
-    let mut compiler = Compiler::new(device.clone())
-        .with_verification(if cfg.verify {
-            Verification::Auto
-        } else {
-            Verification::None
-        })
-        .with_budget(cfg.budget)
-        .with_cache(cfg.cache);
+    let mut compiler = cfg.options.compiler(device.clone());
     if let Some(sink) = cfg.trace.clone() {
         compiler = compiler.with_trace(sink);
     }
@@ -357,42 +293,19 @@ pub struct Table3Row {
     pub cells: Vec<Cell>,
 }
 
-/// Runs the Table 3 / Table 4 experiment over the whole suite.
-pub fn run_table3(verify: bool) -> Vec<Table3Row> {
-    run_table3_traced(verify, None)
-}
-
-/// [`run_table3`] streaming every compiler pass to an optional sink.
-pub fn run_table3_traced(verify: bool, trace: Option<Arc<dyn TraceSink>>) -> Vec<Table3Row> {
-    run_table3_jobs(verify, trace, 1)
-}
-
-/// [`run_table3_traced`] fanning the (function, device) jobs across up to
-/// `jobs` worker threads. Each job compiles with its own QMDD package and
-/// is stamped with a row-major job id, so results (and per-pass trace
-/// attribution) are identical for every `jobs` value.
-pub fn run_table3_jobs(
-    verify: bool,
-    trace: Option<Arc<dyn TraceSink>>,
-    jobs: usize,
-) -> Vec<Table3Row> {
-    run_table3_sweep(&SweepConfig {
-        verify,
-        trace,
-        jobs,
-        ..SweepConfig::default()
-    })
-}
-
-/// [`run_table3_jobs`] under a full [`SweepConfig`] (budget, fault
-/// injection). Each job is fault-isolated: a panic or budget blow becomes
-/// a [`Cell::Failed`] in its slot and every other job still completes.
-pub fn run_table3_sweep(cfg: &SweepConfig) -> Vec<Table3Row> {
+/// Runs the Table 3 / Table 4 experiment over the whole suite, fanning
+/// the (function, device) jobs across up to `cfg.jobs` worker threads.
+/// Each job compiles with its own QMDD package and is stamped with a
+/// row-major job id, so results (and per-pass trace attribution) are
+/// identical for every `jobs` value. Each job is fault-isolated: a panic
+/// or budget blow becomes a [`Cell::Failed`] in its slot and every other
+/// job still completes.
+pub fn run_table3(cfg: &SweepConfig) -> Vec<Table3Row> {
     let devs = devices::ibm_devices();
     let cascades: Vec<Circuit> = STG_FUNCTIONS.iter().map(StgFunction::cascade).collect();
     let pairs = job_pairs(cascades.len(), devs.len());
     let cells = sweep_cells(&pairs, cfg, |job, &(f, d)| {
-        map_benchmark_cell(&cascades[f], &devs[d], cfg, Some(job as u64))
+        map_benchmark(&cascades[f], &devs[d], cfg, Some(job as u64))
     });
     let tech = par_map(&cascades, cfg.jobs.max(1), |_, c| tech_independent_metrics(c));
     STG_FUNCTIONS
@@ -446,11 +359,19 @@ pub fn average_pct_per_device(rows: &[&[Cell]], n_devices: usize) -> Vec<f64> {
         .collect()
 }
 
+/// One Table 3/5 cell. A degraded cell, whose verification ran out of
+/// budget, is marked `UNVERIFIED` as in Table 8.
 fn fmt_cell(c: &Cell) -> String {
     match c {
         Cell::Mapped(m) => format!(
-            "{}/{}/{:.2} -> {}/{}/{:.2}",
-            m.unopt.0, m.unopt.1, m.unopt.2, m.opt.0, m.opt.1, m.opt.2
+            "{}/{}/{:.2} -> {}/{}/{:.2}{}",
+            m.unopt.0,
+            m.unopt.1,
+            m.unopt.2,
+            m.opt.0,
+            m.opt.1,
+            m.opt.2,
+            if m.unverified { " UNVERIFIED" } else { "" }
         ),
         Cell::NotApplicable => "N/A".to_string(),
         Cell::Failed(_) => "FAILED".to_string(),
@@ -548,39 +469,14 @@ pub struct Table5Row {
     pub cells: Vec<Cell>,
 }
 
-/// Runs the Table 5 / Table 6 experiment.
-pub fn run_table5(verify: bool) -> Vec<Table5Row> {
-    run_table5_traced(verify, None)
-}
-
-/// [`run_table5`] streaming every compiler pass to an optional sink.
-pub fn run_table5_traced(verify: bool, trace: Option<Arc<dyn TraceSink>>) -> Vec<Table5Row> {
-    run_table5_jobs(verify, trace, 1)
-}
-
-/// [`run_table5_traced`] fanning the (benchmark, device) jobs across up to
-/// `jobs` worker threads (see [`run_table3_jobs`] for the job-id scheme).
-pub fn run_table5_jobs(
-    verify: bool,
-    trace: Option<Arc<dyn TraceSink>>,
-    jobs: usize,
-) -> Vec<Table5Row> {
-    run_table5_sweep(&SweepConfig {
-        verify,
-        trace,
-        jobs,
-        ..SweepConfig::default()
-    })
-}
-
-/// [`run_table5_jobs`] under a full [`SweepConfig`] — see
-/// [`run_table3_sweep`] for the isolation contract.
-pub fn run_table5_sweep(cfg: &SweepConfig) -> Vec<Table5Row> {
+/// Runs the Table 5 / Table 6 experiment — see [`run_table3`] for the
+/// job-id scheme and the isolation contract.
+pub fn run_table5(cfg: &SweepConfig) -> Vec<Table5Row> {
     let devs = devices::ibm_devices();
     let circuits: Vec<Circuit> = REVLIB_BENCHMARKS.iter().map(RevlibBenchmark::circuit).collect();
     let pairs = job_pairs(circuits.len(), devs.len());
     let cells = sweep_cells(&pairs, cfg, |job, &(b, d)| {
-        map_benchmark_cell(&circuits[b], &devs[d], cfg, Some(job as u64))
+        map_benchmark(&circuits[b], &devs[d], cfg, Some(job as u64))
     });
     REVLIB_BENCHMARKS
         .iter()
@@ -639,38 +535,14 @@ pub struct Table8Row {
     pub cell: Cell,
 }
 
-/// Runs the Table 8 experiment on the Fig. 7 machine.
-pub fn run_table8(verify: bool) -> Vec<Table8Row> {
-    run_table8_traced(verify, None)
-}
-
-/// [`run_table8`] streaming every compiler pass to an optional sink.
-pub fn run_table8_traced(verify: bool, trace: Option<Arc<dyn TraceSink>>) -> Vec<Table8Row> {
-    run_table8_jobs(verify, trace, 1)
-}
-
-/// [`run_table8_traced`] fanning one job per benchmark across up to `jobs`
-/// worker threads (job id = benchmark index).
-pub fn run_table8_jobs(
-    verify: bool,
-    trace: Option<Arc<dyn TraceSink>>,
-    jobs: usize,
-) -> Vec<Table8Row> {
-    run_table8_sweep(&SweepConfig {
-        verify,
-        trace,
-        jobs,
-        ..SweepConfig::default()
-    })
-}
-
-/// [`run_table8_jobs`] under a full [`SweepConfig`] — see
-/// [`run_table3_sweep`] for the isolation contract.
-pub fn run_table8_sweep(cfg: &SweepConfig) -> Vec<Table8Row> {
+/// Runs the Table 8 experiment on the Fig. 7 machine, one job per
+/// benchmark (job id = benchmark index) — see [`run_table3`] for the
+/// isolation contract.
+pub fn run_table8(cfg: &SweepConfig) -> Vec<Table8Row> {
     let d = devices::qc96();
     let circuits: Vec<Circuit> = BIG_BENCHMARKS.iter().map(BigBenchmark::circuit).collect();
     let cells = sweep_cells(&circuits, cfg, |job, c| {
-        map_benchmark_cell(c, &d, cfg, Some(job as u64))
+        map_benchmark(c, &d, cfg, Some(job as u64))
     });
     BIG_BENCHMARKS
         .iter()
@@ -761,6 +633,19 @@ mod tests {
     use super::*;
     use crate::revlib::R3_17_14;
 
+    /// A sweep with verification on or off and nothing else set.
+    fn sweep(verify: bool, trace: Option<Arc<dyn TraceSink>>, jobs: usize) -> SweepConfig {
+        SweepConfig {
+            options: CompileOptions {
+                verify,
+                ..CompileOptions::default()
+            },
+            trace,
+            jobs,
+            inject: None,
+        }
+    }
+
     #[test]
     fn table2_is_exact() {
         for row in run_table2() {
@@ -778,7 +663,7 @@ mod tests {
     #[test]
     fn map_benchmark_reports_metrics() {
         let d = devices::ibmqx4();
-        let cell = map_benchmark(&R3_17_14.circuit(), &d, true);
+        let cell = map_benchmark(&R3_17_14.circuit(), &d, &sweep(true, None, 1), None);
         let m = cell.metrics().expect("r3_17_14 maps on ibmqx4");
         assert!(m.verified);
         assert!(!m.unverified);
@@ -792,9 +677,9 @@ mod tests {
         let d = devices::ibmqx4();
         let c = R3_17_14.circuit();
         let sink = Arc::new(qsyn_trace::TableSink::new());
-        let traced_cell = map_benchmark_traced(&c, &d, true, Some(sink.clone()));
+        let traced_cell = map_benchmark(&c, &d, &sweep(true, Some(sink.clone()), 1), None);
         let traced = traced_cell.metrics().unwrap();
-        let plain_cell = map_benchmark(&c, &d, true);
+        let plain_cell = map_benchmark(&c, &d, &sweep(true, None, 1), None);
         let plain = plain_cell.metrics().unwrap();
         assert_eq!(traced.unopt, plain.unopt);
         assert_eq!(traced.opt, plain.opt);
@@ -820,8 +705,8 @@ mod tests {
 
     #[test]
     fn parallel_table5_sweep_matches_serial() {
-        let serial = run_table5_jobs(false, None, 1);
-        let par = run_table5_jobs(false, None, 4);
+        let serial = run_table5(&sweep(false, None, 1));
+        let par = run_table5(&sweep(false, None, 4));
         assert_eq!(serial.len(), par.len());
         for (a, b) in serial.iter().zip(&par) {
             assert_eq!(a.benchmark.name, b.benchmark.name);
@@ -834,7 +719,7 @@ mod tests {
     #[test]
     fn parallel_sweep_stamps_row_major_job_ids() {
         let sink = Arc::new(qsyn_trace::TableSink::new());
-        let rows = run_table5_jobs(false, Some(sink.clone()), 4);
+        let rows = run_table5(&sweep(false, Some(sink.clone()), 4));
         let n_devices = devices::ibm_devices().len();
         let n_jobs = rows.len() * n_devices;
         let events = sink.events();
@@ -868,49 +753,70 @@ mod tests {
         let d = devices::ibmqx2();
         let mut too_wide = Circuit::new(6);
         too_wide.push(qsyn_gate::Gate::x(5));
-        assert_eq!(map_benchmark(&too_wide, &d, false), Cell::NotApplicable);
+        assert_eq!(
+            map_benchmark(&too_wide, &d, &sweep(false, None, 1), None),
+            Cell::NotApplicable
+        );
     }
 
     #[test]
     fn strict_node_budget_yields_failed_cell_not_panic() {
-        use qsyn_core::VerifyMode;
-        let cfg = SweepConfig {
-            verify: true,
-            budget: CompileBudget::default()
-                .with_node_budget(2)
-                .with_verify_mode(VerifyMode::Strict),
-            ..SweepConfig::default()
-        };
-        let cell = map_benchmark_cell(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, None);
+        let mut cfg = sweep(true, None, 1);
+        cfg.options.set_node_budget(2).unwrap();
+        cfg.options.set_strict_verify(true);
+        let cell = map_benchmark(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, None);
         let msg = cell.failure().expect("strict tiny budget must fail");
         assert!(msg.contains("budget"), "{msg}");
     }
 
     #[test]
     fn degraded_node_budget_maps_with_explicit_unverified() {
-        let cfg = SweepConfig {
-            verify: true,
-            budget: CompileBudget::default().with_node_budget(2),
-            ..SweepConfig::default()
-        };
-        let cell = map_benchmark_cell(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, None);
+        let mut cfg = sweep(true, None, 1);
+        cfg.options.set_node_budget(2).unwrap();
+        let cell = map_benchmark(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, None);
         let m = cell.metrics().expect("degrade mode still maps");
         assert!(!m.verified);
         assert!(m.unverified, "must be loud about the skipped proof");
     }
 
     #[test]
+    fn tables_3_and_5_mark_degraded_cells() {
+        let metrics = |unverified: bool| MappingMetrics {
+            unopt: (7, 20, 30.0),
+            opt: (7, 18, 27.0),
+            pct_decrease: 10.0,
+            verified: !unverified,
+            unverified,
+            seconds: 0.0,
+        };
+        let cells = vec![Cell::Mapped(metrics(false)), Cell::Mapped(metrics(true))];
+        let t3 = render_table3(&[Table3Row {
+            function: STG_FUNCTIONS[0],
+            tech_independent: (7, 18, 27.0),
+            cells: cells.clone(),
+        }]);
+        let t5 = render_table5(&[Table5Row {
+            benchmark: R3_17_14,
+            cells,
+        }]);
+        for table in [t3, t5] {
+            let row = table.lines().last().unwrap();
+            assert_eq!(row.matches("UNVERIFIED").count(), 1, "{row}");
+            assert!(row.contains("7/18/27.00 | 7/20/30.00"), "proven cell unmarked: {row}");
+        }
+    }
+
+    #[test]
     fn injected_panic_is_isolated_to_one_row() {
         use qsyn_core::{FaultKind, FaultSpec};
         let cfg = SweepConfig {
-            jobs: 4,
             inject: Some(FaultSpec {
                 pass: qsyn_trace::Pass::Route,
                 kind: FaultKind::Panic,
             }),
-            ..SweepConfig::default()
+            ..sweep(false, None, 4)
         };
-        let rows = run_table5_sweep(&cfg);
+        let rows = run_table5(&cfg);
         assert_eq!(rows.len(), REVLIB_BENCHMARKS.len(), "one row per benchmark");
         let cells: Vec<&Cell> = rows.iter().flat_map(|r| &r.cells).collect();
         // Job 0 (first benchmark on the first device) carries the fault...
@@ -929,13 +835,13 @@ mod tests {
                 pass: qsyn_trace::Pass::Decompose,
                 kind: FaultKind::Budget,
             }),
-            ..SweepConfig::default()
+            ..sweep(false, None, 1)
         };
-        let cell = map_benchmark_cell(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, Some(0));
+        let cell = map_benchmark(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, Some(0));
         let msg = cell.failure().unwrap();
         assert!(msg.contains("budget exceeded"), "{msg}");
         // Other job ids are untouched by the injection.
-        let clean = map_benchmark_cell(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, Some(3));
+        let clean = map_benchmark(&R3_17_14.circuit(), &devices::ibmqx4(), &cfg, Some(3));
         assert!(clean.metrics().is_some());
     }
 

@@ -113,3 +113,36 @@ fn scaling_binary_smallest_width() {
     assert!(stdout.contains("Width scaling"));
     assert!(stdout.contains("| 8 |"));
 }
+
+#[test]
+fn sweep_binaries_reject_unknown_flags() {
+    // A typo must not run a whole sweep with the default it failed to
+    // change (`--no-verfy` used to print `verify = true` and exit 0).
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_table5"), &["--no-verfy"][..]),
+        (env!("CARGO_BIN_EXE_experiments"), &["--no-verfy"][..]),
+        (env!("CARGO_BIN_EXE_stress"), &["--job", "2"][..]),
+        (env!("CARGO_BIN_EXE_suite"), &[".", "--job", "2"][..]),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+}
+
+#[test]
+fn sweep_budgets_follow_the_shared_range_rules() {
+    // A zero node budget or deadline leaves every mapped cell unproven or
+    // failed, so the sweeps refuse them like `qsyn compile` does.
+    for args in [["--node-budget", "0"], ["--deadline", "0"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table5"))
+            .args(args)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("must be positive"), "{stderr}");
+    }
+}

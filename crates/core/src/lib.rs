@@ -42,6 +42,7 @@ pub mod decompose;
 mod error;
 pub mod library;
 pub mod optimize;
+pub mod options;
 pub mod persist;
 pub mod place;
 pub mod pool;
@@ -67,6 +68,7 @@ pub use decompose::{
 pub use optimize::{
     optimize, optimize_bounded, optimize_traced, optimize_with, OptimizeConfig, OptimizeCounters,
 };
+pub use options::{load_circuit, Args, CompileOptions, CostKind};
 pub use persist::{DiskCache, DiskLoad, EvictionSummary};
 pub use place::{place, Placement, PlacementStrategy};
 pub use remap::{

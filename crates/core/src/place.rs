@@ -26,6 +26,35 @@ pub enum PlacementStrategy {
     Annealed,
 }
 
+impl PlacementStrategy {
+    /// Every selectable strategy, in `--placement` listing order.
+    pub const ALL: [PlacementStrategy; 3] = [
+        PlacementStrategy::Identity,
+        PlacementStrategy::Greedy,
+        PlacementStrategy::Annealed,
+    ];
+
+    /// Parses the `--placement` value.
+    pub fn parse(s: &str) -> Option<PlacementStrategy> {
+        Self::ALL.into_iter().find(|p| p.name() == s)
+    }
+
+    /// Stable lowercase identifier (the `--placement` value).
+    pub fn name(self) -> &'static str {
+        match self {
+            PlacementStrategy::Identity => "identity",
+            PlacementStrategy::Greedy => "greedy",
+            PlacementStrategy::Annealed => "annealed",
+        }
+    }
+
+    /// The accepted values as prose (`identity, greedy or annealed`), for
+    /// "unknown placement" errors.
+    pub fn choices() -> String {
+        crate::one_of(&Self::ALL.map(Self::name))
+    }
+}
+
 /// A computed placement: `map[logical] = physical`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {

@@ -27,6 +27,17 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// Best-effort extraction of a caught panic payload's message.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked (non-string payload)".to_string()
+    }
+}
+
 /// A long-lived thread pool for streams of independent jobs; see the
 /// module docs.
 pub struct WorkerPool {

@@ -27,13 +27,13 @@
 //! corrupts the request's own disk-cache entry after compiling so the
 //! next lookup exercises the quarantine path.
 
-use crate::budget::{CompileBudget, VerifyMode};
 use crate::cache::CacheMode;
+use crate::options::{CompileOptions, CostKind};
 use crate::persist::DiskCache;
 use crate::place::PlacementStrategy;
+use crate::pool::panic_message;
 use crate::strategy::RouteStrategyKind;
-use crate::{Compiler, Verification};
-use qsyn_arch::{devices, CostModel, Device, FidelityCost, TransmonCost, VolumeCost};
+use qsyn_arch::{devices, Device};
 use qsyn_circuit::Circuit;
 use qsyn_trace::json::{self, Value};
 use qsyn_trace::TraceSink;
@@ -43,15 +43,11 @@ use std::time::{Duration, Instant};
 /// Daemon-level defaults applied to fields a request leaves unset.
 #[derive(Debug, Clone)]
 pub struct ServeDefaults {
-    /// Default per-request deadline, measured from accept time.
-    pub deadline: Option<Duration>,
-    /// Default QMDD node budget per request.
-    pub node_budget: Option<usize>,
-    /// Default routing SWAP cap per request.
-    pub max_swaps: Option<usize>,
-    /// Default cache mode (the daemon runs `mem` so repeated traffic
-    /// hits the compile cache).
-    pub cache: CacheMode,
+    /// Default compile options; a request overrides them field by field.
+    /// The deadline is measured from accept time. The daemon runs the
+    /// `mem` cache by default, so repeated traffic hits the compile
+    /// cache.
+    pub options: CompileOptions,
     /// Hard cap on the circuit-source field of one request, in bytes.
     pub max_source_bytes: usize,
     /// Whether responses carry the compiled QASM by default.
@@ -59,21 +55,18 @@ pub struct ServeDefaults {
     /// Whether an `Unverified` verdict earns one automatic retry at a
     /// doubled node budget before being reported.
     pub retry: bool,
-    /// Default verification strictness (requests may override).
-    pub strict_verify: bool,
 }
 
 impl Default for ServeDefaults {
     fn default() -> Self {
         ServeDefaults {
-            deadline: None,
-            node_budget: None,
-            max_swaps: None,
-            cache: CacheMode::Mem,
+            options: CompileOptions {
+                cache: CacheMode::Mem,
+                ..CompileOptions::default()
+            },
             max_source_bytes: 1 << 20,
             emit_qasm: true,
             retry: true,
-            strict_verify: false,
         }
     }
 }
@@ -90,38 +83,6 @@ pub struct ServeContext {
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Global in-flight node-budget ceiling, when configured.
     pub gate: Option<Arc<NodeBudgetGate>>,
-}
-
-/// Which cost model a request selected (cost models are not `Clone`, so
-/// the request stores the selector and builds a fresh model per compile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostKind {
-    /// The paper's Eqn. 2 transmon cost (the default).
-    Eqn2,
-    /// Gate-count/volume cost.
-    Volume,
-    /// Calibration-driven fidelity cost.
-    Fidelity,
-}
-
-impl CostKind {
-    fn parse(s: &str) -> Option<CostKind> {
-        match s {
-            "eqn2" => Some(CostKind::Eqn2),
-            "volume" => Some(CostKind::Volume),
-            "fidelity" => Some(CostKind::Fidelity),
-            _ => None,
-        }
-    }
-
-    /// Builds the selected cost model.
-    pub fn build(self) -> Box<dyn CostModel> {
-        match self {
-            CostKind::Eqn2 => Box::new(TransmonCost::default()),
-            CostKind::Volume => Box::new(VolumeCost),
-            CostKind::Fidelity => Box::new(FidelityCost::default()),
-        }
-    }
 }
 
 /// A service-boundary fault a request may arm (test/CI builds only).
@@ -149,27 +110,9 @@ pub struct ServeRequest {
     pub circuit: Circuit,
     /// The resolved target device.
     pub device: Device,
-    /// Cost-model selector.
-    pub cost: CostKind,
-    /// Placement strategy.
-    pub placement: PlacementStrategy,
-    /// Routing strategy.
-    pub strategy: RouteStrategyKind,
-    /// Whether local optimization runs.
-    pub optimize: bool,
-    /// Whether QMDD verification runs.
-    pub verify: bool,
-    /// Strict verification: a budget blow mid-verify fails the request
-    /// instead of degrading to `Unverified`.
-    pub strict_verify: bool,
-    /// Cache mode for this request.
-    pub cache: CacheMode,
-    /// Per-request deadline from accept time (overrides the default).
-    pub deadline: Option<Duration>,
-    /// Per-request QMDD node budget (overrides the default).
-    pub node_budget: Option<usize>,
-    /// Per-request routing SWAP cap (overrides the default).
-    pub max_swaps: Option<usize>,
+    /// Compile options: the daemon defaults with the request's overrides.
+    /// The deadline runs from accept time.
+    pub options: CompileOptions,
     /// Whether the response carries the compiled QASM.
     pub emit_qasm: bool,
     /// Armed service fault, if any.
@@ -259,16 +202,7 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
     let mut source: Option<&str> = None;
     let mut format = "qasm";
     let mut device: Option<&str> = None;
-    let mut cost = CostKind::Eqn2;
-    let mut placement = PlacementStrategy::Identity;
-    let mut strategy = RouteStrategyKind::Ctr;
-    let mut optimize = true;
-    let mut verify = true;
-    let mut strict_verify = defaults.strict_verify;
-    let mut cache = defaults.cache;
-    let mut deadline = defaults.deadline;
-    let mut node_budget = defaults.node_budget;
-    let mut max_swaps = defaults.max_swaps;
+    let mut options = defaults.options.clone();
     let mut emit_qasm = defaults.emit_qasm;
     #[cfg(feature = "fault-injection")]
     let mut fault: Option<ServeFault> = None;
@@ -289,6 +223,14 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
             )
         })
     };
+    let bad_choice = |what: &str, value: &str, choices: String| {
+        fail(
+            RequestErrorKind::BadValue,
+            format!("unknown {what} `{value}` (want {choices})"),
+        )
+    };
+    let bad_range =
+        |key: &str, rule: &str| fail(RequestErrorKind::Schema, format!("field `{key}` {rule}"));
     let want_uint = |key: &str, v: &Value| -> Result<u64, RequestError> {
         match v.as_f64() {
             Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => {
@@ -347,74 +289,41 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
             })?),
             "cost" => {
                 let s = want_str("cost", v)?;
-                cost = CostKind::parse(&s).ok_or_else(|| {
-                    fail(
-                        RequestErrorKind::BadValue,
-                        format!("unknown cost model `{s}` (want eqn2, volume or fidelity)"),
-                    )
-                })?;
+                options.cost = CostKind::parse(&s)
+                    .ok_or_else(|| bad_choice("cost model", &s, CostKind::choices()))?;
             }
             "placement" => {
                 let s = want_str("placement", v)?;
-                placement = match s.as_str() {
-                    "identity" => PlacementStrategy::Identity,
-                    "greedy" => PlacementStrategy::Greedy,
-                    "annealed" => PlacementStrategy::Annealed,
-                    other => {
-                        return Err(fail(
-                            RequestErrorKind::BadValue,
-                            format!(
-                                "unknown placement `{other}` (want identity, greedy or annealed)"
-                            ),
-                        ))
-                    }
-                };
+                options.placement = PlacementStrategy::parse(&s)
+                    .ok_or_else(|| bad_choice("placement", &s, PlacementStrategy::choices()))?;
             }
             "route_strategy" => {
                 let s = want_str("route_strategy", v)?;
-                strategy = RouteStrategyKind::parse(&s).ok_or_else(|| {
-                    fail(
-                        RequestErrorKind::BadValue,
-                        format!(
-                            "unknown route strategy `{s}` (want {})",
-                            RouteStrategyKind::choices()
-                        ),
-                    )
+                options.strategy = RouteStrategyKind::parse(&s).ok_or_else(|| {
+                    bad_choice("route strategy", &s, RouteStrategyKind::choices())
                 })?;
             }
-            "optimize" => optimize = want_bool("optimize", v)?,
-            "verify" => verify = want_bool("verify", v)?,
-            "strict_verify" => strict_verify = want_bool("strict_verify", v)?,
+            "optimize" => options.optimize = want_bool("optimize", v)?,
+            "verify" => options.verify = want_bool("verify", v)?,
+            "strict_verify" => options.set_strict_verify(want_bool("strict_verify", v)?),
             "cache" => {
                 let s = want_str("cache", v)?;
-                cache = CacheMode::parse(&s).ok_or_else(|| {
-                    fail(
-                        RequestErrorKind::BadValue,
-                        format!("unknown cache mode `{s}` (want {})", CacheMode::choices()),
-                    )
-                })?;
+                options.cache = CacheMode::parse(&s)
+                    .ok_or_else(|| bad_choice("cache mode", &s, CacheMode::choices()))?;
             }
             "deadline_ms" => {
                 let ms = want_uint("deadline_ms", v)?;
-                if ms == 0 {
-                    return Err(fail(
-                        RequestErrorKind::Schema,
-                        "field `deadline_ms` must be positive".to_string(),
-                    ));
-                }
-                deadline = Some(Duration::from_millis(ms));
+                options
+                    .set_deadline(Duration::from_millis(ms))
+                    .map_err(|rule| bad_range("deadline_ms", rule))?;
             }
             "node_budget" => {
                 let n = want_uint("node_budget", v)?;
-                if n == 0 {
-                    return Err(fail(
-                        RequestErrorKind::Schema,
-                        "field `node_budget` must be positive".to_string(),
-                    ));
-                }
-                node_budget = Some(n as usize);
+                options
+                    .set_node_budget(n as usize)
+                    .map_err(|rule| bad_range("node_budget", rule))?;
             }
-            "max_swaps" => max_swaps = Some(want_uint("max_swaps", v)? as usize),
+            "max_swaps" => options.set_max_swaps(want_uint("max_swaps", v)? as usize),
             "emit" => emit_qasm = want_bool("emit", v)?,
             "inject" => {
                 let s = want_str("inject", v)?;
@@ -481,16 +390,7 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
         id,
         circuit,
         device,
-        cost,
-        placement,
-        strategy,
-        optimize,
-        verify,
-        strict_verify,
-        cache,
-        deadline,
-        node_budget,
-        max_swaps,
+        options,
         emit_qasm,
         #[cfg(feature = "fault-injection")]
         fault,
@@ -791,15 +691,12 @@ fn execute_inner(
         std::thread::sleep(Duration::from_millis(*ms));
     }
 
-    let deadline = req
-        .deadline
-        .or(ctx.defaults.deadline)
-        .map(|d| accepted + d);
+    let deadline = req.options.budget.deadline.map(|d| accepted + d);
 
     // Node-budget admission: hold a permit for the whole compile.
     let _permit = match &ctx.gate {
         Some(gate) => {
-            let want = req.node_budget.unwrap_or(gate.ceiling());
+            let want = req.options.budget.qmdd_node_budget.unwrap_or(gate.ceiling());
             let wait_started = Instant::now();
             let acquired = gate.acquire(want, deadline);
             m_gate_wait().record_duration(wait_started.elapsed());
@@ -819,51 +716,28 @@ fn execute_inner(
         None => None,
     };
 
-    let remaining = match deadline {
-        Some(deadline) => {
-            let now = Instant::now();
-            if now >= deadline {
-                m_deadline_expired().inc();
-                return ServeResponse::error(
-                    id,
-                    job,
-                    "deadline",
-                    "deadline expired before compilation started",
-                );
-            }
-            Some(deadline - now)
+    // The compile's own deadline is whatever queueing left of the
+    // request's.
+    let mut options = req.options.clone();
+    if let Some(deadline) = deadline {
+        let now = Instant::now();
+        if now >= deadline {
+            m_deadline_expired().inc();
+            return ServeResponse::error(
+                id,
+                job,
+                "deadline",
+                "deadline expired before compilation started",
+            );
         }
-        None => None,
-    };
+        options.budget.deadline = Some(deadline - now);
+    }
 
-    let attempt = |node_budget: Option<usize>| -> Result<
+    let attempt = |options: &CompileOptions| -> Result<
         Result<crate::CompileResult, crate::CompileError>,
         String,
     > {
-        let budget = CompileBudget {
-            deadline: remaining,
-            qmdd_node_budget: node_budget,
-            max_optimize_rounds: None,
-            max_route_swaps: req.max_swaps,
-            verify_mode: if req.strict_verify {
-                VerifyMode::Strict
-            } else {
-                VerifyMode::Degrade
-            },
-        };
-        let mut compiler = Compiler::new(req.device.clone())
-            .with_cost_model(req.cost.build())
-            .with_placement(req.placement)
-            .with_route_strategy(req.strategy)
-            .with_optimization(req.optimize)
-            .with_verification(if req.verify {
-                Verification::Auto
-            } else {
-                Verification::None
-            })
-            .with_budget(budget)
-            .with_cache(req.cache)
-            .with_job_id(job);
+        let mut compiler = options.compiler(req.device.clone()).with_job_id(job);
         if let Some(disk) = &ctx.disk {
             compiler = compiler.with_disk_cache(disk.clone());
         }
@@ -889,18 +763,20 @@ fn execute_inner(
 
     let mut retried = false;
     let compile_started = Instant::now();
-    let mut outcome = attempt(req.node_budget);
+    let mut outcome = attempt(&options);
     // Retry-with-degradation: an Unverified verdict earns one automatic
     // retry at the next ladder rung — double the node budget — before the
     // daemon reports it. Only a finite budget can be doubled, and an
     // expired deadline makes a retry pointless.
     if ctx.defaults.retry {
-        if let (Ok(Ok(result)), Some(nb)) = (&outcome, req.node_budget) {
+        if let (Ok(Ok(result)), Some(nb)) = (&outcome, options.budget.qmdd_node_budget) {
             let deadline_left = deadline.is_none_or(|d| Instant::now() < d);
             if result.verdict().is_unverified() && deadline_left {
                 retried = true;
                 m_retries().inc();
-                let second = attempt(Some(nb.saturating_mul(2)));
+                let mut doubled = options.clone();
+                doubled.budget.qmdd_node_budget = Some(nb.saturating_mul(2));
+                let second = attempt(&doubled);
                 // Keep the retry only when it improved on Unverified; the
                 // original (explicitly unverified) result is still the
                 // honest answer otherwise.
@@ -953,17 +829,6 @@ fn execute_inner(
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked (non-string payload)".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,8 +851,8 @@ mod tests {
         assert_eq!(req.id, "r1");
         assert_eq!(req.circuit.n_qubits(), 3);
         assert_eq!(req.device.n_qubits(), 5);
-        assert_eq!(req.cost, CostKind::Eqn2);
-        assert!(req.optimize && req.verify && !req.strict_verify);
+        assert_eq!(req.options, defaults().options);
+        assert_eq!(req.options.cache, CacheMode::Mem);
     }
 
     #[test]
@@ -997,12 +862,12 @@ mod tests {
              \"optimize\":false,\"deadline_ms\":500,\"node_budget\":4096,\"emit\":false",
         );
         let req = parse_request(&line, &defaults()).expect("valid request");
-        assert_eq!(req.cost, CostKind::Volume);
-        assert_eq!(req.placement, PlacementStrategy::Greedy);
-        assert_eq!(req.strategy, RouteStrategyKind::Lookahead);
-        assert!(!req.optimize);
-        assert_eq!(req.deadline, Some(Duration::from_millis(500)));
-        assert_eq!(req.node_budget, Some(4096));
+        assert_eq!(req.options.cost, CostKind::Volume);
+        assert_eq!(req.options.placement, PlacementStrategy::Greedy);
+        assert_eq!(req.options.strategy, RouteStrategyKind::Lookahead);
+        assert!(!req.options.optimize);
+        assert_eq!(req.options.budget.deadline, Some(Duration::from_millis(500)));
+        assert_eq!(req.options.budget.qmdd_node_budget, Some(4096));
         assert!(!req.emit_qasm);
     }
 

@@ -14,6 +14,7 @@
 //! `--out`), with mapping statistics on stderr — mirroring the paper's
 //! Fig. 2 flow ending in "QASM code".
 
+use qsyn::core::{load_circuit, Args, CompileOptions, CostKind};
 use qsyn::prelude::*;
 use std::process::ExitCode;
 
@@ -27,11 +28,11 @@ USAGE:
       supported routing objectives) and the generated device families.
 
   qsyn compile <input> --device <name> [--out FILE] [--no-opt]
-               [--no-verify] [--placement identity|greedy|annealed] [--report]
-               [--cost eqn2|volume|fidelity] [--trace[=FILE]]
-               [--route-strategy ctr|lookahead|persistent|auto]
+               [--no-verify] [--placement {placements}] [--report]
+               [--cost {costs}] [--trace[=FILE]]
+               [--route-strategy {strategies}]
                [--deadline SECONDS] [--node-budget NODES] [--strict-verify]
-               [--cache tables|mem] [--cache-stats] [--repeat N]
+               [--cache {caches}] [--cache-stats] [--repeat N]
                [--stream WINDOW] [--stream-verify-jobs N]
       Map a circuit (.qasm/.qc/.real/.pla) to a device; emit OpenQASM 2.0.
       --report prints a stage-by-stage metrics table on stderr.
@@ -68,7 +69,7 @@ USAGE:
 
   qsyn serve [--workers N] [--queue-cap N] [--node-ceiling NODES]
              [--deadline SECONDS] [--node-budget NODES] [--max-swaps N]
-             [--cache tables|mem] [--cache-dir DIR] [--trace[=FILE]]
+             [--cache {caches}] [--cache-dir DIR] [--trace[=FILE]]
              [--max-line-bytes N] [--no-retry] [--no-emit] [--strict-verify]
              [--cache-stats] [--metrics-file FILE]
              [--cache-max-bytes BYTES] [--cache-max-age SECONDS]
@@ -144,7 +145,15 @@ USAGE:
 Devices: ibmqx2, ibmqx3, ibmqx4, ibmqx5, ibmq_16, ibmq20, qc96,
 simulator:<n>, the generated families lnn:<n>, grid:<w>x<h> and
 heavy-hex:<d>, or a path to a .device description file
-(name/qubits/native/coupling directives)."
+(name/qubits/native/coupling directives).",
+        placements = PlacementStrategy::ALL
+            .map(PlacementStrategy::name)
+            .join("|"),
+        costs = CostKind::ALL.map(CostKind::name).join("|"),
+        strategies = RouteStrategyKind::ALL
+            .map(RouteStrategyKind::name)
+            .join("|"),
+        caches = CacheMode::ALL.map(CacheMode::name).join("|"),
     );
     std::process::exit(2);
 }
@@ -165,83 +174,29 @@ fn resolve_device(name_or_path: &str) -> Result<Device, String> {
     ))
 }
 
-fn load_circuit(path: &str) -> Result<Circuit, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let parsed = if path.ends_with(".qc") {
-        Circuit::from_qc(&src).map_err(|e| e.to_string())
-    } else if path.ends_with(".real") {
-        Circuit::from_real(&src).map_err(|e| e.to_string())
-    } else if path.ends_with(".pla") {
-        // Classical multi-output specification: run the ESOP front-end.
-        parse_pla(&src).map(|pla| pla.synthesize())
-    } else {
-        Circuit::from_qasm(&src).map_err(|e| e.to_string())
-    };
-    parsed.map_err(|e| format!("{path}: {e}"))
-}
-
-/// Strict flag parser: `--flag` (boolean), `--flag value` and
-/// `--flag=value` forms. Every flag must be declared in `bool_flags` or
-/// `value_flags`; anything else is an error naming the offending flag.
-///
-/// A flag in both lists takes a value only in the `=` form (`--trace` vs
-/// `--trace=FILE`).
-type ParsedArgs = (Vec<String>, Vec<(String, String)>);
-
-fn parse_args(
-    args: &[String],
-    bool_flags: &[&str],
-    value_flags: &[&str],
-) -> Result<ParsedArgs, String> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if let Some((name, value)) = name.split_once('=') {
-                if !value_flags.contains(&name) && !bool_flags.contains(&name) {
-                    return Err(format!("unknown flag --{name}"));
-                }
-                flags.push((name.to_string(), value.to_string()));
-            } else if bool_flags.contains(&name) {
-                flags.push((name.to_string(), String::new()));
-            } else if value_flags.contains(&name) {
-                let Some(value) = args.get(i + 1) else {
-                    return Err(format!("flag --{name} requires a value"));
-                };
-                flags.push((name.to_string(), value.clone()));
-                i += 1;
-            } else {
-                return Err(format!("unknown flag --{name}"));
-            }
-        } else {
-            positional.push(a.clone());
-        }
-        i += 1;
-    }
-    Ok((positional, flags))
-}
-
-fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
-
-/// `parse_args` + uniform error reporting: prints `error: ...` and yields
-/// exit code 2 on a bad flag.
-macro_rules! parse_or_exit {
-    ($args:expr, $bool_flags:expr, $value_flags:expr) => {
-        match parse_args($args, $bool_flags, $value_flags) {
-            Ok(parsed) => parsed,
+/// Unwraps a usage-level result, or prints `error: ...` and exits 2.
+macro_rules! or_usage {
+    ($result:expr) => {
+        match $result {
+            Ok(value) => value,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::from(2);
             }
         }
     };
+}
+
+/// The `--trace[=FILE]` sink: JSONL on stderr for the bare flag, to FILE
+/// otherwise.
+fn trace_sink(flags: &Args) -> Result<Option<std::sync::Arc<dyn TraceSink>>, String> {
+    Ok(match flags.value("trace") {
+        None => None,
+        Some("") => Some(std::sync::Arc::new(JsonlSink::stderr())),
+        Some(path) => Some(std::sync::Arc::new(
+            JsonlSink::to_file(path).map_err(|e| format!("{path}: {e}"))?,
+        )),
+    })
 }
 
 fn cmd_devices() -> ExitCode {
@@ -297,7 +252,7 @@ fn cmd_devices() -> ExitCode {
 }
 
 fn cmd_compile(args: &[String]) -> ExitCode {
-    let (pos, flags) = parse_or_exit!(
+    let flags = or_usage!(Args::parse(
         args,
         &["no-opt", "no-verify", "report", "trace", "strict-verify", "cache-stats"],
         &[
@@ -313,19 +268,13 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             "stream",
             "stream-verify-jobs"
         ]
-    );
-    let [input] = pos.as_slice() else { usage() };
-    let Some(device_name) = flag(&flags, "device") else {
+    ));
+    let [input] = flags.positional.as_slice() else { usage() };
+    let Some(device_name) = flags.value("device") else {
         eprintln!("error: --device is required");
         return ExitCode::from(2);
     };
-    let device = match resolve_device(device_name) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let device = or_usage!(resolve_device(device_name));
     let device_width = device.n_qubits();
     let circuit = match load_circuit(input) {
         Ok(c) => c,
@@ -334,140 +283,33 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut compiler = Compiler::new(device)
-        .with_optimization(flag(&flags, "no-opt").is_none())
-        .with_verification(if flag(&flags, "no-verify").is_some() {
-            Verification::None
-        } else {
-            Verification::Auto
-        });
-    match flag(&flags, "placement") {
-        Some("greedy") => compiler = compiler.with_placement(PlacementStrategy::Greedy),
-        Some("annealed") => compiler = compiler.with_placement(PlacementStrategy::Annealed),
-        Some("identity") | None => {}
-        Some(other) => {
-            eprintln!("error: unknown placement `{other}`");
-            return ExitCode::from(2);
-        }
-    }
-    let cost: Box<dyn CostModel> = match flag(&flags, "cost") {
-        Some("volume") => Box::new(VolumeCost),
-        Some("fidelity") => Box::new(FidelityCost::default()),
-        Some("eqn2") | None => Box::new(TransmonCost::default()),
-        Some(other) => {
-            eprintln!("error: unknown cost model `{other}`");
-            return ExitCode::from(2);
-        }
-    };
+    let mut options = CompileOptions::default();
+    or_usage!(options.apply_args(&flags));
     let eqn2 = TransmonCost::default();
-    compiler = compiler.with_cost_model(cost);
-    match flag(&flags, "route-strategy") {
-        None => {}
-        Some(spec) => match RouteStrategyKind::parse(spec) {
-            Some(kind) => compiler = compiler.with_route_strategy(kind),
-            None => {
-                eprintln!(
-                    "error: bad --route-strategy `{spec}` (want {})",
-                    RouteStrategyKind::choices()
-                );
-                return ExitCode::from(2);
-            }
-        },
-    }
-    let mut budget = CompileBudget::default();
-    if let Some(spec) = flag(&flags, "deadline") {
-        match spec.parse::<f64>() {
-            Ok(secs) if secs.is_finite() && secs >= 0.0 => {
-                budget = budget.with_deadline(std::time::Duration::from_secs_f64(secs));
-            }
-            _ => {
-                eprintln!("error: bad --deadline `{spec}` (want seconds, e.g. 2.5)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(spec) = flag(&flags, "node-budget") {
-        match spec.parse::<usize>() {
-            Ok(nodes) if nodes > 0 => budget = budget.with_node_budget(nodes),
-            _ => {
-                eprintln!("error: bad --node-budget `{spec}` (want a positive node count)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if flag(&flags, "strict-verify").is_some() {
-        budget = budget.with_verify_mode(VerifyMode::Strict);
-    }
-    compiler = compiler.with_budget(budget);
-    match flag(&flags, "cache") {
-        None => {}
-        Some(spec) => match CacheMode::parse(spec) {
-            Some(mode) => compiler = compiler.with_cache(mode),
-            None => {
-                eprintln!("error: bad --cache `{spec}` (want {})", CacheMode::choices());
-                return ExitCode::from(2);
-            }
-        },
-    }
-    let repeat = match flag(&flags, "repeat") {
-        None => 1usize,
-        Some(spec) => match spec.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: bad --repeat `{spec}` (want a run count >= 1)");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    match flag(&flags, "trace") {
-        None => {}
-        Some("") => {
-            compiler = compiler.with_trace(std::sync::Arc::new(JsonlSink::stderr()));
-        }
-        Some(path) => match JsonlSink::to_file(path) {
-            Ok(sink) => compiler = compiler.with_trace(std::sync::Arc::new(sink)),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
+    let repeat = or_usage!(flags.count("repeat", 1, "a run count >= 1")).unwrap_or(1);
+    let mut compiler = options.compiler(device);
+    if let Some(sink) = or_usage!(trace_sink(&flags)) {
+        compiler = compiler.with_trace(sink);
     }
 
     // --stream N compiles window by window with a bounded resident
     // circuit, writing QASM incrementally — the path for gate streams too
     // large to hold in memory. Placement is identity by construction and
     // whole-compile repetition does not apply.
-    if let Some(spec) = flag(&flags, "stream") {
-        let window = match spec.parse::<usize>() {
-            Ok(w) if w >= 1 => w,
-            _ => {
-                eprintln!("error: bad --stream `{spec}` (want a window size >= 1)");
-                return ExitCode::from(2);
-            }
-        };
+    if let Some(window) = or_usage!(flags.count("stream", 1, "a window size >= 1")) {
         if repeat > 1 {
             eprintln!("error: --repeat is incompatible with --stream");
             return ExitCode::from(2);
         }
-        if matches!(flag(&flags, "placement"), Some(p) if p != "identity") {
+        if options.placement != PlacementStrategy::Identity {
             eprintln!("error: --stream only supports identity placement");
             return ExitCode::from(2);
         }
-        let verify_jobs = match flag(&flags, "stream-verify-jobs") {
-            None => qsyn::core::pool::default_jobs(),
-            Some(spec) => match spec.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!(
-                        "error: bad --stream-verify-jobs `{spec}` (want a worker count >= 1)"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-        };
+        let verify_jobs = or_usage!(flags.count("stream-verify-jobs", 1, "a worker count >= 1"))
+            .unwrap_or_else(qsyn::core::pool::default_jobs);
         compiler = compiler.with_stream_verify_jobs(verify_jobs);
         use std::io::Write as _;
-        let raw: Box<dyn std::io::Write> = match flag(&flags, "out") {
+        let raw: Box<dyn std::io::Write> = match flags.value("out") {
             Some(path) => match std::fs::File::create(path) {
                 Ok(f) => Box::new(f),
                 Err(e) => {
@@ -540,12 +382,12 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             }
             _ => {}
         }
-        if flag(&flags, "cache-stats").is_some() {
+        if flags.has("cache-stats") {
             eprintln!("{}", qsyn::core::cache::stats().render());
         }
         return ExitCode::SUCCESS;
     }
-    if flag(&flags, "stream-verify-jobs").is_some() {
+    if flags.has("stream-verify-jobs") {
         eprintln!("error: --stream-verify-jobs requires --stream");
         return ExitCode::from(2);
     }
@@ -590,14 +432,14 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         eprintln!("error: --repeat runs produced diverging outputs");
         return ExitCode::FAILURE;
     }
-    if flag(&flags, "report").is_some() {
+    if flags.has("report") {
         eprintln!("{}", r.metrics().render_table());
     }
-    if flag(&flags, "cache-stats").is_some() {
+    if flags.has("cache-stats") {
         eprintln!("{}", qsyn::core::cache::stats().render());
     }
     let qasm = r.optimized.to_qasm().expect("mapped output is QASM-ready");
-    match flag(&flags, "out") {
+    match flags.value("out") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, qasm) {
                 eprintln!("error: {path}: {e}");
@@ -631,7 +473,7 @@ fn install_sigterm_handler() {
 fn install_sigterm_handler() {}
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let (pos, flags) = parse_or_exit!(
+    let flags = or_usage!(Args::parse(
         args,
         &["trace", "no-retry", "no-emit", "strict-verify", "cache-stats"],
         &[
@@ -649,70 +491,25 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "cache-max-bytes",
             "cache-max-age"
         ]
-    );
-    if !pos.is_empty() {
+    ));
+    if !flags.positional.is_empty() {
         eprintln!("error: serve takes no positional arguments");
         return ExitCode::from(2);
     }
     let mut opts = qsyn::serve::ServeOptions::default();
-    macro_rules! usize_flag {
-        ($name:literal, $min:expr) => {
-            match flag(&flags, $name) {
-                None => None,
-                Some(spec) => match spec.parse::<usize>() {
-                    Ok(n) if n >= $min => Some(n),
-                    _ => {
-                        eprintln!("error: bad --{} `{spec}` (want an integer >= {})", $name, $min);
-                        return ExitCode::from(2);
-                    }
-                },
-            }
-        };
-    }
-    if let Some(n) = usize_flag!("workers", 1) {
+    or_usage!(opts.defaults.options.apply_args(&flags));
+    if let Some(n) = or_usage!(flags.count("workers", 1, "an integer >= 1")) {
         opts.workers = n;
     }
-    if let Some(n) = usize_flag!("queue-cap", 1) {
+    if let Some(n) = or_usage!(flags.count("queue-cap", 1, "an integer >= 1")) {
         opts.queue_cap = n;
     }
-    if let Some(n) = usize_flag!("max-line-bytes", 1) {
+    if let Some(n) = or_usage!(flags.count("max-line-bytes", 1, "an integer >= 1")) {
         opts.max_line_bytes = n;
     }
-    opts.node_ceiling = usize_flag!("node-ceiling", 1);
-    opts.defaults.node_budget = usize_flag!("node-budget", 1);
-    opts.defaults.max_swaps = usize_flag!("max-swaps", 1);
-    if let Some(spec) = flag(&flags, "deadline") {
-        match spec.parse::<f64>() {
-            Ok(secs) if secs.is_finite() && secs > 0.0 => {
-                opts.defaults.deadline = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            _ => {
-                eprintln!("error: bad --deadline `{spec}` (want seconds, e.g. 2.5)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match flag(&flags, "cache") {
-        None => {}
-        Some(spec) => match CacheMode::parse(spec) {
-            Some(mode) => opts.defaults.cache = mode,
-            None => {
-                eprintln!("error: bad --cache `{spec}` (want {})", CacheMode::choices());
-                return ExitCode::from(2);
-            }
-        },
-    }
-    let cache_max_bytes = match flag(&flags, "cache-max-bytes") {
-        None => None,
-        Some(spec) => match spec.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: bad --cache-max-bytes `{spec}` (want a byte count)");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let cache_max_age = match flag(&flags, "cache-max-age") {
+    opts.node_ceiling = or_usage!(flags.count("node-ceiling", 1, "an integer >= 1"));
+    let cache_max_bytes = or_usage!(flags.parsed::<u64>("cache-max-bytes", "a byte count"));
+    let cache_max_age = match flags.value("cache-max-age") {
         None => None,
         Some(spec) => match spec.parse::<f64>() {
             Ok(secs) if secs.is_finite() && secs >= 0.0 => {
@@ -724,15 +521,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         },
     };
-    if (cache_max_bytes.is_some() || cache_max_age.is_some()) && flag(&flags, "cache-dir").is_none()
+    if (cache_max_bytes.is_some() || cache_max_age.is_some()) && !flags.has("cache-dir")
     {
         eprintln!("error: --cache-max-bytes/--cache-max-age need --cache-dir");
         return ExitCode::from(2);
     }
-    if let Some(dir) = flag(&flags, "cache-dir") {
+    if let Some(dir) = flags.value("cache-dir") {
         // The disk tier sits under the whole-compile memo, so it requires
         // the mem layer; --cache-dir implies it rather than erroring.
-        opts.defaults.cache = CacheMode::Mem;
+        opts.defaults.options.cache = CacheMode::Mem;
         match qsyn::core::DiskCache::open(std::path::Path::new(dir)) {
             Ok(disk) => {
                 // Startup eviction: trim the tier to the configured caps
@@ -764,23 +561,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    if let Some(path) = flag(&flags, "metrics-file") {
+    if let Some(path) = flags.value("metrics-file") {
         opts.metrics_file = Some(std::path::PathBuf::from(path));
     }
-    opts.defaults.retry = flag(&flags, "no-retry").is_none();
-    opts.defaults.emit_qasm = flag(&flags, "no-emit").is_none();
-    opts.defaults.strict_verify = flag(&flags, "strict-verify").is_some();
-    match flag(&flags, "trace") {
-        None => {}
-        Some("") => opts.trace = Some(std::sync::Arc::new(JsonlSink::stderr())),
-        Some(path) => match JsonlSink::to_file(path) {
-            Ok(sink) => opts.trace = Some(std::sync::Arc::new(sink)),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    }
+    opts.defaults.retry = !flags.has("no-retry");
+    opts.defaults.emit_qasm = !flags.has("no-emit");
+    opts.trace = or_usage!(trace_sink(&flags));
 
     install_sigterm_handler();
     let input = std::io::BufReader::new(std::io::stdin());
@@ -802,7 +588,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     ""
                 },
             );
-            if flag(&flags, "cache-stats").is_some() {
+            if flags.has("cache-stats") {
                 eprintln!("{}", qsyn::core::cache::stats().render());
             }
             ExitCode::SUCCESS
@@ -815,11 +601,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let (pos, flags) = parse_or_exit!(args, &["miter"], &["ancilla"]);
-    let [a, b] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &["miter"], &["ancilla"]));
+    let [a, b] = flags.positional.as_slice() else { usage() };
     match (load_circuit(a), load_circuit(b)) {
         (Ok(ca), Ok(cb)) => {
-            let report = if let Some(spec) = flag(&flags, "ancilla") {
+            let report = if let Some(spec) = flags.value("ancilla") {
                 // Comma-separated clean-ancilla lines.
                 let lines: Vec<usize> = spec
                     .split(',')
@@ -827,7 +613,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     .filter_map(|s| s.trim().parse().ok())
                     .collect();
                 qsyn::qmdd::equivalent_with_ancillas(&ca, &cb, &lines)
-            } else if flag(&flags, "miter").is_some() {
+            } else if flags.has("miter") {
                 equivalent_miter(&ca, &cb)
             } else {
                 equivalent(&ca, &cb)
@@ -854,8 +640,8 @@ fn cmd_check(args: &[String]) -> ExitCode {
 }
 
 fn cmd_stats(args: &[String]) -> ExitCode {
-    let (pos, _) = parse_or_exit!(args, &[], &[]);
-    let [input] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &[], &[]));
+    let [input] = flags.positional.as_slice() else { usage() };
     match load_circuit(input) {
         Ok(c) => {
             let s = c.stats();
@@ -887,8 +673,8 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 }
 
 fn cmd_check_trace(args: &[String]) -> ExitCode {
-    let (pos, _) = parse_or_exit!(args, &[], &[]);
-    let [input] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &[], &[]));
+    let [input] = flags.positional.as_slice() else { usage() };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
         Err(e) => {
@@ -1107,8 +893,8 @@ fn cmd_check_trace(args: &[String]) -> ExitCode {
 }
 
 fn cmd_report(args: &[String]) -> ExitCode {
-    let (pos, flags) = parse_or_exit!(args, &["prometheus"], &[]);
-    let [input] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &["prometheus"], &[]));
+    let [input] = flags.positional.as_slice() else { usage() };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
         Err(e) => {
@@ -1123,7 +909,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if flag(&flags, "prometheus").is_some() {
+    if flags.has("prometheus") {
         print!("{}", snap.render_prometheus());
         return ExitCode::SUCCESS;
     }
@@ -1141,8 +927,8 @@ fn cmd_report(args: &[String]) -> ExitCode {
 }
 
 fn cmd_check_metrics(args: &[String]) -> ExitCode {
-    let (pos, _) = parse_or_exit!(args, &[], &[]);
-    let [input] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &[], &[]));
+    let [input] = flags.positional.as_slice() else { usage() };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
         Err(e) => {
@@ -1185,8 +971,8 @@ fn cmd_check_metrics(args: &[String]) -> ExitCode {
 }
 
 fn cmd_synth(args: &[String]) -> ExitCode {
-    let (pos, flags) = parse_or_exit!(args, &[], &["out"]);
-    let [hex, vars] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &[], &["out"]));
+    let [hex, vars] = flags.positional.as_slice() else { usage() };
     let Ok(n) = vars.parse::<usize>() else {
         eprintln!("error: bad variable count `{vars}`");
         return ExitCode::from(2);
@@ -1205,7 +991,7 @@ fn cmd_synth(args: &[String]) -> ExitCode {
         cascade.len()
     );
     let real = cascade.to_real().expect("cascades are classical");
-    match flag(&flags, "out") {
+    match flags.value("out") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, real) {
                 eprintln!("error: {path}: {e}");
@@ -1221,8 +1007,8 @@ fn cmd_synth(args: &[String]) -> ExitCode {
 }
 
 fn cmd_dot(args: &[String]) -> ExitCode {
-    let (pos, flags) = parse_or_exit!(args, &[], &["device"]);
-    if let Some(name) = flag(&flags, "device") {
+    let flags = or_usage!(Args::parse(args, &[], &["device"]));
+    if let Some(name) = flags.value("device") {
         let device = match resolve_device(name) {
             Ok(d) => d,
             Err(e) => {
@@ -1233,7 +1019,7 @@ fn cmd_dot(args: &[String]) -> ExitCode {
         print!("{}", device.to_dot());
         return ExitCode::SUCCESS;
     }
-    let [input] = pos.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else { usage() };
     match load_circuit(input) {
         Ok(c) => {
             let (pkg, root) = qsyn::qmdd::build_circuit_qmdd(&c);
@@ -1253,8 +1039,8 @@ fn cmd_dot(args: &[String]) -> ExitCode {
 }
 
 fn cmd_draw(args: &[String]) -> ExitCode {
-    let (pos, _) = parse_or_exit!(args, &[], &[]);
-    let [input] = pos.as_slice() else { usage() };
+    let flags = or_usage!(Args::parse(args, &[], &[]));
+    let [input] = flags.positional.as_slice() else { usage() };
     match load_circuit(input) {
         Ok(c) => {
             eprintln!(

@@ -293,6 +293,27 @@ fn unknown_flag_is_named_in_the_error() {
 }
 
 #[test]
+fn compile_deadline_zero_is_a_usage_error() {
+    // A zero deadline can only fail, so it is refused up front with the
+    // shared range rule instead of failing in the place pass.
+    let input = tmp("tof-deadline.real", TOFFOLI_REAL);
+    let out = qsyn(&[
+        "compile",
+        input.to_str().unwrap(),
+        "--device",
+        "ibmqx4",
+        "--deadline",
+        "0",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        log.contains("bad --deadline `0` (must be positive)"),
+        "{log}"
+    );
+}
+
+#[test]
 fn value_flag_missing_its_value_is_named() {
     let input = tmp("tof7.real", TOFFOLI_REAL);
     let out = qsyn(&["compile", input.to_str().unwrap(), "--device"]);

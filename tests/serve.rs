@@ -458,3 +458,123 @@ fn serve_session_trace_validates_whole_sessions() {
     );
     let _ = std::fs::remove_file(&trace);
 }
+
+#[test]
+fn serve_max_swaps_zero_is_accepted_like_a_request_row() {
+    // A SWAP cap of 0 ("route without SWAPs") is valid at every door: the
+    // daemon flag and the request field give the same row.
+    let flag = serve(
+        &["--max-swaps", "0"],
+        &toffoli_request("cap", ",\"emit\":false"),
+    );
+    let field_row = serve(
+        &[],
+        &toffoli_request("cap", ",\"max_swaps\":0,\"emit\":false"),
+    );
+    assert!(
+        flag.status.success(),
+        "{}",
+        String::from_utf8_lossy(&flag.stderr)
+    );
+    assert!(field_row.status.success());
+    let (a, b) = (stdout_lines(&flag), stdout_lines(&field_row));
+    assert_eq!((a.len(), b.len()), (1, 1));
+    for name in ["status", "verdict", "kind"] {
+        assert_eq!(
+            field(&a[0], name),
+            field(&b[0], name),
+            "{name}: {} vs {}",
+            a[0],
+            b[0]
+        );
+    }
+}
+
+/// One circuit on ibmqx5 that needs routing: three qubits of every
+/// Toffoli sit apart on the coupling map.
+const PARITY_QASM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\n\
+    ccx q[0],q[1],q[4];\ncx q[3],q[0];\nh q[2];\nccx q[2],q[4],q[1];\nt q[3];\ncx q[1],q[3];\n";
+
+#[test]
+fn compile_and_serve_agree_on_every_option_value() {
+    // Front-door parity: every placement, route strategy (auto included)
+    // and cost model, with optimization on and off, in at least one
+    // combination each. `qsyn compile` and a `qsyn serve` row with the
+    // same options must print the same QASM and reach the same verdict.
+    let combos = [
+        ("identity", "ctr", "eqn2", true),
+        ("greedy", "lookahead", "volume", false),
+        ("annealed", "persistent", "fidelity", true),
+        ("identity", "auto", "volume", true),
+        ("greedy", "auto", "fidelity", false),
+        ("annealed", "ctr", "eqn2", false),
+    ];
+    let dir = tmp_dir("parity");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("parity.qasm");
+    std::fs::write(&input, PARITY_QASM).unwrap();
+    let escaped = PARITY_QASM
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    let batch: String = combos
+        .iter()
+        .enumerate()
+        .map(|(i, (placement, strategy, cost, optimize))| {
+            format!(
+                "{{\"id\":\"c{i}\",\"circuit\":\"{escaped}\",\"device\":\"ibmqx5\",\
+                 \"placement\":\"{placement}\",\"route_strategy\":\"{strategy}\",\
+                 \"cost\":\"{cost}\",\"optimize\":{optimize}}}\n"
+            )
+        })
+        .collect();
+    let out = serve(&[], &batch);
+    assert!(out.status.success());
+    let rows: Vec<_> = stdout_lines(&out)
+        .iter()
+        .map(|l| qsyn::trace::json::parse(l).expect("valid row"))
+        .collect();
+    assert_eq!(rows.len(), combos.len());
+    for (i, (placement, strategy, cost, optimize)) in combos.iter().enumerate() {
+        let id = format!("c{i}");
+        let row = rows
+            .iter()
+            .find(|r| r.get("id").and_then(|v| v.as_str()) == Some(id.as_str()))
+            .expect("one row per request");
+        let mut args = vec![
+            "compile",
+            input.to_str().unwrap(),
+            "--device",
+            "ibmqx5",
+            "--placement",
+            placement,
+            "--route-strategy",
+            strategy,
+            "--cost",
+            cost,
+        ];
+        if !optimize {
+            args.push("--no-opt");
+        }
+        let compiled = Command::new(env!("CARGO_BIN_EXE_qsyn"))
+            .args(&args)
+            .output()
+            .expect("qsyn compile runs");
+        let log = String::from_utf8_lossy(&compiled.stderr);
+        assert!(compiled.status.success(), "{args:?}: {log}");
+        let qasm = row
+            .get("qasm")
+            .and_then(|v| v.as_str())
+            .expect("row carries qasm");
+        assert_eq!(String::from_utf8_lossy(&compiled.stdout), qasm, "{args:?}");
+        let verified = match row.get("verified").and_then(|v| v.as_bool()) {
+            Some(b) => format!("verified = Some({b})"),
+            None => "verified = None".to_string(),
+        };
+        assert!(
+            log.contains(&verified),
+            "{args:?}: serve says {verified}, compile: {log}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
