@@ -1,10 +1,10 @@
-//! Routing microbenchmarks: the legacy per-CNOT BFS/Dijkstra search vs.
-//! the precomputed all-pairs routing table (`qsyn_core::cache`). The
-//! workload is a CNOT for every ordered qubit pair, so every table entry
-//! (and every per-gate search) is exercised; both paths produce
-//! byte-identical circuits, which
-//! `crates/core/tests/cache.rs::table_routing_matches_legacy_on_every_device`
-//! asserts — here we only time them.
+//! Routing microbenchmarks over the precomputed all-pairs routing table
+//! (`qsyn_core::cache`): CTR and the SABRE-style lookahead routing through
+//! it, and the one-time table build. The workload is a CNOT for every
+//! ordered qubit pair, so every table entry is exercised. That table
+//! routing is byte-identical to the per-gate CTR search is asserted by
+//! `crates/core/tests/cache.rs::table_routing_matches_legacy_on_every_device`;
+//! here we only time it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsyn_arch::{devices, Device};
@@ -27,25 +27,6 @@ fn all_pairs_cnots(d: &Device) -> Circuit {
         }
     }
     c
-}
-
-/// Per-gate search, as shipped before the routing tables existed.
-fn bench_route_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("route_legacy");
-    group.sample_size(20);
-    for d in devices::ibm_devices() {
-        let workload = all_pairs_cnots(&d);
-        group.bench_with_input(BenchmarkId::from_parameter(d.name()), &workload, |b, w| {
-            b.iter(|| {
-                black_box(
-                    CtrStrategy
-                        .route(&RouteRequest::new(w, &d))
-                        .unwrap(),
-                )
-            });
-        });
-    }
-    group.finish();
 }
 
 /// Table-driven routing (steady state: the table is built outside the
@@ -110,7 +91,6 @@ fn bench_table_build(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_route_legacy,
     bench_route_table,
     bench_route_lookahead,
     bench_table_build

@@ -9,11 +9,14 @@
 //! LRU-bounded registries keyed by *content* — structural hashes and
 //! device fingerprints — never by identity:
 //!
-//! 1. **[`RoutingTable`]** — per `(Device, RoutingObjective)`, the full
-//!    [`CtrRoute`] for every ordered qubit pair plus all-pairs hop-count
-//!    and negative-log-fidelity distance/next-hop matrices, built once by
-//!    running the *legacy* CTR search per pair, so table-driven routing is
-//!    byte-identical to per-gate search by construction.
+//! 1. **Routing lookups** — per `(Device, RoutingObjective)`, the answers
+//!    every router asks of the coupling graph (which CTR route, at what
+//!    hop / negative-log-fidelity distance) behind one [`RoutingLookup`]:
+//!    a dense [`RoutingTable`] holding the [`CtrRoute`] of every ordered
+//!    pair plus the all-pairs distance matrices on small devices, a sparse
+//!    [`DistanceOracle`] memoizing per-source rows at scale. Both run the
+//!    per-gate CTR search ([`ctr_route_with`]) per pair, so routing through
+//!    either is byte-identical to that search by construction.
 //! 2. **Decomposition memo** — Barenco MCT cascades are purely positional,
 //!    so one template per (arity, usable-spare-count, strategy) is
 //!    synthesized on canonical line indices and instantiated by qubit
@@ -32,6 +35,7 @@ use crate::route::{ctr_route_with, CtrRoute, RoutingObjective};
 use crate::CompileResult;
 use qsyn_arch::Device;
 use qsyn_gate::Gate;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -255,7 +259,7 @@ pub(crate) fn note_disk_eviction(entries: u64, bytes: u64) {
 /// A point-in-time copy of the process-global per-layer cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStatsSnapshot {
-    /// Routing tables built from scratch (one legacy search per pair).
+    /// Routing tables built from scratch (one per-gate search per pair).
     pub routing_tables_built: u64,
     /// Routing-table registry hits (a table was reused).
     pub routing_table_hits: u64,
@@ -387,21 +391,18 @@ pub fn stats() -> CacheStatsSnapshot {
 // Layer 1: per-device routing tables.
 // ---------------------------------------------------------------------------
 
-/// Sentinel for "no next hop" in [`RoutingTable::next_hop`].
-const NO_HOP: usize = usize::MAX;
-
 /// Precomputed routing structure for one `(Device, RoutingObjective)` pair.
 ///
-/// Holds the full [`CtrRoute`] (or the exact [`CompileError`] the legacy
+/// Holds the full [`CtrRoute`] (or the exact [`CompileError`] the per-gate
 /// search would report) for every ordered `(control, target)` pair, plus
-/// the all-pairs distance and next-hop matrices in both metrics:
-/// undirected hop count, and the negative-log-fidelity SWAP metric the
-/// Dijkstra objective minimizes (uncharacterized couplings price at
+/// the all-pairs distance matrices in both metrics: undirected hop count,
+/// and the negative-log-fidelity SWAP metric the Dijkstra objective
+/// minimizes (uncharacterized couplings price at
 /// [`DEFAULT_CNOT_ERROR`](crate::route::DEFAULT_CNOT_ERROR)).
 ///
 /// Because every per-pair answer is produced by the *same* search the
 /// per-gate router would run, routing through a table is byte-identical to
-/// the legacy path — a property the differential tests in
+/// that search — a property the differential tests in
 /// `crates/core/tests/cache.rs` check gate-for-gate on every built-in
 /// device.
 pub struct RoutingTable {
@@ -410,13 +411,12 @@ pub struct RoutingTable {
     routes: Vec<Result<CtrRoute, CompileError>>,
     dist_hops: Vec<u32>,
     dist_neglog: Vec<f64>,
-    next_hop: Vec<usize>,
 }
 
 impl RoutingTable {
-    /// Builds the table by running the legacy CTR search once per ordered
-    /// pair, plus one BFS and one Dijkstra per source for the distance /
-    /// next-hop matrices.
+    /// Builds the table by running the per-gate CTR search once per
+    /// ordered pair, plus one BFS and one Dijkstra per source for the
+    /// distance matrices.
     pub fn build(device: &Device, objective: RoutingObjective) -> RoutingTable {
         let n = device.n_qubits();
         let mut routes = Vec::with_capacity(n * n);
@@ -425,25 +425,20 @@ impl RoutingTable {
                 routes.push(ctr_route_with(device, control, target, objective));
             }
         }
+        // The per-source rows are shared with the sparse oracle, so both
+        // backends answer identically.
         let mut dist_hops = Vec::with_capacity(n * n);
-        let mut next_hop = Vec::with_capacity(n * n);
+        let mut dist_neglog = Vec::with_capacity(n * n);
         for src in 0..n {
-            // `distances_from` marks unreachable qubits with u32::MAX / 2;
-            // normalize to u32::MAX for an unambiguous sentinel. The
-            // per-source rows are shared with the sparse oracle, so both
-            // paths answer identically.
-            let hops = hop_row(device, src);
-            next_hop.extend(next_hop_row(device, src, &hops));
-            dist_hops.extend(hops);
+            dist_hops.extend(hop_row(device, src));
+            dist_neglog.extend(neglog_row(device, src));
         }
-        let dist_neglog = neglog_distances(device, n);
         RoutingTable {
             n,
             objective,
             routes,
             dist_hops,
             dist_neglog,
-            next_hop,
         }
     }
 
@@ -463,7 +458,7 @@ impl RoutingTable {
     ///
     /// # Errors
     ///
-    /// The stored [`CompileError`] of the legacy search, cloned.
+    /// The stored [`CompileError`] of the per-gate search, cloned.
     pub fn route(&self, control: usize, target: usize) -> Result<&CtrRoute, CompileError> {
         match &self.routes[control * self.n + target] {
             Ok(route) => Ok(route),
@@ -490,16 +485,7 @@ impl RoutingTable {
         }
     }
 
-    /// First step of a shortest hop path `a -> b` (ascending-neighbor
-    /// tie-break), or `None` for `a == b` and disconnected pairs.
-    pub fn next_hop(&self, a: usize, b: usize) -> Option<usize> {
-        match self.next_hop[a * self.n + b] {
-            NO_HOP => None,
-            q => Some(q),
-        }
-    }
-
-    /// Approximate resident bytes of this table: the three dense matrices
+    /// Approximate resident bytes of this table: the two dense matrices
     /// plus every stored route's path. This is what the registry's byte
     /// budget accounts and what the scaling bench reports.
     pub fn approx_bytes(&self) -> usize {
@@ -517,23 +503,13 @@ impl RoutingTable {
             + route_heap
             + self.dist_hops.capacity() * size_of::<u32>()
             + self.dist_neglog.capacity() * size_of::<f64>()
-            + self.next_hop.capacity() * size_of::<usize>()
     }
 }
 
-/// All-pairs negative-log-fidelity distances over the SWAP metric
-/// (Dijkstra per source; deterministic ascending-index tie-break).
-pub(crate) fn neglog_distances(device: &Device, n: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(n * n);
-    for src in 0..n {
-        out.extend(neglog_row(device, src));
-    }
-    out
-}
-
-/// One source's negative-log-fidelity distance row (the exact Dijkstra the
-/// dense table runs per source — the sparse oracle memoizes these rows on
-/// demand, so both paths see bit-identical values by construction).
+/// One source's negative-log-fidelity distance row over the SWAP metric
+/// (Dijkstra; deterministic ascending-index tie-break). The dense table
+/// runs it per source and the sparse oracle memoizes rows on demand, so
+/// both see bit-identical values by construction.
 fn neglog_row(device: &Device, src: usize) -> Vec<f64> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -560,8 +536,9 @@ fn neglog_row(device: &Device, src: usize) -> Vec<f64> {
     dist
 }
 
-/// One source's normalized hop-distance row (BFS, `u32::MAX` sentinel —
-/// the same normalization [`RoutingTable::build`] applies).
+/// One source's hop-distance row (BFS). `distances_from` marks
+/// unreachable qubits with `u32::MAX / 2`; this normalizes them to
+/// `u32::MAX` for an unambiguous sentinel.
 fn hop_row(device: &Device, src: usize) -> Vec<u32> {
     device
         .distances_from(src)
@@ -570,38 +547,17 @@ fn hop_row(device: &Device, src: usize) -> Vec<u32> {
         .collect()
 }
 
-/// One source's next-hop row derived from its hop row: the first step of a
-/// shortest path `src -> q` under the ascending-neighbor tie-break (the
-/// same descent [`RoutingTable::build`] runs).
-fn next_hop_row(device: &Device, src: usize, hops: &[u32]) -> Vec<usize> {
-    let mut row = vec![NO_HOP; hops.len()];
-    for (q, slot) in row.iter_mut().enumerate() {
-        if q == src || hops[q] == u32::MAX {
-            continue;
-        }
-        let mut cur = q;
-        while hops[cur] > 1 {
-            cur = *device
-                .neighbors(cur)
-                .iter()
-                .find(|&&nb| hops[nb] == hops[cur] - 1)
-                .expect("BFS distances admit a descending neighbor");
-        }
-        *slot = cur;
-    }
-    row
-}
-
 type RoutingKey = (u128, u8);
 
-/// The registry maps keys to per-key build cells rather than finished
-/// tables: the mutex only guards the (cheap) map operations, while the
-/// O(n²)-search build runs inside the cell's own `OnceLock`, so the
-/// first-touch build of one device never blocks workers that need a
-/// different device's table.
-type RoutingCell = Arc<OnceLock<Arc<RoutingTable>>>;
+/// A routing registry (dense tables and sparse oracles each have one). It
+/// maps keys to per-key build cells rather than finished backends: the
+/// mutex only guards the (cheap) map operations, while the build runs
+/// inside the cell's own `OnceLock`, so the first-touch build of one
+/// device never blocks workers that need a different device's backend.
+type Registry<T> = OnceLock<Mutex<LruMap<RoutingKey, Arc<OnceLock<Arc<T>>>>>>;
 
-static ROUTING_TABLES: OnceLock<Mutex<LruMap<RoutingKey, RoutingCell>>> = OnceLock::new();
+static ROUTING_TABLES: Registry<RoutingTable> = OnceLock::new();
+static ROUTING_ORACLES: Registry<DistanceOracle> = OnceLock::new();
 
 fn objective_tag(objective: RoutingObjective) -> u8 {
     match objective {
@@ -618,22 +574,29 @@ fn dense_bytes_estimate(n: usize) -> usize {
     n * n * 64
 }
 
-/// The shared routing table for a device and objective, building it on
-/// first use. Returns the table and whether it came from the registry
-/// (`true`) or was built by this call (`false`).
-pub fn routing_table(device: &Device, objective: RoutingObjective) -> (Arc<RoutingTable>, bool) {
+/// The shared entry of `registry` for a device and objective, running
+/// `build` on first use and charging `weight` approximate bytes to the
+/// LRU. `[builds, hits, evictions]` are the registry's metric handles.
+/// Returns the entry and whether it was reused (`true`) or built by this
+/// call (`false`).
+fn shared_routing<T>(
+    registry: &'static Registry<T>,
+    device: &Device,
+    objective: RoutingObjective,
+    weight: usize,
+    [builds, hits, evictions]: [fn() -> &'static qsyn_trace::metrics::Counter; 3],
+    build: impl FnOnce() -> T,
+) -> (Arc<T>, bool) {
     let key = (device.fingerprint(), objective_tag(objective));
-    let registry = ROUTING_TABLES
+    let registry = registry
         .get_or_init(|| Mutex::new(LruMap::with_byte_budget(ROUTING_TABLE_CAP, ROUTING_BYTE_BUDGET)));
     let cell = {
-        let mut map = registry.lock().expect("routing-table registry poisoned");
+        let mut map = registry.lock().expect("routing registry poisoned");
         match map.get(&key) {
             Some(cell) => cell,
             None => {
-                let cell: RoutingCell = Arc::new(OnceLock::new());
-                let evicted =
-                    map.insert_weighted(key, cell.clone(), dense_bytes_estimate(device.n_qubits()));
-                m_routing_evictions().add(evicted);
+                let cell = Arc::new(OnceLock::new());
+                evictions().add(map.insert_weighted(key, cell.clone(), weight));
                 cell
             }
         }
@@ -642,17 +605,31 @@ pub fn routing_table(device: &Device, objective: RoutingObjective) -> (Arc<Routi
     // keys are untouched. An evicted cell stays alive for builders still
     // holding its Arc.
     let mut built = false;
-    let table = cell
+    let shared = cell
         .get_or_init(|| {
             built = true;
-            m_routing_builds().inc();
-            Arc::new(RoutingTable::build(device, objective))
+            builds().inc();
+            Arc::new(build())
         })
         .clone();
     if !built {
-        m_routing_hits().inc();
+        hits().inc();
     }
-    (table, !built)
+    (shared, !built)
+}
+
+/// The shared routing table for a device and objective, building it on
+/// first use. Returns the table and whether it came from the registry
+/// (`true`) or was built by this call (`false`).
+pub fn routing_table(device: &Device, objective: RoutingObjective) -> (Arc<RoutingTable>, bool) {
+    shared_routing(
+        &ROUTING_TABLES,
+        device,
+        objective,
+        dense_bytes_estimate(device.n_qubits()),
+        [m_routing_builds, m_routing_hits, m_routing_evictions],
+        || RoutingTable::build(device, objective),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -673,18 +650,17 @@ pub const SPARSE_ORACLE_MIN_QUBITS: usize = 128;
 #[derive(Default)]
 struct OracleState {
     hop_rows: HashMap<usize, Arc<Vec<u32>>>,
-    next_hop_rows: HashMap<usize, Arc<Vec<usize>>>,
     neglog_rows: HashMap<usize, Arc<Vec<f64>>>,
     routes: HashMap<(usize, usize), Result<Arc<CtrRoute>, CompileError>>,
 }
 
 /// Sparse replacement for the dense [`RoutingTable`]: answers the same
-/// `route` / `hop_distance` / `neglog_distance` / `next_hop` queries
-/// without ever materializing `n²` state.
+/// `route` / `hop_distance` / `neglog_distance` queries without ever
+/// materializing `n²` state.
 ///
-/// Per-source shortest-path rows (BFS hops, Dijkstra negative-log-fidelity,
-/// and the derived next-hop row) are computed on first touch and memoized,
-/// and per-pair [`CtrRoute`]s run the *same* legacy search the dense table
+/// Per-source shortest-path rows (BFS hops and Dijkstra
+/// negative-log-fidelity) are computed on first touch and memoized, and
+/// per-pair [`CtrRoute`]s run the *same* per-gate search the dense table
 /// stores — so every answer is bit-identical to the table's by
 /// construction, a property the differential suite checks on every
 /// built-in device. On top of that, a handful of landmark rows
@@ -800,12 +776,12 @@ impl DistanceOracle {
         row
     }
 
-    /// The exact CTR route the legacy per-gate search (and hence the dense
-    /// table) produces for this ordered pair, memoized per pair.
+    /// The exact CTR route the per-gate search (and hence the dense table)
+    /// produces for this ordered pair, memoized per pair.
     ///
     /// # Errors
     ///
-    /// The [`CompileError`] of the legacy search, cloned.
+    /// The [`CompileError`] of the per-gate search, cloned.
     pub fn route(&self, control: usize, target: usize) -> Result<Arc<CtrRoute>, CompileError> {
         {
             let state = self.state.lock().expect("oracle state poisoned");
@@ -836,32 +812,6 @@ impl DistanceOracle {
     pub fn neglog_distance(&self, a: usize, b: usize) -> Option<f64> {
         let d = self.neglog_row_for(a)[b];
         d.is_finite().then_some(d)
-    }
-
-    /// First step of a shortest hop path `a -> b` (ascending-neighbor
-    /// tie-break) — identical to [`RoutingTable::next_hop`].
-    pub fn next_hop(&self, a: usize, b: usize) -> Option<usize> {
-        let row = {
-            let state = self.state.lock().expect("oracle state poisoned");
-            match state.next_hop_rows.get(&a) {
-                Some(row) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    row.clone()
-                }
-                None => {
-                    drop(state);
-                    let hops = self.hop_row_for(a);
-                    let row = Arc::new(next_hop_row(&self.device, a, &hops));
-                    let mut state = self.state.lock().expect("oracle state poisoned");
-                    state.next_hop_rows.insert(a, row.clone());
-                    row
-                }
-            }
-        };
-        match row[b] {
-            NO_HOP => None,
-            q => Some(q),
-        }
     }
 
     /// ALT triangle-inequality lower bound on the hop distance `a -> b`:
@@ -917,7 +867,6 @@ impl DistanceOracle {
             + self.landmark_hops.len() * self.n * size_of::<u32>()
             + self.landmark_neglog.len() * self.n * size_of::<f64>()
             + state.hop_rows.len() * self.n * size_of::<u32>()
-            + state.next_hop_rows.len() * self.n * size_of::<usize>()
             + state.neglog_rows.len() * self.n * size_of::<f64>()
             + state
                 .routes
@@ -930,10 +879,6 @@ impl DistanceOracle {
     }
 }
 
-type OracleCell = Arc<OnceLock<Arc<DistanceOracle>>>;
-
-static ROUTING_ORACLES: OnceLock<Mutex<LruMap<RoutingKey, OracleCell>>> = OnceLock::new();
-
 /// Approximate LRU weight of an oracle at registration time: the landmark
 /// rows it builds eagerly (memoized rows grow it later; the estimate is
 /// deliberately the floor, not the ceiling).
@@ -945,45 +890,101 @@ fn oracle_bytes_estimate(n: usize) -> usize {
 /// first use. Returns the oracle and whether it was reused from the
 /// registry (`true`) or built by this call (`false`).
 pub fn routing_oracle(device: &Device, objective: RoutingObjective) -> (Arc<DistanceOracle>, bool) {
-    let key = (device.fingerprint(), objective_tag(objective));
-    let registry = ROUTING_ORACLES
-        .get_or_init(|| Mutex::new(LruMap::with_byte_budget(ROUTING_TABLE_CAP, ROUTING_BYTE_BUDGET)));
-    let cell = {
-        let mut map = registry.lock().expect("oracle registry poisoned");
-        match map.get(&key) {
-            Some(cell) => cell,
-            None => {
-                let cell: OracleCell = Arc::new(OnceLock::new());
-                let evicted =
-                    map.insert_weighted(key, cell.clone(), oracle_bytes_estimate(device.n_qubits()));
-                m_oracle_evictions().add(evicted);
-                cell
-            }
-        }
-    };
-    let mut built = false;
-    let oracle = cell
-        .get_or_init(|| {
-            built = true;
-            m_oracle_builds().inc();
-            Arc::new(DistanceOracle::build(device, objective))
-        })
-        .clone();
-    if !built {
-        m_oracle_hits().inc();
-    }
-    (oracle, !built)
+    shared_routing(
+        &ROUTING_ORACLES,
+        device,
+        objective,
+        oracle_bytes_estimate(device.n_qubits()),
+        [m_oracle_builds, m_oracle_hits, m_oracle_evictions],
+        || DistanceOracle::build(device, objective),
+    )
 }
 
 /// Either routing backend behind one handle: the dense table (small
 /// devices) or the sparse oracle (large ones). Both answer identically;
-/// only build cost and memory differ.
+/// only build cost and memory differ. This is the only way a router reads
+/// routes and distances.
 #[derive(Clone)]
 pub enum RoutingLookup {
     /// Dense all-pairs table — `O(n²)` build, `O(1)` queries.
     Dense(Arc<RoutingTable>),
     /// Sparse per-source oracle — `O(landmarks · n)` build, memoized rows.
     Sparse(Arc<DistanceOracle>),
+}
+
+impl RoutingLookup {
+    /// Register width the backend serves.
+    pub fn n_qubits(&self) -> usize {
+        match self {
+            RoutingLookup::Dense(t) => t.n_qubits(),
+            RoutingLookup::Sparse(o) => o.n_qubits(),
+        }
+    }
+
+    /// The objective the per-pair routes minimize.
+    pub fn objective(&self) -> RoutingObjective {
+        match self {
+            RoutingLookup::Dense(t) => t.objective(),
+            RoutingLookup::Sparse(o) => o.objective(),
+        }
+    }
+
+    /// The CTR route for an ordered pair — exactly what [`ctr_route_with`]
+    /// returns. The dense table lends its stored route; the sparse oracle
+    /// hands out a copy of its memoized one.
+    ///
+    /// # Errors
+    ///
+    /// The [`CompileError`] of the per-gate search (degenerate pair,
+    /// disconnected map).
+    pub fn route(&self, control: usize, target: usize) -> Result<Cow<'_, CtrRoute>, CompileError> {
+        match self {
+            RoutingLookup::Dense(t) => t.route(control, target).map(Cow::Borrowed),
+            RoutingLookup::Sparse(o) => o.route(control, target).map(|r| Cow::Owned((*r).clone())),
+        }
+    }
+
+    /// Undirected hop-count distance, or `None` when disconnected.
+    pub fn hop_distance(&self, a: usize, b: usize) -> Option<u32> {
+        match self {
+            RoutingLookup::Dense(t) => t.hop_distance(a, b),
+            RoutingLookup::Sparse(o) => o.hop_distance(a, b),
+        }
+    }
+
+    /// Negative-log-fidelity SWAP-path distance, or `None` when
+    /// disconnected.
+    pub fn neglog_distance(&self, a: usize, b: usize) -> Option<f64> {
+        match self {
+            RoutingLookup::Dense(t) => t.neglog_distance(a, b),
+            RoutingLookup::Sparse(o) => o.neglog_distance(a, b),
+        }
+    }
+
+    /// An ALT (landmark) lower bound on the distance `a -> b` in the hop
+    /// metric, or with `neglog` in the negative-log-fidelity metric; cheap
+    /// to evaluate (no per-source row is materialized). Only the sparse
+    /// oracle bounds: the dense table returns `0.0`, which is trivially
+    /// admissible and disables pruning.
+    pub fn lower_bound(&self, a: usize, b: usize, neglog: bool) -> f64 {
+        match self {
+            RoutingLookup::Dense(_) => 0.0,
+            RoutingLookup::Sparse(o) if neglog => o.neglog_lower_bound(a, b).unwrap_or(0.0),
+            RoutingLookup::Sparse(o) => match o.hop_lower_bound(a, b) {
+                u32::MAX => f64::INFINITY,
+                lb => f64::from(lb),
+            },
+        }
+    }
+
+    /// The sparse oracle's `(hits, misses)` so far; `None` for the dense
+    /// table, which has nothing to memoize.
+    pub fn oracle_counts(&self) -> Option<(u64, u64)> {
+        match self {
+            RoutingLookup::Dense(_) => None,
+            RoutingLookup::Sparse(o) => Some((o.hit_count(), o.miss_count())),
+        }
+    }
 }
 
 /// The routing backend for a device: dense below
@@ -1268,12 +1269,6 @@ mod tests {
                             d.name()
                         );
                         assert_eq!(
-                            table.next_hop(a, b),
-                            oracle.next_hop(a, b),
-                            "{}: next_hop {a}->{b}",
-                            d.name()
-                        );
-                        assert_eq!(
                             table.neglog_distance(a, b),
                             oracle.neglog_distance(a, b),
                             "{}: neglog {a}->{b}",
@@ -1371,7 +1366,6 @@ mod tests {
         let n = d.n_qubits();
         for a in 0..n {
             assert_eq!(table.hop_distance(a, a), Some(0));
-            assert_eq!(table.next_hop(a, a), None);
             assert_eq!(table.neglog_distance(a, a), Some(0.0));
             for b in 0..n {
                 if a == b {
@@ -1379,9 +1373,6 @@ mod tests {
                 }
                 let hops = table.hop_distance(a, b).expect("ibmqx3 is connected");
                 assert_eq!(hops, d.distance(a, b).unwrap());
-                let step = table.next_hop(a, b).expect("connected pair has a hop");
-                assert!(d.are_adjacent(a, step), "{a}->{b} via {step}");
-                assert_eq!(table.hop_distance(step, b), Some(hops - 1));
                 assert!(table.neglog_distance(a, b).unwrap() > 0.0);
             }
         }
@@ -1392,7 +1383,6 @@ mod tests {
         let d = Device::from_coupling_map("disc", 4, &[(0, &[1]), (2, &[3])]);
         let table = RoutingTable::build(&d, RoutingObjective::FewestSwaps);
         assert_eq!(table.hop_distance(0, 3), None);
-        assert_eq!(table.next_hop(0, 3), None);
         assert_eq!(table.neglog_distance(0, 3), None);
         assert_eq!(
             table.route(0, 3).unwrap_err(),

@@ -759,21 +759,15 @@ impl Compiler {
         lookup: &RoutingLookup,
     ) -> Result<(RouteOutcome, Option<(u64, u64)>), CompileError> {
         let strategy = self.strategy.resolve(self.cost.route_hint());
-        let mut req = RouteRequest::new(circuit, &self.device)
+        let req = RouteRequest::new(circuit, &self.device)
             .with_objective(self.routing)
-            .with_max_swaps(self.budget.max_route_swaps);
-        let oracle = match lookup {
-            RoutingLookup::Dense(table) => {
-                req = req.with_table(table.clone());
-                None
-            }
-            RoutingLookup::Sparse(oracle) => {
-                req = req.with_oracle(oracle.clone());
-                Some((oracle, oracle.hit_count(), oracle.miss_count()))
-            }
-        };
+            .with_max_swaps(self.budget.max_route_swaps)
+            .with_lookup(lookup.clone());
+        let before = lookup.oracle_counts();
         let outcome = strategy.instance().route(&req)?;
-        let delta = oracle.map(|(o, h0, m0)| (o.hit_count() - h0, o.miss_count() - m0));
+        let delta = before
+            .zip(lookup.oracle_counts())
+            .map(|((h0, m0), (h1, m1))| (h1 - h0, m1 - m0));
         Ok((outcome, delta))
     }
 
@@ -1768,9 +1762,34 @@ mod tests {
         assert_eq!(traced.verified, plain.verified);
     }
 
+    /// The paper's CTR router as the bare per-gate search: each two-qubit
+    /// gate is routed on its own by `emit_cnot_with` / `emit_cz_with`.
+    fn ctr_per_gate(
+        circuit: &Circuit,
+        device: &qsyn_arch::Device,
+        objective: RoutingObjective,
+    ) -> Circuit {
+        let mut out = Circuit::new(device.n_qubits());
+        for g in circuit.gates() {
+            match *g {
+                Gate::Cx { control, target } => {
+                    crate::route::emit_cnot_with(device, control, target, objective, &mut out)
+                        .unwrap()
+                }
+                Gate::Cz { control, target } => {
+                    crate::route::emit_cz_with(device, control, target, objective, &mut out)
+                        .unwrap()
+                }
+                _ => out.push(g.clone()),
+            }
+        }
+        out
+    }
+
     /// The pipeline `compile` runs, rebuilt from public stage functions
     /// with no shared state: identity placement, uncached decomposition,
-    /// a table-less route request, then the optimizer. Returns the
+    /// routing (CTR as the per-gate search, any other strategy over a
+    /// private dense routing table), then the optimizer. Returns the
     /// (unoptimized, optimized) circuits.
     fn reference_pipeline(
         spec: &Circuit,
@@ -1783,8 +1802,15 @@ mod tests {
         let decomposed =
             crate::decompose::decompose_circuit_with(&placed, Some(device), DecomposeStrategy::Exact)
                 .unwrap();
-        let req = RouteRequest::new(&decomposed, device).with_objective(objective);
-        let routed = kind.instance().route(&req).unwrap().circuit;
+        let routed = if kind == RouteStrategyKind::Ctr {
+            ctr_per_gate(&decomposed, device, objective)
+        } else {
+            let table = Arc::new(crate::cache::RoutingTable::build(device, objective));
+            let req = RouteRequest::new(&decomposed, device)
+                .with_objective(objective)
+                .with_table(table);
+            kind.instance().route(&req).unwrap().circuit
+        };
         let optimized = if optimize {
             let cost = TransmonCost::default();
             optimize_bounded(&routed, Some(device), &cost, OptimizeConfig::default(), None).0

@@ -376,7 +376,7 @@ pub fn emit_cnot_with(
     out: &mut Circuit,
 ) -> Result<(), CompileError> {
     let route = ctr_route_with(device, control, target, objective)?;
-    emit_cnot_via(device, &route, target, out)
+    emit_cnot_via(device, &route, target, false, out)
 }
 
 /// What the router did to a circuit: how many gates needed a reroute and
@@ -406,9 +406,10 @@ impl RouteCounters {
 /// a strategy: it runs the paper's CTR router
 /// ([`CtrStrategy`](crate::CtrStrategy)) through the
 /// [`RoutingStrategy`](crate::RoutingStrategy) trait, against the shared
-/// precomputed routing table for the device. For a different objective,
-/// a SWAP cap, per-route counters, or a second-generation router, build a
-/// [`RouteRequest`](crate::RouteRequest) and call a strategy directly.
+/// [`routing_lookup`](crate::routing_lookup) for the device. For a
+/// different objective, a SWAP cap, per-route counters, or a
+/// second-generation router, build a [`RouteRequest`](crate::RouteRequest)
+/// and call a strategy directly.
 ///
 /// # Errors
 ///
@@ -417,140 +418,72 @@ impl RouteCounters {
 /// first), or [`CompileError::RouteNotFound`] on a disconnected map.
 pub fn route_circuit(circuit: &Circuit, device: &Device) -> Result<Circuit, CompileError> {
     use crate::strategy::{RouteRequest, RoutingStrategy};
-    let (table, _) = crate::cache::routing_table(device, RoutingObjective::FewestSwaps);
-    let req = RouteRequest::new(circuit, device).with_table(table);
-    crate::strategy::CtrStrategy.route(&req).map(|o| o.circuit)
+    crate::strategy::CtrStrategy
+        .route(&RouteRequest::new(circuit, device))
+        .map(|o| o.circuit)
 }
 
-/// CTR routing running the legacy per-gate search instead of a shared
-/// [`RoutingTable`](crate::cache::RoutingTable).
-///
-/// The table path is byte-identical to this one (the table stores exactly
-/// what these searches return); this entry point exists so differential
-/// tests and benchmarks can compare the two directly (a table-less
-/// [`RouteRequest`](crate::RouteRequest) routes through it).
-pub(crate) fn route_bounded_uncached(
+/// CTR routing of a whole circuit: each two-qubit gate takes its route
+/// from `lookup` (the dense table or the sparse oracle, both of which
+/// store exactly what [`ctr_route_with`] returns), and more than
+/// `max_swaps` inserted SWAPs abort with
+/// [`CompileError::BudgetExceeded`].
+pub(crate) fn route_bounded(
     circuit: &Circuit,
     device: &Device,
-    objective: RoutingObjective,
+    lookup: &crate::cache::RoutingLookup,
     max_swaps: Option<usize>,
 ) -> Result<(Circuit, RouteCounters), CompileError> {
-    ctr_route_each_gate(circuit, device, max_swaps, |control, target| {
-        ctr_route_with(device, control, target, objective)
-    })
-}
-
-/// CTR routing against an explicit precomputed
-/// [`RoutingTable`](crate::cache::RoutingTable) (the compiler fetches the
-/// shared table once per compile and passes it here).
-pub(crate) fn route_bounded_via(
-    circuit: &Circuit,
-    device: &Device,
-    table: &crate::cache::RoutingTable,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
-    debug_assert_eq!(table.n_qubits(), device.n_qubits(), "table/device mismatch");
-    ctr_route_each_gate(circuit, device, max_swaps, |control, target| {
-        table.route(control, target)
-    })
-}
-
-/// CTR routing against a sparse [`DistanceOracle`](crate::cache::DistanceOracle):
-/// per-pair routes are searched on first touch and memoized, so no `n²`
-/// table is ever materialized. Byte-identical to [`route_bounded_via`]
-/// because the oracle memoizes the very same per-pair search.
-pub(crate) fn route_bounded_via_oracle(
-    circuit: &Circuit,
-    device: &Device,
-    oracle: &crate::cache::DistanceOracle,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
-    debug_assert_eq!(oracle.n_qubits(), device.n_qubits(), "oracle/device mismatch");
-    ctr_route_each_gate(circuit, device, max_swaps, |control, target| {
-        oracle.route(control, target)
-    })
-}
-
-/// The shared routing loop; `route_for` yields the CTR route per two-qubit
-/// gate, either borrowed from a table or freshly searched.
-fn ctr_route_each_gate<R, F>(
-    circuit: &Circuit,
-    device: &Device,
-    max_swaps: Option<usize>,
-    mut route_for: F,
-) -> Result<(Circuit, RouteCounters), CompileError>
-where
-    R: std::borrow::Borrow<CtrRoute>,
-    F: FnMut(usize, usize) -> Result<R, CompileError>,
-{
+    let cz_native = device.native() == qsyn_arch::TwoQubitNative::Cz;
     let mut out = Circuit::new(device.n_qubits());
     if let Some(name) = circuit.name() {
         out.set_name(name.to_string());
     }
     let mut counters = RouteCounters::default();
-    let check_cap = |counters: &RouteCounters| -> Result<(), CompileError> {
-        match max_swaps {
-            Some(cap) if counters.swaps_inserted > cap => Err(CompileError::BudgetExceeded {
+    for g in circuit.gates() {
+        let (control, target, cz) = match g {
+            Gate::Single { .. } => {
+                out.push(g.clone());
+                continue;
+            }
+            Gate::Cx { control, target } => (*control, *target, false),
+            Gate::Cz { control, target } if cz_native => (*control, *target, true),
+            other => return Err(CompileError::UnmappedGate(other.to_string())),
+        };
+        let route = lookup.route(control, target)?;
+        counters.record(&route);
+        if let Some(cap) = max_swaps.filter(|&cap| counters.swaps_inserted > cap) {
+            return Err(CompileError::BudgetExceeded {
                 pass: qsyn_trace::Pass::Route,
                 resource: crate::budget::BudgetResource::RouteSwaps,
                 limit: cap as u64,
                 used: counters.swaps_inserted as u64,
-            }),
-            _ => Ok(()),
+            });
         }
-    };
-    for g in circuit.gates() {
-        match g {
-            Gate::Single { .. } => out.push(g.clone()),
-            Gate::Cx { control, target } => {
-                let route = route_for(*control, *target)?;
-                counters.record(route.borrow());
-                check_cap(&counters)?;
-                emit_cnot_via(device, route.borrow(), *target, &mut out)?;
-            }
-            Gate::Cz { control, target }
-                if device.native() == qsyn_arch::TwoQubitNative::Cz =>
-            {
-                let route = route_for(*control, *target)?;
-                counters.record(route.borrow());
-                check_cap(&counters)?;
-                emit_cz_via(device, route.borrow(), *target, &mut out)?;
-            }
-            other => return Err(CompileError::UnmappedGate(other.to_string())),
-        }
+        emit_cnot_via(device, &route, target, cz, &mut out)?;
     }
     Ok((out, counters))
 }
 
-/// Emits a CNOT along an already-computed route: SWAP out, execute the
-/// (possibly reversed) CNOT, SWAP back.
+/// Emits a two-qubit gate along an already-computed route: SWAP out,
+/// execute the adjacent gate — a CZ when `cz`, else the (possibly
+/// reversed) CNOT — from the route's effective control to `target`, SWAP
+/// back.
 fn emit_cnot_via(
     device: &Device,
     route: &CtrRoute,
     target: usize,
+    cz: bool,
     out: &mut Circuit,
 ) -> Result<(), CompileError> {
     for w in route.path.windows(2) {
         emit_adjacent_swap(device, w[0], w[1], out)?;
     }
-    emit_adjacent_cnot(device, route.effective_control, target, out)?;
-    for w in route.path.windows(2).rev() {
-        emit_adjacent_swap(device, w[0], w[1], out)?;
+    if cz {
+        emit_adjacent_cz(device, route.effective_control, target, out)?;
+    } else {
+        emit_adjacent_cnot(device, route.effective_control, target, out)?;
     }
-    Ok(())
-}
-
-/// Emits a CZ along an already-computed route (CZ-native devices).
-fn emit_cz_via(
-    device: &Device,
-    route: &CtrRoute,
-    target: usize,
-    out: &mut Circuit,
-) -> Result<(), CompileError> {
-    for w in route.path.windows(2) {
-        emit_adjacent_swap(device, w[0], w[1], out)?;
-    }
-    emit_adjacent_cz(device, route.effective_control, target, out)?;
     for w in route.path.windows(2).rev() {
         emit_adjacent_swap(device, w[0], w[1], out)?;
     }
@@ -577,7 +510,7 @@ pub fn emit_cz_with(
         return Err(CompileError::UnmappedGate(format!("CZ q{a}, q{b}")));
     }
     let route = ctr_route_with(device, a, b, objective)?;
-    emit_cz_via(device, &route, b, out)
+    emit_cnot_via(device, &route, b, true, out)
 }
 
 #[cfg(test)]
@@ -586,16 +519,15 @@ mod tests {
     use qsyn_arch::devices;
     use qsyn_qmdd::circuits_equal;
 
-    /// CTR routing under an objective and optional SWAP cap, resolving the
-    /// shared [`RoutingTable`](crate::cache::RoutingTable) from the registry.
-    fn route_bounded(
+    /// Fewest-SWAPs CTR routing under an optional SWAP cap, through the
+    /// shared routing lookup for the device.
+    fn routed(
         circuit: &Circuit,
         device: &Device,
-        objective: RoutingObjective,
         max_swaps: Option<usize>,
     ) -> Result<(Circuit, RouteCounters), CompileError> {
-        let (table, _) = crate::cache::routing_table(device, objective);
-        route_bounded_via(circuit, device, &table, max_swaps)
+        let (lookup, _) = crate::cache::routing_lookup(device, RoutingObjective::FewestSwaps);
+        route_bounded(circuit, device, &lookup, max_swaps)
     }
 
     #[test]
@@ -689,7 +621,7 @@ mod tests {
         c.push(Gate::cx(5, 10)); // the Fig. 5 reroute: 2 hops
         c.push(Gate::cx(0, 1)); // adjacent: no swaps
         let (traced, counters) =
-            route_bounded(&c, &d, RoutingObjective::FewestSwaps, None).unwrap();
+            routed(&c, &d, None).unwrap();
         let plain = route_circuit(&c, &d).unwrap();
         assert_eq!(traced, plain, "tracing must not change the output");
         assert_eq!(counters.gates_rerouted, 1);
@@ -701,7 +633,7 @@ mod tests {
         let d = devices::ibmqx2();
         let mut c = Circuit::new(5);
         c.push(Gate::cx(0, 1));
-        let (_, counters) = route_bounded(&c, &d, RoutingObjective::FewestSwaps, None).unwrap();
+        let (_, counters) = routed(&c, &d, None).unwrap();
         assert_eq!(counters, RouteCounters::default());
     }
 
@@ -866,10 +798,10 @@ mod tests {
         let mut c = Circuit::new(16);
         c.push(Gate::cx(5, 10)); // distant pair: needs several SWAPs
         let (_, counters) =
-            route_bounded(&c, &d, RoutingObjective::FewestSwaps, None).unwrap();
+            routed(&c, &d, None).unwrap();
         assert!(counters.swaps_inserted >= 2);
         // A cap below the real requirement trips the budget...
-        match route_bounded(&c, &d, RoutingObjective::FewestSwaps, Some(1)) {
+        match routed(&c, &d, Some(1)) {
             Err(CompileError::BudgetExceeded {
                 pass,
                 resource,
@@ -885,8 +817,8 @@ mod tests {
         }
         // ...while a generous cap matches the uncapped result.
         let (bounded, bc) =
-            route_bounded(&c, &d, RoutingObjective::FewestSwaps, Some(1000)).unwrap();
-        let (free, fc) = route_bounded(&c, &d, RoutingObjective::FewestSwaps, None).unwrap();
+            routed(&c, &d, Some(1000)).unwrap();
+        let (free, fc) = routed(&c, &d, None).unwrap();
         assert_eq!(bounded.gates().len(), free.gates().len());
         assert_eq!(bc.swaps_inserted, fc.swaps_inserted);
     }

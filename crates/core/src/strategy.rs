@@ -11,24 +11,30 @@
 //! every circuit through it:
 //!
 //! * [`RoutingStrategy`] — the trait: one [`RouteRequest`] in (circuit,
-//!   device, objective, SWAP cap, shared routing table or oracle), one
+//!   device, objective, SWAP cap, shared [`RoutingLookup`]), one
 //!   [`RouteOutcome`] out (routed circuit plus SWAP counters);
 //! * [`CtrStrategy`] — the paper's router re-homed behind the trait,
 //!   byte-identical to the per-gate search;
 //! * [`LookaheadStrategy`] — a bidirectional SABRE-style search
 //!   (Li/Ding/Xie): SWAPs persist, candidates are scored against a
-//!   decaying window of future two-qubit gates using the precomputed
-//!   hop / negative-log-fidelity distance matrices of the shared
-//!   [`RoutingTable`], and one restoration network at the end returns
-//!   every line home so the result stays QMDD-verifiable;
+//!   decaying window of future two-qubit gates using the hop /
+//!   negative-log-fidelity distances of the shared lookup, and one
+//!   restoration network at the end returns every line home so the
+//!   result stays QMDD-verifiable;
 //! * [`PersistentStrategy`] — shortest-path drifting SWAPs with one final
 //!   restoration network ([`crate::remap`]);
 //! * [`RouteStrategyKind`] — the registry the compiler and CLI select
 //!   strategies through (`--route-strategy ctr|lookahead|persistent|auto`),
 //!   with `auto` resolved from the cost model's
 //!   [`RouteHint`].
+//!
+//! Every router reads routes and distances through one [`RoutingLookup`]:
+//! the dense [`RoutingTable`] on small devices, the sparse
+//! [`DistanceOracle`] at scale. Both store exactly what the per-gate CTR
+//! search returns, so which one a request carries never changes the
+//! output.
 
-use crate::cache::{DistanceOracle, RoutingTable};
+use crate::cache::{DistanceOracle, RoutingLookup, RoutingTable};
 use crate::error::CompileError;
 use crate::remap::{restoration_swaps, route_circuit_persistent_traced, Layout};
 use crate::route::{
@@ -42,8 +48,9 @@ use std::sync::Arc;
 /// Everything a [`RoutingStrategy`] needs to legalize one circuit.
 ///
 /// Built with [`RouteRequest::new`] plus the `with_*` setters; the
-/// defaults are the paper's (fewest-SWAPs objective, no cap, no shared
-/// table).
+/// defaults are the paper's (fewest-SWAPs objective, no cap) and the
+/// shared [`routing_lookup`](crate::routing_lookup) for the device and
+/// objective.
 pub struct RouteRequest<'a> {
     /// The technology-ready circuit to legalize (CNOT/CZ + one-qubit
     /// gates; run decomposition first).
@@ -56,30 +63,24 @@ pub struct RouteRequest<'a> {
     /// many adjacent SWAPs would be inserted (`None` = unbounded); the cap
     /// a [`CompileBudget`](crate::CompileBudget) sets.
     pub max_swaps: Option<usize>,
-    /// The shared precomputed routing table for `(device, objective)`.
-    /// `None` makes strategies recompute distances locally (the
-    /// table-less reference path differential tests compare against).
-    pub table: Option<Arc<RoutingTable>>,
-    /// The shared sparse [`DistanceOracle`] for `(device, objective)`,
-    /// the large-device alternative to `table`: distances are answered
-    /// from memoized per-source rows instead of a dense matrix. When both
-    /// a table and an oracle are set the oracle wins (the compiler sets
-    /// exactly one, per the [`routing_lookup`](crate::routing_lookup)
-    /// size threshold).
-    pub oracle: Option<Arc<DistanceOracle>>,
+    /// Where routes and distances come from. `None` means the shared
+    /// [`routing_lookup`](crate::routing_lookup) for `(device,
+    /// objective)`, fetched only by strategies that read distances. A
+    /// supplied lookup must have been built for this objective and
+    /// register width (see [`RouteRequest::resolve_lookup`]).
+    pub lookup: Option<RoutingLookup>,
 }
 
 impl<'a> RouteRequest<'a> {
-    /// A request with the paper's defaults: fewest SWAPs, no cap, no
-    /// shared table.
+    /// A request with the paper's defaults: fewest SWAPs, no cap, the
+    /// shared routing lookup.
     pub fn new(circuit: &'a Circuit, device: &'a Device) -> Self {
         RouteRequest {
             circuit,
             device,
             objective: RoutingObjective::FewestSwaps,
             max_swaps: None,
-            table: None,
-            oracle: None,
+            lookup: None,
         }
     }
 
@@ -95,17 +96,46 @@ impl<'a> RouteRequest<'a> {
         self
     }
 
-    /// Routes through a shared precomputed [`RoutingTable`].
-    pub fn with_table(mut self, table: Arc<RoutingTable>) -> Self {
-        self.table = Some(table);
+    /// Routes through the given lookup instead of the shared one.
+    pub fn with_lookup(mut self, lookup: RoutingLookup) -> Self {
+        self.lookup = Some(lookup);
         self
     }
 
-    /// Routes through a shared sparse [`DistanceOracle`] (the large-device
+    /// Routes through a precomputed dense [`RoutingTable`].
+    pub fn with_table(self, table: Arc<RoutingTable>) -> Self {
+        self.with_lookup(RoutingLookup::Dense(table))
+    }
+
+    /// Routes through a sparse [`DistanceOracle`] (the large-device
     /// counterpart of [`with_table`](Self::with_table)).
-    pub fn with_oracle(mut self, oracle: Arc<DistanceOracle>) -> Self {
-        self.oracle = Some(oracle);
-        self
+    pub fn with_oracle(self, oracle: Arc<DistanceOracle>) -> Self {
+        self.with_lookup(RoutingLookup::Sparse(oracle))
+    }
+
+    /// The lookup this request routes through: the supplied one, or else
+    /// the shared [`routing_lookup`](crate::routing_lookup) for `(device,
+    /// objective)`.
+    ///
+    /// # Panics
+    ///
+    /// When the supplied lookup was built for another objective or
+    /// register width: its routes would minimize one metric while the
+    /// request scores another.
+    pub fn resolve_lookup(&self) -> RoutingLookup {
+        let Some(lookup) = &self.lookup else {
+            return crate::cache::routing_lookup(self.device, self.objective).0;
+        };
+        let (objective, n) = (lookup.objective(), lookup.n_qubits());
+        assert!(
+            objective == self.objective && n == self.device.n_qubits(),
+            "routing lookup built for {objective:?} on {n} qubits does not match a \
+             {:?} route request on {} ({} qubits)",
+            self.objective,
+            self.device.name(),
+            self.device.n_qubits(),
+        );
+        lookup.clone()
     }
 }
 
@@ -167,9 +197,11 @@ pub trait RoutingStrategy {
 /// The paper's connectivity-tree reroute (Figs. 4 and 5) behind the
 /// [`RoutingStrategy`] trait: SWAP the control out, execute, SWAP back.
 ///
-/// Byte-identical to the historical `route_circuit*` free functions — with
-/// a table in the request it routes through the table, without one it runs
-/// the legacy per-gate search, and the two are identical by construction.
+/// Each route comes from the request's [`RoutingLookup`], which stores
+/// exactly what the per-gate search ([`ctr_route_with`]) returns, so the
+/// output is byte-identical to running that search gate by gate.
+///
+/// [`ctr_route_with`]: crate::route::ctr_route_with
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CtrStrategy;
 
@@ -179,126 +211,10 @@ impl RoutingStrategy for CtrStrategy {
     }
 
     fn route(&self, req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
-        let (circuit, k) = if let Some(oracle) = &req.oracle {
-            crate::route::route_bounded_via_oracle(
-                req.circuit,
-                req.device,
-                oracle,
-                req.max_swaps,
-            )?
-        } else if let Some(table) = &req.table {
-            crate::route::route_bounded_via(req.circuit, req.device, table, req.max_swaps)?
-        } else {
-            crate::route::route_bounded_uncached(
-                req.circuit,
-                req.device,
-                req.objective,
-                req.max_swaps,
-            )?
-        };
+        let lookup = req.resolve_lookup();
+        let (circuit, k) =
+            crate::route::route_bounded(req.circuit, req.device, &lookup, req.max_swaps)?;
         Ok(RouteOutcome::of(circuit, k.swaps_inserted, k.gates_rerouted, 0))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Distance field: the metric the lookahead scores against.
-// ---------------------------------------------------------------------------
-
-/// All-pairs distances under the active objective, served from the shared
-/// [`RoutingTable`] when one is in the request and recomputed locally
-/// otherwise (so a table-less request stays a true no-cache reference).
-struct DistanceField {
-    n: usize,
-    /// Hop-count matrix (`u32::MAX` = disconnected). Always present: it is
-    /// both the fewest-SWAPs metric and the termination fallback.
-    hops: HopSource,
-    /// Negative-log-fidelity matrix, only materialized under the fidelity
-    /// objective on characterized devices (mirrors `ctr_route_with`'s
-    /// fallback to BFS on uncharacterized hardware).
-    neglog: Option<NeglogSource>,
-}
-
-enum HopSource {
-    Table(Arc<RoutingTable>),
-    Oracle(Arc<DistanceOracle>),
-    Local(Vec<u32>),
-}
-
-enum NeglogSource {
-    Table(Arc<RoutingTable>),
-    Oracle(Arc<DistanceOracle>),
-    Local(Vec<f64>),
-}
-
-impl DistanceField {
-    fn build(
-        device: &Device,
-        objective: RoutingObjective,
-        table: Option<&Arc<RoutingTable>>,
-        oracle: Option<&Arc<DistanceOracle>>,
-    ) -> Self {
-        let n = device.n_qubits();
-        let fidelity =
-            objective == RoutingObjective::HighestFidelity && device.has_error_data();
-        let hops = match (oracle, table) {
-            (Some(o), _) => HopSource::Oracle(o.clone()),
-            (None, Some(t)) => HopSource::Table(t.clone()),
-            (None, None) => {
-                let mut m = vec![u32::MAX; n * n];
-                for src in 0..n {
-                    for (q, &d) in device.distances_from(src).iter().enumerate() {
-                        m[src * n + q] = if d >= u32::MAX / 2 { u32::MAX } else { d };
-                    }
-                }
-                HopSource::Local(m)
-            }
-        };
-        let neglog = fidelity.then(|| match (oracle, table) {
-            (Some(o), _) => NeglogSource::Oracle(o.clone()),
-            (None, Some(t)) => NeglogSource::Table(t.clone()),
-            (None, None) => NeglogSource::Local(crate::cache::neglog_distances(device, n)),
-        });
-        DistanceField { n, hops, neglog }
-    }
-
-    fn hop(&self, a: usize, b: usize) -> Option<u32> {
-        match &self.hops {
-            HopSource::Table(t) => t.hop_distance(a, b),
-            HopSource::Oracle(o) => o.hop_distance(a, b),
-            HopSource::Local(m) => match m[a * self.n + b] {
-                u32::MAX => None,
-                d => Some(d),
-            },
-        }
-    }
-
-    /// Distance under the active metric; `None` when disconnected.
-    fn dist(&self, a: usize, b: usize) -> Option<f64> {
-        match &self.neglog {
-            Some(NeglogSource::Table(t)) => t.neglog_distance(a, b),
-            Some(NeglogSource::Oracle(o)) => o.neglog_distance(a, b),
-            Some(NeglogSource::Local(m)) => {
-                let d = m[a * self.n + b];
-                d.is_finite().then_some(d)
-            }
-            None => self.hop(a, b).map(f64::from),
-        }
-    }
-
-    /// An ALT (landmark) lower bound on `dist(a, b)` under the active
-    /// metric, cheap to evaluate (no per-source row is materialized). Only
-    /// oracle-backed fields can bound; the others return `0.0`, which is
-    /// trivially admissible and disables pruning.
-    fn lower_bound(&self, a: usize, b: usize) -> f64 {
-        match (&self.neglog, &self.hops) {
-            (Some(NeglogSource::Oracle(o)), _) => o.neglog_lower_bound(a, b).unwrap_or(0.0),
-            (Some(_), _) => 0.0,
-            (None, HopSource::Oracle(o)) => match o.hop_lower_bound(a, b) {
-                u32::MAX => f64::INFINITY,
-                lb => f64::from(lb),
-            },
-            (None, _) => 0.0,
-        }
     }
 }
 
@@ -314,11 +230,10 @@ impl DistanceField {
 /// every logical line to its home position, so the routed circuit equals
 /// the specification exactly and stays QMDD-verifiable.
 ///
-/// Distances come from the precomputed hop / negative-log-fidelity
-/// matrices of the shared [`RoutingTable`] when the request carries one;
-/// under the fidelity objective on characterized devices the
-/// negative-log-fidelity metric is scored, otherwise hop counts (the same
-/// fallback rule the CTR search applies).
+/// Distances come from the request's [`RoutingLookup`]; under the
+/// fidelity objective on characterized devices the negative-log-fidelity
+/// metric is scored, otherwise hop counts (the same fallback rule the CTR
+/// search applies).
 #[derive(Debug, Clone, Copy)]
 pub struct LookaheadStrategy {
     /// How many upcoming two-qubit gates each candidate SWAP is scored
@@ -353,12 +268,9 @@ impl RoutingStrategy for LookaheadStrategy {
     fn route(&self, req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
         let device = req.device;
         let n = device.n_qubits();
-        let field = DistanceField::build(
-            device,
-            req.objective,
-            req.table.as_ref(),
-            req.oracle.as_ref(),
-        );
+        let lookup = req.resolve_lookup();
+        let neglog =
+            req.objective == RoutingObjective::HighestFidelity && device.has_error_data();
 
         // The logical operand pairs of every two-qubit gate, in order; the
         // scoring window walks this list past the front gate.
@@ -408,7 +320,7 @@ impl RoutingStrategy for LookaheadStrategy {
                             break;
                         }
                         let (a, b) = self.best_swap(
-                            device, &field, &layout, (pc, pt), &pairs[next_pair..],
+                            device, &lookup, neglog, &layout, (pc, pt), &pairs[next_pair..],
                         )?;
                         emit_adjacent_swap(device, a, b, &mut out)?;
                         layout.swap_physical(a, b);
@@ -452,15 +364,27 @@ impl LookaheadStrategy {
     /// them, the minimizer of `front + Σ decay^k · dist(future_k)` over
     /// the scoring window wins; ties break toward the smallest `(a, b)`
     /// pair, keeping the search deterministic.
+    ///
+    /// `dist` is the negative-log-fidelity distance when `neglog`, else the
+    /// hop count.
     fn best_swap(
         &self,
         device: &Device,
-        field: &DistanceField,
+        lookup: &RoutingLookup,
+        neglog: bool,
         layout: &Layout,
         (pc, pt): (usize, usize),
         future: &[(usize, usize)],
     ) -> Result<(usize, usize), CompileError> {
-        if field.dist(pc, pt).is_none() {
+        let hops = |a: usize, b: usize| lookup.hop_distance(a, b).map(f64::from);
+        let dist = |a: usize, b: usize| {
+            if neglog {
+                lookup.neglog_distance(a, b)
+            } else {
+                hops(a, b)
+            }
+        };
+        if dist(pc, pt).is_none() {
             return Err(CompileError::RouteNotFound {
                 control: pc,
                 target: pt,
@@ -492,9 +416,9 @@ impl LookaheadStrategy {
         // Admission under the active metric; hop-count fallback covers
         // degenerate metrics (e.g. all-zero error annotations), where the
         // first hop of a shortest hop path always strictly descends.
-        let mut candidates = admissible(&|a, b| field.dist(a, b));
+        let mut candidates = admissible(&dist);
         if candidates.is_empty() {
-            candidates = admissible(&|a, b| field.hop(a, b).map(f64::from));
+            candidates = admissible(&hops);
         }
         debug_assert!(!candidates.is_empty(), "connected map admits a descent");
         if candidates.is_empty() {
@@ -515,7 +439,7 @@ impl LookaheadStrategy {
                     q
                 }
             };
-            // ALT pruning (oracle-backed fields only): the exact score is
+            // ALT pruning (sparse lookups only): the exact score is
             // `dist(front after swap) + Σ decay^k·dist(future_k) ≥
             // lower_bound(front after swap)` because every term is
             // non-negative, so a landmark bound *strictly above* the
@@ -524,18 +448,16 @@ impl LookaheadStrategy {
             // therefore byte-identical to full evaluation while avoiding
             // materializing the candidate's per-source distance rows.
             if let Some((incumbent, _)) = best {
-                if field.lower_bound(reloc(pc), reloc(pt)) > incumbent {
+                if lookup.lower_bound(reloc(pc), reloc(pt), neglog) > incumbent {
                     continue;
                 }
             }
-            let mut score = field
-                .dist(reloc(pc), reloc(pt))
-                .unwrap_or(f64::INFINITY);
+            let mut score = dist(reloc(pc), reloc(pt)).unwrap_or(f64::INFINITY);
             let mut weight = 1.0;
             for &(la, lb) in future.iter().take(self.window) {
                 weight *= self.decay;
                 let (fa, fb) = (layout.phys_of[la], layout.phys_of[lb]);
-                if let Some(d) = field.dist(reloc(fa), reloc(fb)) {
+                if let Some(d) = dist(reloc(fa), reloc(fb)) {
                     score += weight * d;
                 }
             }
@@ -562,7 +484,7 @@ impl LookaheadStrategy {
 /// The restoration network is only known once the whole circuit is
 /// routed, so the SWAP cap is checked against the completed total
 /// (drifting plus restoration SWAPs). Path search is hop-based, so the
-/// request's table or oracle is not consulted.
+/// request's lookup is neither consulted nor fetched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PersistentStrategy;
 
@@ -739,12 +661,6 @@ mod tests {
         let via_free = route_circuit(&c, &d).unwrap();
         assert_eq!(via_trait.circuit.gates(), via_free.gates());
         assert_eq!(via_trait.restoration_swaps, 0);
-        // And the table path is identical to the uncached one.
-        let (table, _) = crate::cache::routing_table(&d, RoutingObjective::FewestSwaps);
-        let via_table = CtrStrategy
-            .route(&RouteRequest::new(&c, &d).with_table(table))
-            .unwrap();
-        assert_eq!(via_table.circuit.gates(), via_free.gates());
     }
 
     #[test]
@@ -783,21 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_with_and_without_table_agree() {
-        let d = devices::ibmqx5();
-        let c = workload();
-        let (table, _) = crate::cache::routing_table(&d, RoutingObjective::FewestSwaps);
-        let cached = LookaheadStrategy::default()
-            .route(&RouteRequest::new(&c, &d).with_table(table))
-            .unwrap();
-        let uncached = LookaheadStrategy::default()
-            .route(&RouteRequest::new(&c, &d))
-            .unwrap();
-        assert_eq!(cached.circuit.gates(), uncached.circuit.gates());
-        assert_eq!(cached.swaps_inserted, uncached.swaps_inserted);
-    }
-
-    #[test]
     fn oracle_backed_routing_matches_the_table_path() {
         let d = devices::ibmqx5();
         let c = workload();
@@ -830,6 +731,31 @@ mod tests {
                 assert_eq!(via_table.restoration_swaps, via_oracle.restoration_swaps);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "built for FewestSwaps on 16 qubits does not match a HighestFidelity route request"
+    )]
+    fn a_lookup_built_for_another_objective_panics() {
+        let d = devices::ibmqx5();
+        let c = workload();
+        let (table, _) = crate::cache::routing_table(&d, RoutingObjective::FewestSwaps);
+        let _ = CtrStrategy.route(
+            &RouteRequest::new(&c, &d)
+                .with_objective(RoutingObjective::HighestFidelity)
+                .with_table(table),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "on 5 qubits does not match a FewestSwaps route request on ibmqx5")]
+    fn a_lookup_built_for_another_width_panics() {
+        let d = devices::ibmqx5();
+        let c = workload();
+        let (table, _) =
+            crate::cache::routing_table(&devices::ibmqx4(), RoutingObjective::FewestSwaps);
+        let _ = LookaheadStrategy::default().route(&RouteRequest::new(&c, &d).with_table(table));
     }
 
     #[test]

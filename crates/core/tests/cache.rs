@@ -14,6 +14,8 @@ use qsyn_core::{
 };
 use qsyn_gate::Gate;
 
+mod common;
+
 /// A memoizing compiler with the given extra configuration.
 fn mem_compiler(device: Device, cfg: impl FnOnce(Compiler) -> Compiler) -> Compiler {
     cfg(Compiler::new(device).with_cache(CacheMode::Mem))
@@ -264,9 +266,8 @@ fn table_routing_matches_legacy_on_every_device() {
     for d in devices::all_devices() {
         let workload = routing_workload(&d);
         for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
-            let legacy = CtrStrategy
-                .route(&RouteRequest::new(&workload, &d).with_objective(objective))
-                .unwrap();
+            let (legacy, swaps, rerouted) =
+                common::ctr_per_gate(&workload, &d, objective).unwrap();
             let (shared, _) = routing_table(&d, objective);
             let table = CtrStrategy
                 .route(
@@ -276,13 +277,13 @@ fn table_routing_matches_legacy_on_every_device() {
                 )
                 .unwrap();
             assert_eq!(
-                legacy.circuit.gates(),
+                legacy.gates(),
                 table.circuit.gates(),
-                "table routing diverged from legacy on {} under {objective:?}",
+                "table routing diverged from the per-gate search on {} under {objective:?}",
                 d.name()
             );
-            assert_eq!(legacy.swaps_inserted, table.swaps_inserted);
-            assert_eq!(legacy.gates_rerouted, table.gates_rerouted);
+            assert_eq!(swaps, table.swaps_inserted);
+            assert_eq!(rerouted, table.gates_rerouted);
         }
     }
 }
@@ -297,12 +298,14 @@ fn disconnected_device_is_route_not_found_on_both_paths() {
     for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
         let (shared, _) = routing_table(&split, objective);
         for result in [
-            CtrStrategy.route(&RouteRequest::new(&c, &split).with_objective(objective)),
-            CtrStrategy.route(
-                &RouteRequest::new(&c, &split)
-                    .with_objective(objective)
-                    .with_table(shared),
-            ),
+            common::ctr_per_gate(&c, &split, objective).map(|_| ()),
+            CtrStrategy
+                .route(
+                    &RouteRequest::new(&c, &split)
+                        .with_objective(objective)
+                        .with_table(shared),
+                )
+                .map(|_| ()),
         ] {
             match result {
                 Err(CompileError::RouteNotFound { control, target }) => {

@@ -1,7 +1,7 @@
 //! Differential tests for the sparse [`DistanceOracle`]: routing through
 //! the oracle must be byte-identical to routing through the dense
-//! [`RoutingTable`] (and the bare uncached search) on every built-in
-//! device, under both objectives, for every strategy — the dense/sparse
+//! [`RoutingTable`] (and, for CTR, to the bare per-gate search) on every
+//! built-in device, under both objectives, for every strategy — the dense/sparse
 //! split is a memory-layout decision, never a behavioral one. Plus the
 //! large-device paths the oracle exists for: generated-family compiles
 //! and streaming.
@@ -11,9 +11,12 @@ use qsyn_circuit::Circuit;
 use qsyn_core::{
     decompose_circuit_with, optimize_bounded, routing_lookup, routing_oracle, routing_table,
     Compiler, DecomposeStrategy, OptimizeConfig, Placement, RouteRequest, RouteStrategyKind,
-    RoutingLookup, RoutingObjective, Verification, SPARSE_ORACLE_MIN_QUBITS,
+    RoutingLookup, RoutingObjective, RoutingTable, Verification, SPARSE_ORACLE_MIN_QUBITS,
 };
 use qsyn_gate::Gate;
+use std::sync::Arc;
+
+mod common;
 
 /// A routing workload touching distant pairs, repeats, reversals, and
 /// interleaved one-qubit gates, scaled to the device width.
@@ -40,9 +43,6 @@ fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
             let (oracle, _) = routing_oracle(&d, objective);
             for kind in RouteStrategyKind::CONCRETE {
                 let strategy = kind.instance();
-                let bare = strategy
-                    .route(&RouteRequest::new(&spec, &d).with_objective(objective))
-                    .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", d.name()));
                 let dense = strategy
                     .route(
                         &RouteRequest::new(&spec, &d)
@@ -57,13 +57,17 @@ fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
                             .with_oracle(oracle.clone()),
                     )
                     .unwrap();
-                assert_eq!(
-                    dense.circuit.gates(),
-                    bare.circuit.gates(),
-                    "table diverged from bare on {} {objective:?} via {}",
-                    d.name(),
-                    kind.name()
-                );
+                if kind == RouteStrategyKind::Ctr {
+                    let (bare, swaps, rerouted) = common::ctr_per_gate(&spec, &d, objective)
+                        .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", d.name()));
+                    assert_eq!(
+                        dense.circuit.gates(),
+                        bare.gates(),
+                        "table diverged from the per-gate search on {} {objective:?}",
+                        d.name()
+                    );
+                    assert_eq!((dense.swaps_inserted, dense.gates_rerouted), (swaps, rerouted));
+                }
                 assert_eq!(
                     sparse.circuit.gates(),
                     dense.circuit.gates(),
@@ -81,7 +85,8 @@ fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
 
 /// The pipeline `Compiler::compile` runs, rebuilt from public stage
 /// functions with no shared state: identity placement, uncached
-/// decomposition, a table-less route request, then the optimizer.
+/// decomposition, routing (CTR as the bare per-gate search, any other
+/// strategy over a private dense [`RoutingTable`]), then the optimizer.
 /// Returns the (unoptimized, optimized) circuits.
 fn reference_pipeline(
     spec: &Circuit,
@@ -91,11 +96,19 @@ fn reference_pipeline(
 ) -> (Circuit, Circuit) {
     let placed = Placement::identity(spec.n_qubits()).apply(spec, d);
     let decomposed = decompose_circuit_with(&placed, Some(d), DecomposeStrategy::Exact).unwrap();
-    let routed = kind
-        .instance()
-        .route(&RouteRequest::new(&decomposed, d).with_objective(objective))
-        .unwrap()
-        .circuit;
+    let routed = if kind == RouteStrategyKind::Ctr {
+        common::ctr_per_gate(&decomposed, d, objective).unwrap().0
+    } else {
+        let table = Arc::new(RoutingTable::build(d, objective));
+        kind.instance()
+            .route(
+                &RouteRequest::new(&decomposed, d)
+                    .with_objective(objective)
+                    .with_table(table),
+            )
+            .unwrap()
+            .circuit
+    };
     let cost = TransmonCost::default();
     let optimized = optimize_bounded(&routed, Some(d), &cost, OptimizeConfig::default(), None).0;
     (routed, optimized)
@@ -104,7 +117,7 @@ fn reference_pipeline(
 #[test]
 fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
     // lnn(n >= threshold) selects the sparse oracle in the compiler; the
-    // reference pipeline runs the per-gate search with no shared state.
+    // reference pipeline routes with no shared state.
     // Both must produce the same bytes — the acceptance bar for swapping
     // the dense table out from under big devices.
     let d = devices::lnn(SPARSE_ORACLE_MIN_QUBITS + 2);

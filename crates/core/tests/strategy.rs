@@ -6,7 +6,7 @@
 use qsyn_arch::{devices, CostModel, Device, RouteHint, TransmonCost};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    decompose_circuit_with, route_circuit_persistent, routing_table, CompileBudget, CompileError,
+    decompose_circuit_with, route_circuit_persistent, CompileBudget, CompileError,
     Compiler, DecomposeStrategy, LookaheadStrategy, PersistentStrategy, RouteRequest,
     RouteStrategyKind, RoutingObjective, RoutingStrategy,
 };
@@ -70,34 +70,6 @@ fn persistent_is_qmdd_equivalent_on_every_device_and_objective() {
             assert!(
                 equivalent_for(&d, &spec, &out.circuit),
                 "persistent output diverged on {} under {objective:?}",
-                d.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn table_and_tableless_lookahead_agree_everywhere() {
-    // The shared routing table only supplies distances; using it must not
-    // change what the lookahead emits.
-    for d in devices::all_devices() {
-        let spec = mixed_workload(&d);
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
-            let bare = LookaheadStrategy::default()
-                .route(&RouteRequest::new(&spec, &d).with_objective(objective))
-                .unwrap();
-            let (table, _) = routing_table(&d, objective);
-            let cached = LookaheadStrategy::default()
-                .route(
-                    &RouteRequest::new(&spec, &d)
-                        .with_objective(objective)
-                        .with_table(table),
-                )
-                .unwrap();
-            assert_eq!(
-                bare.circuit.gates(),
-                cached.circuit.gates(),
-                "table changed lookahead output on {} under {objective:?}",
                 d.name()
             );
         }

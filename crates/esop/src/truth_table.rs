@@ -72,9 +72,15 @@ impl TruthTable {
     ///
     /// # Errors
     ///
-    /// Returns an error for non-hex characters or a value that does not fit
-    /// in `2^n_vars` bits.
+    /// Returns an error for more than [`Self::MAX_VARS`] variables,
+    /// non-hex characters, or a value that does not fit in `2^n_vars` bits.
     pub fn from_hex(n_vars: usize, hex: &str) -> Result<Self, String> {
+        if n_vars > Self::MAX_VARS {
+            return Err(format!(
+                "{n_vars} variables exceed the {}-variable limit",
+                Self::MAX_VARS
+            ));
+        }
         let mut tt = TruthTable::zeros(n_vars);
         let mut bit = 0usize;
         for ch in hex.trim().trim_start_matches("0x").chars().rev() {
@@ -242,6 +248,15 @@ mod tests {
     fn from_hex_rejects_garbage_and_overflow() {
         assert!(TruthTable::from_hex(2, "zz").is_err());
         assert!(TruthTable::from_hex(2, "1ff").is_err());
+    }
+
+    #[test]
+    fn from_hex_rejects_too_many_variables() {
+        for n in [TruthTable::MAX_VARS + 1, 40, 64, 100] {
+            let err = TruthTable::from_hex(n, "8").unwrap_err();
+            assert!(err.contains("24-variable limit"), "{n}: {err}");
+        }
+        assert!(TruthTable::from_hex(TruthTable::MAX_VARS, "8").is_ok());
     }
 
     #[test]

@@ -114,10 +114,11 @@ USAGE:
       written never exceed requests; a drained snapshot has an empty
       queue). Exits 1 listing every violated invariant.
 
-  qsyn check <a> <b> [--miter] [--ancilla 2,3]
+  qsyn check <a> <b> [--miter | --ancilla 2,3]
       QMDD formal equivalence check of two circuit files; --miter uses the
       interleaved strategy for wide registers, --ancilla checks partial
-      equivalence assuming the listed lines start in |0>.
+      equivalence assuming the listed lines (each below the wider
+      circuit's width) start in |0>.
 
   qsyn stats <input>
       Gate statistics and Eqn. 2 cost of a circuit file.
@@ -603,15 +604,24 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 fn cmd_check(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &["miter"], &["ancilla"]));
     let [a, b] = flags.positional.as_slice() else { usage() };
+    if flags.has("miter") && flags.has("ancilla") {
+        eprintln!("error: --miter and --ancilla cannot be combined");
+        return ExitCode::from(2);
+    }
     match (load_circuit(a), load_circuit(b)) {
         (Ok(ca), Ok(cb)) => {
             let report = if let Some(spec) = flags.value("ancilla") {
-                // Comma-separated clean-ancilla lines.
-                let lines: Vec<usize> = spec
+                // Comma-separated clean-ancilla lines, each inside the
+                // wider circuit's register.
+                let n = ca.n_qubits().max(cb.n_qubits());
+                let lines: Option<Vec<usize>> = spec
                     .split(',')
-                    .filter(|s| !s.is_empty())
-                    .filter_map(|s| s.trim().parse().ok())
+                    .map(|s| s.trim().parse().ok().filter(|&q| q < n))
                     .collect();
+                let Some(lines) = lines else {
+                    eprintln!("error: bad --ancilla `{spec}` (want comma-separated lines below {n})");
+                    return ExitCode::from(2);
+                };
                 qsyn::qmdd::equivalent_with_ancillas(&ca, &cb, &lines)
             } else if flags.has("miter") {
                 equivalent_miter(&ca, &cb)

@@ -149,6 +149,37 @@ fn check_miter_and_ancilla_flags() {
     assert!(partial.status.success(), "equal on the clean subspace");
 }
 
+/// Asserts a usage error: exit 2 with exactly one `error:` line naming
+/// `needle` on stderr.
+fn assert_usage_error(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(lines[0].starts_with("error: ") && lines[0].contains(needle), "{stderr}");
+}
+
+#[test]
+fn check_rejects_bad_ancilla_lists_and_miter_with_ancilla() {
+    let clean = tmp("bad-anc1.qasm", "qreg q[3]; ccx q[0],q[1],q[2];");
+    let messy = tmp("bad-anc2.qasm", "qreg q[3]; cz q[2],q[0]; ccx q[0],q[1],q[2];");
+    let (a, b) = (clean.to_str().unwrap(), messy.to_str().unwrap());
+    for spec in ["99", "3", "1,x", "2,", "-1"] {
+        let out = qsyn(&["check", a, b, "--ancilla", spec]);
+        assert_usage_error(&out, &format!("bad --ancilla `{spec}` (want comma-separated lines below 3)"));
+    }
+    let out = qsyn(&["check", a, b, "--ancilla", "2", "--miter"]);
+    assert_usage_error(&out, "--miter and --ancilla cannot be combined");
+}
+
+#[test]
+fn synth_rejects_more_variables_than_a_truth_table_holds() {
+    for vars in ["25", "40", "64", "100"] {
+        let out = qsyn(&["synth", "8", vars]);
+        assert_usage_error(&out, &format!("{vars} variables exceed the 24-variable limit"));
+    }
+}
+
 #[test]
 fn stats_reports_counts() {
     let input = tmp(
