@@ -161,16 +161,17 @@ fn bench_sweep_throughput(c: &mut Criterion) {
 }
 
 fn bench_verify_windowed(c: &mut Criterion) {
-    // The streaming-verification levers in isolation: the same window
-    // checked with the full-register miter (every gate product drags all
-    // 1024 lines), the support-restricted miter (compacted register of
-    // just the window's touched qubits), and the restricted miter with
-    // fused gate blocks. Each window is a prefix of the grid stream
-    // (`qsyn_bench::random::grid_stream`).
+    // The verification levers in isolation: the same window checked with
+    // the full-register miter (every gate product drags all 1024 lines),
+    // the support-restricted miter with one gate per product (compacted
+    // register of just the window's touched qubits), and the compiler's
+    // check: restricted, with fused gate blocks whose length follows the
+    // window's (`try_equivalent_on`). Each window is a prefix of the grid
+    // stream (`qsyn_bench::random::grid_stream`).
     use qsyn_bench::random::grid_stream;
     use qsyn_qmdd::{
-        miter_support, try_equivalent_miter, try_equivalent_miter_on_batched, EquivBudget,
-        DEFAULT_MITER_BATCH,
+        miter_support, try_equivalent_miter, try_equivalent_miter_on_batched, try_equivalent_on,
+        EquivBudget, EquivMethod,
     };
     let mut group = c.benchmark_group("verify_windowed");
     group.sample_size(10);
@@ -193,12 +194,12 @@ fn bench_verify_windowed(c: &mut Criterion) {
             })
         });
         group.bench_with_input(
-            BenchmarkId::new("restricted_batched", window),
+            BenchmarkId::new("restricted_block_rule", window),
             &window,
             |bch, _| {
                 bch.iter(|| {
                     black_box(
-                        try_equivalent_miter_on_batched(&support, &spec, &out, b, DEFAULT_MITER_BATCH)
+                        try_equivalent_on(&support, &spec, &out, EquivMethod::Miter, b)
                             .unwrap()
                             .equivalent,
                     )

@@ -24,8 +24,7 @@ use crate::strategy::{RouteOutcome, RouteRequest, RouteStrategyKind};
 use qsyn_arch::{CostModel, Device, TransmonCost};
 use qsyn_circuit::{Circuit, CircuitStats};
 use qsyn_qmdd::{
-    miter_support, try_equivalent, try_equivalent_miter, try_equivalent_miter_on_batched,
-    EquivBudget, EquivBudgetError, DEFAULT_MITER_BATCH,
+    miter_support, try_equivalent_on, EquivBudget, EquivBudgetError, EquivMethod, EquivReport,
 };
 use qsyn_trace::{CompileMetrics, Pass, PassEvent, Span, StageSnapshot, TraceSink, Verdict};
 use std::sync::{Arc, Condvar, Mutex};
@@ -522,12 +521,14 @@ impl Compiler {
     /// Verification is windowed: each window's output is checked against
     /// its own specification with the interleaved miter under the
     /// compiler's [`CompileBudget`] node budget (window equivalence
-    /// composes to whole-stream equivalence). The miter is built on a
-    /// compacted register holding only the qubits the window touches
+    /// composes to whole-stream equivalence). The check is the one
+    /// [`Compiler::compile`] runs: the miter is built on a compacted
+    /// register holding only the qubits the window touches
     /// ([`qsyn_qmdd::miter_support`]), which on sparse windows of a wide
-    /// device shrinks the QMDD walks by an order of magnitude, and it
-    /// multiplies gates in fused blocks of [`DEFAULT_MITER_BATCH`]; both
-    /// are verdict-identical to the full-register miter. With
+    /// device shrinks the QMDD walks by an order of magnitude, and its
+    /// fused-block length follows the window's length (one gate per
+    /// product below 128 gates; see [`qsyn_qmdd::try_equivalent_on`]);
+    /// both are verdict-identical to the full-register miter. With
     /// [`Compiler::with_stream_verify_jobs`] above 1, completed windows
     /// are verified as jobs on a [`crate::pool::WorkerPool`], pipelined
     /// behind the stages of subsequent windows; at most `2 × jobs` windows
@@ -970,7 +971,10 @@ impl Compiler {
     }
 
     /// Walks the verification degradation ladder and emits the verify
-    /// [`PassEvent`].
+    /// [`PassEvent`]. Every rung runs the compiler's one check,
+    /// [`SupportCheck`]: the pair's support is computed once, and each
+    /// rung's method runs on that compacted register, with a verdict equal
+    /// to the full-register verdict.
     ///
     /// Rungs, in order (later rungs only exist under a node budget, where
     /// exhaustion is possible):
@@ -1012,14 +1016,18 @@ impl Compiler {
             }
         }
 
+        use EquivMethod::{Canonical, Miter};
         let nb = self.budget.qmdd_node_budget;
-        let mut rungs: Vec<(&'static str, EquivBudget, bool)> = Vec::new();
         let base = EquivBudget {
             gc_threshold: None,
             node_budget: nb,
         };
         let is_miter = !matches!(mode, Verification::Canonical);
-        rungs.push((if is_miter { "miter" } else { "canonical" }, base, is_miter));
+        let mut rungs = vec![if is_miter {
+            ("miter", Miter, base)
+        } else {
+            ("canonical", Canonical, base)
+        }];
         if let Some(n) = nb {
             // Only a finite budget can exhaust; add the fallback rungs.
             let gc = EquivBudget {
@@ -1027,28 +1035,24 @@ impl Compiler {
                 node_budget: nb,
             };
             if is_miter {
-                rungs.push(("miter+gc", gc, true));
+                rungs.push(("miter+gc", Miter, gc));
             } else {
-                rungs.push(("canonical+gc", gc, false));
-                rungs.push(("miter", gc, true));
+                rungs.push(("canonical+gc", Canonical, gc));
+                rungs.push(("miter", Miter, gc));
             }
         }
 
         let verify_started = std::time::Instant::now();
         let seconds = || verify_started.elapsed().as_secs_f64();
+        let check = SupportCheck::new(spec, output);
         let mut tried = 0usize;
         let mut last_err: Option<EquivBudgetError> = None;
-        for (rung, (method, budget, miter)) in rungs.into_iter().enumerate() {
+        for (rung, (label, method, budget)) in rungs.into_iter().enumerate() {
             if rung > 0 && self.check_deadline(started, Pass::Verify).is_err() {
                 break; // deadline mid-ladder: stop retrying, degrade below
             }
             tried += 1;
-            let result = if miter {
-                try_equivalent_miter(spec, output, budget)
-            } else {
-                try_equivalent(spec, output, budget)
-            };
-            match result {
+            match check.run(method, budget) {
                 Ok(report) => {
                     record(self.event(Pass::Verify, seconds(), snap, snap, |s| {
                         s.counter("peak_nodes", report.peak_nodes as f64);
@@ -1058,10 +1062,12 @@ impl Compiler {
                         s.counter("cache_evictions", report.cache_evictions as f64);
                         s.counter("gc_runs", report.gc_runs as f64);
                         s.counter("nodes_reclaimed", report.nodes_reclaimed as f64);
+                        s.counter("support", check.support.len() as f64);
+                        s.counter("miter_block", report.miter_block as f64);
                         s.counter("ladder_rung", (rung + 1) as f64);
                         s.counter("unverified", 0.0);
                     }));
-                    let method = method.to_string();
+                    let method = label.to_string();
                     return Ok(if report.equivalent {
                         Verdict::Verified { method }
                     } else {
@@ -1384,9 +1390,9 @@ impl StreamVerifier {
     }
 }
 
-/// Runs one window's support-restricted, batched miter check and returns
-/// the verdict (`Ok(equivalent)` or the budget error), the window's
-/// support size, and the seconds spent. Also feeds the process-wide
+/// Runs one window's miter through [`SupportCheck`] and returns the
+/// verdict (`Ok(equivalent)` or the budget error), the window's support
+/// size, and the seconds spent. Also feeds the process-wide
 /// streaming-verify metrics: one `stream.verify_us` sample per window and
 /// an outcome counter (`stream.windows_verified` +
 /// `stream.windows_unverified` equals the histogram count in steady state;
@@ -1402,8 +1408,9 @@ fn verify_one_window(
         fn m_windows_unverified() -> Counter = "stream.windows_unverified";
     }
     let started = std::time::Instant::now();
-    let support = miter_support(spec, out);
-    let res = try_equivalent_miter_on_batched(&support, spec, out, budget, DEFAULT_MITER_BATCH)
+    let check = SupportCheck::new(spec, out);
+    let res = check
+        .run(EquivMethod::Miter, budget)
         .map(|report| report.equivalent);
     let seconds = started.elapsed().as_secs_f64();
     m_verify_us().record_seconds(seconds);
@@ -1412,7 +1419,41 @@ fn verify_one_window(
         Ok(false) => {}
         Err(_) => m_windows_unverified().inc(),
     }
-    (res, support.len(), seconds)
+    (res, check.support.len(), seconds)
+}
+
+/// The compiler's one equivalence check, behind every rung of
+/// [`Compiler::compile`]'s verify ladder and every window of
+/// [`Compiler::compile_stream`]: a spec/output pair and its support,
+/// computed once, on whose compacted register each rung runs
+/// ([`try_equivalent_on`]). Lines outside the support are exact identity
+/// factors on both sides, so the verdict equals the full-register
+/// verdict, and the method labels stay those of the full-register
+/// checks.
+struct SupportCheck<'a> {
+    spec: &'a Circuit,
+    out: &'a Circuit,
+    /// The qubits either circuit touches, ascending.
+    support: Vec<usize>,
+}
+
+impl<'a> SupportCheck<'a> {
+    fn new(spec: &'a Circuit, out: &'a Circuit) -> Self {
+        SupportCheck {
+            spec,
+            out,
+            support: miter_support(spec, out),
+        }
+    }
+
+    /// One rung: `method` on the support under `budget`.
+    fn run(
+        &self,
+        method: EquivMethod,
+        budget: EquivBudget,
+    ) -> Result<EquivReport, EquivBudgetError> {
+        try_equivalent_on(&self.support, self.spec, self.out, method, budget)
+    }
 }
 
 /// Everything the pipeline produced for one input circuit.
@@ -2175,6 +2216,96 @@ mod tests {
         );
     }
 
+    /// Every one-gate sabotage of a mapped output: each gate dropped, each
+    /// single-qubit operator replaced by a different one or moved to the
+    /// next line, each CNOT reversed or retargeted. Each variant differs
+    /// from the original by one non-identity factor, so none is equal.
+    fn one_gate_mutants(out: &Circuit) -> Vec<(String, Circuit)> {
+        use qsyn_gate::SingleOp;
+        let n = out.n_qubits();
+        let mut mutants = Vec::new();
+        for (i, g) in out.gates().iter().enumerate() {
+            let (flip, retarget) = match *g {
+                Gate::Single { op, qubit } => {
+                    let other = match op {
+                        SingleOp::T => SingleOp::Tdg,
+                        SingleOp::Tdg => SingleOp::T,
+                        SingleOp::S => SingleOp::Sdg,
+                        SingleOp::Sdg => SingleOp::S,
+                        _ => SingleOp::T,
+                    };
+                    (Gate::single(other, qubit), Gate::single(op, (qubit + 1) % n))
+                }
+                Gate::Cx { control, target } => {
+                    let other = (1..n)
+                        .map(|k| (target + k) % n)
+                        .find(|&q| q != control)
+                        .expect("devices have three or more lines");
+                    (Gate::cx(target, control), Gate::cx(control, other))
+                }
+                _ => unreachable!("mapped outputs are technology-ready"),
+            };
+            let mut dropped = out.clone();
+            dropped.gates_mut().remove(i);
+            mutants.push((format!("drop {i} ({g})"), dropped));
+            for (what, replacement) in [("flip", flip), ("retarget", retarget)] {
+                let mut c = out.clone();
+                c.gates_mut()[i] = replacement;
+                mutants.push((format!("{what} {i} ({g})"), c));
+            }
+        }
+        mutants
+    }
+
+    #[test]
+    fn the_one_check_fails_every_one_gate_sabotage() {
+        // A canonical compile (ibmq_16) and a miter compile (qc96), each
+        // checked by the verify ladder's support-restricted check against
+        // every one-gate mutant of its output. Small supports are also
+        // checked by the dense-matrix oracle, which shares no code with
+        // the QMDD package.
+        let mut spec = Circuit::new(5).with_name("sabotage");
+        spec.push(Gate::toffoli(0, 1, 2));
+        spec.push(Gate::cx(3, 0));
+        spec.push(Gate::t(4));
+        spec.push(Gate::cx(4, 2));
+        let mut dense_checked = 0;
+        for (device, method) in [(devices::ibmq_16(), "canonical"), (devices::qc96(), "miter")] {
+            let compiler = Compiler::new(device);
+            let r = compiler.compile(&spec).unwrap();
+            assert_eq!(r.verified, Some(true));
+            let ladder = |out: &Circuit| {
+                let snap = StageSnapshot::of(out);
+                let mode = compiler.effective_verification();
+                let now = std::time::Instant::now();
+                compiler
+                    .run_verify_ladder(mode, now, &r.placed, out, snap, &mut |_| {})
+                    .unwrap()
+            };
+            let failed = qsyn_trace::Verdict::Failed {
+                method: method.into(),
+            };
+            let mutants = one_gate_mutants(&r.optimized);
+            assert!(mutants.len() > 30, "only {} mutants", mutants.len());
+            for (label, bad) in mutants {
+                assert_eq!(ladder(&bad), failed, "{method} accepted {label}");
+                let support = miter_support(&r.placed, &bad);
+                if support.len() <= 10 {
+                    let pos = |q: usize| support.binary_search(&q).expect("inside the support");
+                    let spec_on = r.placed.relabeled(support.len(), pos);
+                    let bad_on = bad.relabeled(support.len(), pos);
+                    assert!(
+                        !qsyn_gate::equal_up_to_phase(&spec_on.to_matrix(), &bad_on.to_matrix()),
+                        "dense oracle accepted {label} on {}",
+                        compiler.device().name()
+                    );
+                    dense_checked += 1;
+                }
+            }
+        }
+        assert!(dense_checked > 60, "only {dense_checked} dense checks");
+    }
+
     #[test]
     fn streaming_matches_the_batch_routed_circuit() {
         // With optimization off, CTR routes every gate independently, so
@@ -2410,7 +2541,8 @@ mod tests {
                 .compile(&spec)
                 .unwrap();
             let report =
-                try_equivalent_miter(&r.placed, &r.optimized, EquivBudget::default()).unwrap();
+                qsyn_qmdd::try_equivalent_miter(&r.placed, &r.optimized, EquivBudget::default())
+                    .unwrap();
             assert!(report.equivalent);
             widest = widest.max(miter_support(&r.placed, &r.optimized).len());
             reference.extend_from_slice(r.optimized.gates());

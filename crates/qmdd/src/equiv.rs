@@ -31,6 +31,9 @@ pub struct EquivReport {
     pub gc_runs: u64,
     /// Total nodes reclaimed by those collections.
     pub nodes_reclaimed: u64,
+    /// Gates fused per product by a miter check; zero for the canonical
+    /// check.
+    pub miter_block: usize,
 }
 
 impl EquivReport {
@@ -130,6 +133,7 @@ fn report_from(pkg: &Qmdd, equivalent: bool) -> EquivReport {
         cache_evictions: cache.evictions,
         gc_runs: cache.gc_runs,
         nodes_reclaimed: cache.nodes_reclaimed,
+        miter_block: 0,
     }
 }
 
@@ -161,6 +165,10 @@ pub fn equivalent_with_gc_threshold(
 /// [`equivalent`] under a resource budget: aborts with
 /// [`EquivBudgetError`] instead of growing the arena past
 /// `budget.node_budget`. With no node budget this never fails.
+///
+/// The benchmark harness's mirror of the compiler calls this on the full
+/// register, so its signature stays as it is until the next benchmark
+/// change (ROADMAP item 7); the compiler calls [`try_equivalent_on`].
 pub fn try_equivalent(
     a: &Circuit,
     b: &Circuit,
@@ -187,40 +195,32 @@ pub fn try_equivalent(
 /// diagram near the identity whenever `b` is a gate-by-gate expansion of
 /// `a` — exactly the situation after technology mapping.
 pub fn equivalent_miter(a: &Circuit, b: &Circuit) -> EquivReport {
-    equivalent_miter_with_gc_threshold(a, b, None)
+    try_equivalent_miter(a, b, EquivBudget::default()).expect("unbudgeted check cannot exhaust")
 }
 
-/// [`equivalent_miter`] with a forced garbage-collection watermark; see
-/// [`equivalent_with_gc_threshold`].
-pub fn equivalent_miter_with_gc_threshold(
-    a: &Circuit,
-    b: &Circuit,
-    gc_threshold: Option<usize>,
-) -> EquivReport {
-    let budget = EquivBudget {
-        gc_threshold,
-        node_budget: None,
-    };
-    try_equivalent_miter(a, b, budget).expect("unbudgeted check cannot exhaust")
-}
-
-/// [`equivalent_miter`] under a resource budget; see [`try_equivalent`].
+/// [`equivalent_miter`] under a resource budget, on the full register
+/// with one gate per product; see [`try_equivalent`].
+///
+/// Kept for the benchmark harness, whose mirror of the compiler still
+/// checks this way until the next benchmark change (ROADMAP item 7);
+/// the compiler itself calls [`try_equivalent_on`].
 pub fn try_equivalent_miter(
     a: &Circuit,
     b: &Circuit,
     budget: EquivBudget,
 ) -> Result<EquivReport, EquivBudgetError> {
-    try_equivalent_miter_batched(a, b, budget, 1)
+    miter_batched(a, b, budget, 1)
 }
 
-/// Default fused-block length for the batched miter. Pairs of gates fused
-/// into one block halve the full-width accumulator walks; longer blocks
-/// grow too dense (a block touching many scattered variables defeats the
-/// near-identity short-circuits in `mul`) and measure slower on wide
-/// supports, so the default stays at 2.
+/// The stream verifier's former fixed fused-block length.
+///
+/// Kept, with [`try_equivalent_miter_on_batched`], for the benchmark
+/// harness's mirror until the next benchmark change (ROADMAP item 7);
+/// the compiler's block follows the pair's length instead (see
+/// [`try_equivalent_on`]).
 pub const DEFAULT_MITER_BATCH: usize = 2;
 
-/// [`try_equivalent_miter`] with fused gate blocks: each scheduling step
+/// The interleaved miter with fused gate blocks: each scheduling step
 /// takes up to `batch` gates from one side, multiplies them into one small
 /// block diagram, and folds the block into the accumulator with a single
 /// product — cutting the full-width accumulator walks (and their
@@ -233,7 +233,7 @@ pub const DEFAULT_MITER_BATCH: usize = 2;
 /// (the intermediate diagram can now drift up to `batch` gates from the
 /// identity). The verdict is identical for every `batch`; `batch <= 1`
 /// *is* the unbatched miter, product for product.
-pub fn try_equivalent_miter_batched(
+fn miter_batched(
     a: &Circuit,
     b: &Circuit,
     budget: EquivBudget,
@@ -280,12 +280,16 @@ pub fn try_equivalent_miter_batched(
         acc = pkg.maybe_gc(acc);
     }
     let id = pkg.identity();
-    budget_verdict(&pkg, acc == id)
+    budget_verdict(&pkg, acc == id).map(|report| EquivReport {
+        miter_block: batch,
+        ..report
+    })
 }
 
 /// The sorted set of qubits either circuit touches — the *support* of a
-/// miter check. Lines outside this set are exact identity on both sides
-/// by construction.
+/// check. Lines outside this set are exact identity on both sides by
+/// construction. The benchmark harness imports it, so its signature stays
+/// as it is until the next benchmark change (ROADMAP item 7).
 pub fn miter_support(a: &Circuit, b: &Circuit) -> Vec<usize> {
     let width = a.n_qubits().max(b.n_qubits());
     let mut touched = vec![false; width];
@@ -297,33 +301,69 @@ pub fn miter_support(a: &Circuit, b: &Circuit) -> Vec<usize> {
     (0..width).filter(|&q| touched[q]).collect()
 }
 
-/// [`try_equivalent_miter`] on a compacted register of just the `support`
-/// qubits, with gate products fused in [`DEFAULT_MITER_BATCH`]-long blocks.
+/// How [`try_equivalent_on`] decides equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EquivMethod {
+    /// The paper's check: build both diagrams in one package and compare
+    /// root edges ([`try_equivalent`]).
+    Canonical,
+    /// The interleaved miter `U_spec * U_out^dagger = I`, with gate
+    /// products fused in blocks whose length follows the pair's length.
+    Miter,
+}
+
+/// Checks `spec` against `out` on a compacted register of just the
+/// `support` qubits, by `method`, under `budget`.
 ///
 /// Both circuits are relabeled onto a dense register of `support.len()`
-/// lines (support qubit `support[k]` becomes line `k`) and the miter runs
+/// lines (support qubit `support[k]` becomes line `k`) and the check runs
 /// there. Every line outside the support is the exact identity on both
 /// sides, and identity tensor factors carry no phase, so the restricted
 /// verdict equals the full-register verdict bit-for-bit — for equal
-/// circuits and for unequal ones alike. Use [`miter_support`] to compute
-/// the support set.
+/// circuits and for unequal ones alike, by either method. Use
+/// [`miter_support`] to compute the support set.
+///
+/// The miter fuses `(max(spec.len(), out.len()) / 64).clamp(1, 32)`
+/// gates per product: short windows keep one gate per product, where
+/// larger blocks only make each product denser, and long outputs take up
+/// to 32, cutting the full-width accumulator walks. The report's
+/// [`EquivReport::miter_block`] records the length used.
 ///
 /// # Panics
 ///
 /// Panics if `support` is not strictly ascending, or if a gate of either
 /// circuit touches a qubit outside `support` (the restriction would then
 /// be unsound, so this is a contract violation rather than a verdict).
-pub fn try_equivalent_miter_on(
+pub fn try_equivalent_on(
     support: &[usize],
     spec: &Circuit,
     out: &Circuit,
+    method: EquivMethod,
     budget: EquivBudget,
 ) -> Result<EquivReport, EquivBudgetError> {
-    try_equivalent_miter_on_batched(support, spec, out, budget, DEFAULT_MITER_BATCH)
+    let block = match method {
+        EquivMethod::Canonical => 0,
+        EquivMethod::Miter => (spec.len().max(out.len()) / 64).clamp(1, 32),
+    };
+    let Some((spec_on, out_on)) = restrict(support, spec, out) else {
+        return Ok(empty_support_report(block));
+    };
+    match method {
+        EquivMethod::Canonical => try_equivalent(&spec_on, &out_on, budget),
+        EquivMethod::Miter => miter_batched(&spec_on, &out_on, budget, block),
+    }
 }
 
-/// [`try_equivalent_miter_on`] with an explicit fused-block length
-/// (`batch <= 1` disables batching).
+/// The support-restricted miter with an explicit fused-block length
+/// (`batch <= 1` disables batching); see [`try_equivalent_on`].
+///
+/// Kept for the benchmark harness's mirror of streaming verification
+/// until the next benchmark change (ROADMAP item 7); the compiler calls
+/// [`try_equivalent_on`].
+///
+/// # Panics
+///
+/// As [`try_equivalent_on`].
 pub fn try_equivalent_miter_on_batched(
     support: &[usize],
     spec: &Circuit,
@@ -331,28 +371,27 @@ pub fn try_equivalent_miter_on_batched(
     budget: EquivBudget,
     batch: usize,
 ) -> Result<EquivReport, EquivBudgetError> {
+    match restrict(support, spec, out) {
+        Some((spec_on, out_on)) => miter_batched(&spec_on, &out_on, budget, batch),
+        None => Ok(empty_support_report(batch.max(1))),
+    }
+}
+
+/// Relabels both circuits onto the compacted register of `support`, or
+/// `None` when the support is empty (both circuits are then gate-free).
+/// Panics on the contract violations [`try_equivalent_on`] names.
+fn restrict(support: &[usize], spec: &Circuit, out: &Circuit) -> Option<(Circuit, Circuit)> {
     assert!(
         support.windows(2).all(|w| w[0] < w[1]),
         "support must be strictly ascending"
     );
     if support.is_empty() {
-        // Both circuits are gate-free (any gate would touch a qubit
-        // outside the empty support): both sides are the identity, which
-        // is also the full-register verdict.
+        // Any gate would touch a qubit outside the empty support.
         assert!(
             spec.is_empty() && out.is_empty(),
             "gate outside the declared (empty) support"
         );
-        return Ok(EquivReport {
-            equivalent: true,
-            peak_nodes: 0,
-            unique_nodes: 0,
-            cache_lookups: 0,
-            cache_hits: 0,
-            cache_evictions: 0,
-            gc_runs: 0,
-            nodes_reclaimed: 0,
-        });
+        return None;
     }
     let width = support.last().expect("non-empty") + 1;
     let mut pos = vec![usize::MAX; width];
@@ -367,9 +406,26 @@ pub fn try_equivalent_miter_on_batched(
         );
         p
     };
-    let spec_on = spec.relabeled(support.len(), remap);
-    let out_on = out.relabeled(support.len(), remap);
-    try_equivalent_miter_batched(&spec_on, &out_on, budget, batch)
+    Some((
+        spec.relabeled(support.len(), remap),
+        out.relabeled(support.len(), remap),
+    ))
+}
+
+/// The verdict on an empty support: both sides are the identity, which is
+/// also the full-register verdict, and no package was built.
+fn empty_support_report(miter_block: usize) -> EquivReport {
+    EquivReport {
+        equivalent: true,
+        peak_nodes: 0,
+        unique_nodes: 0,
+        cache_lookups: 0,
+        cache_hits: 0,
+        cache_evictions: 0,
+        gc_runs: 0,
+        nodes_reclaimed: 0,
+        miter_block,
+    }
 }
 
 /// Convenience: canonical-compare equivalence as a bare boolean.
@@ -641,7 +697,7 @@ mod tests {
             assert_eq!(base.equivalent, forced.equivalent);
             assert!(forced.gc_runs > 0, "tiny watermark must sweep");
             let base_m = equivalent_miter(a, b);
-            let forced_m = equivalent_miter_with_gc_threshold(a, b, Some(4));
+            let forced_m = try_equivalent_miter(a, b, EquivBudget::with_gc_threshold(4)).unwrap();
             assert_eq!(base_m.equivalent, forced_m.equivalent);
             assert!(forced_m.gc_runs > 0, "tiny watermark must sweep");
         }
@@ -755,10 +811,11 @@ mod tests {
         let unequal = (dense_clifford_t(5, 120, 7), tweaked);
         for (a, b) in [&equal, &unequal] {
             let base = try_equivalent_miter(a, b, EquivBudget::default()).unwrap();
+            assert_eq!(base.miter_block, 1);
             for batch in [1, 2, 8, 64] {
-                let fused =
-                    try_equivalent_miter_batched(a, b, EquivBudget::default(), batch).unwrap();
+                let fused = miter_batched(a, b, EquivBudget::default(), batch).unwrap();
                 assert_eq!(base.equivalent, fused.equivalent, "batch {batch}");
+                assert_eq!(fused.miter_block, batch);
             }
         }
     }
@@ -773,12 +830,14 @@ mod tests {
         assert!(miter_support(&Circuit::new(16), &Circuit::new(16)).is_empty());
     }
 
+    const METHODS: [EquivMethod; 2] = [EquivMethod::Canonical, EquivMethod::Miter];
+
     #[test]
-    fn restricted_miter_matches_full_on_scattered_support() {
+    fn restricted_check_matches_full_on_scattered_support() {
         // The same window on qubits {2, 5, 11} of a 16-wide register,
         // checked full-register and support-restricted: identical verdicts
-        // on the equal pair and on a sabotaged pair, with a strictly
-        // narrower package doing the restricted work.
+        // on the equal pair and on a sabotaged pair, by either method,
+        // with a strictly narrower package doing the restricted work.
         let mut spec = Circuit::new(16);
         spec.push(Gate::h(2));
         spec.push(Gate::cx(2, 11));
@@ -787,18 +846,21 @@ mod tests {
         let out = spec.clone();
         let support = miter_support(&spec, &out);
         assert_eq!(support, vec![2, 5, 11]);
-        let full = try_equivalent_miter(&spec, &out, EquivBudget::default()).unwrap();
-        let restricted = try_equivalent_miter_on(&support, &spec, &out, EquivBudget::default())
-            .unwrap();
-        assert!(full.equivalent && restricted.equivalent);
-        assert!(restricted.peak_nodes <= full.peak_nodes);
         let mut bad = out.clone();
         bad.push(Gate::t(11));
         let support_bad = miter_support(&spec, &bad);
-        let full_bad = try_equivalent_miter(&spec, &bad, EquivBudget::default()).unwrap();
-        let restricted_bad =
-            try_equivalent_miter_on(&support_bad, &spec, &bad, EquivBudget::default()).unwrap();
-        assert!(!full_bad.equivalent && !restricted_bad.equivalent);
+        let budget = EquivBudget::default();
+        let full = try_equivalent_miter(&spec, &out, budget).unwrap();
+        let full_bad = try_equivalent(&spec, &bad, budget).unwrap();
+        assert!(full.equivalent && !full_bad.equivalent);
+        for method in METHODS {
+            let restricted = try_equivalent_on(&support, &spec, &out, method, budget).unwrap();
+            assert!(restricted.equivalent, "{method:?}");
+            assert!(restricted.peak_nodes <= full.peak_nodes, "{method:?}");
+            let restricted_bad =
+                try_equivalent_on(&support_bad, &spec, &bad, method, budget).unwrap();
+            assert!(!restricted_bad.equivalent, "{method:?}");
+        }
     }
 
     #[test]
@@ -817,42 +879,70 @@ mod tests {
         out.push(Gate::swap(1, 3));
         let support = miter_support(&spec, &out);
         assert_eq!(support, vec![1, 3, 6]);
-        let full = try_equivalent_miter(&spec, &out, EquivBudget::default()).unwrap();
-        let restricted =
-            try_equivalent_miter_on(&support, &spec, &out, EquivBudget::default()).unwrap();
-        assert_eq!(full.equivalent, restricted.equivalent);
-        assert!(restricted.equivalent);
+        for method in METHODS {
+            let restricted =
+                try_equivalent_on(&support, &spec, &out, method, EquivBudget::default()).unwrap();
+            assert!(restricted.equivalent, "{method:?}");
+        }
+    }
+
+    #[test]
+    fn miter_block_follows_the_longer_circuit() {
+        let short = dense_clifford_t(3, 40, 5);
+        let support = miter_support(&short, &short);
+        let check = |spec: &Circuit, out: &Circuit, method| {
+            try_equivalent_on(&support, spec, out, method, EquivBudget::default()).unwrap()
+        };
+        assert_eq!(check(&short, &short, EquivMethod::Miter).miter_block, 1);
+        assert_eq!(check(&short, &short, EquivMethod::Canonical).miter_block, 0);
+        let mut long = short.clone();
+        while long.len() < 64 * 5 {
+            long.push(Gate::h(0));
+            long.push(Gate::h(0));
+        }
+        let r = check(&short, &long, EquivMethod::Miter);
+        assert!(r.equivalent);
+        assert_eq!(r.miter_block, 5, "{} gates", long.len());
+        while long.len() < 64 * 40 {
+            long.push(Gate::h(1));
+            long.push(Gate::h(1));
+        }
+        assert_eq!(check(&long, &short, EquivMethod::Miter).miter_block, 32);
     }
 
     #[test]
     fn empty_support_identity_window_is_trivially_equivalent() {
-        let r = try_equivalent_miter_on(&[], &Circuit::new(32), &Circuit::new(32), EquivBudget::default())
-            .unwrap();
-        assert!(r.equivalent);
-        assert_eq!(r.peak_nodes, 0);
+        for method in METHODS {
+            let empty = Circuit::new(32);
+            let r = try_equivalent_on(&[], &empty, &empty, method, EquivBudget::default()).unwrap();
+            assert!(r.equivalent);
+            assert_eq!(r.peak_nodes, 0);
+        }
     }
 
     #[test]
     #[should_panic(expected = "outside the declared support")]
-    fn restricted_miter_rejects_gates_outside_support() {
+    fn restricted_check_rejects_gates_outside_support() {
         let mut c = Circuit::new(4);
         c.push(Gate::h(3));
-        let _ = try_equivalent_miter_on(&[0, 1], &c, &c.clone(), EquivBudget::default());
+        let _ = try_equivalent_on(&[0, 1], &c, &c, EquivMethod::Canonical, EquivBudget::default());
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
-    fn restricted_miter_rejects_unsorted_support() {
+    fn restricted_check_rejects_unsorted_support() {
         let c = Circuit::new(4);
-        let _ = try_equivalent_miter_on(&[2, 1], &c, &c.clone(), EquivBudget::default());
+        let _ = try_equivalent_on(&[2, 1], &c, &c, EquivMethod::Miter, EquivBudget::default());
     }
 
     #[test]
-    fn restricted_miter_honors_node_budgets() {
+    fn restricted_check_honors_node_budgets() {
         let c = dense_clifford_t(6, 200, 17);
         let support = miter_support(&c, &c);
-        let err = try_equivalent_miter_on(&support, &c, &c.clone(), EquivBudget::with_node_budget(16))
-            .expect_err("16 nodes cannot host a dense 6-qubit check");
-        assert_eq!(err.limit, 16);
+        for method in METHODS {
+            let err = try_equivalent_on(&support, &c, &c, method, EquivBudget::with_node_budget(16))
+                .expect_err("16 nodes cannot host a dense 6-qubit check");
+            assert_eq!(err.limit, 16);
+        }
     }
 }

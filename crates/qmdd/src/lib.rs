@@ -36,11 +36,10 @@ mod state;
 
 pub use ctable::{WeightId, WeightTable, W_NEG_ONE, W_ONE, W_ZERO};
 pub use equiv::{
-    build_circuit_qmdd, circuits_equal, equivalent, equivalent_miter,
-    equivalent_miter_with_gc_threshold, equivalent_with_ancillas, equivalent_with_gc_threshold,
-    miter_support, process_fidelity, try_equivalent, try_equivalent_miter,
-    try_equivalent_miter_batched, try_equivalent_miter_on, try_equivalent_miter_on_batched,
-    EquivBudget, EquivBudgetError, EquivReport, DEFAULT_MITER_BATCH,
+    build_circuit_qmdd, circuits_equal, equivalent, equivalent_miter, equivalent_with_ancillas,
+    equivalent_with_gc_threshold, miter_support, process_fidelity, try_equivalent,
+    try_equivalent_miter, try_equivalent_miter_on_batched, try_equivalent_on, EquivBudget,
+    EquivBudgetError, EquivMethod, EquivReport, DEFAULT_MITER_BATCH,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use package::{CacheStats, Edge, NodeId, Qmdd, M2, TERMINAL};

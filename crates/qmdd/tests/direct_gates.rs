@@ -6,8 +6,7 @@
 use qsyn_circuit::Circuit;
 use qsyn_gate::{Gate, SingleOp, C64, SINGLE_OPS};
 use qsyn_qmdd::{
-    miter_support, try_equivalent, try_equivalent_miter_on_batched, Edge, EquivBudget, Qmdd,
-    DEFAULT_MITER_BATCH, M2,
+    miter_support, try_equivalent, try_equivalent_on, Edge, EquivBudget, EquivMethod, Qmdd, M2,
 };
 
 const IDENT2: M2 = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]];
@@ -214,10 +213,10 @@ fn forced_watermark_verdicts_match_unforced() {
         assert!(swept.gc_runs > 0, "watermark 2 must collect");
         let support = miter_support(&spec, &out);
         for budget in [EquivBudget::default(), forced] {
-            let r =
-                try_equivalent_miter_on_batched(&support, &spec, &out, budget, DEFAULT_MITER_BATCH)
-                    .unwrap();
-            assert_eq!(r.equivalent, want, "{budget:?}");
+            for method in [EquivMethod::Canonical, EquivMethod::Miter] {
+                let r = try_equivalent_on(&support, &spec, &out, method, budget).unwrap();
+                assert_eq!(r.equivalent, want, "{method:?} {budget:?}");
+            }
         }
     }
 }

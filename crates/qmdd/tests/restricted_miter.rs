@@ -1,19 +1,20 @@
-//! Differential property test: the support-restricted miter verdict equals
-//! the full-register miter verdict on random windows over random supports —
-//! equal windows, sabotaged windows, restoration-SWAP windows, and
-//! empty-support identity windows alike, at every batch size.
+//! Differential property test: the support-restricted check's verdict
+//! equals the full-register verdict on random windows over random supports
+//! — equal windows, sabotaged windows, restoration-SWAP windows, and
+//! empty-support identity windows alike, for the canonical check and for
+//! the miter at every block length.
 //!
-//! This is the guarantee `compile_stream` leans on when it verifies each
-//! streaming window on a compacted register of just the window's touched
-//! qubits instead of dragging the full device width through every gate
-//! product.
+//! This is the guarantee the compiler leans on when it verifies every
+//! batch output and streaming window on a compacted register of just the
+//! touched qubits instead of dragging the full device width through every
+//! gate product.
 
 use proptest::prelude::*;
 use qsyn_circuit::Circuit;
 use qsyn_gate::Gate;
 use qsyn_qmdd::{
-    miter_support, try_equivalent_miter, try_equivalent_miter_batched, try_equivalent_miter_on,
-    try_equivalent_miter_on_batched, EquivBudget,
+    miter_support, try_equivalent, try_equivalent_miter, try_equivalent_miter_on_batched,
+    try_equivalent_on, EquivBudget, EquivMethod,
 };
 
 const WIDTH: usize = 14;
@@ -90,15 +91,21 @@ proptest! {
         let support = miter_support(&spec, &out);
         let budget = EquivBudget::default();
         let full = try_equivalent_miter(&spec, &out, budget).unwrap();
-        let restricted = try_equivalent_miter_on(&support, &spec, &out, budget).unwrap();
+        let restricted =
+            try_equivalent_on(&support, &spec, &out, EquivMethod::Miter, budget).unwrap();
         prop_assert_eq!(full.equivalent, restricted.equivalent);
         for batch in [1usize, 3, 8] {
-            let full_b = try_equivalent_miter_batched(&spec, &out, budget, batch).unwrap();
             let restricted_b =
                 try_equivalent_miter_on_batched(&support, &spec, &out, budget, batch).unwrap();
-            prop_assert_eq!(full.equivalent, full_b.equivalent, "full batch {}", batch);
             prop_assert_eq!(full.equivalent, restricted_b.equivalent, "restricted batch {}", batch);
         }
+        // The canonical check on the support agrees with the canonical
+        // check on the full register (and so with the miter).
+        let full_canonical = try_equivalent(&spec, &out, budget).unwrap();
+        let restricted_canonical =
+            try_equivalent_on(&support, &spec, &out, EquivMethod::Canonical, budget).unwrap();
+        prop_assert_eq!(full.equivalent, full_canonical.equivalent);
+        prop_assert_eq!(full_canonical.equivalent, restricted_canonical.equivalent);
         // The verdict itself is what we expect: a sabotaged non-empty
         // window differs, everything else is equal (empty support means
         // the sabotage T was never pushed).

@@ -3,12 +3,15 @@
 //! into a textually different but equal output, then broken by flipping,
 //! dropping or retargeting exactly one output gate. Each variant replaces
 //! one gate by a different operator (or removes a non-identity gate), so
-//! it is inequivalent by construction; both the support-restricted
-//! batched miter and the canonical check must say so.
+//! it is inequivalent by construction; the support-restricted check must
+//! say so by both of its methods, and so must the full-register canonical
+//! check.
 
 use qsyn_circuit::Circuit;
 use qsyn_gate::{Gate, SingleOp};
-use qsyn_qmdd::{miter_support, try_equivalent, try_equivalent_miter_on, EquivBudget};
+use qsyn_qmdd::{miter_support, try_equivalent, try_equivalent_on, EquivBudget, EquivMethod};
+
+const METHODS: [EquivMethod; 2] = [EquivMethod::Canonical, EquivMethod::Miter];
 
 const SIDE: usize = 6;
 const BLOCK: (usize, usize) = (4, 6);
@@ -135,16 +138,17 @@ fn every_one_gate_sabotage_is_rejected() {
             let spec = window(seed * 7919 + 1, phase_only);
             let out = mapped(&spec);
             let support = miter_support(&spec, &out);
-            assert!(
-                try_equivalent_miter_on(&support, &spec, &out, budget)
-                    .unwrap()
-                    .equivalent
-            );
+            for method in METHODS {
+                let r = try_equivalent_on(&support, &spec, &out, method, budget).unwrap();
+                assert!(r.equivalent, "{method:?}");
+            }
             assert!(try_equivalent(&spec, &out, budget).unwrap().equivalent);
             for (label, bad) in sabotaged(&out) {
                 let support = miter_support(&spec, &bad);
-                let miter = try_equivalent_miter_on(&support, &spec, &bad, budget).unwrap();
-                assert!(!miter.equivalent, "restricted miter accepted {label}");
+                for method in METHODS {
+                    let r = try_equivalent_on(&support, &spec, &bad, method, budget).unwrap();
+                    assert!(!r.equivalent, "restricted {method:?} accepted {label}");
+                }
                 let canonical = try_equivalent(&spec, &bad, budget).unwrap();
                 assert!(!canonical.equivalent, "canonical check accepted {label}");
                 checked += 1;

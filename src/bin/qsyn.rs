@@ -16,6 +16,7 @@
 
 use qsyn::core::{load_circuit, Args, CompileOptions, CostKind};
 use qsyn::prelude::*;
+use qsyn::qmdd::{miter_support, try_equivalent_on, EquivBudget, EquivMethod};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -115,8 +116,9 @@ USAGE:
       queue). Exits 1 listing every violated invariant.
 
   qsyn check <a> <b> [--miter | --ancilla 2,3]
-      QMDD formal equivalence check of two circuit files; --miter uses the
-      interleaved strategy for wide registers, --ancilla checks partial
+      QMDD formal equivalence check of two circuit files, run on just the
+      lines either circuit touches; --miter uses the interleaved strategy
+      for wide registers, --ancilla checks partial
       equivalence assuming the listed lines (each below the wider
       circuit's width) start in |0>.
 
@@ -128,8 +130,9 @@ USAGE:
       pass event, and events sharing a sweep job id must follow Fig. 2
       pass order. Route events must carry a known routing-strategy tag
       (when present) and must not report more SWAPs than the budget cap
-      recorded in the same event. Prints a per-pass summary; exits 1 on
-      malformed input.
+      recorded in the same event. A verify event's `support` must fit
+      in the device, and its `miter_block` must be 1..=32 on a miter
+      rung. Prints a per-pass summary; exits 1 on malformed input.
 
   qsyn synth <hex> <n-vars> [--out FILE]
       Synthesize the single-target gate of a control function given as a
@@ -623,10 +626,17 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 };
                 qsyn::qmdd::equivalent_with_ancillas(&ca, &cb, &lines)
-            } else if flags.has("miter") {
-                equivalent_miter(&ca, &cb)
             } else {
-                equivalent(&ca, &cb)
+                // The compiler's check: on the lines either circuit
+                // touches, which decides exactly as the full register.
+                let method = if flags.has("miter") {
+                    EquivMethod::Miter
+                } else {
+                    EquivMethod::Canonical
+                };
+                let support = miter_support(&ca, &cb);
+                try_equivalent_on(&support, &ca, &cb, method, EquivBudget::default())
+                    .expect("a check without a node budget cannot exhaust it")
             };
             println!(
                 "{}",
@@ -772,6 +782,10 @@ fn cmd_check_trace(args: &[String]) -> ExitCode {
                          `ladder_rung` >= 1",
                         k + 1
                     );
+                    return ExitCode::FAILURE;
+                }
+                if let Err(why) = check_verify_support(e, rung) {
+                    eprintln!("error: {input}: event {}: {why}", k + 1);
                     return ExitCode::FAILURE;
                 }
                 if rung > 1.0 {
@@ -934,6 +948,33 @@ fn cmd_report(args: &[String]) -> ExitCode {
     );
     print!("{}", qsyn::report::render(&snap));
     ExitCode::SUCCESS
+}
+
+/// The support counters of a decided verify event (absent on traces that
+/// predate them): the check's `support` fits in the device register, and
+/// its `miter_block` is a length the block rule can give — 0 on canonical
+/// rungs, 1..=32 on miter rungs. The third rung exists only on the
+/// canonical ladder, and it is the miter.
+fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
+    let width = e.input.qubits as f64;
+    if let Some(support) = e.counter("support") {
+        if support > width {
+            return Err(format!(
+                "verify `support` {support} exceeds the device width {width}"
+            ));
+        }
+    }
+    if let Some(block) = e.counter("miter_block") {
+        if !(0.0..=32.0).contains(&block) || block.fract() != 0.0 {
+            return Err(format!("verify `miter_block` {block} is not in 0..=32"));
+        }
+        if rung == 3.0 && block < 1.0 {
+            return Err(format!(
+                "the miter rung (ladder_rung 3) must carry `miter_block` >= 1, got {block}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn cmd_check_metrics(args: &[String]) -> ExitCode {

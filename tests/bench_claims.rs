@@ -1,16 +1,18 @@
 //! Deterministic forms of the performance claims: routing quality as
 //! golden SWAP counts and Eqn. 2 costs, sparse-oracle memory as byte
-//! counts, and support-restricted stream verification as a ratio of QMDD
-//! compute-table lookups. Every figure here is a count, so each run
-//! reproduces it exactly; wall-clock throughput is measured by
+//! counts, and support-restricted verification — batch and stream — as
+//! ratios of QMDD compute-table lookups. Every figure here is a count, so
+//! each run reproduces it exactly; wall-clock throughput is measured by
 //! `python3 perfbench/run.py` instead.
 
+use qsyn::bench::big::BIG_BENCHMARKS;
 use qsyn::bench::random::grid_stream;
+use qsyn::bench::revlib::REVLIB_BENCHMARKS;
 use qsyn::core::{DistanceOracle, RoutingTable};
 use qsyn::prelude::*;
 use qsyn::qmdd::{
-    miter_support, try_equivalent_miter, try_equivalent_miter_on_batched, EquivBudget,
-    DEFAULT_MITER_BATCH,
+    miter_support, try_equivalent, try_equivalent_miter, try_equivalent_on, EquivBudget,
+    EquivMethod, EquivReport,
 };
 use std::sync::Arc;
 
@@ -184,7 +186,8 @@ fn sparse_oracle_memory_stays_far_below_the_dense_table() {
 fn support_restricted_window_verification_does_a_fraction_of_the_full_register_work() {
     // The first 16 windows of the 1024-qubit grid stream, each compiled
     // as a one-window batch and checked twice: on the full register and
-    // on the window's miter support (the path streaming compiles take).
+    // by the compiler's one check on the window's support (the path
+    // streaming compiles take).
     const WINDOW: usize = 64;
     const WINDOWS: usize = 16;
     let budget = EquivBudget {
@@ -203,15 +206,8 @@ fn support_restricted_window_verification_does_a_fraction_of_the_full_register_w
             .expect("grid windows compile");
         let full = try_equivalent_miter(&r.placed, &r.optimized, budget)
             .expect("full-register check fits the node budget");
-        let support = miter_support(&r.placed, &r.optimized);
-        let restricted = try_equivalent_miter_on_batched(
-            &support,
-            &r.placed,
-            &r.optimized,
-            budget,
-            DEFAULT_MITER_BATCH,
-        )
-        .expect("restricted check fits the node budget");
+        let restricted = on_support(&r.placed, &r.optimized, EquivMethod::Miter, budget)
+            .expect("restricted check fits the node budget");
         assert!(full.equivalent && restricted.equivalent);
         full_lookups += full.cache_lookups;
         restricted_lookups += restricted.cache_lookups;
@@ -226,5 +222,73 @@ fn support_restricted_window_verification_does_a_fraction_of_the_full_register_w
         full_lookups >= 8 * restricted_lookups,
         "restricted verification must do at most 1/8 of the full-register \
          compute-table lookups ({restricted_lookups} vs {full_lookups})"
+    );
+}
+
+/// The compiler's one check: `method` on the pair's support.
+fn on_support(
+    spec: &Circuit,
+    out: &Circuit,
+    method: EquivMethod,
+    budget: EquivBudget,
+) -> Result<EquivReport, qsyn::qmdd::EquivBudgetError> {
+    try_equivalent_on(&miter_support(spec, out), spec, out, method, budget)
+}
+
+#[test]
+fn batch_miter_on_the_support_cuts_qc96_lookups() {
+    // The smallest Table 7/8 cascade on the 96-qubit machine, checked as
+    // batch compiles did before (full register, one gate per product) and
+    // by the compiler's one check (its support, block from the length
+    // rule). Measured: 1,351,725 -> 442,504 lookups (3.05x).
+    let compiler = Compiler::new(devices::qc96()).with_verification(Verification::None);
+    let r = compiler
+        .compile(&BIG_BENCHMARKS[0].circuit())
+        .expect("T6_b maps to qc96");
+    let budget = EquivBudget::default();
+    let full = try_equivalent_miter(&r.placed, &r.optimized, budget).unwrap();
+    let restricted = on_support(&r.placed, &r.optimized, EquivMethod::Miter, budget).unwrap();
+    assert!(full.equivalent && restricted.equivalent);
+    eprintln!(
+        "T6_b on qc96: full-register miter {} lookups, one check {} lookups (block {})",
+        full.cache_lookups, restricted.cache_lookups, restricted.miter_block
+    );
+    assert!(
+        full.cache_lookups * 2 >= restricted.cache_lookups * 5,
+        "the one check must do at most 1/2.5 of the full-register miter's \
+         compute-table lookups ({} vs {})",
+        restricted.cache_lookups,
+        full.cache_lookups
+    );
+}
+
+#[test]
+fn canonical_on_the_support_cuts_table5_lookups_on_ibmq_16() {
+    // Every Table 5 cascade that maps to ibmq_16, checked by the paper's
+    // canonical method on the full 16-line register and on the pair's
+    // support: summed over the pairs, the support does fewer lookups.
+    let compiler = Compiler::new(devices::ibmq_16()).with_verification(Verification::None);
+    let budget = EquivBudget::default();
+    let (mut full_lookups, mut restricted_lookups, mut pairs) = (0u64, 0u64, 0);
+    for bench in REVLIB_BENCHMARKS {
+        let Ok(r) = compiler.compile(&bench.circuit()) else {
+            continue; // an N/A cell of the paper's table
+        };
+        let full = try_equivalent(&r.placed, &r.optimized, budget).unwrap();
+        let restricted =
+            on_support(&r.placed, &r.optimized, EquivMethod::Canonical, budget).unwrap();
+        assert!(full.equivalent && restricted.equivalent, "{}", bench.name);
+        full_lookups += full.cache_lookups;
+        restricted_lookups += restricted.cache_lookups;
+        pairs += 1;
+    }
+    eprintln!(
+        "Table 5 on ibmq_16 ({pairs} pairs): canonical full {full_lookups}, \
+         on the support {restricted_lookups} lookups"
+    );
+    assert!(pairs >= 3, "only {pairs} Table 5 pairs map to ibmq_16");
+    assert!(
+        restricted_lookups < full_lookups,
+        "canonical on the support must do fewer lookups ({restricted_lookups} vs {full_lookups})"
     );
 }

@@ -149,6 +149,33 @@ fn check_miter_and_ancilla_flags() {
     assert!(partial.status.success(), "equal on the clean subspace");
 }
 
+#[test]
+fn check_answers_different_on_a_one_gate_sabotage_of_wide_files() {
+    // Two 64-line files that touch only lines 5, 40 and 63: the checker
+    // runs on that 3-line support and still tells one flipped T apart,
+    // by either method.
+    let body = "h q[5]; cx q[5],q[40]; t q[63]; cx q[40],q[63]; h q[40];";
+    let spec = tmp("wide-spec.qasm", &format!("qreg q[64]; {body}"));
+    let same = tmp("wide-same.qasm", &format!("qreg q[64]; {body}"));
+    let flipped = tmp(
+        "wide-flipped.qasm",
+        &format!("qreg q[64]; {}", body.replace("t q[63]", "tdg q[63]")),
+    );
+    let (a, b, c) = (
+        spec.to_str().unwrap(),
+        same.to_str().unwrap(),
+        flipped.to_str().unwrap(),
+    );
+    for extra in [&[][..], &["--miter"][..]] {
+        let ok = qsyn(&[&["check", a, b][..], extra].concat());
+        assert!(ok.status.success(), "{extra:?}");
+        assert_eq!(String::from_utf8_lossy(&ok.stdout), "EQUIVALENT\n");
+        let bad = qsyn(&[&["check", a, c][..], extra].concat());
+        assert_eq!(bad.status.code(), Some(1), "{extra:?}");
+        assert_eq!(String::from_utf8_lossy(&bad.stdout), "DIFFERENT\n");
+    }
+}
+
 /// Asserts a usage error: exit 2 with exactly one `error:` line naming
 /// `needle` on stderr.
 fn assert_usage_error(out: &Output, needle: &str) {
@@ -560,6 +587,48 @@ fn check_trace_rejects_route_events_that_blow_their_own_swap_cap() {
     assert_eq!(bad.status.code(), Some(1));
     let log = String::from_utf8_lossy(&bad.stderr);
     assert!(log.contains("exceeding the budget cap"), "{log}");
+}
+
+#[test]
+fn check_trace_rejects_verify_events_with_impossible_support_counters() {
+    // A genuine verify event carries the support it checked on and the
+    // miter block (0: the canonical check decided); a tampered event
+    // claiming a support wider than the device, or a miter rung with no
+    // block, is rejected.
+    let input = tmp("tof16.real", TOFFOLI_REAL);
+    let trace = tmp("tof16.trace.jsonl", "");
+    let out = qsyn(&[
+        "compile",
+        input.to_str().unwrap(),
+        "--device",
+        "ibmqx4",
+        &format!("--trace={}", trace.to_str().unwrap()),
+    ]);
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let verify = text
+        .lines()
+        .find(|line| line.contains("\"pass\":\"verify\""))
+        .expect("a verify event");
+    assert!(verify.contains("\"support\":3,"), "{verify}");
+    assert!(verify.contains("\"miter_block\":0,"), "{verify}");
+    for (prepend, needle) in [
+        ("\"support\":6,", "exceeds the device width 5"),
+        ("\"ladder_rung\":3,\"miter_block\":0,", "must carry `miter_block` >= 1"),
+        ("\"miter_block\":33,", "is not in 0..=32"),
+    ] {
+        let tampered = text.replacen(
+            &verify.to_string(),
+            &verify.replacen("\"counters\":{", &format!("\"counters\":{{{prepend}"), 1),
+            1,
+        );
+        assert_ne!(text, tampered);
+        let bad_file = tmp("tof16.tampered.jsonl", &tampered);
+        let bad = qsyn(&["check-trace", bad_file.to_str().unwrap()]);
+        assert_eq!(bad.status.code(), Some(1), "{prepend}");
+        let log = String::from_utf8_lossy(&bad.stderr);
+        assert!(log.contains(needle), "{prepend}: {log}");
+    }
 }
 
 #[test]
