@@ -47,7 +47,10 @@ impl WeightTable {
     }
 
     fn key(v: C64) -> (i64, i64) {
-        ((v.re * BUCKET).round() as i64, (v.im * BUCKET).round() as i64)
+        (
+            (v.re * BUCKET).round() as i64,
+            (v.im * BUCKET).round() as i64,
+        )
     }
 
     /// Interns `v`, returning the id of an existing value within tolerance

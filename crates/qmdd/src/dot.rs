@@ -29,11 +29,7 @@ impl Qmdd {
             let _ = writeln!(out, "}}");
             return out;
         }
-        let _ = writeln!(
-            out,
-            "  entry -> n{} [label=\"{rw}\"];",
-            root.node
-        );
+        let _ = writeln!(out, "  entry -> n{} [label=\"{rw}\"];", root.node);
 
         let mut names: FxHashSet<u32> = FxHashSet::default();
         let mut stack = vec![root.node];

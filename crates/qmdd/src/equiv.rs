@@ -455,7 +455,13 @@ pub fn equivalent_with_ancillas(a: &Circuit, b: &Circuit, ancilla: &[usize]) -> 
         [qsyn_gate::C64::ONE, qsyn_gate::C64::ZERO],
         [qsyn_gate::C64::ZERO, qsyn_gate::C64::ONE],
     ];
-    let p = pkg.tensor(|l| if ancilla.contains(&l) { zero_proj } else { ident });
+    let p = pkg.tensor(|l| {
+        if ancilla.contains(&l) {
+            zero_proj
+        } else {
+            ident
+        }
+    });
     // Collections during the circuit builds must preserve the projector
     // and the earlier circuit's root.
     let p_slot = pkg.protect(p);
@@ -925,7 +931,13 @@ mod tests {
     fn restricted_check_rejects_gates_outside_support() {
         let mut c = Circuit::new(4);
         c.push(Gate::h(3));
-        let _ = try_equivalent_on(&[0, 1], &c, &c, EquivMethod::Canonical, EquivBudget::default());
+        let _ = try_equivalent_on(
+            &[0, 1],
+            &c,
+            &c,
+            EquivMethod::Canonical,
+            EquivBudget::default(),
+        );
     }
 
     #[test]
@@ -940,8 +952,9 @@ mod tests {
         let c = dense_clifford_t(6, 200, 17);
         let support = miter_support(&c, &c);
         for method in METHODS {
-            let err = try_equivalent_on(&support, &c, &c, method, EquivBudget::with_node_budget(16))
-                .expect_err("16 nodes cannot host a dense 6-qubit check");
+            let err =
+                try_equivalent_on(&support, &c, &c, method, EquivBudget::with_node_budget(16))
+                    .expect_err("16 nodes cannot host a dense 6-qubit check");
             assert_eq!(err.limit, 16);
         }
     }

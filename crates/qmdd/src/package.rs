@@ -17,7 +17,7 @@
 use crate::ctable::{WeightId, WeightTable, W_ONE, W_ZERO};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use qsyn_circuit::Circuit;
-use qsyn_gate::{C64, Gate, Matrix};
+use qsyn_gate::{Gate, Matrix, C64};
 use std::hash::{Hash, Hasher};
 
 /// Index of a node in the package arena. `0` is the terminal.
@@ -112,8 +112,7 @@ impl<K: Hash + Eq + Copy> ComputeTable<K> {
     #[inline]
     fn insert(&mut self, key: K, value: Edge) -> bool {
         let i = self.slot(&key);
-        let evicted =
-            matches!(self.slots[i], Some((k, _, g)) if g == self.generation && k != key);
+        let evicted = matches!(self.slots[i], Some((k, _, g)) if g == self.generation && k != key);
         self.slots[i] = Some((key, value, self.generation));
         if evicted {
             self.pressure += 1;
@@ -461,7 +460,10 @@ impl Qmdd {
                 id
             }
         };
-        Edge { node: id, weight: norm }
+        Edge {
+            node: id,
+            weight: norm,
+        }
     }
 
     /// Scales an edge by an interned weight.
@@ -698,7 +700,11 @@ impl Qmdd {
         }
         let mut e = self.make_node(target as u32, tracks);
         for l in (0..target).rev() {
-            let low = if mask[l] { self.identity_from(l + 1) } else { e };
+            let low = if mask[l] {
+                self.identity_from(l + 1)
+            } else {
+                e
+            };
             e = self.make_node(l as u32, [low, Edge::ZERO, Edge::ZERO, e]);
         }
         self.ctrl_mask = mask;
@@ -830,9 +836,10 @@ impl Qmdd {
         // amplitudes minted by discarded intermediates are dropped too.
         let mut new_weights = WeightTable::new();
         let mut wmap: FxHashMap<WeightId, WeightId> = FxHashMap::default();
-        let remap = |old: WeightId, wmap: &mut FxHashMap<WeightId, WeightId>,
-                         new_weights: &mut WeightTable,
-                         old_weights: &WeightTable| {
+        let remap = |old: WeightId,
+                     wmap: &mut FxHashMap<WeightId, WeightId>,
+                     new_weights: &mut WeightTable,
+                     old_weights: &WeightTable| {
             *wmap
                 .entry(old)
                 .or_insert_with(|| new_weights.intern(old_weights.value(old)))
@@ -1038,7 +1045,10 @@ mod tests {
         let e = pkg.gate(&g);
         let dd = pkg.to_matrix(e);
         let dense = g.to_matrix(n);
-        assert!(dd.approx_eq(&dense), "gate {g} mismatch\nDD:\n{dd}\ndense:\n{dense}");
+        assert!(
+            dd.approx_eq(&dense),
+            "gate {g} mismatch\nDD:\n{dd}\ndense:\n{dense}"
+        );
     }
 
     #[test]
@@ -1448,7 +1458,10 @@ mod tests {
             }
         }
         let e = pkg.circuit(&c);
-        assert!(pkg.budget_exceeded(), "dense 6-qubit build must blow 16 nodes");
+        assert!(
+            pkg.budget_exceeded(),
+            "dense 6-qubit build must blow 16 nodes"
+        );
         assert!(e.is_zero(), "poisoned build must return the zero edge");
         // Growth halts promptly: the arena overshoots the cap by at most
         // the allocations of the gate under construction, never the ~2^6

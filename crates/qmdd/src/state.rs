@@ -10,7 +10,7 @@
 use crate::fxhash::FxHashMap;
 use crate::package::{Edge, Qmdd, TERMINAL};
 use qsyn_circuit::Circuit;
-use qsyn_gate::{C64, Gate};
+use qsyn_gate::{Gate, C64};
 use std::cell::RefCell;
 
 /// A decision-diagram quantum state simulator.
