@@ -1063,6 +1063,7 @@ impl Compiler {
                         s.counter("gc_runs", report.gc_runs as f64);
                         s.counter("nodes_reclaimed", report.nodes_reclaimed as f64);
                         s.counter("support", check.support.len() as f64);
+                        s.counter("miter", f64::from(u8::from(method == Miter)));
                         s.counter("miter_block", report.miter_block as f64);
                         s.counter("ladder_rung", (rung + 1) as f64);
                         s.counter("unverified", 0.0);

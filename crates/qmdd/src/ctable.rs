@@ -33,17 +33,23 @@ impl WeightTable {
     /// Creates a table pre-seeded with the distinguished weights
     /// [`W_ZERO`], [`W_ONE`], and [`W_NEG_ONE`].
     pub fn new() -> Self {
-        let mut t = WeightTable {
-            values: Vec::new(),
-            buckets: FxHashMap::default(),
-        };
-        let zero = t.intern(C64::ZERO);
-        let one = t.intern(C64::ONE);
-        let neg = t.intern(-C64::ONE);
+        let mut t = WeightTable::default();
+        t.reset();
+        t
+    }
+
+    /// Empties the table back to its three seeds, keeping the allocations
+    /// of the value list and the bucket map. Ids are handed out exactly as
+    /// by a new table.
+    pub(crate) fn reset(&mut self) {
+        self.values.clear();
+        self.buckets.clear();
+        let zero = self.intern(C64::ZERO);
+        let one = self.intern(C64::ONE);
+        let neg = self.intern(-C64::ONE);
         debug_assert_eq!(zero, W_ZERO);
         debug_assert_eq!(one, W_ONE);
         debug_assert_eq!(neg, W_NEG_ONE);
-        t
     }
 
     fn key(v: C64) -> (i64, i64) {

@@ -10,6 +10,40 @@
 
 use crate::package::{CacheStats, Edge, Qmdd};
 use qsyn_circuit::Circuit;
+use std::cell::Cell;
+
+/// Arena capacity, in nodes, up to which a finished check's package is
+/// kept for the thread's next check. Beyond it the package is dropped, so
+/// a thread holds at most one package of about 13 MB (arena, unique map
+/// and compute tables) between checks, and the largest diagrams are freed
+/// as soon as their check ends.
+const MAX_RETAINED_NODES: usize = 1 << 16;
+
+thread_local! {
+    /// The thread's spare package, empty while a check holds it.
+    static SPARE_PACKAGE: Cell<Option<Qmdd>> = const { Cell::new(None) };
+}
+
+/// Runs `check` on a package over `n` qubits: the thread's spare package,
+/// reset to the state of a new one, or a new package when there is none.
+/// Every check in this module except [`build_circuit_qmdd`], which hands
+/// its package to the caller, goes through here. The package is taken out
+/// of the slot for the duration, so a check that panics drops it and a
+/// check nested inside another gets a package of its own.
+fn with_package<R>(n: usize, check: impl FnOnce(&mut Qmdd) -> R) -> R {
+    let mut pkg = match SPARE_PACKAGE.with(Cell::take) {
+        Some(mut pkg) => {
+            pkg.reset(n);
+            pkg
+        }
+        None => Qmdd::new(n),
+    };
+    let result = check(&mut pkg);
+    if pkg.arena_capacity() <= MAX_RETAINED_NODES {
+        SPARE_PACKAGE.with(|slot| slot.set(Some(pkg)));
+    }
+    result
+}
 
 /// Outcome of an equivalence check, with diagnostic sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,15 +209,16 @@ pub fn try_equivalent(
     budget: EquivBudget,
 ) -> Result<EquivReport, EquivBudgetError> {
     let n = a.n_qubits().max(b.n_qubits());
-    let mut pkg = Qmdd::new(n);
-    apply_budget(&mut pkg, budget);
-    let ea = pkg.circuit(a);
-    // Protect the first root: a collection triggered while building the
-    // second circuit must keep (and relocate) it.
-    let slot = pkg.protect(ea);
-    let eb = pkg.circuit(b);
-    let ea = pkg.protected(slot);
-    budget_verdict(&pkg, ea == eb)
+    with_package(n, |pkg| {
+        apply_budget(pkg, budget);
+        let ea = pkg.circuit(a);
+        // Protect the first root: a collection triggered while building the
+        // second circuit must keep (and relocate) it.
+        let slot = pkg.protect(ea);
+        let eb = pkg.circuit(b);
+        let ea = pkg.protected(slot);
+        budget_verdict(pkg, ea == eb)
+    })
 }
 
 /// Checks equivalence via the interleaved miter `U_a * U_b^dagger = I`.
@@ -240,49 +275,50 @@ fn miter_batched(
     batch: usize,
 ) -> Result<EquivReport, EquivBudgetError> {
     let n = a.n_qubits().max(b.n_qubits());
-    let mut pkg = Qmdd::new(n);
-    apply_budget(&mut pkg, budget);
-    let batch = batch.max(1);
-    let mut acc = pkg.identity();
-    let (la, lb) = (a.len().max(1), b.len().max(1));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        if pkg.budget_exceeded() {
-            break;
-        }
-        // Advance whichever side is proportionally behind (block-granular).
-        let take_a = i < a.len() && (j >= b.len() || i * lb <= j * la);
-        // No `maybe_gc` may run while a block is live: a collection roots
-        // only `acc` (plus protected slots) and would invalidate the
-        // half-built block. Blocks are at most `batch` gates, so the
-        // un-collected intermediates stay bounded.
-        if take_a {
-            let end = (i + batch).min(a.len());
-            let mut block = pkg.gate(&a.gates()[i]);
-            i += 1;
-            while i < end && !pkg.budget_exceeded() {
-                let ge = pkg.gate(&a.gates()[i]);
-                block = pkg.mul(ge, block);
+    with_package(n, |pkg| {
+        apply_budget(pkg, budget);
+        let batch = batch.max(1);
+        let mut acc = pkg.identity();
+        let (la, lb) = (a.len().max(1), b.len().max(1));
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() || j < b.len() {
+            if pkg.budget_exceeded() {
+                break;
+            }
+            // Advance whichever side is proportionally behind (block-granular).
+            let take_a = i < a.len() && (j >= b.len() || i * lb <= j * la);
+            // No `maybe_gc` may run while a block is live: a collection roots
+            // only `acc` (plus protected slots) and would invalidate the
+            // half-built block. Blocks are at most `batch` gates, so the
+            // un-collected intermediates stay bounded.
+            if take_a {
+                let end = (i + batch).min(a.len());
+                let mut block = pkg.gate(&a.gates()[i]);
                 i += 1;
-            }
-            acc = pkg.mul(block, acc);
-        } else {
-            let end = (j + batch).min(b.len());
-            let mut block = pkg.gate(&b.gates()[j].inverse());
-            j += 1;
-            while j < end && !pkg.budget_exceeded() {
-                let ge = pkg.gate(&b.gates()[j].inverse());
-                block = pkg.mul(block, ge);
+                while i < end && !pkg.budget_exceeded() {
+                    let ge = pkg.gate(&a.gates()[i]);
+                    block = pkg.mul(ge, block);
+                    i += 1;
+                }
+                acc = pkg.mul(block, acc);
+            } else {
+                let end = (j + batch).min(b.len());
+                let mut block = pkg.gate(&b.gates()[j].inverse());
                 j += 1;
+                while j < end && !pkg.budget_exceeded() {
+                    let ge = pkg.gate(&b.gates()[j].inverse());
+                    block = pkg.mul(block, ge);
+                    j += 1;
+                }
+                acc = pkg.mul(acc, block);
             }
-            acc = pkg.mul(acc, block);
+            acc = pkg.maybe_gc(acc);
         }
-        acc = pkg.maybe_gc(acc);
-    }
-    let id = pkg.identity();
-    budget_verdict(&pkg, acc == id).map(|report| EquivReport {
-        miter_block: batch,
-        ..report
+        let id = pkg.identity();
+        budget_verdict(pkg, acc == id).map(|report| EquivReport {
+            miter_block: batch,
+            ..report
+        })
     })
 }
 
@@ -446,7 +482,6 @@ pub fn equivalent_with_ancillas(a: &Circuit, b: &Circuit, ancilla: &[usize]) -> 
         ancilla.iter().all(|&q| q < n),
         "ancilla line outside the register"
     );
-    let mut pkg = Qmdd::new(n);
     let zero_proj = [
         [qsyn_gate::C64::ONE, qsyn_gate::C64::ZERO],
         [qsyn_gate::C64::ZERO, qsyn_gate::C64::ZERO],
@@ -455,23 +490,25 @@ pub fn equivalent_with_ancillas(a: &Circuit, b: &Circuit, ancilla: &[usize]) -> 
         [qsyn_gate::C64::ONE, qsyn_gate::C64::ZERO],
         [qsyn_gate::C64::ZERO, qsyn_gate::C64::ONE],
     ];
-    let p = pkg.tensor(|l| {
-        if ancilla.contains(&l) {
-            zero_proj
-        } else {
-            ident
-        }
-    });
-    // Collections during the circuit builds must preserve the projector
-    // and the earlier circuit's root.
-    let p_slot = pkg.protect(p);
-    let ea = pkg.circuit(a);
-    let ea_slot = pkg.protect(ea);
-    let eb = pkg.circuit(b);
-    let (p, ea) = (pkg.protected(p_slot), pkg.protected(ea_slot));
-    let ap = pkg.mul(ea, p);
-    let bp = pkg.mul(eb, p);
-    report_from(&pkg, ap == bp)
+    with_package(n, |pkg| {
+        let p = pkg.tensor(|l| {
+            if ancilla.contains(&l) {
+                zero_proj
+            } else {
+                ident
+            }
+        });
+        // Collections during the circuit builds must preserve the projector
+        // and the earlier circuit's root.
+        let p_slot = pkg.protect(p);
+        let ea = pkg.circuit(a);
+        let ea_slot = pkg.protect(ea);
+        let eb = pkg.circuit(b);
+        let (p, ea) = (pkg.protected(p_slot), pkg.protected(ea_slot));
+        let ap = pkg.mul(ea, p);
+        let bp = pkg.mul(eb, p);
+        report_from(pkg, ap == bp)
+    })
 }
 
 /// Process fidelity `|Tr(U_a† U_b)| / 2^n` between two circuits, computed
@@ -482,14 +519,15 @@ pub fn equivalent_with_ancillas(a: &Circuit, b: &Circuit, ancilla: &[usize]) -> 
 /// QMDD check — useful for diagnosing how wrong a near-miss is.
 pub fn process_fidelity(a: &Circuit, b: &Circuit) -> f64 {
     let n = a.n_qubits().max(b.n_qubits());
-    let mut pkg = Qmdd::new(n);
-    let ea = pkg.circuit(a);
-    let slot = pkg.protect(ea);
-    let eb = pkg.circuit(b);
-    let ea = pkg.protected(slot);
-    let adj = pkg.adjoint(ea);
-    let prod = pkg.mul(adj, eb);
-    let tr = pkg.trace(prod);
+    let tr = with_package(n, |pkg| {
+        let ea = pkg.circuit(a);
+        let slot = pkg.protect(ea);
+        let eb = pkg.circuit(b);
+        let ea = pkg.protected(slot);
+        let adj = pkg.adjoint(ea);
+        let prod = pkg.mul(adj, eb);
+        pkg.trace(prod)
+    });
     tr.abs() / (1u128 << n) as f64
 }
 
@@ -945,6 +983,138 @@ mod tests {
     fn restricted_check_rejects_unsorted_support() {
         let c = Circuit::new(4);
         let _ = try_equivalent_on(&[2, 1], &c, &c, EquivMethod::Miter, EquivBudget::default());
+    }
+
+    /// Whether the thread's slot holds a spare package, leaving it there.
+    fn spare_held() -> bool {
+        SPARE_PACKAGE.with(|slot| {
+            let pkg = slot.take();
+            let held = pkg.is_some();
+            slot.set(pkg);
+            held
+        })
+    }
+
+    /// The full result of one check, comparable across threads.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Check(Result<EquivReport, EquivBudgetError>),
+        Fidelity(u64),
+    }
+
+    /// A named check, run on whichever thread calls it.
+    type NamedCheck = (&'static str, fn() -> Outcome);
+
+    /// A mixed sequence of checks, each leaving the package in a different
+    /// state: grown compute tables, a latched budget, a lowered GC
+    /// watermark, protected roots, a wider or narrower register.
+    fn mixed_checks() -> [NamedCheck; 7] {
+        [
+            ("wide miter", || {
+                let c = dense_clifford_t(16, 800, 3);
+                let r = try_equivalent_miter(&c, &c, EquivBudget::default()).unwrap();
+                assert!(r.cache_evictions > 0, "the wide miter must evict");
+                Outcome::Check(Ok(r))
+            }),
+            ("narrow canonical", || {
+                Outcome::Check(Ok(equivalent(&swap_native(), &swap_cnots())))
+            }),
+            ("budget exhausted", || {
+                let c = dense_clifford_t(6, 200, 17);
+                let r = try_equivalent(&c, &c, EquivBudget::with_node_budget(16));
+                assert!(r.is_err(), "16 nodes cannot host this check");
+                Outcome::Check(r)
+            }),
+            ("forced gc", || {
+                let c = dense_clifford_t(8, 200, 3);
+                let r = equivalent_with_gc_threshold(&c, &c, Some(512));
+                assert!(r.gc_runs > 0 && r.cache_evictions > 256, "{r:?}");
+                Outcome::Check(Ok(r))
+            }),
+            ("process fidelity", || {
+                let mut sab = swap_cnots();
+                sab.push(Gate::t(0));
+                Outcome::Fidelity(process_fidelity(&swap_native(), &sab).to_bits())
+            }),
+            ("ancillas", || {
+                let mut clean = Circuit::new(3);
+                clean.push(Gate::toffoli(0, 1, 2));
+                let mut messy = clean.clone();
+                messy.gates_mut().insert(0, Gate::cz(2, 0));
+                Outcome::Check(Ok(equivalent_with_ancillas(&clean, &messy, &[2])))
+            }),
+            ("restricted miter", || {
+                let spec = dense_clifford_t(6, 120, 9).relabeled(40, |q| 3 + 6 * q);
+                let mut out = spec.clone();
+                out.push(Gate::t(33));
+                let support = miter_support(&spec, &out);
+                let budget = EquivBudget::default();
+                Outcome::Check(try_equivalent_on(
+                    &support,
+                    &spec,
+                    &out,
+                    EquivMethod::Miter,
+                    budget,
+                ))
+            }),
+        ]
+    }
+
+    #[test]
+    fn reused_package_reports_match_new_packages() {
+        // Every check run on this thread's reused package reports exactly
+        // what the same check reports on a new thread, whose slot starts
+        // empty and so builds a new package: verdicts, sizes, cache and
+        // collector counters, budget errors and fidelity bits.
+        for round in 0..2 {
+            for (name, check) in mixed_checks() {
+                let fresh = std::thread::spawn(check)
+                    .join()
+                    .expect("check on a new thread");
+                let reused = check();
+                assert_eq!(reused, fresh, "{name}, round {round}");
+                assert!(
+                    spare_held(),
+                    "{name} must keep its package for the next check"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_check_leaves_the_slot_empty() {
+        let _ = equivalent(&swap_native(), &swap_cnots());
+        assert!(spare_held());
+        let big = dense_clifford_t(14, 240, 3);
+        let r = equivalent(&big, &big);
+        assert!(r.peak_nodes > MAX_RETAINED_NODES, "{}", r.peak_nodes);
+        assert!(!spare_held(), "a package past the bound must be dropped");
+        // The next check builds a new package and keeps it.
+        assert!(equivalent(&swap_native(), &swap_cnots()).equivalent);
+        assert!(spare_held());
+    }
+
+    #[test]
+    fn panicking_check_drops_its_package_and_nested_checks_get_their_own() {
+        let _ = equivalent(&swap_native(), &swap_cnots());
+        assert!(spare_held());
+        let caught = std::panic::catch_unwind(|| with_package(2, |_| panic!("check failed")));
+        assert!(caught.is_err());
+        assert!(
+            !spare_held(),
+            "the panicking check's package must be dropped"
+        );
+        let nested = with_package(3, |outer| {
+            assert!(!spare_held(), "the outer check holds the package");
+            let inner = equivalent(&swap_native(), &swap_cnots());
+            assert_eq!(
+                outer.n_qubits(),
+                3,
+                "the inner check left the outer package alone"
+            );
+            inner
+        });
+        assert_eq!(nested, equivalent(&swap_native(), &swap_cnots()));
     }
 
     #[test]

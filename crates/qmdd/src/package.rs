@@ -72,7 +72,10 @@ struct Node {
 /// Tables start at [`INITIAL_CACHE_SLOTS`] and double (rehashing their live
 /// entries) once the evictions since the last resize exceed a quarter of
 /// the slots, up to a fixed cap. Small checks thus never pay for zeroing
-/// and faulting in a table sized for the largest ones.
+/// and faulting in a table sized for the largest ones. A [`reset`] table
+/// keeps its slot buffer, so regrowing within it allocates nothing.
+///
+/// [`reset`]: ComputeTable::reset
 #[derive(Debug)]
 struct ComputeTable<K> {
     slots: Vec<Option<(K, Edge, u32)>>,
@@ -92,6 +95,19 @@ impl<K: Hash + Eq + Copy> ComputeTable<K> {
             cap,
             pressure: 0,
         }
+    }
+
+    /// Returns the table to the state of `ComputeTable::new(cap)` while
+    /// keeping its slot buffer: a generation bump invalidates every entry,
+    /// and the table shrinks back to its initial slot count. A stale
+    /// entry reads as an empty slot, so lookups, hits and evictions from
+    /// here on match a new table's exactly.
+    fn reset(&mut self, cap: usize) {
+        self.invalidate();
+        self.cap = cap.next_power_of_two().max(16);
+        let initial = INITIAL_CACHE_SLOTS.min(self.cap);
+        self.slots.resize(initial, None);
+        self.pressure = 0;
     }
 
     #[inline]
@@ -123,15 +139,20 @@ impl<K: Hash + Eq + Copy> ComputeTable<K> {
         evicted
     }
 
-    /// Doubles the table. A key's new slot index only adds the hash's next
-    /// bit, so the live entries of distinct old slots never collide.
+    /// Doubles the table in place. A key's new slot index only adds the
+    /// hash's next bit, so each live entry either stays put or moves to
+    /// the matching slot of the new upper half, which starts empty; the
+    /// live entries of distinct old slots never collide. Stale entries
+    /// stay where they are and still read as empty.
     fn grow(&mut self) {
-        let doubled = vec![None; 2 * self.slots.len()];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        for (k, v, g) in old.into_iter().flatten() {
-            if g == self.generation {
-                let i = self.slot(&k);
-                self.slots[i] = Some((k, v, g));
+        let half = self.slots.len();
+        self.slots.resize(2 * half, None);
+        for i in 0..half {
+            let Some((k, _, g)) = self.slots[i] else {
+                continue;
+            };
+            if g == self.generation && self.slot(&k) == i + half {
+                self.slots[i + half] = self.slots[i].take();
             }
         }
         self.pressure = 0;
@@ -157,6 +178,10 @@ const INITIAL_CACHE_SLOTS: usize = 1 << 10;
 const ADD_CACHE_SLOTS: usize = 1 << 15;
 const MUL_CACHE_SLOTS: usize = 1 << 15;
 const ADJ_CACHE_SLOTS: usize = 1 << 12;
+
+/// Arena size at which a package collects unless told otherwise; large
+/// enough that small workloads never collect.
+const DEFAULT_GC_THRESHOLD: usize = 1 << 22;
 
 /// A 2x2 complex matrix used when assembling gate diagrams.
 pub type M2 = [[C64; 2]; 2];
@@ -201,7 +226,9 @@ pub struct Qmdd {
     ident: Vec<NodeId>,
     /// Scratch buffers reused across collections and gate constructions.
     spare_nodes: Vec<Node>,
+    spare_weights: WeightTable,
     gc_map: FxHashMap<NodeId, NodeId>,
+    gc_wmap: FxHashMap<WeightId, WeightId>,
     gc_stack: Vec<NodeId>,
     ctrl_mask: Vec<bool>,
     peak_nodes: usize,
@@ -264,7 +291,9 @@ impl Qmdd {
             protected: Vec::new(),
             ident: Vec::new(),
             spare_nodes: Vec::new(),
+            spare_weights: WeightTable::default(),
             gc_map: FxHashMap::default(),
+            gc_wmap: FxHashMap::default(),
             gc_stack: Vec::new(),
             ctrl_mask: Vec::new(),
             peak_nodes: 1,
@@ -273,10 +302,44 @@ impl Qmdd {
             ct_evictions: 0,
             gc_runs: 0,
             nodes_reclaimed: 0,
-            gc_threshold: 1 << 22,
+            gc_threshold: DEFAULT_GC_THRESHOLD,
             node_budget: None,
             budget_exceeded: false,
         }
+    }
+
+    /// Returns the package to the state of `Qmdd::new(n)` while keeping
+    /// its allocations: the arena is truncated to the terminal, the unique
+    /// and weight tables are emptied, each compute table is invalidated
+    /// and shrunk to its initial slot count, and counters, GC watermark,
+    /// node budget and latch return to their defaults. Every check run on
+    /// a reset package sees the same ids, slots and counters as on a new
+    /// one; it only skips allocating and faulting in the tables again.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.nodes.truncate(1);
+        self.unique.clear();
+        self.weights.reset();
+        self.add_cache.reset(ADD_CACHE_SLOTS);
+        self.mul_cache.reset(MUL_CACHE_SLOTS);
+        self.adj_cache.reset(ADJ_CACHE_SLOTS);
+        self.protected.clear();
+        self.ident.clear();
+        self.peak_nodes = 1;
+        self.ct_lookups = 0;
+        self.ct_hits = 0;
+        self.ct_evictions = 0;
+        self.gc_runs = 0;
+        self.nodes_reclaimed = 0;
+        self.gc_threshold = DEFAULT_GC_THRESHOLD;
+        self.node_budget = None;
+        self.budget_exceeded = false;
+    }
+
+    /// Node capacity held by the arena and its collection scratch buffer,
+    /// the allocation a [`Qmdd::reset`] package carries into its next use.
+    pub(crate) fn arena_capacity(&self) -> usize {
+        self.nodes.capacity().max(self.spare_nodes.capacity())
     }
 
     /// Number of qubit variables.
@@ -772,7 +835,7 @@ impl Qmdd {
         // Adaptive re-arm: collect again only after the live set has had
         // room to quadruple, so steady-state workloads are not swept on
         // every gate. The floor keeps tuned (small) watermarks effective.
-        self.gc_threshold = (self.nodes.len() * 4).max(self.gc_threshold.min(1 << 22));
+        self.gc_threshold = (self.nodes.len() * 4).max(self.gc_threshold.min(DEFAULT_GC_THRESHOLD));
         roots[0]
     }
 
@@ -784,9 +847,9 @@ impl Qmdd {
     /// become stale.
     pub fn compact(&mut self, roots: &mut [Edge]) {
         let nodes_before = self.nodes.len();
-        // Scratch reuse: the relocation map, DFS stack and the spare arena
-        // buffer persist across collections, so a sweep allocates nothing
-        // in steady state.
+        // Scratch reuse: the relocation maps, DFS stack and the spare arena
+        // and weight table persist across collections, so a sweep
+        // allocates nothing in steady state.
         let mut map = std::mem::take(&mut self.gc_map);
         let mut stack = std::mem::take(&mut self.gc_stack);
         let mut new_nodes = std::mem::take(&mut self.spare_nodes);
@@ -834,8 +897,10 @@ impl Qmdd {
         }
         // Rebuild the complex (weight) table from surviving edges so dead
         // amplitudes minted by discarded intermediates are dropped too.
-        let mut new_weights = WeightTable::new();
-        let mut wmap: FxHashMap<WeightId, WeightId> = FxHashMap::default();
+        let mut new_weights = std::mem::take(&mut self.spare_weights);
+        new_weights.reset();
+        let mut wmap = std::mem::take(&mut self.gc_wmap);
+        wmap.clear();
         let remap = |old: WeightId,
                      wmap: &mut FxHashMap<WeightId, WeightId>,
                      new_weights: &mut WeightTable,
@@ -852,7 +917,8 @@ impl Qmdd {
         for root in roots.iter_mut().chain(protected.iter_mut()) {
             root.weight = remap(root.weight, &mut wmap, &mut new_weights, &self.weights);
         }
-        self.weights = new_weights;
+        self.spare_weights = std::mem::replace(&mut self.weights, new_weights);
+        self.gc_wmap = wmap;
         self.unique.clear();
         for (i, n) in new_nodes.iter().enumerate().skip(1) {
             self.unique.insert((n.var, n.edges), i as NodeId);
@@ -1509,6 +1575,136 @@ mod tests {
         let mut clean = Qmdd::new(3);
         let expected = clean.circuit(&c);
         assert!(pkg.to_matrix(e).approx_eq(&clean.to_matrix(expected)));
+    }
+
+    #[test]
+    fn reset_package_matches_a_new_one() {
+        let mut c = Circuit::new(4);
+        for k in 0..12 {
+            c.push(Gate::h(k % 4));
+            c.push(Gate::cx(k % 4, (k + 1) % 4));
+            c.push(Gate::t((k + 2) % 4));
+        }
+        let mut used = Qmdd::new(6);
+        used.set_gc_threshold(8);
+        used.set_node_budget(Some(1 << 20));
+        used.set_cache_capacity(16);
+        let _ = used.circuit(&c);
+        used.reset(4);
+        let mut fresh = Qmdd::new(4);
+        assert_eq!(used.cache_slots(), fresh.cache_slots());
+        let (e, expected) = (used.circuit(&c), fresh.circuit(&c));
+        // Same ids, weights and counters, not merely the same matrix.
+        assert_eq!(e, expected);
+        assert_eq!(used.node_count_total(), fresh.node_count_total());
+        assert_eq!(used.unique_len(), fresh.unique_len());
+        assert_eq!(used.weight_count(), fresh.weight_count());
+        assert_eq!(used.cache_stats(), fresh.cache_stats());
+        assert_eq!(used.cache_slots(), fresh.cache_slots());
+        assert_eq!(used.node_budget(), None);
+    }
+
+    /// The allocate-and-rehash compute table that in-place growth must
+    /// reproduce: no generations, and a doubling copies every entry into
+    /// a new slot vector.
+    struct RehashModel {
+        slots: Vec<Option<(u32, Edge)>>,
+        cap: usize,
+        pressure: usize,
+    }
+
+    impl RehashModel {
+        fn index(&self, key: u32) -> usize {
+            let mut h = crate::fxhash::FxHasher::default();
+            key.hash(&mut h);
+            (h.finish() as usize) & (self.slots.len() - 1)
+        }
+
+        fn get(&self, key: u32) -> Option<Edge> {
+            let (k, v) = self.slots[self.index(key)]?;
+            (k == key).then_some(v)
+        }
+
+        fn insert(&mut self, key: u32, value: Edge) -> bool {
+            let i = self.index(key);
+            let evicted = matches!(self.slots[i], Some((k, _)) if k != key);
+            self.slots[i] = Some((key, value));
+            if evicted {
+                self.pressure += 1;
+                if self.pressure > self.slots.len() / 4 && self.slots.len() < self.cap {
+                    let doubled = vec![None; 2 * self.slots.len()];
+                    for (k, v) in std::mem::replace(&mut self.slots, doubled)
+                        .into_iter()
+                        .flatten()
+                    {
+                        let j = self.index(k);
+                        self.slots[j] = Some((k, v));
+                    }
+                    self.pressure = 0;
+                }
+            }
+            evicted
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(32))]
+
+        #[test]
+        fn reset_table_answers_like_a_new_one(
+            history in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec((0u8..2, 0u32..1 << 13), 0..4000)),
+                0..4,
+            ),
+            ops in proptest::collection::vec((0u8..2, 0u32..1 << 13), 0..4000),
+        ) {
+            // Any history of probe-and-store phases, each ended by a sweep
+            // or a reset (at the default cap or a tiny one), leaves a table
+            // that, once reset, grows in place and answers every probe,
+            // store and eviction exactly like a new table and like the
+            // rehashing model.
+            const CAP: usize = 1 << 12;
+            let value = |key: u32, step: usize| Edge {
+                node: key,
+                weight: step as WeightId,
+            };
+            let mut reused = ComputeTable::<u32>::new(CAP);
+            for (end, phase) in &history {
+                for (step, &(op, key)) in phase.iter().enumerate() {
+                    if op == 0 {
+                        let _ = reused.get(&key);
+                    } else {
+                        let _ = reused.insert(key, value(key, step));
+                    }
+                }
+                match end {
+                    0 => reused.reset(CAP),
+                    1 => reused.reset(16),
+                    _ => reused.invalidate(),
+                }
+            }
+            reused.reset(CAP);
+            let mut fresh = ComputeTable::<u32>::new(CAP);
+            let mut model = RehashModel {
+                slots: vec![None; INITIAL_CACHE_SLOTS],
+                cap: CAP,
+                pressure: 0,
+            };
+            for (step, &(op, key)) in ops.iter().enumerate() {
+                if op == 0 {
+                    let want = model.get(key);
+                    proptest::prop_assert_eq!(reused.get(&key), want);
+                    proptest::prop_assert_eq!(fresh.get(&key), want);
+                } else {
+                    let v = value(key, step);
+                    let want = model.insert(key, v);
+                    proptest::prop_assert_eq!(reused.insert(key, v), want);
+                    proptest::prop_assert_eq!(fresh.insert(key, v), want);
+                }
+                proptest::prop_assert_eq!(reused.slots.len(), model.slots.len());
+                proptest::prop_assert_eq!(fresh.slots.len(), model.slots.len());
+            }
+        }
     }
 
     #[test]

@@ -131,8 +131,10 @@ USAGE:
       pass order. Route events must carry a known routing-strategy tag
       (when present) and must not report more SWAPs than the budget cap
       recorded in the same event. A verify event's `support` must fit
-      in the device, and its `miter_block` must be 1..=32 on a miter
-      rung. Prints a per-pass summary; exits 1 on malformed input.
+      in the device, its `miter` counter must be 0 (canonical) or 1
+      (miter), and its `miter_block` must be 1..=32 on a miter rung and
+      0 on a canonical one. Prints a per-pass summary; exits 1 on
+      malformed input.
 
   qsyn synth <hex> <n-vars> [--out FILE]
       Synthesize the single-target gate of a control function given as a
@@ -953,8 +955,9 @@ fn cmd_report(args: &[String]) -> ExitCode {
 /// The support counters of a decided verify event (absent on traces that
 /// predate them): the check's `support` fits in the device register, and
 /// its `miter_block` is a length the block rule can give — 0 on canonical
-/// rungs, 1..=32 on miter rungs. The third rung exists only on the
-/// canonical ladder, and it is the miter.
+/// rungs, 1..=32 on miter rungs. The rung's method is its `miter` counter
+/// (1: miter, 0: canonical); the third rung exists only on the canonical
+/// ladder, and it is the miter.
 fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
     let width = e.input.qubits as f64;
     if let Some(support) = e.counter("support") {
@@ -964,6 +967,10 @@ fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
             ));
         }
     }
+    let miter = e.counter("miter");
+    if let Some(m) = miter.filter(|&m| m != 0.0 && m != 1.0) {
+        return Err(format!("verify `miter` counter must be 0 or 1, got {m}"));
+    }
     if let Some(block) = e.counter("miter_block") {
         if !(0.0..=32.0).contains(&block) || block.fract() != 0.0 {
             return Err(format!("verify `miter_block` {block} is not in 0..=32"));
@@ -971,6 +978,16 @@ fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
         if rung == 3.0 && block < 1.0 {
             return Err(format!(
                 "the miter rung (ladder_rung 3) must carry `miter_block` >= 1, got {block}"
+            ));
+        }
+        if miter == Some(1.0) && block < 1.0 {
+            return Err(format!(
+                "a miter rung (`miter` 1) must carry `miter_block` >= 1, got {block}"
+            ));
+        }
+        if miter == Some(0.0) && block != 0.0 {
+            return Err(format!(
+                "a canonical rung (`miter` 0) must carry `miter_block` 0, got {block}"
             ));
         }
     }

@@ -632,6 +632,52 @@ fn check_trace_rejects_verify_events_with_impossible_support_counters() {
 }
 
 #[test]
+fn check_trace_matches_the_miter_block_to_the_rung_method() {
+    // Hand-written first-rung verify events. The `miter` counter names
+    // the method the rung ran, so a miter rung without a fused block, or a
+    // canonical rung with one, is rejected on any rung; events that
+    // predate the counter validate as before.
+    const STATS: &str = "{\"qubits\":5,\"gates\":31,\"t\":7,\"cnot\":6,\"other_single\":18,\
+                         \"unmapped_multi\":0,\"max_mct_controls\":0,\"depth\":20,\"t_depth\":4}";
+    let event = |counters: &str| {
+        format!(
+            "{{\"pass\":\"verify\",\"seconds\":0.001,\"input\":{STATS},\"output\":{STATS},\
+             \"cost_in\":36,\"cost_out\":36,\"cost_delta\":0,\"counters\":{{\"support\":3,\
+             {counters},\"ladder_rung\":1,\"unverified\":0}}}}\n"
+        )
+    };
+    for (counters, rejection) in [
+        ("\"miter\":1,\"miter_block\":2", None),
+        ("\"miter\":0,\"miter_block\":0", None),
+        ("\"miter_block\":0", None),
+        ("\"miter_block\":2", None),
+        (
+            "\"miter\":1,\"miter_block\":0",
+            Some("a miter rung (`miter` 1) must carry `miter_block` >= 1"),
+        ),
+        (
+            "\"miter\":0,\"miter_block\":4",
+            Some("a canonical rung (`miter` 0) must carry `miter_block` 0"),
+        ),
+        (
+            "\"miter\":2,\"miter_block\":0",
+            Some("`miter` counter must be 0 or 1"),
+        ),
+    ] {
+        let file = tmp("miter-method.trace.jsonl", &event(counters));
+        let out = qsyn(&["check-trace", file.to_str().unwrap()]);
+        let log = String::from_utf8_lossy(&out.stderr);
+        match rejection {
+            None => assert!(out.status.success(), "{counters}: {log}"),
+            Some(needle) => {
+                assert_eq!(out.status.code(), Some(1), "{counters}: {log}");
+                assert!(log.contains(needle), "{counters}: {log}");
+            }
+        }
+    }
+}
+
+#[test]
 fn compile_report_renders_the_stage_table() {
     let input = tmp("tof10.real", TOFFOLI_REAL);
     let out = qsyn(&[
