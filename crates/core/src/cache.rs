@@ -179,7 +179,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
                 .min_by_key(|(_, (_, stamp, _))| *stamp)
                 .map(|(k, _)| k.clone())
                 .expect("non-empty map has a stalest entry");
-            let (_, _, freed) = self.map.remove(&oldest).expect("stalest key resides in map");
+            let (_, _, freed) = self
+                .map
+                .remove(&oldest)
+                .expect("stalest key resides in map");
             self.total_bytes = self.total_bytes.saturating_sub(freed);
             evicted += 1;
         }
@@ -588,8 +591,12 @@ fn shared_routing<T>(
     build: impl FnOnce() -> T,
 ) -> (Arc<T>, bool) {
     let key = (device.fingerprint(), objective_tag(objective));
-    let registry = registry
-        .get_or_init(|| Mutex::new(LruMap::with_byte_budget(ROUTING_TABLE_CAP, ROUTING_BYTE_BUDGET)));
+    let registry = registry.get_or_init(|| {
+        Mutex::new(LruMap::with_byte_budget(
+            ROUTING_TABLE_CAP,
+            ROUTING_BYTE_BUDGET,
+        ))
+    });
     let cell = {
         let mut map = registry.lock().expect("routing registry poisoned");
         match map.get(&key) {
@@ -706,8 +713,10 @@ impl DistanceOracle {
                 }
             }
         }
-        let landmark_hops: Vec<Vec<u32>> =
-            landmarks.iter().map(|&l| device.distances_from(l)).collect();
+        let landmark_hops: Vec<Vec<u32>> = landmarks
+            .iter()
+            .map(|&l| device.distances_from(l))
+            .collect();
         let landmark_neglog: Vec<Vec<f64>> =
             if objective == RoutingObjective::HighestFidelity && device.has_error_data() {
                 landmarks.iter().map(|&l| neglog_row(device, l)).collect()
@@ -1254,7 +1263,10 @@ mod tests {
     #[test]
     fn oracle_answers_match_the_dense_table_on_every_builtin() {
         for d in devices::all_devices() {
-            for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+            for objective in [
+                RoutingObjective::FewestSwaps,
+                RoutingObjective::HighestFidelity,
+            ] {
                 let table = RoutingTable::build(&d, objective);
                 let oracle = DistanceOracle::build(&d, objective);
                 let n = d.n_qubits();
@@ -1295,7 +1307,11 @@ mod tests {
                 for b in 0..n {
                     let lb = oracle.hop_lower_bound(a, b);
                     let exact = oracle.hop_distance(a, b).unwrap();
-                    assert!(lb <= exact, "{}: hop lb {lb} > {exact} for {a}->{b}", d.name());
+                    assert!(
+                        lb <= exact,
+                        "{}: hop lb {lb} > {exact} for {a}->{b}",
+                        d.name()
+                    );
                 }
             }
         }
@@ -1409,10 +1425,10 @@ mod tests {
         // Scattered, unsorted operand layouts across both strategies and
         // both the V-chain and the split (scarce-ancilla) branch.
         let cases: [(&[usize], usize, &[usize]); 4] = [
-            (&[7, 2, 5], 0, &[4]),            // m=3, split path
-            (&[9, 1, 4, 6], 2, &[8, 0]),      // m=4, full V-chain
-            (&[3, 8, 0, 5, 1], 9, &[2]),      // m=5, scarce
-            (&[6, 0, 3, 9, 2], 4, &[8, 7, 1]) // m=5, full chain
+            (&[7, 2, 5], 0, &[4]),             // m=3, split path
+            (&[9, 1, 4, 6], 2, &[8, 0]),       // m=4, full V-chain
+            (&[3, 8, 0, 5, 1], 9, &[2]),       // m=5, scarce
+            (&[6, 0, 3, 9, 2], 4, &[8, 7, 1]), // m=5, full chain
         ];
         for strategy in [DecomposeStrategy::Exact, DecomposeStrategy::RelativePhase] {
             for (controls, target, spare) in cases {

@@ -928,20 +928,14 @@ impl Compiler {
 
     /// Fails with a wall-clock [`CompileError::BudgetExceeded`] when the
     /// budget deadline has passed (checked at every pass boundary).
-    fn check_deadline(
-        &self,
-        started: std::time::Instant,
-        pass: Pass,
-    ) -> Result<(), CompileError> {
+    fn check_deadline(&self, started: std::time::Instant, pass: Pass) -> Result<(), CompileError> {
         match self.budget.deadline {
-            Some(deadline) if started.elapsed() > deadline => {
-                Err(CompileError::BudgetExceeded {
-                    pass,
-                    resource: BudgetResource::WallClock,
-                    limit: deadline.as_millis() as u64,
-                    used: started.elapsed().as_millis() as u64,
-                })
-            }
+            Some(deadline) if started.elapsed() > deadline => Err(CompileError::BudgetExceeded {
+                pass,
+                resource: BudgetResource::WallClock,
+                limit: deadline.as_millis() as u64,
+                used: started.elapsed().as_millis() as u64,
+            }),
             _ => Ok(()),
         }
     }
@@ -1517,7 +1511,6 @@ impl CompileResult {
             (pre - post) / pre * 100.0
         }
     }
-
 }
 
 #[cfg(test)]
@@ -1556,9 +1549,7 @@ mod tests {
                 .with_optimization(false)
                 .compile(&toffoli_spec())
                 .unwrap();
-            assert!(
-                cost.circuit_cost(&with.optimized) <= cost.circuit_cost(&without.optimized)
-            );
+            assert!(cost.circuit_cost(&with.optimized) <= cost.circuit_cost(&without.optimized));
         }
     }
 
@@ -1633,7 +1624,11 @@ mod tests {
     #[test]
     fn verification_modes_agree() {
         let spec = toffoli_spec();
-        for v in [Verification::Canonical, Verification::Miter, Verification::Auto] {
+        for v in [
+            Verification::Canonical,
+            Verification::Miter,
+            Verification::Auto,
+        ] {
             let r = Compiler::new(devices::ibmqx4())
                 .with_verification(v)
                 .compile(&spec)
@@ -1650,7 +1645,9 @@ mod tests {
     #[test]
     fn percent_cost_decrease_is_consistent() {
         let cost = TransmonCost::default();
-        let r = Compiler::new(devices::ibmqx3()).compile(&toffoli_spec()).unwrap();
+        let r = Compiler::new(devices::ibmqx3())
+            .compile(&toffoli_spec())
+            .unwrap();
         let pct = r.percent_cost_decrease(&cost);
         assert!((0.0..=100.0).contains(&pct));
         let pre = cost.circuit_cost(&r.unoptimized);
@@ -1660,7 +1657,9 @@ mod tests {
 
     #[test]
     fn output_qasm_is_parseable_and_equivalent() {
-        let r = Compiler::new(devices::ibmqx2()).compile(&toffoli_spec()).unwrap();
+        let r = Compiler::new(devices::ibmqx2())
+            .compile(&toffoli_spec())
+            .unwrap();
         let qasm = r.optimized.to_qasm().unwrap();
         let parsed = Circuit::from_qasm(&qasm).unwrap();
         assert!(qsyn_qmdd::circuits_equal(&r.optimized, &parsed));
@@ -1677,17 +1676,24 @@ mod tests {
 
     #[test]
     fn metrics_table_summarizes_all_stages() {
-        let r = Compiler::new(devices::ibmqx3()).compile(&toffoli_spec()).unwrap();
+        let r = Compiler::new(devices::ibmqx3())
+            .compile(&toffoli_spec())
+            .unwrap();
         let text = r.metrics().render_table();
         for pass in Pass::FIG2_ORDER {
-            assert!(text.contains(&pass.to_string()), "missing {pass} in:\n{text}");
+            assert!(
+                text.contains(&pass.to_string()),
+                "missing {pass} in:\n{text}"
+            );
         }
         assert!(r.metrics().verified == Some(true));
     }
 
     #[test]
     fn metrics_cover_fig2_pipeline_in_order() {
-        let r = Compiler::new(devices::ibmqx4()).compile(&toffoli_spec()).unwrap();
+        let r = Compiler::new(devices::ibmqx4())
+            .compile(&toffoli_spec())
+            .unwrap();
         let m = r.metrics();
         let order: Vec<Pass> = m.events.iter().map(|e| e.pass).collect();
         assert_eq!(order, Pass::FIG2_ORDER);
@@ -1718,14 +1724,18 @@ mod tests {
             .unwrap();
         assert!(!r.metrics().events.is_empty());
         assert!(r.metrics().events.iter().all(|e| e.job == Some(7)));
-        let plain = Compiler::new(devices::ibmqx4()).compile(&toffoli_spec()).unwrap();
+        let plain = Compiler::new(devices::ibmqx4())
+            .compile(&toffoli_spec())
+            .unwrap();
         assert!(plain.metrics().events.iter().all(|e| e.job.is_none()));
     }
 
     #[test]
     fn metrics_pct_matches_result_pct() {
         let cost = TransmonCost::default();
-        let r = Compiler::new(devices::ibmqx3()).compile(&toffoli_spec()).unwrap();
+        let r = Compiler::new(devices::ibmqx3())
+            .compile(&toffoli_spec())
+            .unwrap();
         let pct = r.metrics().percent_cost_decrease();
         assert!((pct - r.percent_cost_decrease(&cost)).abs() < 1e-9);
     }
@@ -1797,7 +1807,9 @@ mod tests {
             .with_trace(Arc::new(qsyn_trace::NullSink))
             .compile(&toffoli_spec())
             .unwrap();
-        let plain = Compiler::new(devices::ibmqx4()).compile(&toffoli_spec()).unwrap();
+        let plain = Compiler::new(devices::ibmqx4())
+            .compile(&toffoli_spec())
+            .unwrap();
         assert_eq!(traced.optimized, plain.optimized);
         assert_eq!(traced.unoptimized, plain.unoptimized);
         assert_eq!(traced.placed, plain.placed);
@@ -1841,9 +1853,12 @@ mod tests {
         optimize: bool,
     ) -> (Circuit, Circuit) {
         let placed = Placement::identity(spec.n_qubits()).apply(spec, device);
-        let decomposed =
-            crate::decompose::decompose_circuit_with(&placed, Some(device), DecomposeStrategy::Exact)
-                .unwrap();
+        let decomposed = crate::decompose::decompose_circuit_with(
+            &placed,
+            Some(device),
+            DecomposeStrategy::Exact,
+        )
+        .unwrap();
         let routed = if kind == RouteStrategyKind::Ctr {
             ctr_per_gate(&decomposed, device, objective)
         } else {
@@ -1855,7 +1870,14 @@ mod tests {
         };
         let optimized = if optimize {
             let cost = TransmonCost::default();
-            optimize_bounded(&routed, Some(device), &cost, OptimizeConfig::default(), None).0
+            optimize_bounded(
+                &routed,
+                Some(device),
+                &cost,
+                OptimizeConfig::default(),
+                None,
+            )
+            .0
         } else {
             routed.clone()
         };
@@ -1949,13 +1971,21 @@ mod tests {
                 RoutingObjective::FewestSwaps,
             )
             .unwrap();
-            let compiler = Compiler::new(device.clone())
-                .with_route_strategy(RouteStrategyKind::Persistent);
+            let compiler =
+                Compiler::new(device.clone()).with_route_strategy(RouteStrategyKind::Persistent);
             let r = compiler.compile(&spec).unwrap();
-            assert_eq!(r.unoptimized.gates(), reference.gates(), "{}", device.name());
+            assert_eq!(
+                r.unoptimized.gates(),
+                reference.gates(),
+                "{}",
+                device.name()
+            );
             let route = r.metrics().pass(Pass::Route).unwrap();
             assert_eq!(route.counter("strategy"), Some(3.0));
-            assert_eq!(route.counter("swaps_inserted"), Some(k.swaps_inserted as f64));
+            assert_eq!(
+                route.counter("swaps_inserted"),
+                Some(k.swaps_inserted as f64)
+            );
             let restoration = route.counter("restoration_swaps").unwrap_or(0.0);
             assert_eq!(restoration, k.restoration_swaps as f64);
             let total = k.swaps_inserted + k.restoration_swaps;
@@ -2072,7 +2102,9 @@ mod tests {
             .with_budget(budget)
             .compile(&toffoli_spec())
             .unwrap();
-        let free = Compiler::new(devices::ibmqx4()).compile(&toffoli_spec()).unwrap();
+        let free = Compiler::new(devices::ibmqx4())
+            .compile(&toffoli_spec())
+            .unwrap();
         assert_eq!(bounded.optimized, free.optimized);
         assert_eq!(bounded.verified, Some(true));
         assert_eq!(
@@ -2186,21 +2218,15 @@ mod tests {
         // Regression: a coupling map with two components (0-1 and 2-3) has
         // no SWAP chain joining them. A CNOT across the cut must come back
         // as a structured `RouteNotFound`, not a panic or a hang.
-        let device = qsyn_arch::Device::from_coupling_map(
-            "split",
-            4,
-            &[(0, &[1][..]), (2, &[3][..])],
-        );
+        let device =
+            qsyn_arch::Device::from_coupling_map("split", 4, &[(0, &[1][..]), (2, &[3][..])]);
         let mut c = Circuit::new(4);
         c.push(Gate::cx(0, 2));
         let err = Compiler::new(device)
             .with_verification(Verification::None)
             .compile(&c)
             .unwrap_err();
-        assert!(
-            matches!(err, CompileError::RouteNotFound { .. }),
-            "{err:?}"
-        );
+        assert!(matches!(err, CompileError::RouteNotFound { .. }), "{err:?}");
     }
 
     #[test]
@@ -2235,7 +2261,10 @@ mod tests {
                         SingleOp::Sdg => SingleOp::S,
                         _ => SingleOp::T,
                     };
-                    (Gate::single(other, qubit), Gate::single(op, (qubit + 1) % n))
+                    (
+                        Gate::single(other, qubit),
+                        Gate::single(op, (qubit + 1) % n),
+                    )
                 }
                 Gate::Cx { control, target } => {
                     let other = (1..n)
@@ -2271,7 +2300,10 @@ mod tests {
         spec.push(Gate::t(4));
         spec.push(Gate::cx(4, 2));
         let mut dense_checked = 0;
-        for (device, method) in [(devices::ibmq_16(), "canonical"), (devices::qc96(), "miter")] {
+        for (device, method) in [
+            (devices::ibmq_16(), "canonical"),
+            (devices::qc96(), "miter"),
+        ] {
             let compiler = Compiler::new(device);
             let r = compiler.compile(&spec).unwrap();
             assert_eq!(r.verified, Some(true));
@@ -2349,14 +2381,21 @@ mod tests {
                 // whole output.
                 assert!(summary.peak_resident_gates < streamed.gates().len());
             }
-            assert!(qsyn_qmdd::circuits_equal(&spec, &streamed), "window={window}");
+            assert!(
+                qsyn_qmdd::circuits_equal(&spec, &streamed),
+                "window={window}"
+            );
         }
 
         // A batch compile is one window: with the whole input in a single
         // window, the stream emits exactly the batch compiler's output for
         // every router, with optimization on and off, on dense and sparse
         // devices.
-        for device in [devices::ibmqx4(), devices::ibmqx5(), devices::grid_calibrated(8, 8)] {
+        for device in [
+            devices::ibmqx4(),
+            devices::ibmqx5(),
+            devices::grid_calibrated(8, 8),
+        ] {
             for strategy in RouteStrategyKind::ALL {
                 for optimize in [false, true] {
                     let compiler = Compiler::new(device.clone())
@@ -2516,13 +2555,23 @@ mod tests {
         );
         for jobs in [3, 4] {
             let (out, summary) = run(jobs);
-            assert_eq!(out.to_qasm().unwrap(), base_out.to_qasm().unwrap(), "jobs={jobs}");
+            assert_eq!(
+                out.to_qasm().unwrap(),
+                base_out.to_qasm().unwrap(),
+                "jobs={jobs}"
+            );
             assert_eq!(summary.verdict, base.verdict, "jobs={jobs}");
             assert_eq!(summary.windows, base.windows, "jobs={jobs}");
-            assert_eq!(summary.verified_windows, base.verified_windows, "jobs={jobs}");
+            assert_eq!(
+                summary.verified_windows, base.verified_windows,
+                "jobs={jobs}"
+            );
             assert_eq!(summary.unverified_windows, 0, "jobs={jobs}");
             // Support is a property of the windows, not of the job count.
-            assert_eq!(summary.max_window_support, base.max_window_support, "jobs={jobs}");
+            assert_eq!(
+                summary.max_window_support, base.max_window_support,
+                "jobs={jobs}"
+            );
             assert_eq!(summary.verify_jobs, jobs);
         }
 
@@ -2646,12 +2695,25 @@ mod tests {
         for _ in 0..4 {
             spec.push(Gate::cx(0, 8));
         }
-        let (routed, optimized) =
-            reference_pipeline(&spec, &d, RouteStrategyKind::Ctr, RoutingObjective::FewestSwaps, true);
-        assert!(optimized.len() < routed.len(), "optimize must shrink the window");
+        let (routed, optimized) = reference_pipeline(
+            &spec,
+            &d,
+            RouteStrategyKind::Ctr,
+            RoutingObjective::FewestSwaps,
+            true,
+        );
+        assert!(
+            optimized.len() < routed.len(),
+            "optimize must shrink the window"
+        );
         assert!(routed.len() > spec.len());
         let summary = Compiler::new(d.clone())
-            .compile_stream(d.n_qubits(), spec.len(), spec.gates().iter().cloned(), |_| {})
+            .compile_stream(
+                d.n_qubits(),
+                spec.len(),
+                spec.gates().iter().cloned(),
+                |_| {},
+            )
             .unwrap();
         assert_eq!(summary.windows, 1);
         assert!(
@@ -2686,7 +2748,10 @@ mod tests {
         let mut spec = Circuit::new(3).with_name("golden");
         spec.push(Gate::toffoli(0, 1, 2));
         spec.push(Gate::cx(2, 0));
-        let key = |c: Compiler| c.compile_key(&spec).expect("built-in cost models are keyed");
+        let key = |c: Compiler| {
+            c.compile_key(&spec)
+                .expect("built-in cost models are keyed")
+        };
         let base = || Compiler::new(devices::ibmqx4());
         // Pinned: a change here silently orphans every persisted
         // `--cache-dir` entry, so it must be deliberate.

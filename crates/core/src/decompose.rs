@@ -395,7 +395,6 @@ fn decompose_circuit_impl(
     Ok((out, counters))
 }
 
-
 /// Number of Toffoli gates produced for an `m`-control MCT by
 /// [`mct_to_toffolis`] when a full dirty-ancilla chain is available:
 /// `4(m-2)` for `m >= 3` (so `7 * 4(m-2)` T gates after Clifford+T
@@ -416,7 +415,9 @@ mod tests {
     fn toffoli_clifford_t_is_exact() {
         let mut c = Circuit::new(3);
         c.extend(toffoli_clifford_t(0, 1, 2));
-        assert!(c.to_matrix().approx_eq(&Gate::toffoli(0, 1, 2).to_matrix(3)));
+        assert!(c
+            .to_matrix()
+            .approx_eq(&Gate::toffoli(0, 1, 2).to_matrix(3)));
         let s = c.stats();
         assert_eq!(s.t_count, 7);
         assert_eq!(s.cnot_count, 6);
@@ -427,7 +428,9 @@ mod tests {
     fn toffoli_clifford_t_other_lines() {
         let mut c = Circuit::new(4);
         c.extend(toffoli_clifford_t(3, 1, 0));
-        assert!(c.to_matrix().approx_eq(&Gate::toffoli(3, 1, 0).to_matrix(4)));
+        assert!(c
+            .to_matrix()
+            .approx_eq(&Gate::toffoli(3, 1, 0).to_matrix(4)));
     }
 
     #[test]
@@ -579,9 +582,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.extend(rccx(0, 1, 2));
         c.extend(rccx_dagger(0, 1, 2));
-        assert!(c
-            .to_matrix()
-            .approx_eq(&qsyn_gate::Matrix::identity(8)));
+        assert!(c.to_matrix().approx_eq(&qsyn_gate::Matrix::identity(8)));
     }
 
     /// The relative-phase decomposition must be *exactly* the MCT — phases

@@ -108,8 +108,12 @@ mod tests {
         }
         .to_string()
         .contains("SWAP route"));
-        assert!(CompileError::VerificationFailed.to_string().contains("QMDD"));
-        assert!(CompileError::UnmappedGate("T5".into()).to_string().contains("T5"));
+        assert!(CompileError::VerificationFailed
+            .to_string()
+            .contains("QMDD"));
+        assert!(CompileError::UnmappedGate("T5".into())
+            .to_string()
+            .contains("T5"));
         let b = CompileError::BudgetExceeded {
             pass: Pass::Verify,
             resource: BudgetResource::QmddNodes,

@@ -53,18 +53,18 @@ pub mod sk;
 pub mod strategy;
 
 pub use budget::{BudgetResource, CompileBudget, VerifyMode};
+#[cfg(feature = "fault-injection")]
+pub use budget::{FaultKind, FaultSpec};
 pub use cache::{
     routing_lookup, routing_oracle, routing_table, CacheMode, CacheStatsSnapshot, DistanceOracle,
     RoutingLookup, RoutingTable, SPARSE_ORACLE_MIN_QUBITS,
 };
-#[cfg(feature = "fault-injection")]
-pub use budget::{FaultKind, FaultSpec};
 pub use compiler::{CompileResult, Compiler, Optimization, StreamSummary, Verification};
-pub use error::CompileError;
 pub use decompose::{
     decompose_circuit, decompose_circuit_for, decompose_circuit_with, mct_decompose,
     mct_to_toffolis, rccx, rccx_dagger, DecomposeStrategy,
 };
+pub use error::CompileError;
 pub use optimize::{
     optimize, optimize_bounded, optimize_traced, optimize_with, OptimizeConfig, OptimizeCounters,
 };
@@ -74,11 +74,11 @@ pub use place::{place, Placement, PlacementStrategy};
 pub use remap::{
     route_circuit_persistent, route_circuit_persistent_traced, PersistentRouteCounters,
 };
-pub use sk::{approximate_rz, approximate_rz_to_accuracy, approximate_unitary, SkApproximation};
 pub use route::{
     ctr_route, ctr_route_with, emit_cnot, emit_cnot_with, route_circuit, CtrRoute, RouteCounters,
     RoutingObjective, DEFAULT_CNOT_ERROR,
 };
+pub use sk::{approximate_rz, approximate_rz_to_accuracy, approximate_unitary, SkApproximation};
 pub use strategy::{
     CtrStrategy, LookaheadStrategy, PersistentStrategy, RouteOutcome, RouteRequest,
     RouteStrategyKind, RoutingStrategy,

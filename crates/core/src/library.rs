@@ -86,11 +86,7 @@ pub fn multi_controlled_z(controls: Vec<usize>, target: usize) -> Vec<Gate> {
 
 /// Fredkin (controlled-SWAP) as CNOT-Toffoli-CNOT.
 pub fn fredkin(control: usize, a: usize, b: usize) -> Vec<Gate> {
-    vec![
-        Gate::cx(b, a),
-        Gate::toffoli(control, a, b),
-        Gate::cx(b, a),
-    ]
+    vec![Gate::cx(b, a), Gate::toffoli(control, a, b), Gate::cx(b, a)]
 }
 
 #[cfg(test)]
@@ -203,7 +199,11 @@ mod tests {
             for b in 0..8usize {
                 for r in 0..8usize {
                     let expect = if r == b {
-                        if b == 7 { -C64::ONE } else { C64::ONE }
+                        if b == 7 {
+                            -C64::ONE
+                        } else {
+                            C64::ONE
+                        }
                     } else {
                         C64::ZERO
                     };

@@ -57,10 +57,20 @@ pub fn commutes(a: &Gate, b: &Gate) -> bool {
                 target: t2,
             },
         ) => t1 != c2 && c1 != t2,
-        (Gate::Cx { target, .. }, Gate::Cz { control, target: t2 })
-        | (Gate::Cz { control, target: t2 }, Gate::Cx { target, .. }) => {
-            target != control && target != t2
-        }
+        (
+            Gate::Cx { target, .. },
+            Gate::Cz {
+                control,
+                target: t2,
+            },
+        )
+        | (
+            Gate::Cz {
+                control,
+                target: t2,
+            },
+            Gate::Cx { target, .. },
+        ) => target != control && target != t2,
         (Gate::Cz { .. }, Gate::Cz { .. }) => true,
         _ => false,
     }
@@ -141,10 +151,7 @@ impl Buffer {
 
     /// Next live slot after `i` sharing any line with `qubits`.
     fn next_overlapping(&self, i: usize, qubits: &[usize]) -> Option<usize> {
-        qubits
-            .iter()
-            .filter_map(|&q| self.next_on(i, q))
-            .min()
+        qubits.iter().filter_map(|&q| self.next_on(i, q)).min()
     }
 }
 
@@ -253,9 +260,7 @@ pub fn fold_diagonal_runs(gates: &mut Vec<Gate>, n_qubits: usize) -> bool {
             // Re-emit the minimal form into the leading member slots;
             // tombstone the rest. No index shifts occur.
             for (k, &slot) in members.iter().enumerate() {
-                buf.slots[slot] = replacement
-                    .get(k)
-                    .map(|&rop| Gate::single(rop, qubit));
+                buf.slots[slot] = replacement.get(k).map(|&rop| Gate::single(rop, qubit));
             }
             changed = true;
         }
@@ -342,11 +347,15 @@ pub fn canonicalize_single_triples(gates: &mut Vec<Gate>, n_qubits: usize) -> bo
         let Some(Gate::Single { op: o1, qubit }) = buf.slots[i].clone() else {
             continue;
         };
-        let Some(j) = buf.next_on(i, qubit) else { continue };
+        let Some(j) = buf.next_on(i, qubit) else {
+            continue;
+        };
         let Some(Gate::Single { op: o2, .. }) = buf.slots[j].clone() else {
             continue;
         };
-        let Some(k) = buf.next_on(j, qubit) else { continue };
+        let Some(k) = buf.next_on(j, qubit) else {
+            continue;
+        };
         let Some(Gate::Single { op: o3, .. }) = buf.slots[k].clone() else {
             continue;
         };
@@ -774,8 +783,12 @@ mod tests {
     fn traced_optimize_on_fixed_point_counts_zero_rounds() {
         let mut c = Circuit::new(2);
         c.push(Gate::cx(0, 1));
-        let (o, counters) =
-            optimize_traced(&c, None, &TransmonCost::default(), OptimizeConfig::default());
+        let (o, counters) = optimize_traced(
+            &c,
+            None,
+            &TransmonCost::default(),
+            OptimizeConfig::default(),
+        );
         assert_eq!(o, c);
         assert_eq!(counters, OptimizeCounters::default());
     }

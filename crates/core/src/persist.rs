@@ -180,7 +180,10 @@ impl DiskCache {
     pub fn poison(&self, key: u128) -> io::Result<()> {
         let path = self.entry_path(key);
         let mut raw = fs::read(&path)?;
-        let last = raw.len().checked_sub(1).ok_or(io::ErrorKind::UnexpectedEof)?;
+        let last = raw
+            .len()
+            .checked_sub(1)
+            .ok_or(io::ErrorKind::UnexpectedEof)?;
         raw[last] ^= 0x40;
         fs::write(&path, raw)
     }
@@ -229,7 +232,9 @@ impl DiskCache {
             if path.extension().and_then(|e| e.to_str()) != Some("qsc") {
                 continue;
             }
-            let Ok(meta) = dirent.metadata() else { continue };
+            let Ok(meta) = dirent.metadata() else {
+                continue;
+            };
             if !meta.is_file() {
                 continue;
             }
@@ -245,8 +250,8 @@ impl DiskCache {
         entries.sort_by_key(|&(_, mtime, _)| mtime);
         let mut total: u64 = entries.iter().map(|&(_, _, len)| len).sum();
         for (path, mtime, len) in entries {
-            let too_old = max_age
-                .is_some_and(|cap| now.duration_since(mtime).is_ok_and(|age| age > cap));
+            let too_old =
+                max_age.is_some_and(|cap| now.duration_since(mtime).is_ok_and(|age| age > cap));
             let too_big = max_bytes.is_some_and(|cap| total > cap);
             if !(too_old || too_big) {
                 summary.remaining += 1;
@@ -341,8 +346,7 @@ fn validate_entry(raw: &[u8], want_key: u128) -> Result<CompileResult, String> {
     if checksum(payload) != sum {
         return Err("payload checksum mismatch".to_string());
     }
-    let text =
-        std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
+    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
     let value = json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
     deserialize_result(&value).map_err(|e| format!("payload rejected: {e}"))
 }
@@ -370,7 +374,10 @@ fn serialize_result(result: &CompileResult) -> Value {
             "unoptimized".to_string(),
             serialize_circuit(&result.unoptimized),
         ),
-        ("optimized".to_string(), serialize_circuit(&result.optimized)),
+        (
+            "optimized".to_string(),
+            serialize_circuit(&result.optimized),
+        ),
         ("metrics".to_string(), result.metrics.to_json()),
     ])
 }
@@ -514,8 +521,8 @@ fn deserialize_circuit(v: &Value) -> Result<Circuit, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsyn_arch::devices;
     use crate::Compiler;
+    use qsyn_arch::devices;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

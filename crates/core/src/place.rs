@@ -148,9 +148,7 @@ fn annealed(circuit: &Circuit, device: &Device) -> Placement {
         let mut cand = current.clone();
         let a = (next() as usize) % n_log;
         if n_phys > n_log && next() % 2 == 0 {
-            let free: Vec<usize> = (0..n_phys)
-                .filter(|p| !cand.map.contains(p))
-                .collect();
+            let free: Vec<usize> = (0..n_phys).filter(|p| !cand.map.contains(p)).collect();
             cand.map[a] = free[(next() as usize) % free.len()];
         } else {
             let b = (next() as usize) % n_log;

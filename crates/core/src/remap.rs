@@ -387,7 +387,10 @@ mod tests {
         assert_eq!(traced, plain, "tracing must not change the output");
         assert_eq!(counters.gates_rerouted, 1);
         assert!(counters.swaps_inserted > 0);
-        assert!(counters.restoration_swaps > 0, "layout drifted, must restore");
+        assert!(
+            counters.restoration_swaps > 0,
+            "layout drifted, must restore"
+        );
     }
 
     #[test]

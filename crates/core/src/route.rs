@@ -64,10 +64,14 @@ pub const DEFAULT_CNOT_ERROR: f64 = 2.5e-2;
 pub(crate) fn cnot_log_cost(device: &Device, control: usize, target: usize) -> f64 {
     const H_SURCHARGE: f64 = 4e-3; // four one-qubit gates at ~1e-3 each
     if device.has_coupling(control, target) {
-        let e = device.cnot_error(control, target).unwrap_or(DEFAULT_CNOT_ERROR);
+        let e = device
+            .cnot_error(control, target)
+            .unwrap_or(DEFAULT_CNOT_ERROR);
         -(1.0 - e).ln()
     } else {
-        let e = device.cnot_error(target, control).unwrap_or(DEFAULT_CNOT_ERROR);
+        let e = device
+            .cnot_error(target, control)
+            .unwrap_or(DEFAULT_CNOT_ERROR);
         -(1.0 - e).ln() + H_SURCHARGE
     }
 }
@@ -75,7 +79,11 @@ pub(crate) fn cnot_log_cost(device: &Device, control: usize, target: usize) -> f
 /// Negative log-fidelity of a full SWAP between adjacent qubits (its three
 /// CNOT legs in the orientation [`emit_adjacent_swap`] chooses).
 pub(crate) fn swap_log_cost(device: &Device, a: usize, b: usize) -> f64 {
-    let (x, y) = if device.has_coupling(a, b) { (a, b) } else { (b, a) };
+    let (x, y) = if device.has_coupling(a, b) {
+        (a, b)
+    } else {
+        (b, a)
+    };
     cnot_log_cost(device, x, y) * 2.0 + cnot_log_cost(device, y, x)
 }
 
@@ -342,7 +350,11 @@ pub fn emit_adjacent_swap(
     // SWAP(a,b) = CX(a,b) CX(b,a) CX(a,b); SWAP is symmetric, so lead with
     // the natively coupled orientation — only the middle CNOT then needs
     // the Hadamard reversal, for 7 gates total (paper's stated maximum).
-    let (x, y) = if device.has_coupling(a, b) { (a, b) } else { (b, a) };
+    let (x, y) = if device.has_coupling(a, b) {
+        (a, b)
+    } else {
+        (b, a)
+    };
     emit_adjacent_cnot(device, x, y, out)?;
     emit_adjacent_cnot(device, y, x, out)?;
     emit_adjacent_cnot(device, x, y, out)
@@ -620,8 +632,7 @@ mod tests {
         c.push(Gate::h(0));
         c.push(Gate::cx(5, 10)); // the Fig. 5 reroute: 2 hops
         c.push(Gate::cx(0, 1)); // adjacent: no swaps
-        let (traced, counters) =
-            routed(&c, &d, None).unwrap();
+        let (traced, counters) = routed(&c, &d, None).unwrap();
         let plain = route_circuit(&c, &d).unwrap();
         assert_eq!(traced, plain, "tracing must not change the output");
         assert_eq!(counters.gates_rerouted, 1);
@@ -797,8 +808,7 @@ mod tests {
         let d = devices::ibmqx3();
         let mut c = Circuit::new(16);
         c.push(Gate::cx(5, 10)); // distant pair: needs several SWAPs
-        let (_, counters) =
-            routed(&c, &d, None).unwrap();
+        let (_, counters) = routed(&c, &d, None).unwrap();
         assert!(counters.swaps_inserted >= 2);
         // A cap below the real requirement trips the budget...
         match routed(&c, &d, Some(1)) {
@@ -816,8 +826,7 @@ mod tests {
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
         // ...while a generous cap matches the uncapped result.
-        let (bounded, bc) =
-            routed(&c, &d, Some(1000)).unwrap();
+        let (bounded, bc) = routed(&c, &d, Some(1000)).unwrap();
         let (free, fc) = routed(&c, &d, None).unwrap();
         assert_eq!(bounded.gates().len(), free.gates().len());
         assert_eq!(bc.swaps_inserted, fc.swaps_inserted);

@@ -281,12 +281,14 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
                     }
                 }
             }
-            "device" => device = Some(v.as_str().ok_or_else(|| {
-                fail(
-                    RequestErrorKind::Schema,
-                    "field `device` must be a string".to_string(),
-                )
-            })?),
+            "device" => {
+                device = Some(v.as_str().ok_or_else(|| {
+                    fail(
+                        RequestErrorKind::Schema,
+                        "field `device` must be a string".to_string(),
+                    )
+                })?)
+            }
             "cost" => {
                 let s = want_str("cost", v)?;
                 options.cost = CostKind::parse(&s)
@@ -384,7 +386,12 @@ pub fn parse_request(line: &str, defaults: &ServeDefaults) -> Result<ServeReques
         "real" => Circuit::from_real(source).map_err(|e| e.to_string()),
         _ => Circuit::from_qasm(source).map_err(|e| e.to_string()),
     }
-    .map_err(|e| fail(RequestErrorKind::BadValue, format!("unparsable circuit: {e}")))?;
+    .map_err(|e| {
+        fail(
+            RequestErrorKind::BadValue,
+            format!("unparsable circuit: {e}"),
+        )
+    })?;
 
     Ok(ServeRequest {
         id,
@@ -672,7 +679,13 @@ pub fn execute(
 ) -> ServeResponse {
     m_queue_wait().record_duration(accepted.elapsed());
     let resp = execute_inner(req, job, accepted, ctx);
-    if matches!(resp.body, ResponseBody::Ok { cache_hit: true, .. }) {
+    if matches!(
+        resp.body,
+        ResponseBody::Ok {
+            cache_hit: true,
+            ..
+        }
+    ) {
         m_cache_hits().inc();
     }
     m_latency().record_duration(accepted.elapsed());
@@ -696,7 +709,11 @@ fn execute_inner(
     // Node-budget admission: hold a permit for the whole compile.
     let _permit = match &ctx.gate {
         Some(gate) => {
-            let want = req.options.budget.qmdd_node_budget.unwrap_or(gate.ceiling());
+            let want = req
+                .options
+                .budget
+                .qmdd_node_budget
+                .unwrap_or(gate.ceiling());
             let wait_started = Instant::now();
             let acquired = gate.acquire(want, deadline);
             m_gate_wait().record_duration(wait_started.elapsed());
@@ -837,7 +854,8 @@ mod tests {
         ServeDefaults::default()
     }
 
-    const TOFFOLI_QASM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nccx q[0],q[1],q[2];\n";
+    const TOFFOLI_QASM: &str =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nccx q[0],q[1],q[2];\n";
 
     fn request_line(extra: &str) -> String {
         format!(
@@ -866,7 +884,10 @@ mod tests {
         assert_eq!(req.options.placement, PlacementStrategy::Greedy);
         assert_eq!(req.options.strategy, RouteStrategyKind::Lookahead);
         assert!(!req.options.optimize);
-        assert_eq!(req.options.budget.deadline, Some(Duration::from_millis(500)));
+        assert_eq!(
+            req.options.budget.deadline,
+            Some(Duration::from_millis(500))
+        );
         assert_eq!(req.options.budget.qmdd_node_budget, Some(4096));
         assert!(!req.emit_qasm);
     }
@@ -883,11 +904,12 @@ mod tests {
         let resp = execute(&req, 7, Instant::now(), &ctx);
         assert_eq!(resp.job, 7);
         match &resp.body {
-            ResponseBody::Ok {
-                verified, qasm, ..
-            } => {
+            ResponseBody::Ok { verified, qasm, .. } => {
                 assert_eq!(*verified, Some(true));
-                assert!(qasm.as_deref().expect("qasm emitted").starts_with("OPENQASM 2.0;"));
+                assert!(qasm
+                    .as_deref()
+                    .expect("qasm emitted")
+                    .starts_with("OPENQASM 2.0;"));
             }
             other => panic!("want ok, got {other:?}"),
         }
@@ -901,7 +923,10 @@ mod tests {
         let gate = NodeBudgetGate::new(100);
         let a = gate.acquire(60, None).expect("fits");
         let deadline = Some(Instant::now() + Duration::from_millis(20));
-        assert!(gate.acquire(60, deadline).is_none(), "over ceiling while held");
+        assert!(
+            gate.acquire(60, deadline).is_none(),
+            "over ceiling while held"
+        );
         drop(a);
         assert!(gate.acquire(100, None).is_some(), "freed on drop");
     }
@@ -1050,11 +1075,7 @@ mod tests {
 
     #[test]
     fn rejections_keep_the_request_id_when_recoverable() {
-        let err = parse_request(
-            &request_line(",\"cost\":\"bogus\""),
-            &defaults(),
-        )
-        .unwrap_err();
+        let err = parse_request(&request_line(",\"cost\":\"bogus\""), &defaults()).unwrap_err();
         assert_eq!(err.id.as_deref(), Some("r1"));
     }
 
@@ -1063,7 +1084,11 @@ mod tests {
         let line = r#"{"id":"dup","circuit":"x","device":"ibmqx4","verify":true,"verify":false}"#;
         let err = parse_request(&line.replace('x', "OPENQASM 2.0;"), &defaults()).unwrap_err();
         assert_eq!(err.kind, RequestErrorKind::Schema);
-        assert!(err.message.contains("duplicate key `verify`"), "{}", err.message);
+        assert!(
+            err.message.contains("duplicate key `verify`"),
+            "{}",
+            err.message
+        );
         assert_eq!(err.id.as_deref(), Some("dup"));
     }
 }

@@ -12,7 +12,7 @@
 //! [`qsyn_qmdd::process_fidelity`] instead (see the
 //! `arbitrary_rotation` example).
 
-use qsyn_gate::{C64, Gate, Matrix, SingleOp};
+use qsyn_gate::{Gate, Matrix, SingleOp, C64};
 use std::sync::OnceLock;
 
 /// A 2x2 special-unitary matrix in flat form `[u00, u01, u10, u11]`.
@@ -220,10 +220,7 @@ fn sk(u: &Su2, depth: usize) -> (Su2, Vec<SingleOp>) {
     let (wnm, ww) = sk(&w, depth - 1);
     // U_{k} = V W V† W† U_{k-1}; words apply left-to-right in circuit
     // order, i.e. reversed relative to the matrix product.
-    let approx = mul2(
-        &mul2(&mul2(&vn, &wnm), &mul2(&dag2(&vn), &dag2(&wnm))),
-        &un,
-    );
+    let approx = mul2(&mul2(&mul2(&vn, &wnm), &mul2(&dag2(&vn), &dag2(&wnm))), &un);
     let mut word = wn;
     word.extend(dagger_word(&ww));
     word.extend(dagger_word(&vw));
@@ -298,11 +295,7 @@ pub fn approximate_rz(angle: f64, qubit: usize, depth: usize) -> (Vec<Gate>, f64
 /// [`approximate_rz`] with an accuracy target: increases the recursion
 /// depth (up to 4) until the projective error drops below `epsilon`,
 /// returning the first word that achieves it (or the best word found).
-pub fn approximate_rz_to_accuracy(
-    angle: f64,
-    qubit: usize,
-    epsilon: f64,
-) -> (Vec<Gate>, f64) {
+pub fn approximate_rz_to_accuracy(angle: f64, qubit: usize, epsilon: f64) -> (Vec<Gate>, f64) {
     let mut best: Option<(Vec<Gate>, f64)> = None;
     for depth in 0..=4 {
         let (gates, error) = approximate_rz(angle, qubit, depth);
@@ -385,8 +378,14 @@ mod tests {
         let mut last = f64::INFINITY;
         for depth in 0..3 {
             let m = Matrix::from_rows(&[
-                [C64::new(target[0].re, target[0].im), C64::new(target[1].re, target[1].im)],
-                [C64::new(target[2].re, target[2].im), C64::new(target[3].re, target[3].im)],
+                [
+                    C64::new(target[0].re, target[0].im),
+                    C64::new(target[1].re, target[1].im),
+                ],
+                [
+                    C64::new(target[2].re, target[2].im),
+                    C64::new(target[3].re, target[3].im),
+                ],
             ]);
             let approx = approximate_unitary(&m, depth);
             assert!(
@@ -437,4 +436,3 @@ mod tests {
         assert!(diff < 0.15, "relative phase off by {diff}");
     }
 }
-

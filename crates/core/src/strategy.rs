@@ -37,9 +37,7 @@
 use crate::cache::{DistanceOracle, RoutingLookup, RoutingTable};
 use crate::error::CompileError;
 use crate::remap::{restoration_swaps, route_circuit_persistent_traced, Layout};
-use crate::route::{
-    emit_adjacent_cnot, emit_adjacent_cz, emit_adjacent_swap, RoutingObjective,
-};
+use crate::route::{emit_adjacent_cnot, emit_adjacent_cz, emit_adjacent_swap, RoutingObjective};
 use qsyn_arch::{Device, RouteHint, TwoQubitNative};
 use qsyn_circuit::Circuit;
 use qsyn_gate::Gate;
@@ -214,7 +212,12 @@ impl RoutingStrategy for CtrStrategy {
         let lookup = req.resolve_lookup();
         let (circuit, k) =
             crate::route::route_bounded(req.circuit, req.device, &lookup, req.max_swaps)?;
-        Ok(RouteOutcome::of(circuit, k.swaps_inserted, k.gates_rerouted, 0))
+        Ok(RouteOutcome::of(
+            circuit,
+            k.swaps_inserted,
+            k.gates_rerouted,
+            0,
+        ))
     }
 }
 
@@ -269,8 +272,7 @@ impl RoutingStrategy for LookaheadStrategy {
         let device = req.device;
         let n = device.n_qubits();
         let lookup = req.resolve_lookup();
-        let neglog =
-            req.objective == RoutingObjective::HighestFidelity && device.has_error_data();
+        let neglog = req.objective == RoutingObjective::HighestFidelity && device.has_error_data();
 
         // The logical operand pairs of every two-qubit gate, in order; the
         // scoring window walks this list past the front gate.
@@ -320,7 +322,12 @@ impl RoutingStrategy for LookaheadStrategy {
                             break;
                         }
                         let (a, b) = self.best_swap(
-                            device, &lookup, neglog, &layout, (pc, pt), &pairs[next_pair..],
+                            device,
+                            &lookup,
+                            neglog,
+                            &layout,
+                            (pc, pt),
+                            &pairs[next_pair..],
                         )?;
                         emit_adjacent_swap(device, a, b, &mut out)?;
                         layout.swap_physical(a, b);
@@ -349,7 +356,12 @@ impl RoutingStrategy for LookaheadStrategy {
             }
             check_cap(swaps_inserted + restoration, req.max_swaps)?;
         }
-        Ok(RouteOutcome::of(out, swaps_inserted, gates_rerouted, restoration))
+        Ok(RouteOutcome::of(
+            out,
+            swaps_inserted,
+            gates_rerouted,
+            restoration,
+        ))
     }
 }
 
@@ -504,7 +516,12 @@ impl RoutingStrategy for PersistentStrategy {
                 used: total as u64,
             });
         }
-        Ok(RouteOutcome::of(circuit, k.swaps_inserted, k.gates_rerouted, k.restoration_swaps))
+        Ok(RouteOutcome::of(
+            circuit,
+            k.swaps_inserted,
+            k.gates_rerouted,
+            k.restoration_swaps,
+        ))
     }
 }
 
@@ -624,7 +641,10 @@ mod tests {
             assert_eq!(RouteStrategyKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(RouteStrategyKind::parse("sabre"), None);
-        assert_eq!(RouteStrategyKind::choices(), "ctr, lookahead, persistent or auto");
+        assert_eq!(
+            RouteStrategyKind::choices(),
+            "ctr, lookahead, persistent or auto"
+        );
         assert_eq!(RouteStrategyKind::default(), RouteStrategyKind::Ctr);
     }
 
@@ -632,8 +652,14 @@ mod tests {
     fn auto_resolves_from_the_cost_hint() {
         let auto = RouteStrategyKind::Auto;
         assert_eq!(auto.resolve(RouteHint::Swaps), RouteStrategyKind::Lookahead);
-        assert_eq!(auto.resolve(RouteHint::Fidelity), RouteStrategyKind::Lookahead);
-        assert_eq!(auto.resolve(RouteHint::Conservative), RouteStrategyKind::Ctr);
+        assert_eq!(
+            auto.resolve(RouteHint::Fidelity),
+            RouteStrategyKind::Lookahead
+        );
+        assert_eq!(
+            auto.resolve(RouteHint::Conservative),
+            RouteStrategyKind::Ctr
+        );
         // Concrete kinds ignore the hint.
         assert_eq!(
             RouteStrategyKind::Ctr.resolve(RouteHint::Swaps),
@@ -655,9 +681,7 @@ mod tests {
     fn ctr_strategy_matches_the_free_function() {
         let d = devices::ibmqx3();
         let c = workload();
-        let via_trait = CtrStrategy
-            .route(&RouteRequest::new(&c, &d))
-            .unwrap();
+        let via_trait = CtrStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
         let via_free = route_circuit(&c, &d).unwrap();
         assert_eq!(via_trait.circuit.gates(), via_free.gates());
         assert_eq!(via_trait.restoration_swaps, 0);
@@ -667,7 +691,10 @@ mod tests {
     fn lookahead_is_equivalent_and_legal() {
         let d = devices::ibmqx3();
         let c = workload();
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
             let out = LookaheadStrategy::default()
                 .route(&RouteRequest::new(&c, &d).with_objective(objective))
                 .unwrap();
@@ -702,7 +729,10 @@ mod tests {
     fn oracle_backed_routing_matches_the_table_path() {
         let d = devices::ibmqx5();
         let c = workload();
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
             let (table, _) = crate::cache::routing_table(&d, objective);
             let (oracle, _) = crate::cache::routing_oracle(&d, objective);
             for kind in RouteStrategyKind::CONCRETE {
@@ -762,8 +792,7 @@ mod tests {
     fn lookahead_respects_the_swap_cap() {
         let d = devices::ibmqx3();
         let c = workload();
-        match LookaheadStrategy::default()
-            .route(&RouteRequest::new(&c, &d).with_max_swaps(Some(1)))
+        match LookaheadStrategy::default().route(&RouteRequest::new(&c, &d).with_max_swaps(Some(1)))
         {
             Err(CompileError::BudgetExceeded {
                 pass,

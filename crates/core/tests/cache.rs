@@ -68,7 +68,9 @@ fn every_config_knob_invalidates_the_key() {
         ("device", mem_compiler(devices::ibmqx2(), |c| c)),
         (
             "cost model",
-            mem_compiler(devices::ibmqx4(), |c| c.with_cost_model(Box::new(VolumeCost))),
+            mem_compiler(devices::ibmqx4(), |c| {
+                c.with_cost_model(Box::new(VolumeCost))
+            }),
         ),
         (
             "budget",
@@ -265,9 +267,11 @@ fn routing_workload(d: &Device) -> Circuit {
 fn table_routing_matches_legacy_on_every_device() {
     for d in devices::all_devices() {
         let workload = routing_workload(&d);
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
-            let (legacy, swaps, rerouted) =
-                common::ctr_per_gate(&workload, &d, objective).unwrap();
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
+            let (legacy, swaps, rerouted) = common::ctr_per_gate(&workload, &d, objective).unwrap();
             let (shared, _) = routing_table(&d, objective);
             let table = CtrStrategy
                 .route(
@@ -295,7 +299,10 @@ fn disconnected_device_is_route_not_found_on_both_paths() {
     let mut c = Circuit::new(4);
     c.push(Gate::cx(0, 2));
 
-    for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+    for objective in [
+        RoutingObjective::FewestSwaps,
+        RoutingObjective::HighestFidelity,
+    ] {
         let (shared, _) = routing_table(&split, objective);
         for result in [
             common::ctr_per_gate(&c, &split, objective).map(|_| ()),

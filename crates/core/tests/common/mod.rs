@@ -27,7 +27,10 @@ pub fn ctr_per_gate(
                 continue;
             }
         };
-        let hops = ctr_route_with(device, control, target, objective)?.path.len() - 1;
+        let hops = ctr_route_with(device, control, target, objective)?
+            .path
+            .len()
+            - 1;
         swaps += 2 * hops;
         rerouted += usize::from(hops > 0);
         if matches!(g, Gate::Cz { .. }) {

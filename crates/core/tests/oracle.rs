@@ -38,7 +38,10 @@ fn mixed_workload(d: &Device) -> Circuit {
 fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
     for d in devices::all_devices() {
         let spec = mixed_workload(&d);
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
             let (table, _) = routing_table(&d, objective);
             let (oracle, _) = routing_oracle(&d, objective);
             for kind in RouteStrategyKind::CONCRETE {
@@ -66,7 +69,10 @@ fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
                         "table diverged from the per-gate search on {} {objective:?}",
                         d.name()
                     );
-                    assert_eq!((dense.swaps_inserted, dense.gates_rerouted), (swaps, rerouted));
+                    assert_eq!(
+                        (dense.swaps_inserted, dense.gates_rerouted),
+                        (swaps, rerouted)
+                    );
                 }
                 assert_eq!(
                     sparse.circuit.gates(),
@@ -131,7 +137,10 @@ fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
     spec.push(Gate::h(7));
     spec.push(Gate::cx(3, 23));
     for strategy in [RouteStrategyKind::Ctr, RouteStrategyKind::Lookahead] {
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
             let cached = Compiler::new(d.clone())
                 .with_route_strategy(strategy)
                 .with_routing(objective)
@@ -148,7 +157,11 @@ fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
             assert_eq!(cached.optimized.gates(), optimized.gates());
             // The route event reports the oracle's activity.
             let route = cached.metrics().pass(qsyn_trace::Pass::Route).unwrap();
-            assert!(route.counter("oracle_misses").is_some(), "{}", strategy.name());
+            assert!(
+                route.counter("oracle_misses").is_some(),
+                "{}",
+                strategy.name()
+            );
         }
     }
 }

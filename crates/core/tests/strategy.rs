@@ -6,9 +6,9 @@
 use qsyn_arch::{devices, CostModel, Device, RouteHint, TransmonCost};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    decompose_circuit_with, route_circuit_persistent, CompileBudget, CompileError,
-    Compiler, DecomposeStrategy, LookaheadStrategy, PersistentStrategy, RouteRequest,
-    RouteStrategyKind, RoutingObjective, RoutingStrategy,
+    decompose_circuit_with, route_circuit_persistent, CompileBudget, CompileError, Compiler,
+    DecomposeStrategy, LookaheadStrategy, PersistentStrategy, RouteRequest, RouteStrategyKind,
+    RoutingObjective, RoutingStrategy,
 };
 use qsyn_gate::Gate;
 use qsyn_qmdd::{circuits_equal, equivalent_miter};
@@ -43,7 +43,10 @@ fn equivalent_for(d: &Device, spec: &Circuit, routed: &Circuit) -> bool {
 fn lookahead_is_qmdd_equivalent_on_every_device_and_objective() {
     for d in devices::all_devices() {
         let spec = mixed_workload(&d);
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
             let out = LookaheadStrategy::default()
                 .route(&RouteRequest::new(&spec, &d).with_objective(objective))
                 .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", d.name()));
@@ -63,7 +66,10 @@ fn lookahead_is_qmdd_equivalent_on_every_device_and_objective() {
 fn persistent_is_qmdd_equivalent_on_every_device_and_objective() {
     for d in devices::all_devices() {
         let spec = mixed_workload(&d);
-        for objective in [RoutingObjective::FewestSwaps, RoutingObjective::HighestFidelity] {
+        for objective in [
+            RoutingObjective::FewestSwaps,
+            RoutingObjective::HighestFidelity,
+        ] {
             let out = PersistentStrategy
                 .route(&RouteRequest::new(&spec, &d).with_objective(objective))
                 .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", d.name()));
@@ -87,7 +93,12 @@ fn compiler_with_every_strategy_verifies() {
             .with_route_strategy(kind)
             .compile(&spec)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        assert_eq!(r.verified, Some(true), "{} failed verification", kind.name());
+        assert_eq!(
+            r.verified,
+            Some(true),
+            "{} failed verification",
+            kind.name()
+        );
     }
 }
 
@@ -101,7 +112,9 @@ fn compiler_route_event_carries_the_strategy_tag() {
             .compile(&spec)
             .unwrap();
         let route = r.metrics().pass(qsyn_trace::Pass::Route).unwrap();
-        let tag = route.counter("strategy").expect("route events carry a strategy tag");
+        let tag = route
+            .counter("strategy")
+            .expect("route events carry a strategy tag");
         assert_eq!(
             qsyn_trace::route_strategy_name(tag),
             Some(kind.name()),
