@@ -15,7 +15,7 @@ use qsyn_arch::{devices, TransmonCost};
 use qsyn_bench::big::big_by_name;
 use qsyn_bench::revlib::revlib_by_name;
 use qsyn_core::{
-    decompose_circuit, decompose_circuit_for, optimize_with, Compiler, DecomposeStrategy,
+    decompose_circuit, decompose_circuit_for, optimize_bounded, Compiler, DecomposeStrategy,
     OptimizeConfig, PlacementStrategy, RouteStrategyKind, Verification,
 };
 use std::hint::black_box;
@@ -37,7 +37,7 @@ fn bench_opt_families(c: &mut Criterion) {
     ];
     for (name, cfg) in configs {
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
-            b.iter(|| black_box(optimize_with(&mapped, Some(&device), &cost, *cfg)))
+            b.iter(|| black_box(optimize_bounded(&mapped, Some(&device), &cost, *cfg, None).0))
         });
     }
     group.finish();

@@ -11,7 +11,7 @@ use qsyn_arch::{devices, CostModel, TransmonCost};
 use qsyn_bench::big::BIG_BENCHMARKS;
 use qsyn_bench::revlib::REVLIB_BENCHMARKS;
 use qsyn_core::{
-    decompose_circuit, decompose_circuit_for, optimize_with, route_circuit, Compiler,
+    decompose_circuit, decompose_circuit_for, optimize_bounded, route_circuit, Compiler,
     DecomposeStrategy, OptimizeConfig, PlacementStrategy, RouteStrategyKind, Verification,
 };
 
@@ -34,7 +34,7 @@ fn main() {
                 cancel_identities: cancel,
                 rewrite_identities: rewrite,
             };
-            cost.circuit_cost(&optimize_with(&mapped, Some(&device), &cost, cfg))
+            cost.circuit_cost(&optimize_bounded(&mapped, Some(&device), &cost, cfg, None).0)
         };
         println!(
             "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |",

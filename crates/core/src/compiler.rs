@@ -48,8 +48,7 @@ pub enum Verification {
 /// Whether (and how) the local optimization stage runs.
 ///
 /// Converts from the values callers already have: `bool` (on/off with the
-/// default families), an [`OptimizeConfig`] (ablation experiments), or an
-/// `Option<OptimizeConfig>`.
+/// default families) or an [`OptimizeConfig`] (ablation experiments).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Optimization {
     /// Skip the optimization stage entirely.
@@ -90,12 +89,6 @@ impl From<bool> for Optimization {
 impl From<OptimizeConfig> for Optimization {
     fn from(cfg: OptimizeConfig) -> Self {
         Optimization::Enabled(cfg)
-    }
-}
-
-impl From<Option<OptimizeConfig>> for Optimization {
-    fn from(cfg: Option<OptimizeConfig>) -> Self {
-        cfg.map_or(Optimization::Disabled, Optimization::Enabled)
     }
 }
 
@@ -292,7 +285,7 @@ impl Compiler {
 
     /// Configures the optimization stage. Accepts a `bool` (on/off with
     /// the default families), an [`OptimizeConfig`] (ablation experiments),
-    /// an `Option<OptimizeConfig>`, or an [`Optimization`] directly.
+    /// or an [`Optimization`] directly.
     pub fn with_optimization(mut self, optimization: impl Into<Optimization>) -> Self {
         self.optimization = optimization.into();
         self
@@ -548,8 +541,10 @@ impl Compiler {
     /// (`windows`, `window_gates_cap`, `max_window_swaps`,
     /// `oracle_hits`/`oracle_misses`, `verified_windows`,
     /// `unverified_windows`, `peak_resident_gates`,
-    /// `max_window_support`, `verify_seconds_total`, `verify_jobs`) that
-    /// `qsyn check-trace` validates.
+    /// `max_window_support`, `verify_seconds_total`, `verify_jobs`,
+    /// `verify_lookups`, `verify_peak_nodes`, and the windows' summed
+    /// optimize stage: `optimize_seconds_total`, `optimize_rounds`,
+    /// `gates_removed`) that `qsyn check-trace` validates.
     ///
     /// # Errors
     ///
@@ -581,6 +576,9 @@ impl Compiler {
         // Summed per-window routing time: the aggregate route event's
         // duration (the event is only built after every window has run).
         let mut route_seconds = 0.0;
+        // Summed per-window optimize stage: seconds and counters.
+        let mut optimize_seconds = 0.0;
+        let mut optimized_total = OptimizeCounters::default();
         let mut gates = gates.into_iter().peekable();
         while gates.peek().is_some() {
             let mut spec = Circuit::new(self.device.n_qubits());
@@ -590,11 +588,16 @@ impl Compiler {
             }
             acc.windows += 1;
             acc.gates_in += spec.len();
-            let out = self.run_window(&spec, started, &lookup, &mut |done, seconds| {
-                if let StageDone::Route(..) = done {
-                    route_seconds += seconds;
-                }
-            })?;
+            let out =
+                self.run_window(&spec, started, &lookup, &mut |done, seconds| match done {
+                    StageDone::Route(..) => route_seconds += seconds,
+                    StageDone::Optimize(_, counters) => {
+                        optimize_seconds += seconds;
+                        optimized_total.rounds += counters.rounds;
+                        optimized_total.gates_removed += counters.gates_removed;
+                    }
+                    StageDone::Decompose(..) => {}
+                })?;
             if let Some((hits, misses)) = out.oracle {
                 acc.oracle_hits += hits;
                 acc.oracle_misses += misses;
@@ -640,6 +643,11 @@ impl Compiler {
             s.counter(sc::MAX_WINDOW_SUPPORT, acc.max_window_support as f64);
             s.counter(sc::VERIFY_SECONDS_TOTAL, acc.verify_seconds_total);
             s.counter(sc::VERIFY_JOBS, acc.verify_jobs as f64);
+            s.counter(sc::VERIFY_LOOKUPS, acc.verify_lookups as f64);
+            s.counter(sc::VERIFY_PEAK_NODES, acc.verify_peak_nodes as f64);
+            s.counter(sc::OPTIMIZE_SECONDS_TOTAL, optimize_seconds);
+            s.counter(sc::OPTIMIZE_ROUNDS, optimized_total.rounds as f64);
+            s.counter(sc::GATES_REMOVED, optimized_total.gates_removed as f64);
         });
         if let Some(sink) = &self.trace {
             sink.record(&e);
@@ -1214,6 +1222,11 @@ pub struct StreamSummary {
     /// pool ran, `1` for inline (serial or Strict-mode) verification,
     /// `0` when verification was disabled.
     pub verify_jobs: usize,
+    /// QMDD compute-table lookups summed over every window check that
+    /// completed (a check that exhausted its node budget adds none).
+    pub verify_lookups: u64,
+    /// The largest QMDD peak node count of any completed window check.
+    pub verify_peak_nodes: usize,
 }
 
 /// The window-outcome tally of one stream: every verified window, inline
@@ -1234,6 +1247,10 @@ struct StreamVerifyState {
     seconds_total: f64,
     /// Widest per-window miter support seen.
     max_support: usize,
+    /// Compute-table lookups summed over completed checks.
+    lookups: u64,
+    /// Largest peak node count of a completed check.
+    peak_nodes: usize,
     /// Per-window latency (µs buckets) feeding
     /// [`StreamSummary::verify_p95_seconds`]; kept apart from the
     /// process-wide `stream.verify_us` metric so concurrent streams do
@@ -1242,15 +1259,23 @@ struct StreamVerifyState {
 }
 
 impl StreamVerifyState {
-    /// Folds one window's check — its verdict, support size and seconds,
-    /// as [`verify_one_window`] returns them — into the tally.
-    fn tally(&mut self, res: &Result<bool, EquivBudgetError>, support: usize, seconds: f64) {
+    /// Folds one window's check — its report or budget error, support
+    /// size and seconds, as [`verify_one_window`] returns them — into the
+    /// tally.
+    fn tally(&mut self, res: &Result<EquivReport, EquivBudgetError>, support: usize, seconds: f64) {
         self.hist.record_seconds(seconds);
         self.seconds_total += seconds;
         self.max_support = self.max_support.max(support);
         match res {
-            Ok(true) => self.verified += 1,
-            Ok(false) => self.failed = true,
+            Ok(report) => {
+                self.lookups += report.cache_lookups;
+                self.peak_nodes = self.peak_nodes.max(report.peak_nodes);
+                if report.equivalent {
+                    self.verified += 1;
+                } else {
+                    self.failed = true;
+                }
+            }
             Err(_) => self.unverified += 1,
         }
     }
@@ -1365,6 +1390,8 @@ impl StreamVerifier {
         acc.unverified_windows = st.unverified;
         acc.verify_seconds_total = st.seconds_total;
         acc.max_window_support = st.max_support;
+        acc.verify_lookups = st.lookups;
+        acc.verify_peak_nodes = st.peak_nodes;
         if let Some(p95_us) = st.hist.snapshot().quantile(0.95) {
             acc.verify_p95_seconds = p95_us as f64 / 1e6;
         }
@@ -1386,8 +1413,8 @@ impl StreamVerifier {
 }
 
 /// Runs one window's miter through [`SupportCheck`] and returns the
-/// verdict (`Ok(equivalent)` or the budget error), the window's support
-/// size, and the seconds spent. Also feeds the process-wide
+/// check's report (or its budget error), the window's support size, and
+/// the seconds spent. Also feeds the process-wide
 /// streaming-verify metrics: one `stream.verify_us` sample per window and
 /// an outcome counter (`stream.windows_verified` +
 /// `stream.windows_unverified` equals the histogram count in steady state;
@@ -1396,7 +1423,7 @@ fn verify_one_window(
     spec: &Circuit,
     out: &Circuit,
     budget: EquivBudget,
-) -> (Result<bool, EquivBudgetError>, usize, f64) {
+) -> (Result<EquivReport, EquivBudgetError>, usize, f64) {
     qsyn_trace::metric_handles! {
         fn m_verify_us() -> Histogram = "stream.verify_us";
         fn m_windows_verified() -> Counter = "stream.windows_verified";
@@ -1404,14 +1431,12 @@ fn verify_one_window(
     }
     let started = std::time::Instant::now();
     let check = SupportCheck::new(spec, out);
-    let res = check
-        .run(EquivMethod::Miter, budget)
-        .map(|report| report.equivalent);
+    let res = check.run(EquivMethod::Miter, budget);
     let seconds = started.elapsed().as_secs_f64();
     m_verify_us().record_seconds(seconds);
-    match res {
-        Ok(true) => m_windows_verified().inc(),
-        Ok(false) => {}
+    match &res {
+        Ok(report) if report.equivalent => m_windows_verified().inc(),
+        Ok(_) => {}
         Err(_) => m_windows_unverified().inc(),
     }
     (res, check.support.len(), seconds)
@@ -1778,12 +1803,7 @@ mod tests {
             .with_optimization(Optimization::Enabled(cfg))
             .compile(&spec)
             .unwrap();
-        let c = Compiler::new(devices::ibmqx4())
-            .with_optimization(Some(cfg))
-            .compile(&spec)
-            .unwrap();
         assert_eq!(a.optimized, b.optimized);
-        assert_eq!(a.optimized, c.optimized);
         let off = Compiler::new(devices::ibmqx4())
             .with_optimization(Optimization::Disabled)
             .compile(&spec)
@@ -2505,6 +2525,15 @@ mod tests {
             Some(summary.verify_seconds_total)
         );
         assert_eq!(e.counter("verify_jobs"), Some(1.0));
+        assert!(summary.verify_lookups > 0 && summary.verify_peak_nodes > 0);
+        assert_eq!(
+            e.counter("verify_lookups"),
+            Some(summary.verify_lookups as f64)
+        );
+        assert_eq!(
+            e.counter("verify_peak_nodes"),
+            Some(summary.verify_peak_nodes as f64)
+        );
         // The event times the windows' routing, not its own emission.
         assert!(
             e.seconds > 0.0 && e.seconds <= summary.total_seconds,
@@ -2518,6 +2547,39 @@ mod tests {
                 .is_some(),
             "the emitted event must satisfy its own validator"
         );
+    }
+
+    #[test]
+    fn streaming_event_sums_the_windows_optimize_stage() {
+        // One window: the event's optimize counters are exactly those of
+        // `optimize_bounded` on that window's routed circuit.
+        let device = devices::ibmqx4();
+        let mut spec = Circuit::new(device.n_qubits());
+        spec.push(Gate::toffoli(0, 1, 2));
+        spec.push(Gate::cx(3, 4));
+        spec.push(Gate::toffoli(2, 1, 0));
+        let sink = Arc::new(qsyn_trace::TableSink::new());
+        let compiler = Compiler::new(device.clone()).with_trace(sink.clone());
+        compiler
+            .compile_stream(5, spec.len(), spec.gates().iter().cloned(), |_| {})
+            .unwrap();
+        let lookup = crate::cache::routing_lookup(&device, compiler.routing).0;
+        let (decomposed, _) = compiler.decompose_stage(&spec).unwrap();
+        let (routed, _) = compiler.route_stage(&decomposed, &lookup).unwrap();
+        let (_, want) = optimize_bounded(
+            &routed.circuit,
+            Some(&device),
+            compiler.cost.as_ref(),
+            OptimizeConfig::default(),
+            None,
+        );
+        assert!(want.rounds > 0 && want.gates_removed > 0, "{want:?}");
+        let events = sink.events();
+        let e = &events[0];
+        assert_eq!(e.counter("optimize_rounds"), Some(want.rounds as f64));
+        assert_eq!(e.counter("gates_removed"), Some(want.gates_removed as f64));
+        assert!(e.counter("optimize_seconds_total").unwrap() > 0.0);
+        assert!(qsyn_trace::streaming::validate_streaming_route_event(e).is_ok());
     }
 
     /// A deterministic mixed H/CX/T stream for the verify-config tests.

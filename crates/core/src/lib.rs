@@ -65,9 +65,7 @@ pub use decompose::{
     mct_to_toffolis, rccx, rccx_dagger, DecomposeStrategy,
 };
 pub use error::CompileError;
-pub use optimize::{
-    optimize, optimize_bounded, optimize_traced, optimize_with, OptimizeConfig, OptimizeCounters,
-};
+pub use optimize::{optimize_bounded, OptimizeConfig, OptimizeCounters};
 pub use options::{load_circuit, Args, CompileOptions, CostKind};
 pub use persist::{DiskCache, DiskLoad, EvictionSummary};
 pub use place::{place, Placement, PlacementStrategy};

@@ -13,20 +13,21 @@
 //! Every rewrite is *exact* (no global-phase slack) so the QMDD
 //! verification of the full pipeline keeps passing.
 //!
-//! Passes work on a tombstone vector with per-qubit occurrence lists, so a
-//! pass costs `O(gates x local-window)` instead of quadratic scans over
-//! unrelated lines — the Table 8 benchmarks run these passes over tens of
-//! thousands of gates.
+//! [`optimize_bounded`] is the only entry point. It builds one tombstone
+//! vector with per-qubit occurrence lists and runs every pass of every
+//! round on it, so a pass costs `O(gates x local-window)` instead of
+//! quadratic scans over unrelated lines — the Table 8 benchmarks run these
+//! passes over tens of thousands of gates.
 
 use qsyn_arch::{CostModel, Device};
 use qsyn_circuit::Circuit;
-use qsyn_gate::{fuse, Fusion, Gate, SingleOp};
+use qsyn_gate::{fuse, Fusion, Gate, Matrix, SingleOp, SINGLE_OPS};
 
 /// Whether two gates commute, by conservative exact rules. Only the gate
 /// vocabulary that survives technology mapping (one-qubit gates, CNOT, CZ)
 /// gets precise treatment; anything else is assumed non-commuting when the
 /// supports overlap.
-pub fn commutes(a: &Gate, b: &Gate) -> bool {
+fn commutes(a: &Gate, b: &Gate) -> bool {
     if !a.overlaps(b) {
         return true;
     }
@@ -76,56 +77,71 @@ pub fn commutes(a: &Gate, b: &Gate) -> bool {
     }
 }
 
+/// Phase-exact lookup key of a 2x2 matrix: every entry rounded to 1e-9.
+fn matrix_key(m: &Matrix) -> [i64; 8] {
+    let mut key = [0i64; 8];
+    for (pos, (r, c)) in [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+        let v = m[(r, c)];
+        key[2 * pos] = (v.re * 1e9).round() as i64;
+        key[2 * pos + 1] = (v.im * 1e9).round() as i64;
+    }
+    key
+}
+
+/// Exact lookup table: matrices of all library words of length <= 2,
+/// mapped to their shortest word. Phase-exact (global phase included), so
+/// replacements never perturb QMDD verification.
+fn short_word_table() -> &'static qsyn_qmdd::FxHashMap<[i64; 8], Vec<SingleOp>> {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<qsyn_qmdd::FxHashMap<[i64; 8], Vec<SingleOp>>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = qsyn_qmdd::FxHashMap::default();
+        table.insert(matrix_key(&Matrix::identity(2)), Vec::new());
+        for a in SINGLE_OPS {
+            table
+                .entry(matrix_key(&a.matrix()))
+                .or_insert_with(|| vec![a]);
+        }
+        for a in SINGLE_OPS {
+            for b in SINGLE_OPS {
+                let prod = b.matrix().mul(&a.matrix());
+                table.entry(matrix_key(&prod)).or_insert_with(|| vec![a, b]);
+            }
+        }
+        table
+    })
+}
+
 /// Tombstone gate buffer with per-qubit occurrence lists for fast
-/// neighbor queries along a line.
+/// neighbor queries along a line. [`optimize_bounded`] builds one per call
+/// and runs every pass of every round on it.
 ///
-/// The slot and occurrence storage is recycled through a per-thread pool:
-/// the optimizer builds one `Buffer` per pass per improvement round, and
-/// on wide devices (96 lines) the per-qubit lists alone are dozens of
-/// allocations per build — reuse keeps the round loop allocation-light.
+/// Invariant: every rewrite either tombstones slots or writes back into a
+/// slot a gate on the same lines as the gate it replaces. So the
+/// occurrence lists stay valid without a rebuild, a pass over the
+/// tombstoned slots sees the same live gates in the same order as a pass
+/// over the compacted gate list, and each live slot's index is the index
+/// of the input gate it came from.
 struct Buffer {
     slots: Vec<Option<Gate>>,
     occ: Vec<Vec<usize>>, // per qubit: slot indices touching it, ascending
 }
 
-/// Recycled `Buffer` storage: the tombstone slots and per-qubit lists.
-type PoolStorage = (Vec<Option<Gate>>, Vec<Vec<usize>>);
-
-thread_local! {
-    static BUFFER_POOL: std::cell::RefCell<PoolStorage> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
 impl Buffer {
-    fn new(gates: Vec<Gate>, n_qubits: usize) -> Self {
-        let (mut slots, mut occ) = BUFFER_POOL.with(|p| {
-            let p = &mut *p.borrow_mut();
-            (std::mem::take(&mut p.0), std::mem::take(&mut p.1))
-        });
-        slots.clear();
-        for list in &mut occ {
-            list.clear();
-        }
-        if occ.len() < n_qubits {
-            occ.resize_with(n_qubits, Vec::new);
-        }
+    fn new(gates: &[Gate], n_qubits: usize) -> Self {
+        let mut occ = vec![Vec::new(); n_qubits];
         for (i, g) in gates.iter().enumerate() {
             for q in g.qubits() {
                 occ[q].push(i);
             }
         }
-        slots.extend(gates.into_iter().map(Some));
+        let slots = gates.iter().cloned().map(Some).collect();
         Buffer { slots, occ }
     }
 
-    fn into_gates(mut self) -> Vec<Gate> {
-        let gates: Vec<Gate> = self.slots.drain(..).flatten().collect();
-        BUFFER_POOL.with(|p| {
-            let p = &mut *p.borrow_mut();
-            p.0 = std::mem::take(&mut self.slots);
-            p.1 = std::mem::take(&mut self.occ);
-        });
-        gates
+    /// The live gates, in order.
+    fn live(&self) -> Vec<Gate> {
+        self.slots.iter().flatten().cloned().collect()
     }
 
     /// Next live slot after `i` touching `q`.
@@ -153,234 +169,195 @@ impl Buffer {
     fn next_overlapping(&self, i: usize, qubits: &[usize]) -> Option<usize> {
         qubits.iter().filter_map(|&q| self.next_on(i, q)).min()
     }
-}
 
-/// Removes inverse gate pairs separated only by gates that commute with the
-/// first element. Returns whether anything changed.
-pub fn cancel_inverse_pairs(gates: &mut Vec<Gate>, n_qubits: usize) -> bool {
-    let mut buf = Buffer::new(std::mem::take(gates), n_qubits);
-    let mut changed = false;
-    for i in 0..buf.slots.len() {
-        let Some(gi) = buf.slots[i].clone() else {
-            continue;
-        };
-        let inv = gi.inverse();
-        let qubits = gi.qubits();
-        let mut pos = i;
-        while let Some(j) = buf.next_overlapping(pos, &qubits) {
-            let gj = buf.slots[j].as_ref().expect("live slot");
-            if *gj == inv {
-                buf.slots[i] = None;
-                buf.slots[j] = None;
-                changed = true;
-                break;
-            }
-            if !commutes(&gi, gj) {
-                break;
-            }
-            pos = j;
+    /// One improvement round: each enabled family once, in a fixed order.
+    /// Returns whether anything changed.
+    fn round(&mut self, config: OptimizeConfig, device: Option<&Device>) -> bool {
+        let mut changed = false;
+        if config.cancel_identities {
+            changed |= self.cancel_inverse_pairs();
         }
+        if config.rewrite_identities {
+            changed |= self.fuse_single_runs();
+            changed |= self.fold_diagonal_runs();
+            changed |= self.canonicalize_single_triples();
+            changed |= self.contract_hh_cx_hh(device);
+        }
+        changed
     }
-    *gates = buf.into_gates();
-    changed
-}
 
-/// Fuses neighboring one-qubit gates on the same line through the exact
-/// fusion table (`T T -> S`, `H H -> id`, ...). Returns whether anything
-/// changed.
-pub fn fuse_single_runs(gates: &mut Vec<Gate>, n_qubits: usize) -> bool {
-    let mut buf = Buffer::new(std::mem::take(gates), n_qubits);
-    let mut changed = false;
-    let mut i = 0;
-    while i < buf.slots.len() {
-        let Some(Gate::Single { op, qubit }) = buf.slots[i].clone() else {
+    /// Removes inverse gate pairs separated only by gates that commute with
+    /// the first element. Returns whether anything changed.
+    fn cancel_inverse_pairs(&mut self) -> bool {
+        let mut changed = false;
+        for i in 0..self.slots.len() {
+            let Some(gi) = self.slots[i].clone() else {
+                continue;
+            };
+            let inv = gi.inverse();
+            let qubits = gi.qubits();
+            let mut pos = i;
+            while let Some(j) = self.next_overlapping(pos, &qubits) {
+                let gj = self.slots[j].as_ref().expect("live slot");
+                if *gj == inv {
+                    self.slots[i] = None;
+                    self.slots[j] = None;
+                    changed = true;
+                    break;
+                }
+                if !commutes(&gi, gj) {
+                    break;
+                }
+                pos = j;
+            }
+        }
+        changed
+    }
+
+    /// Fuses neighboring one-qubit gates on the same line through the exact
+    /// fusion table (`T T -> S`, `H H -> id`, ...). Returns whether
+    /// anything changed.
+    fn fuse_single_runs(&mut self) -> bool {
+        let mut changed = false;
+        let mut i = 0;
+        while i < self.slots.len() {
+            let Some(Gate::Single { op, qubit }) = self.slots[i].clone() else {
+                i += 1;
+                continue;
+            };
+            if let Some(j) = self.next_on(i, qubit) {
+                if let Some(Gate::Single { op: op2, .. }) = self.slots[j].clone() {
+                    match fuse(op, op2) {
+                        Fusion::Identity => {
+                            self.slots[i] = None;
+                            self.slots[j] = None;
+                            changed = true;
+                            i += 1;
+                            continue;
+                        }
+                        Fusion::Single(c) => {
+                            self.slots[i] = Some(Gate::single(c, qubit));
+                            self.slots[j] = None;
+                            changed = true;
+                            continue; // retry fusing the new gate at i
+                        }
+                        Fusion::None => {}
+                    }
+                }
+            }
             i += 1;
-            continue;
-        };
-        if let Some(j) = buf.next_on(i, qubit) {
-            if let Some(Gate::Single { op: op2, .. }) = buf.slots[j].clone() {
-                match fuse(op, op2) {
-                    Fusion::Identity => {
-                        buf.slots[i] = None;
-                        buf.slots[j] = None;
-                        changed = true;
-                        i += 1;
-                        continue;
+        }
+        changed
+    }
+
+    /// Folds runs of diagonal phase gates (`T, S, Z, S†, T†`) on one line
+    /// into the minimal equivalent sequence, hopping over CNOT controls and
+    /// CZs (which commute with diagonals). Returns whether anything changed.
+    fn fold_diagonal_runs(&mut self) -> bool {
+        let mut changed = false;
+        for i in 0..self.slots.len() {
+            let Some(Gate::Single { op, qubit }) = self.slots[i].clone() else {
+                continue;
+            };
+            let Some(first_steps) = op.phase_steps() else {
+                continue;
+            };
+            // Collect the maximal diagonal run on this line.
+            let mut members = vec![i];
+            let mut steps = first_steps as u32;
+            let mut pos = i;
+            while let Some(j) = self.next_on(pos, qubit) {
+                match self.slots[j].as_ref().expect("live slot") {
+                    Gate::Single { op: o2, .. } => match o2.phase_steps() {
+                        Some(k) => {
+                            members.push(j);
+                            steps += k as u32;
+                        }
+                        None => break,
+                    },
+                    Gate::Cx { control, .. } if *control == qubit => {}
+                    Gate::Cz { .. } => {}
+                    _ => break,
+                }
+                pos = j;
+            }
+            let replacement = SingleOp::from_phase_steps((steps % 8) as u8);
+            if replacement.len() < members.len() {
+                // Re-emit the minimal form into the leading member slots;
+                // tombstone the rest.
+                for (k, &slot) in members.iter().enumerate() {
+                    self.slots[slot] = replacement.get(k).map(|&rop| Gate::single(rop, qubit));
+                }
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Rewrites adjacent triples of one-qubit gates on a line into exactly
+    /// equal words of length <= 2 (e.g. `H Z H -> X`, `S X S† -> Y`).
+    /// Returns whether anything changed.
+    fn canonicalize_single_triples(&mut self) -> bool {
+        let mut changed = false;
+        for i in 0..self.slots.len() {
+            let Some(Gate::Single { op: o1, qubit }) = self.slots[i].clone() else {
+                continue;
+            };
+            let Some(j) = self.next_on(i, qubit) else {
+                continue;
+            };
+            let Some(Gate::Single { op: o2, .. }) = self.slots[j].clone() else {
+                continue;
+            };
+            let Some(k) = self.next_on(j, qubit) else {
+                continue;
+            };
+            let Some(Gate::Single { op: o3, .. }) = self.slots[k].clone() else {
+                continue;
+            };
+            let prod = o3.matrix().mul(&o2.matrix().mul(&o1.matrix()));
+            if let Some(word) = short_word_table().get(&matrix_key(&prod)) {
+                if word.len() < 3 {
+                    for (pos, slot) in [i, j, k].into_iter().enumerate() {
+                        self.slots[slot] = word.get(pos).map(|&op| Gate::single(op, qubit));
                     }
-                    Fusion::Single(c) => {
-                        buf.slots[i] = Some(Gate::single(c, qubit));
-                        buf.slots[j] = None;
-                        changed = true;
-                        continue; // retry fusing the new gate at i
-                    }
-                    Fusion::None => {}
+                    changed = true;
                 }
             }
         }
-        i += 1;
+        changed
     }
-    *gates = buf.into_gates();
-    changed
-}
 
-/// Folds runs of diagonal phase gates (`T, S, Z, S†, T†`) on one line into
-/// the minimal equivalent sequence, hopping over CNOT controls and CZs
-/// (which commute with diagonals). Returns whether anything changed.
-pub fn fold_diagonal_runs(gates: &mut Vec<Gate>, n_qubits: usize) -> bool {
-    let mut buf = Buffer::new(std::mem::take(gates), n_qubits);
-    let mut changed = false;
-    for i in 0..buf.slots.len() {
-        let Some(Gate::Single { op, qubit }) = buf.slots[i].clone() else {
-            continue;
-        };
-        let Some(first_steps) = op.phase_steps() else {
-            continue;
-        };
-        // Collect the maximal diagonal run on this line.
-        let mut members = vec![i];
-        let mut steps = first_steps as u32;
-        let mut pos = i;
-        while let Some(j) = buf.next_on(pos, qubit) {
-            match buf.slots[j].as_ref().expect("live slot") {
-                Gate::Single { op: o2, .. } => match o2.phase_steps() {
-                    Some(k) => {
-                        members.push(j);
-                        steps += k as u32;
-                    }
-                    None => break,
-                },
-                Gate::Cx { control, .. } if *control == qubit => {}
-                Gate::Cz { .. } => {}
-                _ => break,
+    /// Contracts `H(a) H(b) CX(a,b) H(a) H(b)` into the reversed `CX(b,a)`
+    /// (paper Fig. 6 read right-to-left), when the reversed orientation is
+    /// legal on the device. Returns whether anything changed.
+    fn contract_hh_cx_hh(&mut self, device: Option<&Device>) -> bool {
+        let mut changed = false;
+        for i in 0..self.slots.len() {
+            let Some(Gate::Cx { control, target }) = self.slots[i].clone() else {
+                continue;
+            };
+            if device.is_some_and(|d| !d.has_coupling(target, control)) {
+                continue;
             }
-            pos = j;
-        }
-        let replacement = SingleOp::from_phase_steps((steps % 8) as u8);
-        if replacement.len() < members.len() {
-            // Re-emit the minimal form into the leading member slots;
-            // tombstone the rest. No index shifts occur.
-            for (k, &slot) in members.iter().enumerate() {
-                buf.slots[slot] = replacement.get(k).map(|&rop| Gate::single(rop, qubit));
+            let h_at =
+                |k: Option<usize>, q: usize| k.filter(|&k| self.slots[k] == Some(Gate::h(q)));
+            let (Some(pa), Some(pb), Some(na), Some(nb)) = (
+                h_at(self.prev_on(i, control), control),
+                h_at(self.prev_on(i, target), target),
+                h_at(self.next_on(i, control), control),
+                h_at(self.next_on(i, target), target),
+            ) else {
+                continue;
+            };
+            self.slots[i] = Some(Gate::cx(target, control));
+            for k in [pa, pb, na, nb] {
+                self.slots[k] = None;
             }
             changed = true;
         }
+        changed
     }
-    *gates = buf.into_gates();
-    changed
-}
-
-/// Contracts `H(a) H(b) CX(a,b) H(a) H(b)` into the reversed `CX(b,a)`
-/// (paper Fig. 6 read right-to-left), when the reversed orientation is
-/// legal on the device. Returns whether anything changed.
-pub fn contract_hh_cx_hh(gates: &mut Vec<Gate>, n_qubits: usize, device: Option<&Device>) -> bool {
-    let mut buf = Buffer::new(std::mem::take(gates), n_qubits);
-    let mut changed = false;
-    for i in 0..buf.slots.len() {
-        let Some(Gate::Cx { control, target }) = buf.slots[i].clone() else {
-            continue;
-        };
-        if let Some(d) = device {
-            if !d.has_coupling(target, control) {
-                continue;
-            }
-        }
-        fn h_at(buf: &Buffer, k: Option<usize>, q: usize) -> Option<usize> {
-            k.filter(|&k| buf.slots[k] == Some(Gate::h(q)))
-        }
-        let (Some(pa), Some(pb), Some(na), Some(nb)) = (
-            h_at(&buf, buf.prev_on(i, control), control),
-            h_at(&buf, buf.prev_on(i, target), target),
-            h_at(&buf, buf.next_on(i, control), control),
-            h_at(&buf, buf.next_on(i, target), target),
-        ) else {
-            continue;
-        };
-        buf.slots[i] = Some(Gate::cx(target, control));
-        for k in [pa, pb, na, nb] {
-            buf.slots[k] = None;
-        }
-        changed = true;
-    }
-    *gates = buf.into_gates();
-    changed
-}
-
-/// Exact lookup table: matrices of all library words of length <= 2,
-/// mapped to their shortest word. Phase-exact (global phase included), so
-/// replacements never perturb QMDD verification.
-fn short_word_table() -> &'static qsyn_qmdd::FxHashMap<[i64; 8], Vec<SingleOp>> {
-    use qsyn_gate::SINGLE_OPS;
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<qsyn_qmdd::FxHashMap<[i64; 8], Vec<SingleOp>>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = qsyn_qmdd::FxHashMap::default();
-        let key = |m: &qsyn_gate::Matrix| -> [i64; 8] {
-            let mut k = [0i64; 8];
-            for (pos, (r, c)) in [(0, 0), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
-                let v = m[(*r, *c)];
-                k[2 * pos] = (v.re * 1e9).round() as i64;
-                k[2 * pos + 1] = (v.im * 1e9).round() as i64;
-            }
-            k
-        };
-        table.insert(key(&qsyn_gate::Matrix::identity(2)), Vec::new());
-        for a in SINGLE_OPS {
-            table.entry(key(&a.matrix())).or_insert_with(|| vec![a]);
-        }
-        for a in SINGLE_OPS {
-            for b in SINGLE_OPS {
-                let prod = b.matrix().mul(&a.matrix());
-                table.entry(key(&prod)).or_insert_with(|| vec![a, b]);
-            }
-        }
-        table
-    })
-}
-
-/// Rewrites adjacent triples of one-qubit gates on a line into exactly
-/// equal words of length <= 2 (e.g. `H Z H -> X`, `S X S† -> Y`).
-/// Returns whether anything changed.
-pub fn canonicalize_single_triples(gates: &mut Vec<Gate>, n_qubits: usize) -> bool {
-    let mut buf = Buffer::new(std::mem::take(gates), n_qubits);
-    let mut changed = false;
-    for i in 0..buf.slots.len() {
-        let Some(Gate::Single { op: o1, qubit }) = buf.slots[i].clone() else {
-            continue;
-        };
-        let Some(j) = buf.next_on(i, qubit) else {
-            continue;
-        };
-        let Some(Gate::Single { op: o2, .. }) = buf.slots[j].clone() else {
-            continue;
-        };
-        let Some(k) = buf.next_on(j, qubit) else {
-            continue;
-        };
-        let Some(Gate::Single { op: o3, .. }) = buf.slots[k].clone() else {
-            continue;
-        };
-        let prod = o3.matrix().mul(&o2.matrix().mul(&o1.matrix()));
-        let key = {
-            let mut kk = [0i64; 8];
-            for (pos, (r, c)) in [(0, 0), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
-                let v = prod[(*r, *c)];
-                kk[2 * pos] = (v.re * 1e9).round() as i64;
-                kk[2 * pos + 1] = (v.im * 1e9).round() as i64;
-            }
-            kk
-        };
-        if let Some(word) = short_word_table().get(&key) {
-            if word.len() < 3 {
-                let slots = [i, j, k];
-                for (pos, &slot) in slots.iter().enumerate() {
-                    buf.slots[slot] = word.get(pos).map(|&op| Gate::single(op, qubit));
-                }
-                changed = true;
-            }
-        }
-    }
-    *gates = buf.into_gates();
-    changed
 }
 
 /// Which optimization families to run (used by the ablation benches).
@@ -415,32 +392,14 @@ pub struct OptimizeCounters {
 }
 
 /// Runs the local optimizers recursively until the cost function stops
-/// improving (paper steps 5-6). `device` gates the direction-sensitive
-/// rewrites; pass `None` for technology-independent optimization.
-pub fn optimize_with(
-    circuit: &Circuit,
-    device: Option<&Device>,
-    cost: &dyn CostModel,
-    config: OptimizeConfig,
-) -> Circuit {
-    optimize_traced(circuit, device, cost, config).0
-}
-
-/// [`optimize_with`] that also reports [`OptimizeCounters`].
-pub fn optimize_traced(
-    circuit: &Circuit,
-    device: Option<&Device>,
-    cost: &dyn CostModel,
-    config: OptimizeConfig,
-) -> (Circuit, OptimizeCounters) {
-    optimize_bounded(circuit, device, cost, config, None)
-}
-
-/// [`optimize_traced`] with an optional cap on improvement rounds.
+/// improving (paper steps 5-6), and reports [`OptimizeCounters`]. `device`
+/// gates the direction-sensitive rewrites; pass `None` for
+/// technology-independent optimization.
 ///
-/// The cap is a *graceful* bound: hitting it keeps the best circuit found
-/// so far and sets [`OptimizeCounters::capped`] rather than erroring —
-/// optimization is best-effort, so a truncated result is still valid.
+/// `max_rounds` optionally caps the improvement rounds. The cap is a
+/// *graceful* bound: hitting it keeps the best circuit found so far and
+/// sets [`OptimizeCounters::capped`] rather than erroring — optimization is
+/// best-effort, so a truncated result is still valid.
 pub fn optimize_bounded(
     circuit: &Circuit,
     device: Option<&Device>,
@@ -449,6 +408,7 @@ pub fn optimize_bounded(
     max_rounds: Option<usize>,
 ) -> (Circuit, OptimizeCounters) {
     let n = circuit.n_qubits();
+    let mut buf = Buffer::new(circuit.gates(), n);
     let mut best = circuit.clone();
     let mut best_cost = cost.circuit_cost(&best);
     let mut counters = OptimizeCounters::default();
@@ -457,23 +417,12 @@ pub fn optimize_bounded(
             counters.capped = true;
             break;
         }
-        let mut gates = best.gates().to_vec();
-        let mut any = false;
-        if config.cancel_identities {
-            any |= cancel_inverse_pairs(&mut gates, n);
-        }
-        if config.rewrite_identities {
-            any |= fuse_single_runs(&mut gates, n);
-            any |= fold_diagonal_runs(&mut gates, n);
-            any |= canonicalize_single_triples(&mut gates, n);
-            any |= contract_hh_cx_hh(&mut gates, n, device);
-        }
-        if !any {
+        if !buf.round(config, device) {
             break;
         }
-        let mut cand = Circuit::from_gates(n, gates);
+        let mut cand = Circuit::from_gates(n, buf.live());
         if let Some(name) = best.name() {
-            cand.set_name(name.to_string());
+            cand.set_name(name);
         }
         let c = cost.circuit_cost(&cand);
         if c < best_cost {
@@ -488,11 +437,6 @@ pub fn optimize_bounded(
     (best, counters)
 }
 
-/// [`optimize_with`] with the default configuration (both families on).
-pub fn optimize(circuit: &Circuit, device: Option<&Device>, cost: &dyn CostModel) -> Circuit {
-    optimize_with(circuit, device, cost, OptimizeConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,7 +444,8 @@ mod tests {
     use qsyn_qmdd::circuits_equal;
 
     fn opt(c: &Circuit) -> Circuit {
-        optimize(c, None, &TransmonCost::default())
+        let cost = TransmonCost::default();
+        optimize_bounded(c, None, &cost, OptimizeConfig::default(), None).0
     }
 
     #[test]
@@ -686,7 +631,8 @@ mod tests {
         c.push(Gate::cx(0, 1));
         c.push(Gate::h(0));
         c.push(Gate::h(1));
-        let o = optimize(&c, Some(&d), &TransmonCost::default());
+        let cost = TransmonCost::default();
+        let o = optimize_bounded(&c, Some(&d), &cost, OptimizeConfig::default(), None).0;
         for g in o.gates() {
             if let Gate::Cx { control, target } = g {
                 assert!(d.has_coupling(*control, *target));
@@ -737,24 +683,23 @@ mod tests {
             cancel_identities: true,
             rewrite_identities: false,
         };
-        let o = optimize_with(&c, None, &TransmonCost::default(), cfg);
+        let o = optimize_bounded(&c, None, &TransmonCost::default(), cfg, None).0;
         assert_eq!(o.len(), 2, "fusion disabled leaves T T in place");
     }
 
     #[test]
-    fn traced_optimize_counts_rounds_and_matches_untraced() {
+    fn counters_report_rounds_and_removed_gates() {
         let mut c = Circuit::new(2);
         c.push(Gate::h(0));
         c.push(Gate::h(0));
         c.push(Gate::t(1));
         c.push(Gate::t(1));
         let cost = TransmonCost::default();
-        let cfg = OptimizeConfig::default();
-        let (traced, counters) = optimize_traced(&c, None, &cost, cfg);
-        let plain = optimize_with(&c, None, &cost, cfg);
-        assert_eq!(traced, plain, "tracing must not change the output");
+        let (o, counters) = optimize_bounded(&c, None, &cost, OptimizeConfig::default(), None);
+        assert_eq!(o.gates(), &[Gate::single(SingleOp::S, 1)]);
         assert!(counters.rounds >= 1);
-        assert_eq!(counters.gates_removed, c.len() - traced.len());
+        assert_eq!(counters.gates_removed, c.len() - o.len());
+        assert!(!counters.capped, "uncapped run must not report a cap");
     }
 
     #[test]
@@ -771,24 +716,19 @@ mod tests {
         assert_eq!(same, c);
         assert!(k.capped);
         assert_eq!(k.rounds, 0);
-        // An unbounded cap matches the uncapped optimizer exactly.
+        // A cap that is never reached matches the uncapped optimizer exactly.
         let (unbounded, uk) = optimize_bounded(&c, None, &cost, cfg, Some(1000));
-        let (plain, pk) = optimize_traced(&c, None, &cost, cfg);
+        let (plain, pk) = optimize_bounded(&c, None, &cost, cfg, None);
         assert_eq!(unbounded, plain);
-        assert_eq!(uk.rounds, pk.rounds);
-        assert!(!pk.capped, "uncapped run must not report a cap");
+        assert_eq!(uk, pk);
     }
 
     #[test]
-    fn traced_optimize_on_fixed_point_counts_zero_rounds() {
+    fn fixed_point_counts_zero_rounds() {
         let mut c = Circuit::new(2);
         c.push(Gate::cx(0, 1));
-        let (o, counters) = optimize_traced(
-            &c,
-            None,
-            &TransmonCost::default(),
-            OptimizeConfig::default(),
-        );
+        let cost = TransmonCost::default();
+        let (o, counters) = optimize_bounded(&c, None, &cost, OptimizeConfig::default(), None);
         assert_eq!(o, c);
         assert_eq!(counters, OptimizeCounters::default());
     }
@@ -831,5 +771,136 @@ mod tests {
         let o = opt(&c);
         assert!(circuits_equal(&c, &o), "optimizer broke a random circuit");
         assert!(o.len() <= c.len());
+    }
+
+    /// Reference driver without buffer persistence: every pass of every
+    /// round runs on a new `Buffer` built from the previous pass's gates,
+    /// under the same round order and cost rule as [`optimize_bounded`].
+    fn rebuild_per_pass(
+        circuit: &Circuit,
+        device: Option<&Device>,
+        cost: &dyn CostModel,
+        config: OptimizeConfig,
+        max_rounds: Option<usize>,
+    ) -> (Circuit, OptimizeCounters) {
+        let contract = |b: &mut Buffer| b.contract_hh_cx_hh(device);
+        type Pass<'a> = &'a dyn Fn(&mut Buffer) -> bool;
+        let passes: [(bool, Pass); 5] = [
+            (config.cancel_identities, &Buffer::cancel_inverse_pairs),
+            (config.rewrite_identities, &Buffer::fuse_single_runs),
+            (config.rewrite_identities, &Buffer::fold_diagonal_runs),
+            (
+                config.rewrite_identities,
+                &Buffer::canonicalize_single_triples,
+            ),
+            (config.rewrite_identities, &contract),
+        ];
+        let n = circuit.n_qubits();
+        let mut best = circuit.clone();
+        let mut best_cost = cost.circuit_cost(&best);
+        let mut counters = OptimizeCounters::default();
+        loop {
+            if max_rounds.is_some_and(|cap| counters.rounds >= cap) {
+                counters.capped = true;
+                break;
+            }
+            let mut gates = best.gates().to_vec();
+            let mut changed = false;
+            for (enabled, pass) in passes {
+                if enabled {
+                    let mut buf = Buffer::new(&gates, n);
+                    changed |= pass(&mut buf);
+                    gates = buf.live();
+                }
+            }
+            if !changed {
+                break;
+            }
+            let mut cand = Circuit::from_gates(n, gates);
+            if let Some(name) = best.name() {
+                cand.set_name(name);
+            }
+            let c = cost.circuit_cost(&cand);
+            if c < best_cost {
+                best = cand;
+                best_cost = c;
+                counters.rounds += 1;
+            } else {
+                break;
+            }
+        }
+        counters.gates_removed = circuit.len().saturating_sub(best.len());
+        (best, counters)
+    }
+
+    /// Technology-ready gates on `n` lines from raw draws: single gates,
+    /// CX, CZ, inverse pairs and `H H CX H H` sandwiches.
+    fn tech_ready_gates(n: usize, draws: &[(u8, usize, usize)]) -> Vec<Gate> {
+        use SingleOp::{Sdg, Tdg, H, S, T, X, Z};
+        const OPS: [SingleOp; 7] = [H, T, Tdg, S, Sdg, X, Z];
+        let mut gates = Vec::new();
+        for &(kind, a, b) in draws {
+            let (a, b) = (a % n, b % n);
+            let b = if a == b { (a + 1) % n } else { b };
+            match kind {
+                0..=6 => gates.push(Gate::single(OPS[kind as usize], a)),
+                7 => gates.push(Gate::cx(a, b)),
+                8 => gates.push(Gate::cz(a, b)),
+                9 => {
+                    let op = OPS[b % OPS.len()];
+                    gates.push(Gate::single(op, a));
+                    gates.push(Gate::single(op.inverse(), a));
+                }
+                10 => gates.extend([Gate::cx(a, b), Gate::cx(a, b)]),
+                _ => gates.extend([
+                    Gate::h(a),
+                    Gate::h(b),
+                    Gate::cx(a, b),
+                    Gate::h(a),
+                    Gate::h(b),
+                ]),
+            }
+        }
+        gates
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        #[test]
+        fn one_buffer_matches_a_rebuild_per_pass(
+            n in 2usize..7,
+            draws in proptest::collection::vec((0u8..12, 0usize..6, 0usize..6), 0..48),
+        ) {
+            let c = Circuit::from_gates(n, tech_ready_gates(n, &draws)).with_name("diff");
+            let directed = Device::from_coupling_map(
+                "directed",
+                6,
+                &[(0, &[1, 2]), (1, &[2]), (2, &[3]), (3, &[2, 4]), (4, &[5]), (5, &[0])],
+            );
+            let cost = TransmonCost::default();
+            for device in [None, Some(&directed)] {
+                for (cancel_identities, rewrite_identities) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let config = OptimizeConfig {
+                        cancel_identities,
+                        rewrite_identities,
+                    };
+                    for max_rounds in [None, Some(0), Some(1), Some(2)] {
+                        let got = optimize_bounded(&c, device, &cost, config, max_rounds);
+                        let want = rebuild_per_pass(&c, device, &cost, config, max_rounds);
+                        proptest::prop_assert_eq!(
+                            got,
+                            want,
+                            "device {:?}, {:?}, cap {:?}",
+                            device.map(Device::name),
+                            config,
+                            max_rounds
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! verify worker keeps one package per thread and resets it between the
 //! windows it checks, so a serial run and a two-worker run hand each
 //! package a different history of windows. Neither the verdicts, nor the
-//! window accounting, nor the process-wide streaming-verify counters may
-//! notice.
+//! window accounting, nor the checks' QMDD counters, nor the process-wide
+//! streaming-verify counters may notice.
 //!
 //! The metrics registry is process-wide, so this check lives alone in its
 //! own test binary: no other test can verify a window between the two
@@ -76,6 +76,13 @@ fn serial_and_pooled_window_checks_agree() {
     assert_eq!(pooled.unverified_windows, serial.unverified_windows);
     assert_eq!(pooled.max_window_support, serial.max_window_support);
     assert_eq!(pooled_counters, serial_counters);
+    // A reused package restores a new one exactly, so each window's
+    // check does the same QMDD work whichever worker ran it after
+    // whichever windows.
+    assert!(serial.verify_lookups > 0, "{serial:?}");
+    assert!(serial.verify_peak_nodes > 0, "{serial:?}");
+    assert_eq!(pooled.verify_lookups, serial.verify_lookups);
+    assert_eq!(pooled.verify_peak_nodes, serial.verify_peak_nodes);
     // The budget splits the windows: some checks exhaust it and latch
     // their package, and the windows checked after them on the same
     // worker must still verify.

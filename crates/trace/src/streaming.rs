@@ -44,6 +44,17 @@ pub const VERIFY_SECONDS_TOTAL: &str = "verify_seconds_total";
 /// Verify workers used: the pool size for parallel verification, 1 for
 /// inline verification, 0 when verification was disabled.
 pub const VERIFY_JOBS: &str = "verify_jobs";
+/// QMDD compute-table lookups summed over every window check that
+/// completed (an exhausted check contributes none).
+pub const VERIFY_LOOKUPS: &str = "verify_lookups";
+/// The largest QMDD peak node count of any completed window check.
+pub const VERIFY_PEAK_NODES: &str = "verify_peak_nodes";
+/// Seconds spent in the optimize stage, summed over all windows.
+pub const OPTIMIZE_SECONDS_TOTAL: &str = "optimize_seconds_total";
+/// Improvement rounds the optimizer kept, summed over all windows.
+pub const OPTIMIZE_ROUNDS: &str = "optimize_rounds";
+/// Gates the optimizer removed, summed over all windows.
+pub const GATES_REMOVED: &str = "gates_removed";
 
 /// Validates the streaming counters of a route event.
 ///
@@ -59,9 +70,12 @@ pub const VERIFY_JOBS: &str = "verify_jobs";
 /// * [`MAX_WINDOW_SWAPS`] does not exceed [`WINDOW_SWAP_CAP`] when a cap
 ///   was recorded — a completed stream reporting a blown per-window cap
 ///   is corrupt;
-/// * [`MAX_WINDOW_SUPPORT`], [`VERIFY_SECONDS_TOTAL`], and
-///   [`VERIFY_JOBS`], when present, are non-negative, and a stream that
-///   verified at least one window reports `verify_jobs >= 1`.
+/// * [`MAX_WINDOW_SUPPORT`], [`VERIFY_SECONDS_TOTAL`],
+///   [`OPTIMIZE_SECONDS_TOTAL`] and [`VERIFY_JOBS`], when present, are
+///   non-negative, and a stream that verified at least one window reports
+///   `verify_jobs >= 1`;
+/// * [`OPTIMIZE_ROUNDS`], [`GATES_REMOVED`], [`VERIFY_LOOKUPS`] and
+///   [`VERIFY_PEAK_NODES`], when present, are non-negative integers.
 ///
 /// # Errors
 ///
@@ -105,10 +119,27 @@ pub fn validate_streaming_route_event(e: &PassEvent) -> Result<Option<f64>, Stri
             ));
         }
     }
-    for name in [MAX_WINDOW_SUPPORT, VERIFY_SECONDS_TOTAL, VERIFY_JOBS] {
+    for name in [
+        MAX_WINDOW_SUPPORT,
+        VERIFY_SECONDS_TOTAL,
+        OPTIMIZE_SECONDS_TOTAL,
+        VERIFY_JOBS,
+    ] {
         if let Some(v) = e.counter(name) {
             if v.is_nan() || v < 0.0 {
                 return Err(format!("`{name}` must be non-negative, got {v}"));
+            }
+        }
+    }
+    for name in [
+        OPTIMIZE_ROUNDS,
+        GATES_REMOVED,
+        VERIFY_LOOKUPS,
+        VERIFY_PEAK_NODES,
+    ] {
+        if let Some(v) = e.counter(name) {
+            if !(v >= 0.0 && v.fract() == 0.0) {
+                return Err(format!("`{name}` must be a non-negative integer, got {v}"));
             }
         }
     }
@@ -164,8 +195,39 @@ mod tests {
             (MAX_WINDOW_SUPPORT, 9.0),
             (VERIFY_SECONDS_TOTAL, 0.25),
             (VERIFY_JOBS, 4.0),
+            (VERIFY_LOOKUPS, 5120.0),
+            (VERIFY_PEAK_NODES, 48.0),
+            (OPTIMIZE_SECONDS_TOTAL, 0.125),
+            (OPTIMIZE_ROUNDS, 6.0),
+            (GATES_REMOVED, 31.0),
         ]);
         assert_eq!(validate_streaming_route_event(&e), Ok(Some(4.0)));
+    }
+
+    #[test]
+    fn count_counters_must_be_non_negative_integers() {
+        for name in [
+            OPTIMIZE_ROUNDS,
+            GATES_REMOVED,
+            VERIFY_LOOKUPS,
+            VERIFY_PEAK_NODES,
+        ] {
+            for bad in [-1.0, 2.5, f64::NAN, f64::INFINITY] {
+                let e = event(&[(STREAMING, 1.0), (WINDOWS, 2.0), (name, bad)]);
+                assert!(
+                    validate_streaming_route_event(&e).is_err(),
+                    "{name} = {bad} must be rejected"
+                );
+            }
+            let e = event(&[(STREAMING, 1.0), (WINDOWS, 2.0), (name, 0.0)]);
+            assert_eq!(validate_streaming_route_event(&e), Ok(Some(2.0)));
+        }
+        let e = event(&[
+            (STREAMING, 1.0),
+            (WINDOWS, 2.0),
+            (OPTIMIZE_SECONDS_TOTAL, -0.5),
+        ]);
+        assert!(validate_streaming_route_event(&e).is_err());
     }
 
     #[test]

@@ -590,6 +590,70 @@ fn check_trace_rejects_route_events_that_blow_their_own_swap_cap() {
 }
 
 #[test]
+fn check_trace_rejects_streaming_counts_that_are_not_counts() {
+    // A genuine streaming trace carries the windows' summed optimize and
+    // verify counters on its aggregate route event; tampered copies whose
+    // counts are negative or fractional are rejected.
+    let input = tmp("tof-stream.real", TOFFOLI_REAL);
+    let trace = tmp("tof-stream.trace.jsonl", "");
+    let out = qsyn(&[
+        "compile",
+        input.to_str().unwrap(),
+        "--device",
+        "grid:8x8",
+        "--stream",
+        "2",
+        &format!("--trace={}", trace.to_str().unwrap()),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).unwrap();
+    for name in [
+        "optimize_seconds_total",
+        "optimize_rounds",
+        "gates_removed",
+        "verify_lookups",
+        "verify_peak_nodes",
+    ] {
+        assert!(
+            text.contains(&format!("\"{name}\":")),
+            "{name} missing: {text}"
+        );
+    }
+    let ok = qsyn(&["check-trace", trace.to_str().unwrap()]);
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    for (name, bad) in [
+        ("optimize_rounds", "-1"),
+        ("optimize_rounds", "1.5"),
+        ("gates_removed", "2.5"),
+        ("verify_lookups", "-3"),
+    ] {
+        // Prepended keys win: PassEvent::counter returns the first match.
+        let tampered = text.replacen(
+            "\"counters\":{\"streaming\"",
+            &format!("\"counters\":{{\"{name}\":{bad},\"streaming\""),
+            1,
+        );
+        assert_ne!(text, tampered, "streaming route event not found");
+        let file = tmp("tof-stream.tampered.jsonl", &tampered);
+        let out = qsyn(&["check-trace", file.to_str().unwrap()]);
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}={bad}: {log}");
+        assert!(
+            log.contains("must be a non-negative integer"),
+            "{name}={bad}: {log}"
+        );
+    }
+}
+
+#[test]
 fn check_trace_rejects_verify_events_with_impossible_support_counters() {
     // A genuine verify event carries the support it checked on and the
     // miter block (0: the canonical check decided); a tampered event

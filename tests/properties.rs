@@ -3,6 +3,7 @@
 //! ESOP coverage, and parser round-trips — on randomized inputs.
 
 use proptest::prelude::*;
+use qsyn::core::optimize_bounded;
 use qsyn::prelude::*;
 use qsyn::qmdd::build_circuit_qmdd;
 
@@ -63,7 +64,7 @@ proptest! {
     #[test]
     fn optimizer_is_sound_and_monotone(c in arb_tech_ready(4, 30)) {
         let cost = TransmonCost::default();
-        let o = qsyn::core::optimize(&c, None, &cost);
+        let o = optimize_bounded(&c, None, &cost, OptimizeConfig::default(), None).0;
         prop_assert!(circuits_equal(&c, &o));
         prop_assert!(cost.circuit_cost(&o) <= cost.circuit_cost(&c) + 1e-9);
     }
@@ -72,8 +73,8 @@ proptest! {
     #[test]
     fn optimizer_is_idempotent(c in arb_tech_ready(4, 25)) {
         let cost = TransmonCost::default();
-        let once = qsyn::core::optimize(&c, None, &cost);
-        let twice = qsyn::core::optimize(&once, None, &cost);
+        let once = optimize_bounded(&c, None, &cost, OptimizeConfig::default(), None).0;
+        let twice = optimize_bounded(&once, None, &cost, OptimizeConfig::default(), None).0;
         prop_assert_eq!(once.gates(), twice.gates());
     }
 
