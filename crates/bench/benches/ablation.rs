@@ -31,8 +31,20 @@ fn bench_opt_families(c: &mut Criterion) {
         .unoptimized;
     let cost = TransmonCost::default();
     let configs = [
-        ("cancel_only", OptimizeConfig { cancel_identities: true, rewrite_identities: false }),
-        ("rewrite_only", OptimizeConfig { cancel_identities: false, rewrite_identities: true }),
+        (
+            "cancel_only",
+            OptimizeConfig {
+                cancel_identities: true,
+                rewrite_identities: false,
+            },
+        ),
+        (
+            "rewrite_only",
+            OptimizeConfig {
+                cancel_identities: false,
+                rewrite_identities: true,
+            },
+        ),
         ("both", OptimizeConfig::default()),
     ];
     for (name, cfg) in configs {

@@ -10,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsyn_arch::{devices, Device};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    routing_table, CtrStrategy, LookaheadStrategy, RouteRequest, RoutingObjective,
-    RoutingStrategy,
+    routing_table, CtrStrategy, LookaheadStrategy, RouteRequest, RoutingObjective, RoutingStrategy,
 };
 use qsyn_gate::Gate;
 use std::hint::black_box;

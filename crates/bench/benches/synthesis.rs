@@ -18,10 +18,14 @@ fn bench_stg(c: &mut Criterion) {
     for id in ["1", "0356", "033f"] {
         let cascade = stg_by_id(id).unwrap().cascade();
         let device = devices::ibmqx5();
-        group.bench_with_input(BenchmarkId::from_parameter(format!("#{id}")), &cascade, |b, cas| {
-            let compiler = Compiler::new(device.clone()).with_verification(Verification::None);
-            b.iter(|| black_box(compiler.compile(cas).unwrap()));
-        });
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("#{id}")),
+            &cascade,
+            |b, cas| {
+                let compiler = Compiler::new(device.clone()).with_verification(Verification::None);
+                b.iter(|| black_box(compiler.compile(cas).unwrap()));
+            },
+        );
     }
     group.finish();
 }
@@ -70,10 +74,21 @@ fn bench_verification(c: &mut Criterion) {
         b.iter(|| black_box(qsyn_qmdd::equivalent(&mapped.placed, &mapped.optimized)))
     });
     group.bench_function("miter_stg_0356_ibmqx5", |b| {
-        b.iter(|| black_box(qsyn_qmdd::equivalent_miter(&mapped.placed, &mapped.optimized)))
+        b.iter(|| {
+            black_box(qsyn_qmdd::equivalent_miter(
+                &mapped.placed,
+                &mapped.optimized,
+            ))
+        })
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_stg, bench_revlib, bench_qc96, bench_verification);
+criterion_group!(
+    benches,
+    bench_stg,
+    bench_revlib,
+    bench_qc96,
+    bench_verification
+);
 criterion_main!(benches);

@@ -99,7 +99,9 @@ pub fn grover(n: usize, marked: u64, iterations: usize) -> Circuit {
 /// The optimal Grover iteration count for one marked item among `2^n`.
 pub fn grover_optimal_iterations(n: usize) -> usize {
     let space = (1u64 << n) as f64;
-    ((std::f64::consts::FRAC_PI_4) * space.sqrt() - 0.5).round().max(1.0) as usize
+    ((std::f64::consts::FRAC_PI_4) * space.sqrt() - 0.5)
+        .round()
+        .max(1.0) as usize
 }
 
 #[cfg(test)]

@@ -104,20 +104,11 @@ mod tests {
         let t6 = big_by_name("T6_b").unwrap().circuit();
         assert_eq!(t6.len(), 4);
         // First gate: controls q1..q5, target q25.
-        assert_eq!(
-            t6.gates()[0],
-            Gate::mct(vec![1, 2, 3, 4, 5], 25)
-        );
+        assert_eq!(t6.gates()[0], Gate::mct(vec![1, 2, 3, 4, 5], 25));
         // Second gate: controls q21..q25, target q45 — shares q25.
-        assert_eq!(
-            t6.gates()[1],
-            Gate::mct(vec![21, 22, 23, 24, 25], 45)
-        );
+        assert_eq!(t6.gates()[1], Gate::mct(vec![21, 22, 23, 24, 25], 45));
         // Fourth gate: controls q61..q65, target q85.
-        assert_eq!(
-            t6.gates()[3],
-            Gate::mct(vec![61, 62, 63, 64, 65], 85)
-        );
+        assert_eq!(t6.gates()[3], Gate::mct(vec![61, 62, 63, 64, 65], 85));
     }
 
     #[test]

@@ -11,21 +11,37 @@ use qsyn_qmdd::equivalent_miter;
 fn main() {
     let device = devices::ibmqx3();
     let (control, target) = (5usize, 10usize);
-    println!("Fig. 5: CTR on {} for CNOT q{control} -> q{target}\n", device.name());
+    println!(
+        "Fig. 5: CTR on {} for CNOT q{control} -> q{target}\n",
+        device.name()
+    );
 
     let route = ctr_route(&device, control, target).expect("ibmqx3 is connected");
     println!("SWAP path found by the connectivity tree: {:?}", route.path);
-    println!("effective control after swaps: q{}", route.effective_control);
-    assert_eq!(route.path, vec![5, 12, 11], "must match the paper's example");
+    println!(
+        "effective control after swaps: q{}",
+        route.effective_control
+    );
+    assert_eq!(
+        route.path,
+        vec![5, 12, 11],
+        "must match the paper's example"
+    );
 
     let mut mapped = Circuit::new(device.n_qubits());
     emit_cnot(&device, control, target, &mut mapped).expect("routable");
-    println!("\nemitted technology-dependent sequence ({} gates):", mapped.len());
+    println!(
+        "\nemitted technology-dependent sequence ({} gates):",
+        mapped.len()
+    );
     print!("{mapped}");
 
     let mut spec = Circuit::new(device.n_qubits());
     spec.push(Gate::cx(control, target));
     let report = equivalent_miter(&spec, &mapped);
-    println!("QMDD equivalence with the original CNOT: {}", report.equivalent);
+    println!(
+        "QMDD equivalence with the original CNOT: {}",
+        report.equivalent
+    );
     assert!(report.equivalent);
 }

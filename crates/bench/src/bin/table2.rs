@@ -7,5 +7,8 @@ use qsyn_bench::report::{render_table2, run_table2};
 fn main() {
     println!("Table 2: IBM Q device details (coupling complexity)\n");
     print!("{}", render_table2(&run_table2()));
-    println!("\nqc96 (paper Fig. 7 reconstruction): {}", qsyn_arch::devices::qc96());
+    println!(
+        "\nqc96 (paper Fig. 7 reconstruction): {}",
+        qsyn_arch::devices::qc96()
+    );
 }

@@ -4,8 +4,8 @@
 
 use qsyn_arch::Device;
 use qsyn_circuit::Circuit;
-use qsyn_gate::{Gate, SingleOp};
 use qsyn_core::DEFAULT_CNOT_ERROR;
+use qsyn_gate::{Gate, SingleOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,7 +68,10 @@ pub fn classical_success_rate(
         let mut classical = Circuit::new(noisy.n_qubits());
         for g in noisy.gates() {
             match g {
-                Gate::Single { op: SingleOp::Y, qubit } => classical.push(Gate::x(*qubit)),
+                Gate::Single {
+                    op: SingleOp::Y,
+                    qubit,
+                } => classical.push(Gate::x(*qubit)),
                 Gate::Single { op, qubit } if op.is_diagonal() => {
                     let _ = qubit; // phase-only: no classical effect
                 }

@@ -198,10 +198,7 @@ pub fn map_benchmark(
         Err(CompileError::TooWide { .. }) | Err(CompileError::NoAncilla { .. }) => {
             Cell::NotApplicable
         }
-        Err(e) => Cell::Failed(format!(
-            "{}: {e}",
-            circuit.name().unwrap_or("circuit")
-        )),
+        Err(e) => Cell::Failed(format!("{}: {e}", circuit.name().unwrap_or("circuit"))),
     }
 }
 
@@ -266,7 +263,10 @@ pub fn run_table2() -> Vec<Table2Row> {
 /// Renders Table 2 as markdown.
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "| Device | Qubits | Coupling complexity (measured) | Paper |");
+    let _ = writeln!(
+        out,
+        "| Device | Qubits | Coupling complexity (measured) | Paper |"
+    );
     let _ = writeln!(out, "|---|---|---|---|");
     for r in rows {
         let _ = writeln!(
@@ -307,7 +307,9 @@ pub fn run_table3(cfg: &SweepConfig) -> Vec<Table3Row> {
     let cells = sweep_cells(&pairs, cfg, |job, &(f, d)| {
         map_benchmark(&cascades[f], &devs[d], cfg, Some(job as u64))
     });
-    let tech = par_map(&cascades, cfg.jobs.max(1), |_, c| tech_independent_metrics(c));
+    let tech = par_map(&cascades, cfg.jobs.max(1), |_, c| {
+        tech_independent_metrics(c)
+    });
     STG_FUNCTIONS
         .iter()
         .enumerate()
@@ -386,11 +388,7 @@ fn device_names() -> Vec<String> {
 }
 
 /// Renders a Table 4/6-style percent-decrease table for any row set.
-fn render_pct_table(
-    names: &[String],
-    cells: &[&[Cell]],
-    paper_avg: &[f64; 5],
-) -> String {
+fn render_pct_table(names: &[String], cells: &[&[Cell]], paper_avg: &[f64; 5]) -> String {
     let dev_names = device_names();
     let mut out = String::new();
     let _ = writeln!(out, "| Ftn. | {} |", dev_names.join(" | "));
@@ -410,12 +408,19 @@ fn render_pct_table(
     let _ = writeln!(
         out,
         "| Average (ours) | {} |",
-        avg.iter().map(|v| format!("{v:.2}")).collect::<Vec<_>>().join(" | ")
+        avg.iter()
+            .map(|v| format!("{v:.2}"))
+            .collect::<Vec<_>>()
+            .join(" | ")
     );
     let _ = writeln!(
         out,
         "| Average (paper) | {} |",
-        paper_avg.iter().map(|v| format!("{v:.2}")).collect::<Vec<_>>().join(" | ")
+        paper_avg
+            .iter()
+            .map(|v| format!("{v:.2}"))
+            .collect::<Vec<_>>()
+            .join(" | ")
     );
     out
 }
@@ -473,7 +478,10 @@ pub struct Table5Row {
 /// job-id scheme and the isolation contract.
 pub fn run_table5(cfg: &SweepConfig) -> Vec<Table5Row> {
     let devs = devices::ibm_devices();
-    let circuits: Vec<Circuit> = REVLIB_BENCHMARKS.iter().map(RevlibBenchmark::circuit).collect();
+    let circuits: Vec<Circuit> = REVLIB_BENCHMARKS
+        .iter()
+        .map(RevlibBenchmark::circuit)
+        .collect();
     let pairs = job_pairs(circuits.len(), devs.len());
     let cells = sweep_cells(&pairs, cfg, |job, &(b, d)| {
         map_benchmark(&circuits[b], &devs[d], cfg, Some(job as u64))
@@ -623,7 +631,11 @@ pub fn render_table8(rows: &[Table8Row]) -> String {
     let _ = writeln!(
         out,
         "| Average | | | | | {:.2} | 39.54 | | |",
-        if mapped == 0 { 0.0 } else { pct_sum / mapped as f64 }
+        if mapped == 0 {
+            0.0
+        } else {
+            pct_sum / mapped as f64
+        }
     );
     out
 }
@@ -802,7 +814,10 @@ mod tests {
         for table in [t3, t5] {
             let row = table.lines().last().unwrap();
             assert_eq!(row.matches("UNVERIFIED").count(), 1, "{row}");
-            assert!(row.contains("7/18/27.00 | 7/20/30.00"), "proven cell unmarked: {row}");
+            assert!(
+                row.contains("7/18/27.00 | 7/20/30.00"),
+                "proven cell unmarked: {row}"
+            );
         }
     }
 

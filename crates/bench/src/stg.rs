@@ -30,30 +30,174 @@ pub struct StgFunction {
 
 /// The 24 functions of paper Table 3, in row order.
 pub const STG_FUNCTIONS: [StgFunction; 24] = [
-    StgFunction { id: "1", qubits: 3, paper_t: 7, paper_gates: 17, paper_cost: 22.25 },
-    StgFunction { id: "3", qubits: 3, paper_t: 0, paper_gates: 3, paper_cost: 3.25 },
-    StgFunction { id: "01", qubits: 5, paper_t: 15, paper_gates: 51, paper_cost: 63.75 },
-    StgFunction { id: "03", qubits: 4, paper_t: 7, paper_gates: 20, paper_cost: 25.25 },
-    StgFunction { id: "07", qubits: 5, paper_t: 16, paper_gates: 60, paper_cost: 75.0 },
-    StgFunction { id: "0f", qubits: 4, paper_t: 0, paper_gates: 3, paper_cost: 3.25 },
-    StgFunction { id: "17", qubits: 4, paper_t: 7, paper_gates: 43, paper_cost: 51.75 },
-    StgFunction { id: "0001", qubits: 6, paper_t: 40, paper_gates: 186, paper_cost: 233.0 },
-    StgFunction { id: "0003", qubits: 6, paper_t: 15, paper_gates: 66, paper_cost: 83.0 },
-    StgFunction { id: "0007", qubits: 6, paper_t: 47, paper_gates: 246, paper_cost: 304.25 },
-    StgFunction { id: "000f", qubits: 5, paper_t: 7, paper_gates: 21, paper_cost: 27.5 },
-    StgFunction { id: "0017", qubits: 6, paper_t: 23, paper_gates: 129, paper_cost: 159.0 },
-    StgFunction { id: "001f", qubits: 6, paper_t: 43, paper_gates: 194, paper_cost: 244.5 },
-    StgFunction { id: "003f", qubits: 6, paper_t: 16, paper_gates: 73, paper_cost: 92.25 },
-    StgFunction { id: "007f", qubits: 6, paper_t: 40, paper_gates: 189, paper_cost: 238.5 },
-    StgFunction { id: "00ff", qubits: 5, paper_t: 0, paper_gates: 3, paper_cost: 3.25 },
-    StgFunction { id: "0117", qubits: 6, paper_t: 79, paper_gates: 401, paper_cost: 498.0 },
-    StgFunction { id: "011f", qubits: 6, paper_t: 27, paper_gates: 136, paper_cost: 169.5 },
-    StgFunction { id: "013f", qubits: 6, paper_t: 48, paper_gates: 240, paper_cost: 299.5 },
-    StgFunction { id: "017f", qubits: 6, paper_t: 80, paper_gates: 359, paper_cost: 455.0 },
-    StgFunction { id: "033f", qubits: 5, paper_t: 7, paper_gates: 49, paper_cost: 60.75 },
-    StgFunction { id: "0356", qubits: 5, paper_t: 12, paper_gates: 42, paper_cost: 54.75 },
-    StgFunction { id: "0357", qubits: 6, paper_t: 61, paper_gates: 266, paper_cost: 336.5 },
-    StgFunction { id: "035f", qubits: 6, paper_t: 23, paper_gates: 107, paper_cost: 135.5 },
+    StgFunction {
+        id: "1",
+        qubits: 3,
+        paper_t: 7,
+        paper_gates: 17,
+        paper_cost: 22.25,
+    },
+    StgFunction {
+        id: "3",
+        qubits: 3,
+        paper_t: 0,
+        paper_gates: 3,
+        paper_cost: 3.25,
+    },
+    StgFunction {
+        id: "01",
+        qubits: 5,
+        paper_t: 15,
+        paper_gates: 51,
+        paper_cost: 63.75,
+    },
+    StgFunction {
+        id: "03",
+        qubits: 4,
+        paper_t: 7,
+        paper_gates: 20,
+        paper_cost: 25.25,
+    },
+    StgFunction {
+        id: "07",
+        qubits: 5,
+        paper_t: 16,
+        paper_gates: 60,
+        paper_cost: 75.0,
+    },
+    StgFunction {
+        id: "0f",
+        qubits: 4,
+        paper_t: 0,
+        paper_gates: 3,
+        paper_cost: 3.25,
+    },
+    StgFunction {
+        id: "17",
+        qubits: 4,
+        paper_t: 7,
+        paper_gates: 43,
+        paper_cost: 51.75,
+    },
+    StgFunction {
+        id: "0001",
+        qubits: 6,
+        paper_t: 40,
+        paper_gates: 186,
+        paper_cost: 233.0,
+    },
+    StgFunction {
+        id: "0003",
+        qubits: 6,
+        paper_t: 15,
+        paper_gates: 66,
+        paper_cost: 83.0,
+    },
+    StgFunction {
+        id: "0007",
+        qubits: 6,
+        paper_t: 47,
+        paper_gates: 246,
+        paper_cost: 304.25,
+    },
+    StgFunction {
+        id: "000f",
+        qubits: 5,
+        paper_t: 7,
+        paper_gates: 21,
+        paper_cost: 27.5,
+    },
+    StgFunction {
+        id: "0017",
+        qubits: 6,
+        paper_t: 23,
+        paper_gates: 129,
+        paper_cost: 159.0,
+    },
+    StgFunction {
+        id: "001f",
+        qubits: 6,
+        paper_t: 43,
+        paper_gates: 194,
+        paper_cost: 244.5,
+    },
+    StgFunction {
+        id: "003f",
+        qubits: 6,
+        paper_t: 16,
+        paper_gates: 73,
+        paper_cost: 92.25,
+    },
+    StgFunction {
+        id: "007f",
+        qubits: 6,
+        paper_t: 40,
+        paper_gates: 189,
+        paper_cost: 238.5,
+    },
+    StgFunction {
+        id: "00ff",
+        qubits: 5,
+        paper_t: 0,
+        paper_gates: 3,
+        paper_cost: 3.25,
+    },
+    StgFunction {
+        id: "0117",
+        qubits: 6,
+        paper_t: 79,
+        paper_gates: 401,
+        paper_cost: 498.0,
+    },
+    StgFunction {
+        id: "011f",
+        qubits: 6,
+        paper_t: 27,
+        paper_gates: 136,
+        paper_cost: 169.5,
+    },
+    StgFunction {
+        id: "013f",
+        qubits: 6,
+        paper_t: 48,
+        paper_gates: 240,
+        paper_cost: 299.5,
+    },
+    StgFunction {
+        id: "017f",
+        qubits: 6,
+        paper_t: 80,
+        paper_gates: 359,
+        paper_cost: 455.0,
+    },
+    StgFunction {
+        id: "033f",
+        qubits: 5,
+        paper_t: 7,
+        paper_gates: 49,
+        paper_cost: 60.75,
+    },
+    StgFunction {
+        id: "0356",
+        qubits: 5,
+        paper_t: 12,
+        paper_gates: 42,
+        paper_cost: 54.75,
+    },
+    StgFunction {
+        id: "0357",
+        qubits: 6,
+        paper_t: 61,
+        paper_gates: 266,
+        paper_cost: 336.5,
+    },
+    StgFunction {
+        id: "035f",
+        qubits: 6,
+        paper_t: 23,
+        paper_gates: 107,
+        paper_cost: 135.5,
+    },
 ];
 
 impl StgFunction {

@@ -57,9 +57,13 @@ fn jobs_1_and_8_produce_identical_outcomes() {
         assert_eq!(s, p, "job {i} diverged between --jobs 1 and --jobs 8");
     }
     // The sweep exercised real work: at least one compiled + verified job.
-    assert!(serial
-        .iter()
-        .any(|o| matches!(o, Outcome::Compiled { verified: Some(true), .. })));
+    assert!(serial.iter().any(|o| matches!(
+        o,
+        Outcome::Compiled {
+            verified: Some(true),
+            ..
+        }
+    )));
 }
 
 #[test]

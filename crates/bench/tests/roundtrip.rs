@@ -26,7 +26,10 @@ fn assert_equiv(a: &Circuit, b: &Circuit, label: &str) {
     );
     let report = try_equivalent(a, b, BUDGET)
         .unwrap_or_else(|e| panic!("{label}: equivalence check over budget: {e}"));
-    assert!(report.equivalent, "{label}: round-trip changed the function");
+    assert!(
+        report.equivalent,
+        "{label}: round-trip changed the function"
+    );
 }
 
 #[test]
@@ -35,8 +38,8 @@ fn random_classical_circuits_roundtrip_through_qc() {
         let c = random_classical(5, 30, seed);
         let label = format!("classical seed {seed}");
         let text = c.to_qc();
-        let back = Circuit::from_qc(&text)
-            .unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{text}"));
+        let back =
+            Circuit::from_qc(&text).unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{text}"));
         assert_equiv(&c, &back, &label);
     }
 }
@@ -46,9 +49,11 @@ fn random_classical_circuits_roundtrip_through_real() {
     for seed in 0..24 {
         let c = random_classical(6, 40, seed);
         let label = format!("classical seed {seed}");
-        let text = c.to_real().unwrap_or_else(|e| panic!("{label}: to_real: {e}"));
-        let back = Circuit::from_real(&text)
-            .unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{text}"));
+        let text = c
+            .to_real()
+            .unwrap_or_else(|e| panic!("{label}: to_real: {e}"));
+        let back =
+            Circuit::from_real(&text).unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{text}"));
         assert_equiv(&c, &back, &label);
     }
 }
@@ -58,9 +63,11 @@ fn random_clifford_t_circuits_roundtrip_through_qasm() {
     for seed in 0..24 {
         let c = random_clifford_t(4, 24, seed);
         let label = format!("clifford+t seed {seed}");
-        let qasm = c.to_qasm().unwrap_or_else(|e| panic!("{label}: to_qasm: {e}"));
-        let back = Circuit::from_qasm(&qasm)
-            .unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{qasm}"));
+        let qasm = c
+            .to_qasm()
+            .unwrap_or_else(|e| panic!("{label}: to_qasm: {e}"));
+        let back =
+            Circuit::from_qasm(&qasm).unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{qasm}"));
         assert_equiv(&c, &back, &label);
     }
 }
@@ -73,8 +80,8 @@ fn roundtrip_survives_wider_classical_circuits_under_budget() {
         let c = random_classical(7, 60, seed);
         let label = format!("wide classical seed {seed}");
         let text = c.to_qc();
-        let back = Circuit::from_qc(&text)
-            .unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{text}"));
+        let back =
+            Circuit::from_qc(&text).unwrap_or_else(|e| panic!("{label}: reparse: {e}\n{text}"));
         assert_equiv(&c, &back, &label);
     }
 }
