@@ -15,8 +15,8 @@ use qsyn_arch::{devices, TransmonCost};
 use qsyn_bench::big::big_by_name;
 use qsyn_bench::revlib::revlib_by_name;
 use qsyn_core::{
-    decompose_circuit, decompose_circuit_for, optimize_bounded, Compiler, DecomposeStrategy,
-    OptimizeConfig, PlacementStrategy, RouteStrategyKind, Verification,
+    decompose_circuit_memo, optimize_bounded, Compiler, DecomposeStrategy, OptimizeConfig,
+    PlacementStrategy, RouteStrategyKind, Verification,
 };
 use std::hint::black_box;
 
@@ -78,10 +78,16 @@ fn bench_ancilla_proximity(c: &mut Criterion) {
     let circuit = big_by_name("T8_b").unwrap().circuit();
     let device = devices::qc96();
     group.bench_function("index_order", |b| {
-        b.iter(|| black_box(decompose_circuit(&circuit).unwrap()))
+        b.iter(|| {
+            black_box(decompose_circuit_memo(&circuit, None, DecomposeStrategy::Exact).unwrap())
+        })
     });
     group.bench_function("distance_order", |b| {
-        b.iter(|| black_box(decompose_circuit_for(&circuit, Some(&device)).unwrap()))
+        b.iter(|| {
+            black_box(
+                decompose_circuit_memo(&circuit, Some(&device), DecomposeStrategy::Exact).unwrap(),
+            )
+        })
     });
     group.finish();
 }

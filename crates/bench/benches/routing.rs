@@ -60,7 +60,7 @@ fn bench_route_lookahead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(d.name()), &workload, |b, w| {
             b.iter(|| {
                 black_box(
-                    LookaheadStrategy::default()
+                    LookaheadStrategy
                         .route(&RouteRequest::new(w, &d).with_table(table.clone()))
                         .unwrap(),
                 )

@@ -7,12 +7,14 @@
 //! cargo run --release --bin ablation
 //! ```
 
-use qsyn_arch::{devices, CostModel, TransmonCost};
+use qsyn_arch::{devices, CostModel, Device, TransmonCost};
 use qsyn_bench::big::BIG_BENCHMARKS;
 use qsyn_bench::revlib::REVLIB_BENCHMARKS;
+use qsyn_circuit::Circuit;
 use qsyn_core::{
-    decompose_circuit, decompose_circuit_for, optimize_bounded, route_circuit, Compiler,
-    DecomposeStrategy, OptimizeConfig, PlacementStrategy, RouteStrategyKind, Verification,
+    decompose_circuit_memo, optimize_bounded, Compiler, CtrStrategy, DecomposeStrategy,
+    OptimizeConfig, PlacementStrategy, RouteRequest, RouteStrategyKind, RoutingStrategy,
+    Verification,
 };
 
 fn main() {
@@ -139,11 +141,20 @@ fn main() {
     println!("| benchmark | routed cost, index order | routed cost, distance order | delta % |");
     println!("|---|---|---|---|");
     let device = devices::qc96();
+    // Lowers with spare lines in index order (no device) or by coupling
+    // distance, then CTR-routes on the device and prices the result.
+    let routed_cost = |circuit: &Circuit, ancilla_order: Option<&Device>| {
+        let (lowered, _) =
+            decompose_circuit_memo(circuit, ancilla_order, DecomposeStrategy::Exact).unwrap();
+        let routed = CtrStrategy
+            .route(&RouteRequest::new(&lowered, &device))
+            .unwrap();
+        cost.circuit_cost(&routed.circuit)
+    };
     for b in BIG_BENCHMARKS {
-        let by_index = decompose_circuit(&b.circuit()).unwrap();
-        let by_dist = decompose_circuit_for(&b.circuit(), Some(&device)).unwrap();
-        let ci = cost.circuit_cost(&route_circuit(&by_index, &device).unwrap());
-        let cd = cost.circuit_cost(&route_circuit(&by_dist, &device).unwrap());
+        let circuit = b.circuit();
+        let ci = routed_cost(&circuit, None);
+        let cd = routed_cost(&circuit, Some(&device));
         println!(
             "| {} | {:.0} | {:.0} | {:+.1} |",
             b.name,

@@ -4,7 +4,7 @@
 
 use qsyn_arch::devices;
 use qsyn_circuit::Circuit;
-use qsyn_core::{ctr_route, emit_cnot};
+use qsyn_core::{ctr_route_with, CtrStrategy, RouteRequest, RoutingObjective, RoutingStrategy};
 use qsyn_gate::Gate;
 use qsyn_qmdd::equivalent_miter;
 
@@ -16,7 +16,8 @@ fn main() {
         device.name()
     );
 
-    let route = ctr_route(&device, control, target).expect("ibmqx3 is connected");
+    let route = ctr_route_with(&device, control, target, RoutingObjective::FewestSwaps)
+        .expect("ibmqx3 is connected");
     println!("SWAP path found by the connectivity tree: {:?}", route.path);
     println!(
         "effective control after swaps: q{}",
@@ -28,16 +29,18 @@ fn main() {
         "must match the paper's example"
     );
 
-    let mut mapped = Circuit::new(device.n_qubits());
-    emit_cnot(&device, control, target, &mut mapped).expect("routable");
+    let mut spec = Circuit::new(device.n_qubits());
+    spec.push(Gate::cx(control, target));
+    let mapped = CtrStrategy
+        .route(&RouteRequest::new(&spec, &device))
+        .expect("routable")
+        .circuit;
     println!(
         "\nemitted technology-dependent sequence ({} gates):",
         mapped.len()
     );
     print!("{mapped}");
 
-    let mut spec = Circuit::new(device.n_qubits());
-    spec.push(Gate::cx(control, target));
     let report = equivalent_miter(&spec, &mapped);
     println!(
         "QMDD equivalence with the original CNOT: {}",

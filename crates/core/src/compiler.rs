@@ -1222,8 +1222,9 @@ pub struct StreamSummary {
     /// pool ran, `1` for inline (serial or Strict-mode) verification,
     /// `0` when verification was disabled.
     pub verify_jobs: usize,
-    /// QMDD compute-table lookups summed over every window check that
-    /// completed (a check that exhausted its node budget adds none).
+    /// QMDD compute-table lookups summed over every window check,
+    /// exhausted ones included (a check that ran out of nodes adds the
+    /// lookups it made before it aborted).
     pub verify_lookups: u64,
     /// The largest QMDD peak node count of any completed window check.
     pub verify_peak_nodes: usize,
@@ -1247,7 +1248,8 @@ struct StreamVerifyState {
     seconds_total: f64,
     /// Widest per-window miter support seen.
     max_support: usize,
-    /// Compute-table lookups summed over completed checks.
+    /// Compute-table lookups summed over every window check, exhausted
+    /// ones included.
     lookups: u64,
     /// Largest peak node count of a completed check.
     peak_nodes: usize,
@@ -1276,7 +1278,10 @@ impl StreamVerifyState {
                     self.failed = true;
                 }
             }
-            Err(_) => self.unverified += 1,
+            Err(e) => {
+                self.lookups += e.lookups;
+                self.unverified += 1;
+            }
         }
     }
 }
@@ -1541,6 +1546,7 @@ impl CompileResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{PersistentStrategy, RoutingStrategy};
     use qsyn_arch::devices;
     use qsyn_gate::Gate;
 
@@ -1836,74 +1842,6 @@ mod tests {
         assert_eq!(traced.verified, plain.verified);
     }
 
-    /// The paper's CTR router as the bare per-gate search: each two-qubit
-    /// gate is routed on its own by `emit_cnot_with` / `emit_cz_with`.
-    fn ctr_per_gate(
-        circuit: &Circuit,
-        device: &qsyn_arch::Device,
-        objective: RoutingObjective,
-    ) -> Circuit {
-        let mut out = Circuit::new(device.n_qubits());
-        for g in circuit.gates() {
-            match *g {
-                Gate::Cx { control, target } => {
-                    crate::route::emit_cnot_with(device, control, target, objective, &mut out)
-                        .unwrap()
-                }
-                Gate::Cz { control, target } => {
-                    crate::route::emit_cz_with(device, control, target, objective, &mut out)
-                        .unwrap()
-                }
-                _ => out.push(g.clone()),
-            }
-        }
-        out
-    }
-
-    /// The pipeline `compile` runs, rebuilt from public stage functions
-    /// with no shared state: identity placement, uncached decomposition,
-    /// routing (CTR as the per-gate search, any other strategy over a
-    /// private dense routing table), then the optimizer. Returns the
-    /// (unoptimized, optimized) circuits.
-    fn reference_pipeline(
-        spec: &Circuit,
-        device: &qsyn_arch::Device,
-        kind: RouteStrategyKind,
-        objective: RoutingObjective,
-        optimize: bool,
-    ) -> (Circuit, Circuit) {
-        let placed = Placement::identity(spec.n_qubits()).apply(spec, device);
-        let decomposed = crate::decompose::decompose_circuit_with(
-            &placed,
-            Some(device),
-            DecomposeStrategy::Exact,
-        )
-        .unwrap();
-        let routed = if kind == RouteStrategyKind::Ctr {
-            ctr_per_gate(&decomposed, device, objective)
-        } else {
-            let table = Arc::new(crate::cache::RoutingTable::build(device, objective));
-            let req = RouteRequest::new(&decomposed, device)
-                .with_objective(objective)
-                .with_table(table);
-            kind.instance().route(&req).unwrap().circuit
-        };
-        let optimized = if optimize {
-            let cost = TransmonCost::default();
-            optimize_bounded(
-                &routed,
-                Some(device),
-                &cost,
-                OptimizeConfig::default(),
-                None,
-            )
-            .0
-        } else {
-            routed.clone()
-        };
-        (routed, optimized)
-    }
-
     #[test]
     fn persistent_layout_strategy_compiles_and_verifies() {
         let mut spec = Circuit::new(5);
@@ -1970,8 +1908,9 @@ mod tests {
 
     #[test]
     fn persistent_strategy_matches_the_persistent_router() {
-        // Selecting `Persistent` routes exactly as the persistent-layout
-        // router does, and enforces the SWAP cap on the completed total
+        // Selecting `Persistent` routes exactly as `PersistentStrategy`
+        // does on the lowered circuit, reports its counters on the route
+        // event, and enforces the SWAP cap on the completed total
         // (drifting plus restoration SWAPs).
         let mut spec = Circuit::new(5).with_name("persistent-ref");
         spec.push(Gate::toffoli(0, 2, 4));
@@ -1979,24 +1918,21 @@ mod tests {
         spec.push(Gate::cx(0, 4));
         spec.push(Gate::cx(1, 4));
         for device in devices::ibm_devices() {
-            let decomposed = crate::decompose::decompose_circuit_with(
+            let (decomposed, _) = crate::decompose::decompose_circuit_memo(
                 &Placement::identity(5).apply(&spec, &device),
                 Some(&device),
                 DecomposeStrategy::Exact,
             )
             .unwrap();
-            let (reference, k) = crate::remap::route_circuit_persistent_traced(
-                &decomposed,
-                &device,
-                RoutingObjective::FewestSwaps,
-            )
-            .unwrap();
+            let k = PersistentStrategy
+                .route(&RouteRequest::new(&decomposed, &device))
+                .unwrap();
             let compiler =
                 Compiler::new(device.clone()).with_route_strategy(RouteStrategyKind::Persistent);
             let r = compiler.compile(&spec).unwrap();
             assert_eq!(
                 r.unoptimized.gates(),
-                reference.gates(),
+                k.circuit.gates(),
                 "{}",
                 device.name()
             );
@@ -2027,28 +1963,6 @@ mod tests {
                     used,
                 }) => assert_eq!((limit, used), ((total - 1) as u64, total as u64)),
                 other => panic!("{}: expected the cap error, got {other:?}", device.name()),
-            }
-        }
-    }
-
-    #[test]
-    fn compiles_match_the_uncached_reference_pipeline() {
-        // The shared routing tables and decomposition memo must be a
-        // transparent acceleration: same bytes out as the per-gate
-        // searches, for every strategy.
-        let mut spec = Circuit::new(5).with_name("cache-modes");
-        spec.push(Gate::mct(vec![0, 1, 2], 4));
-        spec.push(Gate::cx(0, 4));
-        for d in devices::ibm_devices() {
-            for kind in RouteStrategyKind::CONCRETE {
-                let (routed, optimized) =
-                    reference_pipeline(&spec, &d, kind, RoutingObjective::FewestSwaps, true);
-                let tables = Compiler::new(d.clone())
-                    .with_route_strategy(kind)
-                    .compile(&spec)
-                    .unwrap();
-                assert_eq!(optimized.gates(), tables.optimized.gates(), "{}", d.name());
-                assert_eq!(routed.gates(), tables.unoptimized.gates(), "{}", d.name());
             }
         }
     }
@@ -2457,6 +2371,21 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_window_checks_count_their_lookups() {
+        // One window whose miter outgrows a 32-node budget after some
+        // products: the stream degrades it, and its lookups still count.
+        let spec = toffoli_spec();
+        let summary = Compiler::new(devices::ibmqx4())
+            .with_budget(CompileBudget::default().with_node_budget(32))
+            .compile_stream(3, spec.len(), spec.gates().iter().cloned(), |_| {})
+            .unwrap();
+        assert_eq!(summary.windows, 1);
+        assert_eq!(summary.unverified_windows, 1);
+        assert_eq!(summary.verified_windows, 0);
+        assert!(summary.verify_lookups > 0, "{summary:?}");
+    }
+
+    #[test]
     fn streaming_tiny_node_budget_degrades_or_aborts() {
         let spec = toffoli_spec();
         let degrade = Compiler::new(devices::ibmqx4())
@@ -2745,45 +2674,6 @@ mod tests {
                 device.name()
             );
         }
-    }
-
-    #[test]
-    fn streaming_peak_resident_gates_counts_the_routed_window() {
-        // Repeated distant CNOTs: CTR swaps out and back per gate, and the
-        // optimizer cancels the back-to-back SWAP chains, so the routed
-        // window is the largest stage.
-        let d = devices::ibmqx5();
-        let mut spec = Circuit::new(d.n_qubits());
-        for _ in 0..4 {
-            spec.push(Gate::cx(0, 8));
-        }
-        let (routed, optimized) = reference_pipeline(
-            &spec,
-            &d,
-            RouteStrategyKind::Ctr,
-            RoutingObjective::FewestSwaps,
-            true,
-        );
-        assert!(
-            optimized.len() < routed.len(),
-            "optimize must shrink the window"
-        );
-        assert!(routed.len() > spec.len());
-        let summary = Compiler::new(d.clone())
-            .compile_stream(
-                d.n_qubits(),
-                spec.len(),
-                spec.gates().iter().cloned(),
-                |_| {},
-            )
-            .unwrap();
-        assert_eq!(summary.windows, 1);
-        assert!(
-            summary.peak_resident_gates >= routed.len(),
-            "peak {} < routed {}",
-            summary.peak_resident_gates,
-            routed.len()
-        );
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //!   Nielsen & Chuang (7 T/T†, 6 CNOT, 2 H) — the `t = 7` per Toffoli that
 //!   the paper's Table 5 and Table 8 T-counts are built from.
 //! * CZ and SWAP expand through their CNOT identities.
+//!
+//! [`decompose_circuit_memo`] is the only whole-circuit lowering: every
+//! wide MCT's cascade comes from the canonical-shape memo. The unmemoized
+//! lowering it must match byte for byte lives in test code
+//! (`crates/core/tests/common`).
 
 use crate::error::CompileError;
 use qsyn_arch::Device;
@@ -247,52 +252,6 @@ fn split_with_one_ancilla(
     Ok(gates)
 }
 
-/// Expands every technology-independent gate of `circuit` into the transmon
-/// library (one-qubit gates + CNOT), using the full register width as the
-/// ancilla pool for generalized Toffolis.
-///
-/// The register is *not* widened: the paper reports `N/A` when a device
-/// cannot host a decomposition, which surfaces here as
-/// [`CompileError::NoAncilla`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::NoAncilla`] if a generalized Toffoli has no
-/// spare line to borrow.
-pub fn decompose_circuit(circuit: &Circuit) -> Result<Circuit, CompileError> {
-    decompose_circuit_for(circuit, None)
-}
-
-/// [`decompose_circuit`] with a target device: spare lines borrowed as
-/// dirty ancillas are ordered by coupling-graph distance to the gate being
-/// decomposed, so the CNOTs the decomposition emits stay short-range and
-/// the subsequent CTR rerouting pays far fewer SWAPs.
-///
-/// # Errors
-///
-/// Returns [`CompileError::NoAncilla`] if a generalized Toffoli has no
-/// spare line to borrow.
-pub fn decompose_circuit_for(
-    circuit: &Circuit,
-    device: Option<&Device>,
-) -> Result<Circuit, CompileError> {
-    decompose_circuit_with(circuit, device, DecomposeStrategy::Exact)
-}
-
-/// [`decompose_circuit_for`] under a configurable [`DecomposeStrategy`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::NoAncilla`] if a generalized Toffoli has no
-/// spare line to borrow.
-pub fn decompose_circuit_with(
-    circuit: &Circuit,
-    device: Option<&Device>,
-    strategy: DecomposeStrategy,
-) -> Result<Circuit, CompileError> {
-    decompose_circuit_impl(circuit, device, strategy, false).map(|(c, _)| c)
-}
-
 /// What the decomposition memo did while lowering a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecomposeCounters {
@@ -302,12 +261,27 @@ pub struct DecomposeCounters {
     pub memo_misses: usize,
 }
 
-/// [`decompose_circuit_with`] through the canonical-shape decomposition
-/// memo: each wide MCT's Barenco cascade is synthesized once per
+/// Expands every technology-independent gate of `circuit` into the transmon
+/// library (one-qubit gates + CNOT, or CZ on CZ-native devices), using the
+/// full register width as the ancilla pool for generalized Toffolis. This
+/// is the only whole-circuit lowering.
+///
+/// With a target `device`, the spare lines borrowed as dirty ancillas are
+/// ordered by coupling-graph distance to the gate being decomposed, so the
+/// CNOTs the decomposition emits stay short-range and the subsequent CTR
+/// reroute pays far fewer SWAPs; without one they are taken in index order.
+///
+/// Each wide MCT's Barenco cascade comes from the canonical-shape
+/// decomposition memo: it is synthesized by [`mct_decompose`] once per
 /// `(arity, spare-count, strategy)` shape and instantiated here by qubit
-/// substitution. Output is byte-identical to the unmemoized path (the
-/// substitution rebuilds gates through the same normalizing constructors,
-/// and Clifford+T expansion runs *after* substitution).
+/// substitution. The output is byte-identical to calling
+/// [`mct_decompose`] on every gate (the substitution rebuilds gates
+/// through the same normalizing constructors, and Clifford+T expansion
+/// runs *after* substitution).
+///
+/// The register is *not* widened: the paper reports `N/A` when a device
+/// cannot host a decomposition, which surfaces here as
+/// [`CompileError::NoAncilla`].
 ///
 /// # Errors
 ///
@@ -318,17 +292,6 @@ pub fn decompose_circuit_memo(
     device: Option<&Device>,
     strategy: DecomposeStrategy,
 ) -> Result<(Circuit, DecomposeCounters), CompileError> {
-    decompose_circuit_impl(circuit, device, strategy, true)
-}
-
-/// Shared lowering loop; `use_memo` selects template instantiation vs.
-/// direct synthesis for wide MCT gates.
-fn decompose_circuit_impl(
-    circuit: &Circuit,
-    device: Option<&Device>,
-    strategy: DecomposeStrategy,
-    use_memo: bool,
-) -> Result<(Circuit, DecomposeCounters), CompileError> {
     let n = circuit.n_qubits();
     let mut out = Circuit::new(n);
     if let Some(name) = circuit.name() {
@@ -336,19 +299,6 @@ fn decompose_circuit_impl(
     }
     let mut counters = DecomposeCounters::default();
     let cz_native = device.is_some_and(|d| d.native() == qsyn_arch::TwoQubitNative::Cz);
-    // Expands the Toffoli cascade of one wide MCT into `out` — shared by
-    // the memoized and direct paths so they stay gate-for-gate identical.
-    let emit_cascade = |out: &mut Circuit, cascade: Vec<Gate>| {
-        for tof in cascade {
-            match tof {
-                Gate::Mct {
-                    controls: tc,
-                    target: tt,
-                } => out.extend(toffoli_clifford_t(tc[0], tc[1], tt)),
-                other => out.push(other),
-            }
-        }
-    };
     for g in circuit.gates() {
         match g {
             Gate::Single { .. } | Gate::Cx { .. } => out.push(g.clone()),
@@ -357,36 +307,38 @@ fn decompose_circuit_impl(
             Gate::Cz { .. } if cz_native => out.push(g.clone()),
             Gate::Cz { control, target } => out.extend(cz_to_cx(*control, *target)),
             Gate::Swap { a, b } => out.extend(swap_to_cx(*a, *b)),
+            Gate::Mct { controls, target } if controls.len() == 2 => {
+                out.extend(toffoli_clifford_t(controls[0], controls[1], *target));
+            }
             Gate::Mct { controls, target } => {
-                if controls.len() == 2 {
-                    out.extend(toffoli_clifford_t(controls[0], controls[1], *target));
+                let mut spare: Vec<usize> = (0..n)
+                    .filter(|q| !controls.contains(q) && q != target)
+                    .collect();
+                if let Some(d) = device {
+                    let dist = d.distances_from_set(&g.qubits());
+                    spare.sort_by_key(|&q| (dist[q], q));
+                }
+                let m = controls.len();
+                let eff = spare.len().min(m - 2);
+                let (template, hit) = crate::cache::mct_template(m, eff, strategy)?;
+                if hit {
+                    counters.memo_hits += 1;
                 } else {
-                    let mut spare: Vec<usize> = (0..n)
-                        .filter(|q| !controls.contains(q) && q != target)
-                        .collect();
-                    if let Some(d) = device {
-                        let dist = d.distances_from_set(&g.qubits());
-                        spare.sort_by_key(|&q| (dist[q], q));
-                    }
-                    if use_memo {
-                        let m = controls.len();
-                        let eff = spare.len().min(m - 2);
-                        let (template, hit) = crate::cache::mct_template(m, eff, strategy)?;
-                        if hit {
-                            counters.memo_hits += 1;
-                        } else {
-                            counters.memo_misses += 1;
-                        }
-                        let cascade = crate::cache::instantiate_mct_template(
-                            &template,
-                            controls,
-                            *target,
-                            &spare[..eff],
-                        );
-                        emit_cascade(&mut out, cascade);
-                    } else {
-                        let cascade = mct_decompose(controls, *target, &spare, strategy)?;
-                        emit_cascade(&mut out, cascade);
+                    counters.memo_misses += 1;
+                }
+                let cascade = crate::cache::instantiate_mct_template(
+                    &template,
+                    controls,
+                    *target,
+                    &spare[..eff],
+                );
+                for tof in cascade {
+                    match tof {
+                        Gate::Mct {
+                            controls: tc,
+                            target: tt,
+                        } => out.extend(toffoli_clifford_t(tc[0], tc[1], tt)),
+                        other => out.push(other),
                     }
                 }
             }
@@ -410,6 +362,11 @@ pub fn v_chain_toffoli_count(m: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lowers `circuit` for no device under the paper's exact strategy.
+    fn lower(circuit: &Circuit) -> Result<Circuit, CompileError> {
+        decompose_circuit_memo(circuit, None, DecomposeStrategy::Exact).map(|(c, _)| c)
+    }
 
     #[test]
     fn toffoli_clifford_t_is_exact() {
@@ -514,7 +471,7 @@ mod tests {
         c.push(Gate::swap(1, 2));
         c.push(Gate::toffoli(0, 1, 2));
         c.push(Gate::mct(vec![0, 1, 2, 3], 4));
-        let d = decompose_circuit(&c).unwrap();
+        let d = lower(&c).unwrap();
         assert!(d.is_technology_ready());
         assert!(d.to_matrix().approx_eq(&c.to_matrix()));
     }
@@ -525,7 +482,7 @@ mod tests {
         let mut c = Circuit::new(5);
         c.push(Gate::mct(vec![0, 1, 2, 3], 4));
         assert_eq!(
-            decompose_circuit(&c).unwrap_err(),
+            lower(&c).unwrap_err(),
             CompileError::NoAncilla { controls: 4 }
         );
     }
@@ -616,32 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_decomposition_is_byte_identical() {
-        // A circuit mixing every gate class the lowering loop handles,
-        // including wide MCTs on scattered lines that exercise both the
-        // plentiful-ancilla chain and the scarce-ancilla split.
-        let mut c = Circuit::new(8);
-        c.push(Gate::h(0));
-        c.push(Gate::cx(1, 2));
-        c.push(Gate::cz(3, 4));
-        c.push(Gate::swap(5, 6));
-        c.push(Gate::mct(vec![0, 2, 4], 6));
-        c.push(Gate::mct(vec![1, 3, 5, 7], 0));
-        c.push(Gate::mct(vec![0, 1, 2, 3, 4, 5], 7)); // scarce: 1 spare
-        c.push(Gate::mct(vec![0, 2, 4], 6)); // repeat → memo hit
-        let device = qsyn_arch::devices::ibmq_16();
-        for strategy in [DecomposeStrategy::Exact, DecomposeStrategy::RelativePhase] {
-            for dev in [None, Some(&device)] {
-                let direct = decompose_circuit_with(&c, dev, strategy).unwrap();
-                let (memo, counters) = decompose_circuit_memo(&c, dev, strategy).unwrap();
-                assert_eq!(direct.gates(), memo.gates(), "strategy {strategy:?}");
-                assert_eq!(counters.memo_hits + counters.memo_misses, 4);
-                assert!(counters.memo_hits >= 1, "repeat shape must hit the memo");
-            }
-        }
-    }
-
-    #[test]
     fn memoized_decomposition_propagates_no_ancilla() {
         // Every line is a control or the target: nothing to borrow.
         let mut c = Circuit::new(4);
@@ -659,7 +590,7 @@ mod tests {
                 let gates = mct_decompose(&controls, m, &spare, strategy).unwrap();
                 let mut c = Circuit::new(2 * m - 1);
                 c.extend(gates);
-                decompose_circuit(&c).unwrap().stats().t_count
+                lower(&c).unwrap().stats().t_count
             };
             let exact = count_t(DecomposeStrategy::Exact);
             let rp = count_t(DecomposeStrategy::RelativePhase);

@@ -8,7 +8,8 @@
 //! * [`decompose`] — generalized-Toffoli cascades (Barenco et al.) and the
 //!   exact 15-gate Clifford+T Toffoli network;
 //! * [`route`] — CNOT orientation reversal (paper Fig. 6) and the
-//!   connectivity-tree reroute CTR (paper Figs. 4-5);
+//!   connectivity-tree reroute CTR (paper Figs. 4-5), one of the
+//!   [`strategy`] routers behind [`RoutingStrategy::route`];
 //! * [`optimize`](mod@crate::optimize) — recursive identity removal and circuit-identity
 //!   rewrites driven by a pluggable cost function (paper Eqn. 2);
 //! * [`place`](mod@crate::place) — identity placement (as in the paper) plus the greedy
@@ -46,7 +47,7 @@ pub mod options;
 pub mod persist;
 pub mod place;
 pub mod pool;
-pub mod remap;
+mod remap;
 pub mod route;
 pub mod serve;
 pub mod sk;
@@ -61,21 +62,14 @@ pub use cache::{
 };
 pub use compiler::{CompileResult, Compiler, Optimization, StreamSummary, Verification};
 pub use decompose::{
-    decompose_circuit, decompose_circuit_for, decompose_circuit_with, mct_decompose,
-    mct_to_toffolis, rccx, rccx_dagger, DecomposeStrategy,
+    decompose_circuit_memo, mct_decompose, mct_to_toffolis, rccx, rccx_dagger, DecomposeStrategy,
 };
 pub use error::CompileError;
 pub use optimize::{optimize_bounded, OptimizeConfig, OptimizeCounters};
 pub use options::{load_circuit, Args, CompileOptions, CostKind};
 pub use persist::{DiskCache, DiskLoad, EvictionSummary};
 pub use place::{place, Placement, PlacementStrategy};
-pub use remap::{
-    route_circuit_persistent, route_circuit_persistent_traced, PersistentRouteCounters,
-};
-pub use route::{
-    ctr_route, ctr_route_with, emit_cnot, emit_cnot_with, route_circuit, CtrRoute, RouteCounters,
-    RoutingObjective, DEFAULT_CNOT_ERROR,
-};
+pub use route::{ctr_route_with, CtrRoute, RoutingObjective, DEFAULT_CNOT_ERROR};
 pub use sk::{approximate_rz, approximate_rz_to_accuracy, approximate_unitary, SkApproximation};
 pub use strategy::{
     CtrStrategy, LookaheadStrategy, PersistentStrategy, RouteOutcome, RouteRequest,

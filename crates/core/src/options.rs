@@ -294,8 +294,10 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// `unknown flag --NAME` for an undeclared flag, and `flag --NAME
-    /// requires a value` for a value flag at the end of the line.
+    /// `unknown flag --NAME` for an undeclared flag, `flag --NAME
+    /// requires a value` for a value flag at the end of the line, and
+    /// `flag --NAME takes no value` for `--NAME=VALUE` on a flag declared
+    /// only as boolean.
     pub fn parse(
         args: &[String],
         bool_flags: &[&str],
@@ -309,8 +311,12 @@ impl Args {
                 continue;
             };
             let (name, value) = if let Some((name, value)) = name.split_once('=') {
-                if !value_flags.contains(&name) && !bool_flags.contains(&name) {
-                    return Err(format!("unknown flag --{name}"));
+                if !value_flags.contains(&name) {
+                    return Err(if bool_flags.contains(&name) {
+                        format!("flag --{name} takes no value")
+                    } else {
+                        format!("unknown flag --{name}")
+                    });
                 }
                 (name, value.to_string())
             } else if bool_flags.contains(&name) {
@@ -433,6 +439,23 @@ mod tests {
         assert_eq!(err, "unknown flag --no-verfy");
         let err = Args::parse(&args(&["--jobs"]), &[], &["jobs"]).unwrap_err();
         assert_eq!(err, "flag --jobs requires a value");
+    }
+
+    #[test]
+    fn boolean_flag_refuses_a_value() {
+        let err = Args::parse(&args(&["--no-verify=false"]), &["no-verify"], &[]).unwrap_err();
+        assert_eq!(err, "flag --no-verify takes no value");
+        let err = Args::parse(&args(&["--no-verify="]), &["no-verify"], &[]).unwrap_err();
+        assert_eq!(err, "flag --no-verify takes no value");
+        // A flag declared both ways keeps its bare and `=` forms.
+        let a = Args::parse(
+            &args(&["--trace", "--trace=t.jsonl"]),
+            &["trace"],
+            &["trace"],
+        )
+        .unwrap();
+        assert_eq!(a.value("trace"), Some(""));
+        assert_eq!(a.flags[1], ("trace".to_string(), "t.jsonl".to_string()));
     }
 
     #[test]

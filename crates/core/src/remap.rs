@@ -1,4 +1,9 @@
-//! Persistent-layout routing: the modern alternative to the paper's CTR.
+//! Persistent-layout machinery: the drifting `Layout`, the shortest-path
+//! move that brings an operand next to its partner, and the restoration
+//! network. [`PersistentStrategy`](crate::PersistentStrategy) routes with
+//! it, and [`LookaheadStrategy`](crate::LookaheadStrategy) shares the
+//! layout and the restoration network; a circuit is routed only through
+//! [`RoutingStrategy::route`](crate::RoutingStrategy::route).
 //!
 //! CTR returns the control to its original position after every rerouted
 //! CNOT ("the control qubit traverses the SWAP path in reverse"), which
@@ -15,10 +20,9 @@
 //! the procedure provably terminates.
 
 use crate::error::CompileError;
-use crate::route::{emit_adjacent_cnot, emit_adjacent_cz, emit_adjacent_swap, RoutingObjective};
-use qsyn_arch::{Device, TwoQubitNative};
+use crate::route::emit_adjacent_swap;
+use qsyn_arch::Device;
 use qsyn_circuit::Circuit;
-use qsyn_gate::Gate;
 use std::collections::VecDeque;
 
 /// Tracks the drifting logical-to-physical assignment (shared with the
@@ -48,92 +52,11 @@ impl Layout {
     }
 }
 
-/// Routes a technology-ready circuit with a persistent layout, appending a
-/// restoration network so the result equals the input exactly.
-///
-/// # Errors
-///
-/// Returns [`CompileError::UnmappedGate`] for multi-qubit gates other than
-/// the device's native one, or [`CompileError::RouteNotFound`] on a
-/// disconnected coupling map.
-pub fn route_circuit_persistent(
-    circuit: &Circuit,
-    device: &Device,
-    objective: RoutingObjective,
-) -> Result<Circuit, CompileError> {
-    route_circuit_persistent_traced(circuit, device, objective).map(|(c, _)| c)
-}
-
-/// What the persistent-layout router did (the trace layer reports these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PersistentRouteCounters {
-    /// Drifting SWAPs emitted while bringing operands adjacent.
-    pub swaps_inserted: usize,
-    /// Adjacent SWAPs of the final restoration network.
-    pub restoration_swaps: usize,
-    /// Two-qubit gates that needed at least one drifting SWAP.
-    pub gates_rerouted: usize,
-}
-
-/// [`route_circuit_persistent`] that also reports
-/// [`PersistentRouteCounters`].
-///
-/// # Errors
-///
-/// See [`route_circuit_persistent`].
-pub fn route_circuit_persistent_traced(
-    circuit: &Circuit,
-    device: &Device,
-    objective: RoutingObjective,
-) -> Result<(Circuit, PersistentRouteCounters), CompileError> {
-    let _ = objective; // path search below is hop-based; kept for API parity
-    let n = device.n_qubits();
-    let mut out = Circuit::new(n);
-    if let Some(name) = circuit.name() {
-        out.set_name(name.to_string());
-    }
-    let mut layout = Layout::identity(n);
-    let mut counters = PersistentRouteCounters::default();
-
-    for g in circuit.gates() {
-        match g {
-            Gate::Single { op, qubit } => {
-                out.push(Gate::single(*op, layout.phys_of[*qubit]));
-            }
-            Gate::Cx { control, target } => {
-                let (pc, pt) = (layout.phys_of[*control], layout.phys_of[*target]);
-                let (eff, hops) = bring_adjacent(device, pc, pt, &mut layout, &mut out)?;
-                counters.swaps_inserted += hops;
-                counters.gates_rerouted += usize::from(hops > 0);
-                emit_adjacent_cnot(device, eff, pt, &mut out)?;
-            }
-            Gate::Cz { control, target } if device.native() == TwoQubitNative::Cz => {
-                let (pc, pt) = (layout.phys_of[*control], layout.phys_of[*target]);
-                let (eff, hops) = bring_adjacent(device, pc, pt, &mut layout, &mut out)?;
-                counters.swaps_inserted += hops;
-                counters.gates_rerouted += usize::from(hops > 0);
-                emit_adjacent_cz(device, eff, pt, &mut out)?;
-            }
-            other => return Err(CompileError::UnmappedGate(other.to_string())),
-        }
-    }
-
-    // Restore the identity layout with one sorting network.
-    if !layout.is_identity() {
-        for (a, b) in restoration_swaps(device, &mut layout) {
-            emit_adjacent_swap(device, a, b, &mut out)?;
-            counters.restoration_swaps += 1;
-        }
-        debug_assert!(layout.is_identity());
-    }
-    Ok((out, counters))
-}
-
 /// Moves the occupant of `from` adjacent to `to` with persistent SWAPs
 /// (BFS shortest path, never stepping onto `to`); returns the physical
 /// qubit now holding the moved logical line and the number of SWAP hops
 /// that move took.
-fn bring_adjacent(
+pub(crate) fn bring_adjacent(
     device: &Device,
     from: usize,
     to: usize,
@@ -296,11 +219,18 @@ fn tree_path(parent: &[Option<usize>], a: usize, b: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsyn_arch::devices;
+    use crate::strategy::{CtrStrategy, PersistentStrategy, RouteOutcome, RouteRequest};
+    use crate::RoutingStrategy;
+    use qsyn_arch::{devices, TwoQubitNative};
+    use qsyn_gate::Gate;
     use qsyn_qmdd::circuits_equal;
 
+    fn persistent(c: &Circuit, d: &Device) -> RouteOutcome {
+        PersistentStrategy.route(&RouteRequest::new(c, d)).unwrap()
+    }
+
     fn routed_equal(c: &Circuit, d: &Device) -> Circuit {
-        let r = route_circuit_persistent(c, d, RoutingObjective::FewestSwaps).unwrap();
+        let r = persistent(c, d).circuit;
         assert!(circuits_equal(c, &r), "persistent routing broke semantics");
         for g in r.gates() {
             if let Gate::Cx { control, target } = g {
@@ -326,7 +256,10 @@ mod tests {
             c.push(Gate::cx(5, 10));
         }
         let persistent = routed_equal(&c, &d);
-        let ctr = crate::route::route_circuit(&c, &d).unwrap();
+        let ctr = CtrStrategy
+            .route(&RouteRequest::new(&c, &d))
+            .unwrap()
+            .circuit;
         assert!(
             persistent.len() < ctr.len(),
             "persistent {} vs ctr {}",
@@ -368,7 +301,7 @@ mod tests {
         let mut c = Circuit::new(6);
         c.push(Gate::cz(0, 3));
         c.push(Gate::cx(1, 4));
-        let r = route_circuit_persistent(&c, &d, RoutingObjective::FewestSwaps).unwrap();
+        let r = persistent(&c, &d).circuit;
         assert!(circuits_equal(&c, &r));
         for g in r.gates() {
             assert!(d.supports(g), "unsupported {g}");
@@ -376,15 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_persistent_routing_counts_and_matches_untraced() {
+    fn persistent_routing_counts_drift_and_restoration() {
         let d = devices::ibmqx3();
         let mut c = Circuit::new(16);
         c.push(Gate::cx(5, 10)); // needs drifting swaps + restoration
         c.push(Gate::cx(0, 1)); // adjacent
-        let (traced, counters) =
-            route_circuit_persistent_traced(&c, &d, RoutingObjective::FewestSwaps).unwrap();
-        let plain = route_circuit_persistent(&c, &d, RoutingObjective::FewestSwaps).unwrap();
-        assert_eq!(traced, plain, "tracing must not change the output");
+        let counters = persistent(&c, &d);
         assert_eq!(counters.gates_rerouted, 1);
         assert!(counters.swaps_inserted > 0);
         assert!(

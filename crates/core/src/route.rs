@@ -7,8 +7,14 @@
 //! control's quantum information SWAPs along the shortest tree path until it
 //! sits adjacent to the target, the CNOT executes, and the SWAPs rewind so
 //! every line keeps its original assignment.
+//!
+//! This module holds the per-pair search ([`ctr_route_with`]), the
+//! adjacent-gate emitters every router shares, and the whole-circuit CTR
+//! loop behind [`CtrStrategy`](crate::CtrStrategy). A circuit is routed
+//! only through [`RoutingStrategy::route`](crate::RoutingStrategy::route).
 
 use crate::error::CompileError;
+use crate::strategy::{RouteOutcome, RouteRequest};
 use qsyn_arch::Device;
 use qsyn_circuit::Circuit;
 use qsyn_gate::Gate;
@@ -100,19 +106,11 @@ pub struct CtrRoute {
     pub effective_control: usize,
 }
 
-/// Breadth-first CTR search (paper Fig. 4). Returns the shortest SWAP route
-/// from `control` to any qubit adjacent to `target`, exploring neighbors in
+/// The CTR search (paper Fig. 4): the SWAP route from `control` to a
+/// qubit adjacent to `target` that minimizes `objective`. Under
+/// [`RoutingObjective::FewestSwaps`] (or on a device without error data)
+/// this is the breadth-first shortest route, exploring neighbors in
 /// ascending order so results are deterministic.
-///
-/// # Errors
-///
-/// Returns [`CompileError::RouteNotFound`] when target's component is
-/// unreachable.
-pub fn ctr_route(device: &Device, control: usize, target: usize) -> Result<CtrRoute, CompileError> {
-    ctr_route_with(device, control, target, RoutingObjective::FewestSwaps)
-}
-
-/// [`ctr_route`] under a configurable [`RoutingObjective`].
 ///
 /// # Errors
 ///
@@ -360,99 +358,21 @@ pub fn emit_adjacent_swap(
     emit_adjacent_cnot(device, x, y, out)
 }
 
-/// Emits a CNOT between arbitrary qubits: native, reversed, or rerouted
-/// with CTR (SWAP out, execute, SWAP back).
-///
-/// # Errors
-///
-/// Returns [`CompileError::RouteNotFound`] on a disconnected coupling map.
-pub fn emit_cnot(
-    device: &Device,
-    control: usize,
-    target: usize,
-    out: &mut Circuit,
-) -> Result<(), CompileError> {
-    emit_cnot_with(device, control, target, RoutingObjective::FewestSwaps, out)
-}
-
-/// [`emit_cnot`] under a configurable [`RoutingObjective`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::RouteNotFound`] on a disconnected coupling map.
-pub fn emit_cnot_with(
-    device: &Device,
-    control: usize,
-    target: usize,
-    objective: RoutingObjective,
-    out: &mut Circuit,
-) -> Result<(), CompileError> {
-    let route = ctr_route_with(device, control, target, objective)?;
-    emit_cnot_via(device, &route, target, false, out)
-}
-
-/// What the router did to a circuit: how many gates needed a reroute and
-/// how many adjacent SWAPs that took (the trace layer reports these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouteCounters {
-    /// Adjacent SWAPs emitted across all reroutes (out- and back-legs).
-    pub swaps_inserted: usize,
-    /// Two-qubit gates that needed at least one SWAP to become adjacent.
-    pub gates_rerouted: usize,
-}
-
-impl RouteCounters {
-    fn record(&mut self, route: &CtrRoute) {
-        let hops = route.path.len().saturating_sub(1);
-        if hops > 0 {
-            self.gates_rerouted += 1;
-            self.swaps_inserted += 2 * hops; // SWAP out and SWAP back
-        }
-    }
-}
-
-/// Legalizes every two-qubit gate of a technology-ready circuit against
-/// the device coupling map. One-qubit gates pass through unchanged.
-///
-/// This is *the* routing entry point for callers that do not need to pick
-/// a strategy: it runs the paper's CTR router
-/// ([`CtrStrategy`](crate::CtrStrategy)) through the
-/// [`RoutingStrategy`](crate::RoutingStrategy) trait, against the shared
-/// [`routing_lookup`](crate::routing_lookup) for the device. For a
-/// different objective, a SWAP cap, per-route counters, or a
-/// second-generation router, build a [`RouteRequest`](crate::RouteRequest)
-/// and call a strategy directly.
-///
-/// # Errors
-///
-/// Returns [`CompileError::UnmappedGate`] if a multi-qubit gate other than
-/// CNOT (or CZ on a CZ-native device) is present (run decomposition
-/// first), or [`CompileError::RouteNotFound`] on a disconnected map.
-pub fn route_circuit(circuit: &Circuit, device: &Device) -> Result<Circuit, CompileError> {
-    use crate::strategy::{RouteRequest, RoutingStrategy};
-    crate::strategy::CtrStrategy
-        .route(&RouteRequest::new(circuit, device))
-        .map(|o| o.circuit)
-}
-
 /// CTR routing of a whole circuit: each two-qubit gate takes its route
-/// from `lookup` (the dense table or the sparse oracle, both of which
-/// store exactly what [`ctr_route_with`] returns), and more than
-/// `max_swaps` inserted SWAPs abort with
+/// from the request's lookup (the dense table or the sparse oracle, both
+/// of which store exactly what [`ctr_route_with`] returns), and more
+/// SWAPs than the request's cap abort with
 /// [`CompileError::BudgetExceeded`].
-pub(crate) fn route_bounded(
-    circuit: &Circuit,
-    device: &Device,
-    lookup: &crate::cache::RoutingLookup,
-    max_swaps: Option<usize>,
-) -> Result<(Circuit, RouteCounters), CompileError> {
+pub(crate) fn route_bounded(req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
+    let lookup = req.resolve_lookup();
+    let device = req.device;
     let cz_native = device.native() == qsyn_arch::TwoQubitNative::Cz;
     let mut out = Circuit::new(device.n_qubits());
-    if let Some(name) = circuit.name() {
+    if let Some(name) = req.circuit.name() {
         out.set_name(name.to_string());
     }
-    let mut counters = RouteCounters::default();
-    for g in circuit.gates() {
+    let (mut swaps, mut rerouted) = (0, 0);
+    for g in req.circuit.gates() {
         let (control, target, cz) = match g {
             Gate::Single { .. } => {
                 out.push(g.clone());
@@ -463,18 +383,15 @@ pub(crate) fn route_bounded(
             other => return Err(CompileError::UnmappedGate(other.to_string())),
         };
         let route = lookup.route(control, target)?;
-        counters.record(&route);
-        if let Some(cap) = max_swaps.filter(|&cap| counters.swaps_inserted > cap) {
-            return Err(CompileError::BudgetExceeded {
-                pass: qsyn_trace::Pass::Route,
-                resource: crate::budget::BudgetResource::RouteSwaps,
-                limit: cap as u64,
-                used: counters.swaps_inserted as u64,
-            });
+        let hops = route.path.len().saturating_sub(1);
+        if hops > 0 {
+            rerouted += 1;
+            swaps += 2 * hops; // SWAP out and SWAP back
+            req.check_swap_cap(swaps)?;
         }
         emit_cnot_via(device, &route, target, cz, &mut out)?;
     }
-    Ok((out, counters))
+    Ok(RouteOutcome::of(out, swaps, rerouted, 0))
 }
 
 /// Emits a two-qubit gate along an already-computed route: SWAP out,
@@ -502,44 +419,47 @@ fn emit_cnot_via(
     Ok(())
 }
 
-/// Emits a CZ between arbitrary qubits of a CZ-native device: native when
-/// adjacent, otherwise rerouted with CTR (SWAP out, execute, SWAP back —
-/// CZ's symmetry means either operand may travel; the search starts from
-/// `a`).
-///
-/// # Errors
-///
-/// Returns [`CompileError::RouteNotFound`] on a disconnected coupling map
-/// or [`CompileError::UnmappedGate`] on a CNOT-native device.
-pub fn emit_cz_with(
-    device: &Device,
-    a: usize,
-    b: usize,
-    objective: RoutingObjective,
-    out: &mut Circuit,
-) -> Result<(), CompileError> {
-    if device.native() != qsyn_arch::TwoQubitNative::Cz {
-        return Err(CompileError::UnmappedGate(format!("CZ q{a}, q{b}")));
-    }
-    let route = ctr_route_with(device, a, b, objective)?;
-    emit_cnot_via(device, &route, b, true, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{CtrStrategy, RoutingStrategy};
     use qsyn_arch::devices;
     use qsyn_qmdd::circuits_equal;
 
-    /// Fewest-SWAPs CTR routing under an optional SWAP cap, through the
+    /// CTR routing under `objective` and an optional SWAP cap, through the
     /// shared routing lookup for the device.
+    fn routed_with(
+        circuit: &Circuit,
+        device: &Device,
+        objective: RoutingObjective,
+        max_swaps: Option<usize>,
+    ) -> Result<RouteOutcome, CompileError> {
+        CtrStrategy.route(
+            &RouteRequest::new(circuit, device)
+                .with_objective(objective)
+                .with_max_swaps(max_swaps),
+        )
+    }
+
+    /// Fewest-SWAPs CTR routing under an optional SWAP cap.
     fn routed(
         circuit: &Circuit,
         device: &Device,
         max_swaps: Option<usize>,
-    ) -> Result<(Circuit, RouteCounters), CompileError> {
-        let (lookup, _) = crate::cache::routing_lookup(device, RoutingObjective::FewestSwaps);
-        route_bounded(circuit, device, &lookup, max_swaps)
+    ) -> Result<RouteOutcome, CompileError> {
+        routed_with(circuit, device, RoutingObjective::FewestSwaps, max_swaps)
+    }
+
+    /// The fewest-SWAPs CTR search for one pair.
+    fn bfs_route(device: &Device, control: usize, target: usize) -> Result<CtrRoute, CompileError> {
+        ctr_route_with(device, control, target, RoutingObjective::FewestSwaps)
+    }
+
+    /// A register of `n` lines holding one CNOT.
+    fn one_cnot(n: usize, control: usize, target: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        c.push(Gate::cx(control, target));
+        c
     }
 
     #[test]
@@ -547,7 +467,7 @@ mod tests {
         // The paper's worked example: CNOT control q5, target q10 on
         // ibmqx3 needs two swaps, first q5<->q12, then q12<->q11.
         let d = devices::ibmqx3();
-        let r = ctr_route(&d, 5, 10).unwrap();
+        let r = bfs_route(&d, 5, 10).unwrap();
         assert_eq!(r.path, vec![5, 12, 11]);
         assert_eq!(r.effective_control, 11);
     }
@@ -555,9 +475,9 @@ mod tests {
     #[test]
     fn adjacent_pairs_need_no_route() {
         let d = devices::ibmqx2();
-        let r = ctr_route(&d, 0, 1).unwrap();
+        let r = bfs_route(&d, 0, 1).unwrap();
         assert_eq!(r.path, vec![0]);
-        let r = ctr_route(&d, 1, 0).unwrap(); // reverse orientation counts
+        let r = bfs_route(&d, 1, 0).unwrap(); // reverse orientation counts
         assert_eq!(r.path, vec![1]);
     }
 
@@ -595,10 +515,8 @@ mod tests {
     #[test]
     fn rerouted_cnot_preserves_semantics_and_assignment() {
         let d = devices::ibmqx3();
-        let mut out = Circuit::new(16);
-        emit_cnot(&d, 5, 10, &mut out).unwrap();
-        let mut spec = Circuit::new(16);
-        spec.push(Gate::cx(5, 10));
+        let spec = one_cnot(16, 5, 10);
+        let out = routed(&spec, &d, None).unwrap().circuit;
         assert!(circuits_equal(&spec, &out));
         // Every CNOT in the output respects the coupling map.
         for g in out.gates() {
@@ -609,16 +527,16 @@ mod tests {
     }
 
     #[test]
-    fn route_circuit_legalizes_everything() {
+    fn ctr_routing_legalizes_everything() {
         let d = devices::ibmqx4();
         let mut c = Circuit::new(5);
         c.push(Gate::h(0));
         c.push(Gate::cx(0, 4));
         c.push(Gate::t(2));
         c.push(Gate::cx(4, 1));
-        let routed = route_circuit(&c, &d).unwrap();
-        assert!(circuits_equal(&c, &routed));
-        for g in routed.gates() {
+        let out = routed(&c, &d, None).unwrap().circuit;
+        assert!(circuits_equal(&c, &out));
+        for g in out.gates() {
             if let Gate::Cx { control, target } = g {
                 assert!(d.has_coupling(*control, *target));
             }
@@ -626,17 +544,16 @@ mod tests {
     }
 
     #[test]
-    fn traced_routing_counts_swaps_and_matches_untraced() {
+    fn routing_counts_swaps_and_reroutes() {
         let d = devices::ibmqx3();
         let mut c = Circuit::new(16);
         c.push(Gate::h(0));
         c.push(Gate::cx(5, 10)); // the Fig. 5 reroute: 2 hops
         c.push(Gate::cx(0, 1)); // adjacent: no swaps
-        let (traced, counters) = routed(&c, &d, None).unwrap();
-        let plain = route_circuit(&c, &d).unwrap();
-        assert_eq!(traced, plain, "tracing must not change the output");
-        assert_eq!(counters.gates_rerouted, 1);
-        assert_eq!(counters.swaps_inserted, 4, "2 hops out + 2 hops back");
+        let outcome = routed(&c, &d, None).unwrap();
+        assert_eq!(outcome.gates_rerouted, 1);
+        assert_eq!(outcome.swaps_inserted, 4, "2 hops out + 2 hops back");
+        assert_eq!(outcome.restoration_swaps, 0);
     }
 
     #[test]
@@ -644,8 +561,8 @@ mod tests {
         let d = devices::ibmqx2();
         let mut c = Circuit::new(5);
         c.push(Gate::cx(0, 1));
-        let (_, counters) = routed(&c, &d, None).unwrap();
-        assert_eq!(counters, RouteCounters::default());
+        let outcome = routed(&c, &d, None).unwrap();
+        assert_eq!((outcome.swaps_inserted, outcome.gates_rerouted), (0, 0));
     }
 
     #[test]
@@ -654,7 +571,7 @@ mod tests {
         let mut c = Circuit::new(5);
         c.push(Gate::toffoli(0, 1, 2));
         assert!(matches!(
-            route_circuit(&c, &d),
+            routed(&c, &d, None),
             Err(CompileError::UnmappedGate(_))
         ));
     }
@@ -662,7 +579,7 @@ mod tests {
     #[test]
     fn disconnected_map_reports_route_not_found() {
         let d = Device::from_coupling_map("disc", 4, &[(0, &[1]), (2, &[3])]);
-        let err = ctr_route(&d, 0, 3).unwrap_err();
+        let err = bfs_route(&d, 0, 3).unwrap_err();
         assert_eq!(
             err,
             CompileError::RouteNotFound {
@@ -677,7 +594,7 @@ mod tests {
         // A line graph where the only path from 0 to 2's neighborhood is
         // through 1: control stops next to the target, not on it.
         let d = Device::from_coupling_map("line", 4, &[(0, &[1]), (1, &[2]), (2, &[3])]);
-        let r = ctr_route(&d, 0, 3).unwrap();
+        let r = bfs_route(&d, 0, 3).unwrap();
         assert!(!r.path.contains(&3));
         assert_eq!(r.path, vec![0, 1, 2]);
     }
@@ -714,11 +631,11 @@ mod tests {
         assert_eq!(r.path, vec![0, 2, 4]);
         assert_eq!(r.effective_control, 4);
         // Both routes produce equivalent circuits.
-        let mut fast = Circuit::new(5);
-        emit_cnot_with(&d, 0, 3, RoutingObjective::FewestSwaps, &mut fast).unwrap();
-        let mut clean = Circuit::new(5);
-        emit_cnot_with(&d, 0, 3, RoutingObjective::HighestFidelity, &mut clean).unwrap();
-        assert!(circuits_equal(&fast, &clean));
+        let spec = one_cnot(5, 0, 3);
+        let fast = routed_with(&spec, &d, RoutingObjective::FewestSwaps, None).unwrap();
+        let clean = routed_with(&spec, &d, RoutingObjective::HighestFidelity, None).unwrap();
+        assert_ne!(fast.circuit, clean.circuit);
+        assert!(circuits_equal(&fast.circuit, &clean.circuit));
     }
 
     #[test]
@@ -755,9 +672,9 @@ mod tests {
         c.push(Gate::cx(0, 1)); // adjacent: H t, CZ, H t
         c.push(Gate::cx(0, 3)); // distant: swaps + CZ legs
         c.push(Gate::cz(2, 5)); // native CZ, distant
-        let routed = route_circuit(&c, &d).unwrap();
-        assert!(circuits_equal(&c, &routed));
-        for g in routed.gates() {
+        let out = routed(&c, &d, None).unwrap().circuit;
+        assert!(circuits_equal(&c, &out));
+        for g in out.gates() {
             assert!(d.supports(g), "unsupported {g}");
             assert!(!matches!(g, Gate::Cx { .. }), "no CNOT on a CZ device");
         }
@@ -773,16 +690,14 @@ mod tests {
         ));
         let mut c = Circuit::new(5);
         c.push(Gate::cz(0, 1));
-        assert!(route_circuit(&c, &d).is_err());
+        assert!(routed(&c, &d, None).is_err());
     }
 
     #[test]
     fn long_reroute_on_qc96_verifies() {
         let d = devices::qc96();
-        let mut out = Circuit::new(96);
-        emit_cnot(&d, 5, 45, &mut out).unwrap();
-        let mut spec = Circuit::new(96);
-        spec.push(Gate::cx(5, 45));
+        let spec = one_cnot(96, 5, 45);
+        let out = routed(&spec, &d, None).unwrap().circuit;
         // Wide register: use the miter strategy.
         assert!(qsyn_qmdd::equivalent_miter(&spec, &out).equivalent);
     }
@@ -808,8 +723,8 @@ mod tests {
         let d = devices::ibmqx3();
         let mut c = Circuit::new(16);
         c.push(Gate::cx(5, 10)); // distant pair: needs several SWAPs
-        let (_, counters) = routed(&c, &d, None).unwrap();
-        assert!(counters.swaps_inserted >= 2);
+        let free = routed(&c, &d, None).unwrap();
+        assert!(free.swaps_inserted >= 2);
         // A cap below the real requirement trips the budget...
         match routed(&c, &d, Some(1)) {
             Err(CompileError::BudgetExceeded {
@@ -826,9 +741,6 @@ mod tests {
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
         // ...while a generous cap matches the uncapped result.
-        let (bounded, bc) = routed(&c, &d, Some(1000)).unwrap();
-        let (free, fc) = routed(&c, &d, None).unwrap();
-        assert_eq!(bounded.gates().len(), free.gates().len());
-        assert_eq!(bc.swaps_inserted, fc.swaps_inserted);
+        assert_eq!(routed(&c, &d, Some(1000)).unwrap(), free);
     }
 }

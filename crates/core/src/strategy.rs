@@ -10,19 +10,20 @@
 //! routing into a first-class extension point, and the compiler routes
 //! every circuit through it:
 //!
-//! * [`RoutingStrategy`] — the trait: one [`RouteRequest`] in (circuit,
-//!   device, objective, SWAP cap, shared [`RoutingLookup`]), one
-//!   [`RouteOutcome`] out (routed circuit plus SWAP counters);
+//! * [`RoutingStrategy`] — the trait, and the only way to route a
+//!   circuit: one [`RouteRequest`] in (circuit, device, objective, SWAP
+//!   cap, shared [`RoutingLookup`]), one [`RouteOutcome`] out (routed
+//!   circuit plus SWAP counters);
 //! * [`CtrStrategy`] — the paper's router re-homed behind the trait,
 //!   byte-identical to the per-gate search;
 //! * [`LookaheadStrategy`] — a bidirectional SABRE-style search
-//!   (Li/Ding/Xie): SWAPs persist, candidates are scored against a
-//!   decaying window of future two-qubit gates using the hop /
-//!   negative-log-fidelity distances of the shared lookup, and one
-//!   restoration network at the end returns every line home so the
-//!   result stays QMDD-verifiable;
+//!   (Li/Ding/Xie): SWAPs persist, candidates are scored against the
+//!   front gate plus a window of the next 20 two-qubit gates weighted
+//!   `0.7^k`, using the hop / negative-log-fidelity distances of the
+//!   shared lookup, and one restoration network at the end returns every
+//!   line home so the result stays QMDD-verifiable;
 //! * [`PersistentStrategy`] — shortest-path drifting SWAPs with one final
-//!   restoration network ([`crate::remap`]);
+//!   restoration network;
 //! * [`RouteStrategyKind`] — the registry the compiler and CLI select
 //!   strategies through (`--route-strategy ctr|lookahead|persistent|auto`),
 //!   with `auto` resolved from the cost model's
@@ -36,7 +37,7 @@
 
 use crate::cache::{DistanceOracle, RoutingLookup, RoutingTable};
 use crate::error::CompileError;
-use crate::remap::{restoration_swaps, route_circuit_persistent_traced, Layout};
+use crate::remap::{bring_adjacent, restoration_swaps, Layout};
 use crate::route::{emit_adjacent_cnot, emit_adjacent_cz, emit_adjacent_swap, RoutingObjective};
 use qsyn_arch::{Device, RouteHint, TwoQubitNative};
 use qsyn_circuit::Circuit;
@@ -135,6 +136,20 @@ impl<'a> RouteRequest<'a> {
         );
         lookup.clone()
     }
+
+    /// Fails with [`CompileError::BudgetExceeded`] (pass `Route`, resource
+    /// `RouteSwaps`) when `used` SWAPs exceed this request's cap.
+    pub(crate) fn check_swap_cap(&self, used: usize) -> Result<(), CompileError> {
+        match self.max_swaps {
+            Some(cap) if used > cap => Err(CompileError::BudgetExceeded {
+                pass: qsyn_trace::Pass::Route,
+                resource: crate::budget::BudgetResource::RouteSwaps,
+                limit: cap as u64,
+                used: used as u64,
+            }),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// What a [`RoutingStrategy`] produced: the legalized circuit plus the
@@ -153,7 +168,7 @@ pub struct RouteOutcome {
 }
 
 impl RouteOutcome {
-    fn of(circuit: Circuit, swaps: usize, rerouted: usize, restoration: usize) -> Self {
+    pub(crate) fn of(circuit: Circuit, swaps: usize, rerouted: usize, restoration: usize) -> Self {
         RouteOutcome {
             circuit,
             swaps_inserted: swaps,
@@ -173,10 +188,6 @@ impl RouteOutcome {
 /// strategy's output must equal the input circuit as a unitary (the
 /// compiler QMDD-verifies it like any other pass).
 pub trait RoutingStrategy {
-    /// Stable lowercase identifier (the `--route-strategy` value and the
-    /// trace-event strategy tag name).
-    fn name(&self) -> &'static str;
-
     /// Legalizes `req.circuit` against `req.device`.
     ///
     /// # Errors
@@ -204,20 +215,8 @@ pub trait RoutingStrategy {
 pub struct CtrStrategy;
 
 impl RoutingStrategy for CtrStrategy {
-    fn name(&self) -> &'static str {
-        "ctr"
-    }
-
     fn route(&self, req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
-        let lookup = req.resolve_lookup();
-        let (circuit, k) =
-            crate::route::route_bounded(req.circuit, req.device, &lookup, req.max_swaps)?;
-        Ok(RouteOutcome::of(
-            circuit,
-            k.swaps_inserted,
-            k.gates_rerouted,
-            0,
-        ))
+        crate::route::route_bounded(req)
     }
 }
 
@@ -237,37 +236,18 @@ impl RoutingStrategy for CtrStrategy {
 /// fidelity objective on characterized devices the negative-log-fidelity
 /// metric is scored, otherwise hop counts (the same fallback rule the CTR
 /// search applies).
-#[derive(Debug, Clone, Copy)]
-pub struct LookaheadStrategy {
-    /// How many upcoming two-qubit gates each candidate SWAP is scored
-    /// against (beyond the front gate).
-    pub window: usize,
-    /// Per-gate decay of the window weight, in `(0, 1)`: the `k`-th future
-    /// gate contributes `decay^k` of its distance change.
-    pub decay: f64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LookaheadStrategy;
 
-impl Default for LookaheadStrategy {
-    fn default() -> Self {
-        LookaheadStrategy {
-            window: 20,
-            decay: 0.7,
-        }
-    }
-}
+/// How many upcoming two-qubit gates each candidate SWAP is scored against
+/// (beyond the front gate).
+const LOOKAHEAD_WINDOW: usize = 20;
 
-impl LookaheadStrategy {
-    /// A lookahead router with a custom scoring window.
-    pub fn new(window: usize, decay: f64) -> Self {
-        LookaheadStrategy { window, decay }
-    }
-}
+/// Per-gate decay of the window weight: the `k`-th future gate contributes
+/// `LOOKAHEAD_DECAY^k` of its distance.
+const LOOKAHEAD_DECAY: f64 = 0.7;
 
 impl RoutingStrategy for LookaheadStrategy {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
     fn route(&self, req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
         let device = req.device;
         let n = device.n_qubits();
@@ -294,17 +274,6 @@ impl RoutingStrategy for LookaheadStrategy {
         let mut layout = Layout::identity(n);
         let mut swaps_inserted = 0usize;
         let mut gates_rerouted = 0usize;
-        let check_cap = |used: usize, max: Option<usize>| -> Result<(), CompileError> {
-            match max {
-                Some(cap) if used > cap => Err(CompileError::BudgetExceeded {
-                    pass: qsyn_trace::Pass::Route,
-                    resource: crate::budget::BudgetResource::RouteSwaps,
-                    limit: cap as u64,
-                    used: used as u64,
-                }),
-                _ => Ok(()),
-            }
-        };
 
         let mut next_pair = 0usize; // index into `pairs` of the front gate
         for g in req.circuit.gates() {
@@ -321,7 +290,7 @@ impl RoutingStrategy for LookaheadStrategy {
                         if device.are_adjacent(pc, pt) {
                             break;
                         }
-                        let (a, b) = self.best_swap(
+                        let (a, b) = best_swap(
                             device,
                             &lookup,
                             neglog,
@@ -333,7 +302,7 @@ impl RoutingStrategy for LookaheadStrategy {
                         layout.swap_physical(a, b);
                         moved = true;
                         swaps_inserted += 1;
-                        check_cap(swaps_inserted, req.max_swaps)?;
+                        req.check_swap_cap(swaps_inserted)?;
                     }
                     gates_rerouted += usize::from(moved);
                     let (pc, pt) = (layout.phys_of[lc], layout.phys_of[lt]);
@@ -354,7 +323,7 @@ impl RoutingStrategy for LookaheadStrategy {
                 emit_adjacent_swap(device, a, b, &mut out)?;
                 restoration += 1;
             }
-            check_cap(swaps_inserted + restoration, req.max_swaps)?;
+            req.check_swap_cap(swaps_inserted + restoration)?;
         }
         Ok(RouteOutcome::of(
             out,
@@ -365,162 +334,189 @@ impl RoutingStrategy for LookaheadStrategy {
     }
 }
 
-impl LookaheadStrategy {
-    /// Picks the SWAP to insert for a non-adjacent front gate at physical
-    /// positions `(pc, pt)`.
-    ///
-    /// Candidates are the coupling-map edges incident to either operand
-    /// that *strictly reduce* the front gate's distance — a set that is
-    /// never empty on a connected map (the first hop of a shortest path
-    /// always qualifies), which is what guarantees termination. Among
-    /// them, the minimizer of `front + Σ decay^k · dist(future_k)` over
-    /// the scoring window wins; ties break toward the smallest `(a, b)`
-    /// pair, keeping the search deterministic.
-    ///
-    /// `dist` is the negative-log-fidelity distance when `neglog`, else the
-    /// hop count.
-    fn best_swap(
-        &self,
-        device: &Device,
-        lookup: &RoutingLookup,
-        neglog: bool,
-        layout: &Layout,
-        (pc, pt): (usize, usize),
-        future: &[(usize, usize)],
-    ) -> Result<(usize, usize), CompileError> {
-        let hops = |a: usize, b: usize| lookup.hop_distance(a, b).map(f64::from);
-        let dist = |a: usize, b: usize| {
-            if neglog {
-                lookup.neglog_distance(a, b)
-            } else {
-                hops(a, b)
-            }
-        };
-        if dist(pc, pt).is_none() {
-            return Err(CompileError::RouteNotFound {
-                control: pc,
-                target: pt,
-            });
+/// Picks the [`LookaheadStrategy`] SWAP for a non-adjacent front gate at
+/// physical positions `(pc, pt)`.
+///
+/// Candidates are the coupling-map edges incident to either operand
+/// that *strictly reduce* the front gate's distance — a set that is
+/// never empty on a connected map (the first hop of a shortest path
+/// always qualifies), which is what guarantees termination. Among
+/// them, the minimizer of `front + Σ decay^k · dist(future_k)` over
+/// the scoring window wins; ties break toward the smallest `(a, b)`
+/// pair, keeping the search deterministic.
+///
+/// `dist` is the negative-log-fidelity distance when `neglog`, else the
+/// hop count.
+fn best_swap(
+    device: &Device,
+    lookup: &RoutingLookup,
+    neglog: bool,
+    layout: &Layout,
+    (pc, pt): (usize, usize),
+    future: &[(usize, usize)],
+) -> Result<(usize, usize), CompileError> {
+    let hops = |a: usize, b: usize| lookup.hop_distance(a, b).map(f64::from);
+    let dist = |a: usize, b: usize| {
+        if neglog {
+            lookup.neglog_distance(a, b)
+        } else {
+            hops(a, b)
         }
-        let admissible = |metric: &dyn Fn(usize, usize) -> Option<f64>| {
-            let front = metric(pc, pt).unwrap_or(f64::INFINITY);
-            let mut found: Vec<(usize, usize)> = Vec::new();
-            for &p in &[pc, pt] {
-                for &nb in device.neighbors(p) {
-                    let (a, b) = (p.min(nb), p.max(nb));
-                    let reloc = |q: usize| {
-                        if q == a {
-                            b
-                        } else if q == b {
-                            a
-                        } else {
-                            q
-                        }
-                    };
-                    let after = metric(reloc(pc), reloc(pt)).unwrap_or(f64::INFINITY);
-                    if after < front && !found.contains(&(a, b)) {
-                        found.push((a, b));
-                    }
-                }
-            }
-            found
-        };
-        // Admission under the active metric; hop-count fallback covers
-        // degenerate metrics (e.g. all-zero error annotations), where the
-        // first hop of a shortest hop path always strictly descends.
-        let mut candidates = admissible(&dist);
-        if candidates.is_empty() {
-            candidates = admissible(&hops);
-        }
-        debug_assert!(!candidates.is_empty(), "connected map admits a descent");
-        if candidates.is_empty() {
-            return Err(CompileError::RouteNotFound {
-                control: pc,
-                target: pt,
-            });
-        }
-
-        let mut best: Option<(f64, (usize, usize))> = None;
-        for (a, b) in candidates {
-            let reloc = |q: usize| {
-                if q == a {
-                    b
-                } else if q == b {
-                    a
-                } else {
-                    q
-                }
-            };
-            // ALT pruning (sparse lookups only): the exact score is
-            // `dist(front after swap) + Σ decay^k·dist(future_k) ≥
-            // lower_bound(front after swap)` because every term is
-            // non-negative, so a landmark bound *strictly above* the
-            // incumbent score can never win — not even on the `(a, b)`
-            // tie-break, which requires score equality. Skipping here is
-            // therefore byte-identical to full evaluation while avoiding
-            // materializing the candidate's per-source distance rows.
-            if let Some((incumbent, _)) = best {
-                if lookup.lower_bound(reloc(pc), reloc(pt), neglog) > incumbent {
-                    continue;
-                }
-            }
-            let mut score = dist(reloc(pc), reloc(pt)).unwrap_or(f64::INFINITY);
-            let mut weight = 1.0;
-            for &(la, lb) in future.iter().take(self.window) {
-                weight *= self.decay;
-                let (fa, fb) = (layout.phys_of[la], layout.phys_of[lb]);
-                if let Some(d) = dist(reloc(fa), reloc(fb)) {
-                    score += weight * d;
-                }
-            }
-            let better = match best {
-                None => true,
-                Some((s, pair)) => score < s || (score == s && (a, b) < pair),
-            };
-            if better {
-                best = Some((score, (a, b)));
-            }
-        }
-        Ok(best.expect("non-empty candidate set").1)
+    };
+    if dist(pc, pt).is_none() {
+        return Err(CompileError::RouteNotFound {
+            control: pc,
+            target: pt,
+        });
     }
+    let admissible = |metric: &dyn Fn(usize, usize) -> Option<f64>| {
+        let front = metric(pc, pt).unwrap_or(f64::INFINITY);
+        let mut found: Vec<(usize, usize)> = Vec::new();
+        for &p in &[pc, pt] {
+            for &nb in device.neighbors(p) {
+                let (a, b) = (p.min(nb), p.max(nb));
+                let reloc = |q: usize| {
+                    if q == a {
+                        b
+                    } else if q == b {
+                        a
+                    } else {
+                        q
+                    }
+                };
+                let after = metric(reloc(pc), reloc(pt)).unwrap_or(f64::INFINITY);
+                if after < front && !found.contains(&(a, b)) {
+                    found.push((a, b));
+                }
+            }
+        }
+        found
+    };
+    // Admission under the active metric; hop-count fallback covers
+    // degenerate metrics (e.g. all-zero error annotations), where the
+    // first hop of a shortest hop path always strictly descends.
+    let mut candidates = admissible(&dist);
+    if candidates.is_empty() {
+        candidates = admissible(&hops);
+    }
+    debug_assert!(!candidates.is_empty(), "connected map admits a descent");
+    if candidates.is_empty() {
+        return Err(CompileError::RouteNotFound {
+            control: pc,
+            target: pt,
+        });
+    }
+
+    let mut best: Option<(f64, (usize, usize))> = None;
+    for (a, b) in candidates {
+        let reloc = |q: usize| {
+            if q == a {
+                b
+            } else if q == b {
+                a
+            } else {
+                q
+            }
+        };
+        // ALT pruning (sparse lookups only): the exact score is
+        // `dist(front after swap) + Σ decay^k·dist(future_k) ≥
+        // lower_bound(front after swap)` because every term is
+        // non-negative, so a landmark bound *strictly above* the
+        // incumbent score can never win — not even on the `(a, b)`
+        // tie-break, which requires score equality. Skipping here is
+        // therefore byte-identical to full evaluation while avoiding
+        // materializing the candidate's per-source distance rows.
+        if let Some((incumbent, _)) = best {
+            if lookup.lower_bound(reloc(pc), reloc(pt), neglog) > incumbent {
+                continue;
+            }
+        }
+        let mut score = dist(reloc(pc), reloc(pt)).unwrap_or(f64::INFINITY);
+        let mut weight = 1.0;
+        for &(la, lb) in future.iter().take(LOOKAHEAD_WINDOW) {
+            weight *= LOOKAHEAD_DECAY;
+            let (fa, fb) = (layout.phys_of[la], layout.phys_of[lb]);
+            if let Some(d) = dist(reloc(fa), reloc(fb)) {
+                score += weight * d;
+            }
+        }
+        let better = match best {
+            None => true,
+            Some((s, pair)) => score < s || (score == s && (a, b) < pair),
+        };
+        if better {
+            best = Some((score, (a, b)));
+        }
+    }
+    Ok(best.expect("non-empty candidate set").1)
 }
 
 // ---------------------------------------------------------------------------
 // Persistent layout behind the trait.
 // ---------------------------------------------------------------------------
 
-/// The persistent-layout router ([`route_circuit_persistent_traced`])
-/// behind the [`RoutingStrategy`] trait: SWAPs move a logical line and
-/// stay, and one restoration network at the end returns every line home.
+/// The persistent-layout router behind the [`RoutingStrategy`] trait:
+/// SWAPs move a logical line and stay (each non-adjacent gate's control
+/// walks a shortest hop path next to its target), later gates are routed
+/// under the drifted layout, and one restoration network at the end
+/// returns every line home.
 ///
 /// The restoration network is only known once the whole circuit is
 /// routed, so the SWAP cap is checked against the completed total
-/// (drifting plus restoration SWAPs). Path search is hop-based, so the
-/// request's lookup is neither consulted nor fetched.
+/// (drifting plus restoration SWAPs). Path search is hop-based under
+/// either objective, so the request's lookup is neither consulted nor
+/// fetched.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PersistentStrategy;
 
 impl RoutingStrategy for PersistentStrategy {
-    fn name(&self) -> &'static str {
-        "persistent"
-    }
-
     fn route(&self, req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
-        let (circuit, k) = route_circuit_persistent_traced(req.circuit, req.device, req.objective)?;
-        let total = k.swaps_inserted + k.restoration_swaps;
-        if let Some(cap) = req.max_swaps.filter(|&cap| total > cap) {
-            return Err(CompileError::BudgetExceeded {
-                pass: qsyn_trace::Pass::Route,
-                resource: crate::budget::BudgetResource::RouteSwaps,
-                limit: cap as u64,
-                used: total as u64,
-            });
+        let device = req.device;
+        let n = device.n_qubits();
+        let mut out = Circuit::new(n);
+        if let Some(name) = req.circuit.name() {
+            out.set_name(name.to_string());
         }
+        let mut layout = Layout::identity(n);
+        let (mut swaps_inserted, mut gates_rerouted) = (0, 0);
+        for g in req.circuit.gates() {
+            let (control, target, cz) = match g {
+                Gate::Single { op, qubit } => {
+                    out.push(Gate::single(*op, layout.phys_of[*qubit]));
+                    continue;
+                }
+                Gate::Cx { control, target } => (*control, *target, false),
+                Gate::Cz { control, target } if device.native() == TwoQubitNative::Cz => {
+                    (*control, *target, true)
+                }
+                other => return Err(CompileError::UnmappedGate(other.to_string())),
+            };
+            let (pc, pt) = (layout.phys_of[control], layout.phys_of[target]);
+            let (eff, hops) = bring_adjacent(device, pc, pt, &mut layout, &mut out)?;
+            swaps_inserted += hops;
+            gates_rerouted += usize::from(hops > 0);
+            if cz {
+                emit_adjacent_cz(device, eff, pt, &mut out)?;
+            } else {
+                emit_adjacent_cnot(device, eff, pt, &mut out)?;
+            }
+        }
+
+        // Restore the identity layout with one sorting network.
+        let mut restoration = 0;
+        if !layout.is_identity() {
+            for (a, b) in restoration_swaps(device, &mut layout) {
+                emit_adjacent_swap(device, a, b, &mut out)?;
+                restoration += 1;
+            }
+            debug_assert!(layout.is_identity());
+        }
+        req.check_swap_cap(swaps_inserted + restoration)?;
         Ok(RouteOutcome::of(
-            circuit,
-            k.swaps_inserted,
-            k.gates_rerouted,
-            k.restoration_swaps,
+            out,
+            swaps_inserted,
+            gates_rerouted,
+            restoration,
         ))
     }
 }
@@ -597,13 +593,13 @@ impl RouteStrategyKind {
         }
     }
 
-    /// Instantiates the strategy with its default parameters. `Auto`
+    /// Instantiates the strategy. `Auto`
     /// resolves conservatively (CTR); resolve against a
     /// [`RouteHint`] first to honor the cost model.
     pub fn instance(self) -> Box<dyn RoutingStrategy> {
         match self {
             RouteStrategyKind::Ctr | RouteStrategyKind::Auto => Box::new(CtrStrategy),
-            RouteStrategyKind::Lookahead => Box::new(LookaheadStrategy::default()),
+            RouteStrategyKind::Lookahead => Box::new(LookaheadStrategy),
             RouteStrategyKind::Persistent => Box::new(PersistentStrategy),
         }
     }
@@ -619,7 +615,6 @@ impl RouteStrategyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::route_circuit;
     use qsyn_arch::devices;
     use qsyn_qmdd::circuits_equal;
 
@@ -672,19 +667,26 @@ mod tests {
         for kind in RouteStrategyKind::CONCRETE {
             let tag = kind.tag().expect("concrete kinds have tags");
             assert_eq!(qsyn_trace::route_strategy_name(tag), Some(kind.name()));
-            assert_eq!(kind.instance().name(), kind.name());
         }
         assert_eq!(RouteStrategyKind::Auto.tag(), None);
     }
 
     #[test]
-    fn ctr_strategy_matches_the_free_function() {
+    fn swap_cap_error_names_the_route_pass_and_both_counts() {
         let d = devices::ibmqx3();
         let c = workload();
-        let via_trait = CtrStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
-        let via_free = route_circuit(&c, &d).unwrap();
-        assert_eq!(via_trait.circuit.gates(), via_free.gates());
-        assert_eq!(via_trait.restoration_swaps, 0);
+        let req = RouteRequest::new(&c, &d).with_max_swaps(Some(4));
+        assert_eq!(req.check_swap_cap(4), Ok(()));
+        assert_eq!(
+            req.check_swap_cap(5),
+            Err(CompileError::BudgetExceeded {
+                pass: qsyn_trace::Pass::Route,
+                resource: crate::budget::BudgetResource::RouteSwaps,
+                limit: 4,
+                used: 5,
+            })
+        );
+        assert_eq!(RouteRequest::new(&c, &d).check_swap_cap(usize::MAX), Ok(()));
     }
 
     #[test]
@@ -695,7 +697,7 @@ mod tests {
             RoutingObjective::FewestSwaps,
             RoutingObjective::HighestFidelity,
         ] {
-            let out = LookaheadStrategy::default()
+            let out = LookaheadStrategy
                 .route(&RouteRequest::new(&c, &d).with_objective(objective))
                 .unwrap();
             assert!(circuits_equal(&c, &out.circuit), "{objective:?}");
@@ -714,9 +716,7 @@ mod tests {
         let d = devices::ibmqx3();
         let c = workload();
         let ctr = CtrStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
-        let look = LookaheadStrategy::default()
-            .route(&RouteRequest::new(&c, &d))
-            .unwrap();
+        let look = LookaheadStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
         assert!(
             look.total_swaps() < ctr.total_swaps(),
             "lookahead {} vs ctr {}",
@@ -785,15 +785,14 @@ mod tests {
         let c = workload();
         let (table, _) =
             crate::cache::routing_table(&devices::ibmqx4(), RoutingObjective::FewestSwaps);
-        let _ = LookaheadStrategy::default().route(&RouteRequest::new(&c, &d).with_table(table));
+        let _ = LookaheadStrategy.route(&RouteRequest::new(&c, &d).with_table(table));
     }
 
     #[test]
     fn lookahead_respects_the_swap_cap() {
         let d = devices::ibmqx3();
         let c = workload();
-        match LookaheadStrategy::default().route(&RouteRequest::new(&c, &d).with_max_swaps(Some(1)))
-        {
+        match LookaheadStrategy.route(&RouteRequest::new(&c, &d).with_max_swaps(Some(1))) {
             Err(CompileError::BudgetExceeded {
                 pass,
                 resource,
@@ -807,12 +806,10 @@ mod tests {
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
         // A generous cap changes nothing.
-        let capped = LookaheadStrategy::default()
+        let capped = LookaheadStrategy
             .route(&RouteRequest::new(&c, &d).with_max_swaps(Some(10_000)))
             .unwrap();
-        let free = LookaheadStrategy::default()
-            .route(&RouteRequest::new(&c, &d))
-            .unwrap();
+        let free = LookaheadStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
         assert_eq!(capped.circuit.gates(), free.circuit.gates());
     }
 
@@ -823,9 +820,7 @@ mod tests {
         c.push(Gate::cz(0, 3));
         c.push(Gate::cx(1, 4));
         c.push(Gate::h(2));
-        let out = LookaheadStrategy::default()
-            .route(&RouteRequest::new(&c, &d))
-            .unwrap();
+        let out = LookaheadStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
         assert!(circuits_equal(&c, &out.circuit));
         for g in out.circuit.gates() {
             assert!(d.supports(g), "unsupported {g}");
@@ -838,7 +833,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.push(Gate::cx(0, 2));
         assert!(matches!(
-            LookaheadStrategy::default().route(&RouteRequest::new(&c, &d)),
+            LookaheadStrategy.route(&RouteRequest::new(&c, &d)),
             Err(CompileError::RouteNotFound { .. })
         ));
     }
@@ -849,7 +844,7 @@ mod tests {
         let mut c = Circuit::new(5);
         c.push(Gate::toffoli(0, 1, 2));
         assert!(matches!(
-            LookaheadStrategy::default().route(&RouteRequest::new(&c, &d)),
+            LookaheadStrategy.route(&RouteRequest::new(&c, &d)),
             Err(CompileError::UnmappedGate(_))
         ));
     }

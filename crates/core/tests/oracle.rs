@@ -6,15 +6,13 @@
 //! large-device paths the oracle exists for: generated-family compiles
 //! and streaming.
 
-use qsyn_arch::{devices, Device, TransmonCost};
+use qsyn_arch::{devices, Device};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    decompose_circuit_with, optimize_bounded, routing_lookup, routing_oracle, routing_table,
-    Compiler, DecomposeStrategy, OptimizeConfig, Placement, RouteRequest, RouteStrategyKind,
-    RoutingLookup, RoutingObjective, RoutingTable, Verification, SPARSE_ORACLE_MIN_QUBITS,
+    routing_lookup, routing_oracle, routing_table, Compiler, RouteRequest, RouteStrategyKind,
+    RoutingLookup, RoutingObjective, Verification, SPARSE_ORACLE_MIN_QUBITS,
 };
 use qsyn_gate::Gate;
-use std::sync::Arc;
 
 mod common;
 
@@ -89,37 +87,6 @@ fn oracle_routing_is_byte_identical_on_every_device_objective_and_strategy() {
     }
 }
 
-/// The pipeline `Compiler::compile` runs, rebuilt from public stage
-/// functions with no shared state: identity placement, uncached
-/// decomposition, routing (CTR as the bare per-gate search, any other
-/// strategy over a private dense [`RoutingTable`]), then the optimizer.
-/// Returns the (unoptimized, optimized) circuits.
-fn reference_pipeline(
-    spec: &Circuit,
-    d: &Device,
-    kind: RouteStrategyKind,
-    objective: RoutingObjective,
-) -> (Circuit, Circuit) {
-    let placed = Placement::identity(spec.n_qubits()).apply(spec, d);
-    let decomposed = decompose_circuit_with(&placed, Some(d), DecomposeStrategy::Exact).unwrap();
-    let routed = if kind == RouteStrategyKind::Ctr {
-        common::ctr_per_gate(&decomposed, d, objective).unwrap().0
-    } else {
-        let table = Arc::new(RoutingTable::build(d, objective));
-        kind.instance()
-            .route(
-                &RouteRequest::new(&decomposed, d)
-                    .with_objective(objective)
-                    .with_table(table),
-            )
-            .unwrap()
-            .circuit
-    };
-    let cost = TransmonCost::default();
-    let optimized = optimize_bounded(&routed, Some(d), &cost, OptimizeConfig::default(), None).0;
-    (routed, optimized)
-}
-
 #[test]
 fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
     // lnn(n >= threshold) selects the sparse oracle in the compiler; the
@@ -147,7 +114,7 @@ fn sparse_compile_matches_the_uncached_legacy_on_a_generated_device() {
                 .with_verification(Verification::None)
                 .compile(&spec)
                 .unwrap();
-            let (routed, optimized) = reference_pipeline(&spec, &d, strategy, objective);
+            let (routed, optimized) = common::reference_pipeline(&spec, &d, strategy, objective);
             assert_eq!(
                 cached.unoptimized.gates(),
                 routed.gates(),

@@ -6,9 +6,9 @@
 use qsyn_arch::{devices, CostModel, Device, RouteHint, TransmonCost};
 use qsyn_circuit::Circuit;
 use qsyn_core::{
-    decompose_circuit_with, route_circuit_persistent, CompileBudget, CompileError, Compiler,
-    DecomposeStrategy, LookaheadStrategy, PersistentStrategy, RouteRequest, RouteStrategyKind,
-    RoutingObjective, RoutingStrategy,
+    decompose_circuit_memo, CompileBudget, CompileError, Compiler, DecomposeStrategy,
+    LookaheadStrategy, PersistentStrategy, RouteRequest, RouteStrategyKind, RoutingObjective,
+    RoutingStrategy,
 };
 use qsyn_gate::Gate;
 use qsyn_qmdd::{circuits_equal, equivalent_miter};
@@ -47,7 +47,7 @@ fn lookahead_is_qmdd_equivalent_on_every_device_and_objective() {
             RoutingObjective::FewestSwaps,
             RoutingObjective::HighestFidelity,
         ] {
-            let out = LookaheadStrategy::default()
+            let out = LookaheadStrategy
                 .route(&RouteRequest::new(&spec, &d).with_objective(objective))
                 .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", d.name()));
             assert!(
@@ -172,7 +172,7 @@ fn lookahead_under_the_compiler_respects_swap_caps() {
 #[test]
 fn ctr_strategy_selection_is_byte_identical_to_the_default() {
     // `--route-strategy ctr` must not perturb the paper pipeline, and
-    // `persistent` must route exactly as the persistent-layout router.
+    // `persistent` must route exactly as `PersistentStrategy` does.
     let d = devices::ibmqx4();
     let mut spec = Circuit::new(5).with_name("ctr-regress");
     spec.push(Gate::toffoli(0, 2, 4));
@@ -188,9 +188,10 @@ fn ctr_strategy_selection_is_byte_identical_to_the_default() {
         .with_route_strategy(RouteStrategyKind::Persistent)
         .compile(&spec)
         .unwrap();
-    let decomposed =
-        decompose_circuit_with(&persistent.placed, Some(&d), DecomposeStrategy::Exact).unwrap();
-    let reference =
-        route_circuit_persistent(&decomposed, &d, RoutingObjective::FewestSwaps).unwrap();
-    assert_eq!(persistent.unoptimized.gates(), reference.gates());
+    let (decomposed, _) =
+        decompose_circuit_memo(&persistent.placed, Some(&d), DecomposeStrategy::Exact).unwrap();
+    let reference = PersistentStrategy
+        .route(&RouteRequest::new(&decomposed, &d))
+        .unwrap();
+    assert_eq!(persistent.unoptimized.gates(), reference.circuit.gates());
 }

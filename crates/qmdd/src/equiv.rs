@@ -123,6 +123,8 @@ pub struct EquivBudgetError {
     /// Peak arena size actually observed (at most one gate's worth of
     /// allocations past the ceiling, thanks to the package latch).
     pub used: usize,
+    /// Compute-table lookups the check made before it aborted.
+    pub lookups: u64,
 }
 
 impl std::fmt::Display for EquivBudgetError {
@@ -150,6 +152,7 @@ fn budget_verdict(pkg: &Qmdd, equivalent: bool) -> Result<EquivReport, EquivBudg
         return Err(EquivBudgetError {
             limit: pkg.node_budget().unwrap_or(0),
             used: pkg.peak_node_count(),
+            lookups: pkg.cache_stats().lookups,
         });
     }
     Ok(report_from(pkg, equivalent))
@@ -812,6 +815,11 @@ mod tests {
         let err_m = try_equivalent_miter(&c, &c.clone(), EquivBudget::with_node_budget(16))
             .expect_err("miter under the same budget must abort too");
         assert_eq!(err_m.limit, 16);
+        // A check that got past its first products reports the lookups it
+        // made before the abort.
+        let err = try_equivalent(&c, &c.clone(), EquivBudget::with_node_budget(256))
+            .expect_err("256 nodes cannot host a dense 6-qubit check");
+        assert!(err.lookups > 0, "{err:?}");
     }
 
     #[test]
@@ -836,7 +844,11 @@ mod tests {
 
     #[test]
     fn budget_error_display_names_limits() {
-        let e = EquivBudgetError { limit: 8, used: 11 };
+        let e = EquivBudgetError {
+            limit: 8,
+            used: 11,
+            lookups: 40,
+        };
         let text = e.to_string();
         assert!(text.contains("8") && text.contains("11"), "{text}");
     }

@@ -272,7 +272,8 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             "cache",
             "repeat",
             "stream",
-            "stream-verify-jobs"
+            "stream-verify-jobs",
+            "trace"
         ]
     ));
     let [input] = flags.positional.as_slice() else { usage() };

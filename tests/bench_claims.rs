@@ -78,7 +78,7 @@ fn lookahead_beats_ctr_on_swaps_and_eqn2_cost_on_every_ibm_device() {
         ] {
             let what = format!("{name} {objective:?}");
             let ctr = route(&CtrStrategy, &workload, d, objective);
-            let look = route(&LookaheadStrategy::default(), &workload, d, objective);
+            let look = route(&LookaheadStrategy, &workload, d, objective);
             for out in [&ctr.circuit, &look.circuit] {
                 if !verified.contains(out) {
                     assert!(

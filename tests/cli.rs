@@ -381,6 +381,26 @@ fn value_flag_missing_its_value_is_named() {
 }
 
 #[test]
+fn boolean_flag_with_a_value_is_a_usage_error() {
+    // `--no-verify=false` must not silently turn verification off.
+    let input = tmp("tof-boolval.real", TOFFOLI_REAL);
+    let out = qsyn(&[
+        "compile",
+        input.to_str().unwrap(),
+        "--device",
+        "ibmqx4",
+        "--no-verify=false",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        log.contains("error: flag --no-verify takes no value"),
+        "{log}"
+    );
+}
+
+#[test]
 fn compile_trace_file_emits_one_jsonl_event_per_pass() {
     let input = tmp("tof8.real", TOFFOLI_REAL);
     let trace = tmp("tof8.trace.jsonl", "");

@@ -26,7 +26,7 @@ fn table2_coupling_complexities_exact() {
 #[test]
 fn fig5_ctr_example_exact() {
     let d = devices::ibmqx3();
-    let r = qsyn::core::ctr_route(&d, 5, 10).unwrap();
+    let r = qsyn::core::ctr_route_with(&d, 5, 10, RoutingObjective::FewestSwaps).unwrap();
     assert_eq!(r.path, vec![5, 12, 11]);
     assert_eq!(r.effective_control, 11);
 }

@@ -3,9 +3,12 @@
 //! ESOP coverage, and parser round-trips — on randomized inputs.
 
 use proptest::prelude::*;
-use qsyn::core::optimize_bounded;
+use qsyn::core::{decompose_circuit_memo, optimize_bounded};
 use qsyn::prelude::*;
 use qsyn::qmdd::build_circuit_qmdd;
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
 
 /// Strategy: a random circuit over `n` qubits drawn from the full gate
 /// vocabulary (including technology-independent gates).
@@ -27,6 +30,45 @@ fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
     ];
     proptest::collection::vec(gate, 0..max_len)
         .prop_map(move |gates| Circuit::from_gates(n, gates))
+}
+
+/// Strategy: a circuit on `n` lines that opens with a generalized Toffoli
+/// of 3–6 controls and mixes more of them among one- and two-qubit gates.
+/// Each MCT's operands are scattered over the register by a seeded
+/// shuffle, so its spare lines vary from plentiful to one or two.
+fn arb_wide_mct(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
+    let mct = move || {
+        (3usize..7, 0u64..u64::MAX).prop_map(move |(m, seed)| {
+            let mut lines: Vec<usize> = (0..n).collect();
+            let mut s = seed | 1;
+            for i in (1..n).rev() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                lines.swap(i, (s % (i as u64 + 1)) as usize);
+            }
+            Gate::mct(lines[..m].to_vec(), lines[m])
+        })
+    };
+    let gate = prop_oneof![
+        mct(),
+        (0..8usize, 0..n).prop_map(|(op, q)| Gate::single(qsyn::gate::SINGLE_OPS[op], q)),
+        (0..n, 0..n)
+            .prop_filter("distinct", |(a, b)| a != b)
+            .prop_map(|(a, b)| Gate::cx(a, b)),
+        (0..n, 0..n)
+            .prop_filter("distinct", |(a, b)| a != b)
+            .prop_map(|(a, b)| Gate::cz(a, b)),
+        (0..n, 0..n)
+            .prop_filter("distinct", |(a, b)| a != b)
+            .prop_map(|(a, b)| Gate::swap(a, b)),
+    ];
+    (mct(), proptest::collection::vec(gate, 0..max_len)).prop_map(move |(first, rest)| {
+        let mut c = Circuit::new(n);
+        c.push(first);
+        c.extend(rest);
+        c
+    })
 }
 
 /// Strategy: a circuit restricted to technology-ready gates.
@@ -69,6 +111,27 @@ proptest! {
         prop_assert!(cost.circuit_cost(&o) <= cost.circuit_cost(&c) + 1e-9);
     }
 
+    /// The memoized lowering (the only one the compiler has) matches the
+    /// unmemoized test reference gate for gate, with and without a device
+    /// ordering the spare lines, under both decomposition strategies.
+    #[test]
+    fn memoized_lowering_matches_the_unmemoized_reference(c in arb_wide_mct(9, 10)) {
+        let device = devices::ibmq_16();
+        for strategy in [DecomposeStrategy::Exact, DecomposeStrategy::RelativePhase] {
+            for dev in [None, Some(&device)] {
+                let reference = common::decompose_unmemoized(&c, dev, strategy).unwrap();
+                let (memo, _) = decompose_circuit_memo(&c, dev, strategy).unwrap();
+                prop_assert_eq!(
+                    memo.gates(),
+                    reference.gates(),
+                    "{:?} on {:?}",
+                    strategy,
+                    dev.map(|d| d.name())
+                );
+            }
+        }
+    }
+
     /// The optimizer is idempotent: a second run finds nothing further.
     #[test]
     fn optimizer_is_idempotent(c in arb_tech_ready(4, 25)) {
@@ -82,9 +145,8 @@ proptest! {
     /// technology-ready circuits across devices.
     #[test]
     fn persistent_router_is_sound(c in arb_tech_ready(5, 12)) {
-        use qsyn::core::{route_circuit_persistent, RoutingObjective};
         for d in [devices::ibmqx2(), devices::ibmqx5()] {
-            let r = route_circuit_persistent(&c, &d, RoutingObjective::FewestSwaps).unwrap();
+            let r = PersistentStrategy.route(&RouteRequest::new(&c, &d)).unwrap().circuit;
             prop_assert!(circuits_equal(&c, &r), "{}", d.name());
         }
     }
@@ -158,7 +220,8 @@ proptest! {
     fn ctr_paths_are_valid_walks(control in 0usize..16, target in 0usize..16) {
         prop_assume!(control != target);
         let d = devices::ibmqx5();
-        let route = qsyn::core::ctr_route(&d, control, target).unwrap();
+        let route =
+            qsyn::core::ctr_route_with(&d, control, target, RoutingObjective::FewestSwaps).unwrap();
         prop_assert_eq!(*route.path.first().unwrap(), control);
         for w in route.path.windows(2) {
             prop_assert!(d.are_adjacent(w[0], w[1]));
@@ -220,7 +283,6 @@ proptest! {
         noise_seed in 0u64..50,
     ) {
         prop_assume!(control != target);
-        use qsyn::core::{emit_cnot_with, RoutingObjective};
         let mut d = devices::ibmqx5();
         let mut s = noise_seed.wrapping_mul(0x2545f4914f6cdd1d).wrapping_add(3);
         let pairs: Vec<(usize, usize)> = d.couplings().collect();
@@ -228,11 +290,16 @@ proptest! {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
             d.set_cnot_error(c, t, (s % 100) as f64 / 1000.0);
         }
-        let mut fast = Circuit::new(16);
-        emit_cnot_with(&d, control, target, RoutingObjective::FewestSwaps, &mut fast).unwrap();
-        let mut clean = Circuit::new(16);
-        emit_cnot_with(&d, control, target, RoutingObjective::HighestFidelity, &mut clean)
-            .unwrap();
+        let mut spec = Circuit::new(16);
+        spec.push(Gate::cx(control, target));
+        let routed = |objective| {
+            CtrStrategy
+                .route(&RouteRequest::new(&spec, &d).with_objective(objective))
+                .unwrap()
+                .circuit
+        };
+        let fast = routed(RoutingObjective::FewestSwaps);
+        let clean = routed(RoutingObjective::HighestFidelity);
         prop_assert!(circuits_equal(&fast, &clean));
     }
 

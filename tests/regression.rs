@@ -52,8 +52,12 @@ fn golden_simulator_toffoli_qasm() {
 #[test]
 fn golden_fig5_sequence_shape() {
     let d = devices::ibmqx3();
-    let mut out = Circuit::new(16);
-    qsyn::core::emit_cnot(&d, 5, 10, &mut out).unwrap();
+    let mut spec = Circuit::new(16);
+    spec.push(Gate::cx(5, 10));
+    let out = CtrStrategy
+        .route(&RouteRequest::new(&spec, &d))
+        .unwrap()
+        .circuit;
     assert_eq!(out.len(), 29, "4 swaps x 7 + 1 CNOT");
     let s = out.stats();
     assert_eq!(s.cnot_count, 13, "4 x 3 + 1 CNOTs");
