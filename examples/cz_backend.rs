@@ -35,7 +35,10 @@ fn main() -> Result<(), CompileError> {
         .iter()
         .filter(|g| matches!(g, Gate::Cz { .. }))
         .count();
-    println!("two-qubit primitives: {} CZ, {} CNOT", cz_count, stats.cnot_count);
+    println!(
+        "two-qubit primitives: {} CZ, {} CNOT",
+        cz_count, stats.cnot_count
+    );
     assert_eq!(stats.cnot_count, 0, "a CZ library emits no CNOTs");
     assert!(device.can_execute(&r.optimized));
 

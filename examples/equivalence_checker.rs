@@ -30,7 +30,11 @@ fn main() {
             "{} vs {}: {}",
             args[0],
             args[1],
-            if report.equivalent { "EQUIVALENT" } else { "DIFFERENT" }
+            if report.equivalent {
+                "EQUIVALENT"
+            } else {
+                "DIFFERENT"
+            }
         );
         std::process::exit(if report.equivalent { 0 } else { 1 });
     }
@@ -41,10 +45,8 @@ fn main() {
     // (1) Fig. 6 — CNOT orientation reversal.
     let mut fwd = Circuit::new(2);
     fwd.push(Gate::cx(1, 0));
-    let rev = Circuit::from_qasm(
-        "qreg q[2]; h q[0]; h q[1]; cx q[0],q[1]; h q[0]; h q[1];",
-    )
-    .unwrap();
+    let rev =
+        Circuit::from_qasm("qreg q[2]; h q[0]; h q[1]; cx q[0],q[1]; h q[0]; h q[1];").unwrap();
     println!(
         "Fig. 6 reversal identity        : {}",
         equivalent(&fwd, &rev).equivalent
@@ -53,8 +55,7 @@ fn main() {
     // (2) Fig. 3 — SWAP from three CNOTs.
     let mut swap = Circuit::new(2);
     swap.push(Gate::swap(0, 1));
-    let three = Circuit::from_qasm("qreg q[2]; cx q[0],q[1]; cx q[1],q[0]; cx q[0],q[1];")
-        .unwrap();
+    let three = Circuit::from_qasm("qreg q[2]; cx q[0],q[1]; cx q[1],q[0]; cx q[0],q[1];").unwrap();
     println!(
         "Fig. 3 SWAP identity            : {}",
         equivalent(&swap, &three).equivalent

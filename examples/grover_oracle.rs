@@ -96,7 +96,10 @@ fn main() -> Result<(), CompileError> {
     // Simulate the *mapped* 16-qubit circuit: the physics must agree.
     let p_mapped = probability_of(&result.optimized, MARKED);
     println!("P(marked) from the mapped circuit     : {p_mapped:.4}");
-    assert!((p_spec - p_mapped).abs() < 1e-9, "mapping changed the physics!");
+    assert!(
+        (p_spec - p_mapped).abs() < 1e-9,
+        "mapping changed the physics!"
+    );
 
     let cost = TransmonCost::default();
     println!(

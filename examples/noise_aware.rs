@@ -96,6 +96,9 @@ fn main() -> Result<(), CompileError> {
         "\nMonte-Carlo success on the native CNOT chain: {mc:.3} \
          (analytic product estimate {analytic:.3})"
     );
-    assert!((mc - analytic).abs() < 0.1, "estimates should agree roughly");
+    assert!(
+        (mc - analytic).abs() < 0.1,
+        "estimates should agree roughly"
+    );
     Ok(())
 }

@@ -171,8 +171,8 @@ fn resolve_device(name_or_path: &str) -> Result<Device, String> {
         return Ok(d);
     }
     if name_or_path.ends_with(".device") || std::path::Path::new(name_or_path).exists() {
-        let src = std::fs::read_to_string(name_or_path)
-            .map_err(|e| format!("{name_or_path}: {e}"))?;
+        let src =
+            std::fs::read_to_string(name_or_path).map_err(|e| format!("{name_or_path}: {e}"))?;
         return qsyn::arch::parse_device(&src).map_err(|e| format!("{name_or_path}: {e}"));
     }
     Err(format!(
@@ -260,7 +260,14 @@ fn cmd_devices() -> ExitCode {
 fn cmd_compile(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(
         args,
-        &["no-opt", "no-verify", "report", "trace", "strict-verify", "cache-stats"],
+        &[
+            "no-opt",
+            "no-verify",
+            "report",
+            "trace",
+            "strict-verify",
+            "cache-stats"
+        ],
         &[
             "device",
             "out",
@@ -276,7 +283,9 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             "trace"
         ]
     ));
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     let Some(device_name) = flags.value("device") else {
         eprintln!("error: --device is required");
         return ExitCode::from(2);
@@ -482,7 +491,13 @@ fn install_sigterm_handler() {}
 fn cmd_serve(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(
         args,
-        &["trace", "no-retry", "no-emit", "strict-verify", "cache-stats"],
+        &[
+            "trace",
+            "no-retry",
+            "no-emit",
+            "strict-verify",
+            "cache-stats"
+        ],
         &[
             "workers",
             "queue-cap",
@@ -528,8 +543,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         },
     };
-    if (cache_max_bytes.is_some() || cache_max_age.is_some()) && !flags.has("cache-dir")
-    {
+    if (cache_max_bytes.is_some() || cache_max_age.is_some()) && !flags.has("cache-dir") {
         eprintln!("error: --cache-max-bytes/--cache-max-age need --cache-dir");
         return ExitCode::from(2);
     }
@@ -546,7 +560,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                         Ok(ev) => eprintln!(
                             "disk cache: evicted {} of {} entries ({} bytes reclaimed), \
                              {} entries ({} bytes) remain",
-                            ev.evicted, ev.scanned, ev.evicted_bytes, ev.remaining,
+                            ev.evicted,
+                            ev.scanned,
+                            ev.evicted_bytes,
+                            ev.remaining,
                             ev.remaining_bytes
                         ),
                         Err(e) => {
@@ -609,7 +626,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
 fn cmd_check(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &["miter"], &["ancilla"]));
-    let [a, b] = flags.positional.as_slice() else { usage() };
+    let [a, b] = flags.positional.as_slice() else {
+        usage()
+    };
     if flags.has("miter") && flags.has("ancilla") {
         eprintln!("error: --miter and --ancilla cannot be combined");
         return ExitCode::from(2);
@@ -625,7 +644,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     .map(|s| s.trim().parse().ok().filter(|&q| q < n))
                     .collect();
                 let Some(lines) = lines else {
-                    eprintln!("error: bad --ancilla `{spec}` (want comma-separated lines below {n})");
+                    eprintln!(
+                        "error: bad --ancilla `{spec}` (want comma-separated lines below {n})"
+                    );
                     return ExitCode::from(2);
                 };
                 qsyn::qmdd::equivalent_with_ancillas(&ca, &cb, &lines)
@@ -664,7 +685,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
 fn cmd_stats(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &[], &[]));
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     match load_circuit(input) {
         Ok(c) => {
             let s = c.stats();
@@ -677,14 +700,10 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             println!("largest MCT     : {} controls", s.max_mct_controls);
             println!("depth           : {}", qsyn::circuit::depth(&c));
             println!("T-depth         : {}", qsyn::circuit::t_depth(&c));
-            println!(
-                "Eqn. 2 cost     : {:.2}",
-                TransmonCost::default().cost(&s)
-            );
+            println!("Eqn. 2 cost     : {:.2}", TransmonCost::default().cost(&s));
             println!("technology-ready: {}", c.is_technology_ready());
             let hist = qsyn::circuit::gate_histogram(&c);
-            let parts: Vec<String> =
-                hist.iter().map(|(k, v)| format!("{k}x{v}")).collect();
+            let parts: Vec<String> = hist.iter().map(|(k, v)| format!("{k}x{v}")).collect();
             println!("histogram       : {}", parts.join(", "));
             ExitCode::SUCCESS
         }
@@ -697,7 +716,9 @@ fn cmd_stats(args: &[String]) -> ExitCode {
 
 fn cmd_check_trace(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &[], &[]));
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
         Err(e) => {
@@ -895,9 +916,7 @@ fn cmd_check_trace(args: &[String]) -> ExitCode {
         format!(", strategies: {}", strategies.join(", "))
     };
     let streamed = if stream_events > 0 {
-        format!(
-            ", {stream_events} streaming event(s) covering {stream_windows} windows"
-        )
+        format!(", {stream_events} streaming event(s) covering {stream_windows} windows")
     } else {
         String::new()
     };
@@ -921,7 +940,9 @@ fn cmd_check_trace(args: &[String]) -> ExitCode {
 
 fn cmd_report(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &["prometheus"], &[]));
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
         Err(e) => {
@@ -997,7 +1018,9 @@ fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
 
 fn cmd_check_metrics(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &[], &[]));
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     let text = match std::fs::read_to_string(input) {
         Ok(t) => t,
         Err(e) => {
@@ -1041,7 +1064,9 @@ fn cmd_check_metrics(args: &[String]) -> ExitCode {
 
 fn cmd_synth(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &[], &["out"]));
-    let [hex, vars] = flags.positional.as_slice() else { usage() };
+    let [hex, vars] = flags.positional.as_slice() else {
+        usage()
+    };
     let Ok(n) = vars.parse::<usize>() else {
         eprintln!("error: bad variable count `{vars}`");
         return ExitCode::from(2);
@@ -1088,7 +1113,9 @@ fn cmd_dot(args: &[String]) -> ExitCode {
         print!("{}", device.to_dot());
         return ExitCode::SUCCESS;
     }
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     match load_circuit(input) {
         Ok(c) => {
             let (pkg, root) = qsyn::qmdd::build_circuit_qmdd(&c);
@@ -1109,7 +1136,9 @@ fn cmd_dot(args: &[String]) -> ExitCode {
 
 fn cmd_draw(args: &[String]) -> ExitCode {
     let flags = or_usage!(Args::parse(args, &[], &[]));
-    let [input] = flags.positional.as_slice() else { usage() };
+    let [input] = flags.positional.as_slice() else {
+        usage()
+    };
     match load_circuit(input) {
         Ok(c) => {
             eprintln!(

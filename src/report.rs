@@ -56,7 +56,9 @@ pub fn load(text: &str) -> Result<(MetricsSnapshot, ReportSource), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = json::parse(line).ok().and_then(|v| PassEvent::from_json(&v));
+        let parsed = json::parse(line)
+            .ok()
+            .and_then(|v| PassEvent::from_json(&v));
         match parsed {
             Some(e) => events.push(e),
             None => {
@@ -90,7 +92,8 @@ fn snapshot_from_events(events: &[PassEvent]) -> MetricsSnapshot {
 }
 
 fn fmt_quantile(h: &HistogramSnapshot, q: f64) -> String {
-    h.quantile(q).map_or_else(|| "-".to_string(), |v| v.to_string())
+    h.quantile(q)
+        .map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
 /// Renders the human report: latency histograms with count / mean /
@@ -120,7 +123,8 @@ pub fn render(snap: &MetricsSnapshot) -> String {
                 "{:<name_w$} {:>10} {:>12} {:>9} {:>9} {:>9}",
                 name,
                 h.count,
-                h.mean().map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
+                h.mean()
+                    .map_or_else(|| "-".to_string(), |m| format!("{m:.1}")),
                 fmt_quantile(h, 0.50),
                 fmt_quantile(h, 0.95),
                 fmt_quantile(h, 0.99),
@@ -201,9 +205,7 @@ pub fn check_snapshot(snap: &MetricsSnapshot) -> Result<Vec<String>, Vec<String>
         let positive = h.buckets.iter().all(|&(_, c)| c > 0);
         check(
             ascending && in_range && positive,
-            format!(
-                "{name}: bucket indices ascending, < {BUCKETS}, counts positive"
-            ),
+            format!("{name}: bucket indices ascending, < {BUCKETS}, counts positive"),
         );
         // The recorded sum must be reachable from the bucket bounds:
         // each sample lies within its bucket, so the total lies within
@@ -320,9 +322,7 @@ mod tests {
         assert_eq!(src, ReportSource::Snapshot);
         assert_eq!(loaded.counter("serve.requests"), Some(3));
 
-        let row = format!(
-            "{{\"id\":\"m\",\"job\":7,\"status\":\"metrics\",\"metrics\":{bare}}}"
-        );
+        let row = format!("{{\"id\":\"m\",\"job\":7,\"status\":\"metrics\",\"metrics\":{bare}}}");
         let (loaded, src) = load(&row).expect("poll row loads");
         assert_eq!(src, ReportSource::Snapshot);
         assert_eq!(loaded.counter("serve.responses_ok"), Some(2));
@@ -364,8 +364,7 @@ mod tests {
         // More counted outcomes than recorded samples is impossible by
         // construction: every outcome came from a timed check.
         reg.counter("stream.windows_verified").add(5);
-        let violations =
-            check_snapshot(&reg.snapshot()).expect_err("overcounted outcomes fail");
+        let violations = check_snapshot(&reg.snapshot()).expect_err("overcounted outcomes fail");
         assert!(
             violations.iter().any(|v| v.contains("verify samples")),
             "{violations:?}"

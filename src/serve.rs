@@ -36,9 +36,7 @@
 //! (`qsyn check-metrics` verifies exactly this).
 
 use qsyn_core::pool::{default_jobs, WorkerPool};
-use qsyn_core::serve::{
-    parse_request, NodeBudgetGate, ServeContext, ServeDefaults, ServeResponse,
-};
+use qsyn_core::serve::{parse_request, NodeBudgetGate, ServeContext, ServeDefaults, ServeResponse};
 use qsyn_trace::json::Value;
 use qsyn_trace::metrics;
 use std::io::{BufRead, Write};
@@ -140,13 +138,13 @@ qsyn_trace::metric_handles! {
 /// row by `id` and `job`.
 fn metrics_row(id: Option<String>, job: u64) -> String {
     Value::Obj(vec![
-        (
-            "id".to_string(),
-            id.map_or(Value::Null, Value::Str),
-        ),
+        ("id".to_string(), id.map_or(Value::Null, Value::Str)),
         ("job".to_string(), Value::Num(job as f64)),
         ("status".to_string(), Value::Str("metrics".to_string())),
-        ("metrics".to_string(), metrics::global().snapshot().to_json()),
+        (
+            "metrics".to_string(),
+            metrics::global().snapshot().to_json(),
+        ),
     ])
     .to_string()
 }
@@ -158,10 +156,7 @@ fn metrics_row(id: Option<String>, job: u64) -> String {
 fn write_metrics_file(path: &Path) -> std::io::Result<()> {
     let mut text = metrics::global().snapshot().to_json().to_string();
     text.push('\n');
-    let tmp = path.with_file_name(format!(
-        ".tmp-metrics-{}",
-        std::process::id()
-    ));
+    let tmp = path.with_file_name(format!(".tmp-metrics-{}", std::process::id()));
     std::fs::write(&tmp, text)?;
     std::fs::rename(&tmp, path)
 }
@@ -216,8 +211,8 @@ pub fn run(
     let (resp_tx, resp_rx) = mpsc::channel::<ServeResponse>();
     let mut output = output;
     let write_row = |output: &mut dyn Write,
-                         summary: &mut ServeSummary,
-                         row: &ServeResponse|
+                     summary: &mut ServeSummary,
+                     row: &ServeResponse|
      -> std::io::Result<()> {
         if row.is_ok() {
             summary.ok += 1;
@@ -292,7 +287,10 @@ pub fn run(
         // circuit string containing "cmd" falls through to the normal
         // path below).
         if line.contains("\"cmd\"") {
-            if let Some(v) = qsyn_trace::json::parse(line.trim()).ok().filter(|v| v.get("cmd").is_some()) {
+            if let Some(v) = qsyn_trace::json::parse(line.trim())
+                .ok()
+                .filter(|v| v.get("cmd").is_some())
+            {
                 let id = v.get("id").and_then(|i| i.as_str().map(str::to_string));
                 let cmd = v.get("cmd").and_then(|c| c.as_str()).unwrap_or("");
                 if cmd == "metrics" {

@@ -36,7 +36,11 @@ fn devices_lists_the_library() {
 fn compile_real_to_qasm() {
     let input = tmp("tof.real", TOFFOLI_REAL);
     let out = qsyn(&["compile", input.to_str().unwrap(), "--device", "ibmqx4"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let qasm = String::from_utf8_lossy(&out.stdout);
     assert!(qasm.starts_with("OPENQASM 2.0;"));
     assert!(qasm.contains("cx q["));
@@ -66,10 +70,7 @@ fn compile_writes_out_file_and_round_trips() {
 
 #[test]
 fn compile_reports_na_for_too_wide() {
-    let input = tmp(
-        "wide.real",
-        ".numvars 6\n.variables a b c d e f\nt2 a f\n",
-    );
+    let input = tmp("wide.real", ".numvars 6\n.variables a b c d e f\nt2 a f\n");
     let out = qsyn(&["compile", input.to_str().unwrap(), "--device", "ibmqx2"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("6 qubits"));
@@ -85,11 +86,19 @@ fn compile_rejects_unknown_device() {
 #[test]
 fn compile_flags_greedy_and_no_opt() {
     let input = tmp("tof4.real", TOFFOLI_REAL);
-    for extra in [&["--placement", "greedy"][..], &["--no-opt"], &["--cost", "fidelity"]] {
+    for extra in [
+        &["--placement", "greedy"][..],
+        &["--no-opt"],
+        &["--cost", "fidelity"],
+    ] {
         let mut args = vec!["compile", input.to_str().unwrap(), "--device", "ibmqx5"];
         args.extend_from_slice(extra);
         let out = qsyn(&args);
-        assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
 
@@ -183,17 +192,26 @@ fn assert_usage_error(out: &Output, needle: &str) {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     let lines: Vec<&str> = stderr.lines().collect();
     assert_eq!(lines.len(), 1, "{stderr}");
-    assert!(lines[0].starts_with("error: ") && lines[0].contains(needle), "{stderr}");
+    assert!(
+        lines[0].starts_with("error: ") && lines[0].contains(needle),
+        "{stderr}"
+    );
 }
 
 #[test]
 fn check_rejects_bad_ancilla_lists_and_miter_with_ancilla() {
     let clean = tmp("bad-anc1.qasm", "qreg q[3]; ccx q[0],q[1],q[2];");
-    let messy = tmp("bad-anc2.qasm", "qreg q[3]; cz q[2],q[0]; ccx q[0],q[1],q[2];");
+    let messy = tmp(
+        "bad-anc2.qasm",
+        "qreg q[3]; cz q[2],q[0]; ccx q[0],q[1],q[2];",
+    );
     let (a, b) = (clean.to_str().unwrap(), messy.to_str().unwrap());
     for spec in ["99", "3", "1,x", "2,", "-1"] {
         let out = qsyn(&["check", a, b, "--ancilla", spec]);
-        assert_usage_error(&out, &format!("bad --ancilla `{spec}` (want comma-separated lines below 3)"));
+        assert_usage_error(
+            &out,
+            &format!("bad --ancilla `{spec}` (want comma-separated lines below 3)"),
+        );
     }
     let out = qsyn(&["check", a, b, "--ancilla", "2", "--miter"]);
     assert_usage_error(&out, "--miter and --ancilla cannot be combined");
@@ -203,7 +221,10 @@ fn check_rejects_bad_ancilla_lists_and_miter_with_ancilla() {
 fn synth_rejects_more_variables_than_a_truth_table_holds() {
     for vars in ["25", "40", "64", "100"] {
         let out = qsyn(&["synth", "8", vars]);
-        assert_usage_error(&out, &format!("{vars} variables exceed the 24-variable limit"));
+        assert_usage_error(
+            &out,
+            &format!("{vars} variables exceed the 24-variable limit"),
+        );
     }
 }
 
@@ -242,18 +263,23 @@ fn synth_then_compile_pipeline() {
     ]);
     assert!(out.status.success());
     let out = qsyn(&["compile", cascade.to_str().unwrap(), "--device", "ibmqx4"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
 fn compile_pla_through_the_esop_front_end() {
     // A half adder as a PLA: sum = a XOR b, carry = a AND b.
-    let input = tmp(
-        "half_adder.pla",
-        ".i 2\n.o 2\n10 10\n01 10\n11 01\n.e\n",
-    );
+    let input = tmp("half_adder.pla", ".i 2\n.o 2\n10 10\n01 10\n11 01\n.e\n");
     let out = qsyn(&["compile", input.to_str().unwrap(), "--device", "ibmqx5"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("verified = Some(true)"));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("OPENQASM 2.0;"));
 }
@@ -313,7 +339,11 @@ fn compile_against_custom_device_file() {
         "--device",
         device.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let qasm = String::from_utf8_lossy(&out.stdout);
     assert!(qasm.contains("cz q["), "CZ-native output:\n{qasm}");
     assert!(!qasm.contains("cx q["), "no CNOT on a CZ device");
@@ -411,7 +441,11 @@ fn compile_trace_file_emits_one_jsonl_event_per_pass() {
         "ibmqx4",
         &format!("--trace={}", trace.to_str().unwrap()),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = std::fs::read_to_string(&trace).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 5, "one event per Fig. 2 pass:\n{text}");
@@ -435,7 +469,11 @@ fn compile_bare_trace_streams_jsonl_to_stderr() {
         "ibmqx4",
         "--trace",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let log = String::from_utf8_lossy(&out.stderr);
     let events: Vec<&str> = log.lines().filter(|l| l.starts_with('{')).collect();
     assert_eq!(events.len(), 5, "{log}");
@@ -458,21 +496,32 @@ fn check_trace_validates_jsonl_files() {
     assert!(out.status.success());
 
     let ok = qsyn(&["check-trace", trace.to_str().unwrap()]);
-    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
     assert!(String::from_utf8_lossy(&ok.stderr).contains("5 well-formed pass events"));
     assert!(String::from_utf8_lossy(&ok.stdout).contains("optimize"));
 
     let broken = tmp("broken.jsonl", "{\"pass\":\"route\"\nnot json\n");
     let bad = qsyn(&["check-trace", broken.to_str().unwrap()]);
     assert_eq!(bad.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&bad.stderr).contains(":1:"), "names the line");
+    assert!(
+        String::from_utf8_lossy(&bad.stderr).contains(":1:"),
+        "names the line"
+    );
 }
 
 #[test]
 fn compile_route_strategy_ctr_is_byte_identical_to_the_default() {
     let input = tmp("tof12.real", TOFFOLI_REAL);
     let default = qsyn(&["compile", input.to_str().unwrap(), "--device", "ibmqx3"]);
-    assert!(default.status.success(), "{}", String::from_utf8_lossy(&default.stderr));
+    assert!(
+        default.status.success(),
+        "{}",
+        String::from_utf8_lossy(&default.stderr)
+    );
     let explicit = qsyn(&[
         "compile",
         input.to_str().unwrap(),
@@ -481,8 +530,15 @@ fn compile_route_strategy_ctr_is_byte_identical_to_the_default() {
         "--route-strategy",
         "ctr",
     ]);
-    assert!(explicit.status.success(), "{}", String::from_utf8_lossy(&explicit.stderr));
-    assert_eq!(default.stdout, explicit.stdout, "ctr selection perturbed the output");
+    assert!(
+        explicit.status.success(),
+        "{}",
+        String::from_utf8_lossy(&explicit.stderr)
+    );
+    assert_eq!(
+        default.stdout, explicit.stdout,
+        "ctr selection perturbed the output"
+    );
 }
 
 #[test]
@@ -506,10 +562,18 @@ fn compile_route_strategy_smoke_through_check_trace() {
             spec,
             &format!("--trace={}", trace.to_str().unwrap()),
         ]);
-        assert!(out.status.success(), "{spec}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{spec}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         assert!(String::from_utf8_lossy(&out.stderr).contains("verified = Some(true)"));
         let ok = qsyn(&["check-trace", trace.to_str().unwrap()]);
-        assert!(ok.status.success(), "{spec}: {}", String::from_utf8_lossy(&ok.stderr));
+        assert!(
+            ok.status.success(),
+            "{spec}: {}",
+            String::from_utf8_lossy(&ok.stderr)
+        );
         let log = String::from_utf8_lossy(&ok.stderr);
         assert!(log.contains(&format!("strategies: {tag}")), "{spec}: {log}");
     }
@@ -538,16 +602,34 @@ fn retired_strategy_and_cache_names_fail_with_the_current_choices() {
     use std::process::Stdio;
     let input = tmp("tof16.real", TOFFOLI_REAL);
     for (flag, value, want) in [
-        ("--route-strategy", "lazy-synth", "want ctr, lookahead, persistent or auto"),
+        (
+            "--route-strategy",
+            "lazy-synth",
+            "want ctr, lookahead, persistent or auto",
+        ),
         ("--cache", "off", "want tables or mem"),
     ] {
-        let out = qsyn(&["compile", input.to_str().unwrap(), "--device", "ibmqx4", flag, value]);
+        let out = qsyn(&[
+            "compile",
+            input.to_str().unwrap(),
+            "--device",
+            "ibmqx4",
+            flag,
+            value,
+        ]);
         assert_eq!(out.status.code(), Some(2), "{flag} {value}");
         let log = String::from_utf8_lossy(&out.stderr);
-        assert!(log.contains(value) && log.contains(want), "{flag} {value}: {log}");
+        assert!(
+            log.contains(value) && log.contains(want),
+            "{flag} {value}: {log}"
+        );
     }
     for (field, value, want) in [
-        ("route_strategy", "lazy-synth", "want ctr, lookahead, persistent or auto"),
+        (
+            "route_strategy",
+            "lazy-synth",
+            "want ctr, lookahead, persistent or auto",
+        ),
         ("cache", "off", "want tables or mem"),
     ] {
         let request = format!(
@@ -561,9 +643,18 @@ fn retired_strategy_and_cache_names_fail_with_the_current_choices() {
             .stderr(Stdio::piped())
             .spawn()
             .expect("qsyn serve starts");
-        child.stdin.take().unwrap().write_all(request.as_bytes()).unwrap();
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(request.as_bytes())
+            .unwrap();
         let out = child.wait_with_output().unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let row = String::from_utf8_lossy(&out.stdout);
         assert!(row.contains("\"kind\":\"bad-value\""), "{field}: {row}");
         assert!(row.contains(want), "{field}: {row}");
@@ -698,7 +789,10 @@ fn check_trace_rejects_verify_events_with_impossible_support_counters() {
     assert!(verify.contains("\"miter_block\":0,"), "{verify}");
     for (prepend, needle) in [
         ("\"support\":6,", "exceeds the device width 5"),
-        ("\"ladder_rung\":3,\"miter_block\":0,", "must carry `miter_block` >= 1"),
+        (
+            "\"ladder_rung\":3,\"miter_block\":0,",
+            "must carry `miter_block` >= 1",
+        ),
         ("\"miter_block\":33,", "is not in 0..=32"),
     ] {
         let tampered = text.replacen(
@@ -771,7 +865,11 @@ fn compile_report_renders_the_stage_table() {
         "ibmqx4",
         "--report",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let log = String::from_utf8_lossy(&out.stderr);
     for pass in ["place", "decompose", "route", "optimize"] {
         assert!(log.contains(pass), "missing {pass} row:\n{log}");
@@ -823,7 +921,11 @@ fn report_renders_tables_from_snapshot_and_trace_files() {
         "2",
         &format!("--trace={}", cached.to_str().unwrap()),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let report = qsyn(&["report", cached.to_str().unwrap()]);
     assert!(report.status.success());
     let text = String::from_utf8_lossy(&report.stdout);
@@ -833,7 +935,11 @@ fn report_renders_tables_from_snapshot_and_trace_files() {
             .find(|cols| cols.first() == Some(&name))
             .and_then(|cols| cols.get(1)?.parse().ok())
     };
-    assert_eq!(value_of("pass.route_us"), Some(1), "replay counted:\n{text}");
+    assert_eq!(
+        value_of("pass.route_us"),
+        Some(1),
+        "replay counted:\n{text}"
+    );
     assert_eq!(value_of("trace.cache_hit_events"), Some(5), "{text}");
 
     // Snapshot source: a hand-built snapshot renders counters and hit
@@ -868,7 +974,11 @@ fn check_metrics_accepts_valid_snapshots_and_names_violations() {
           \"gauges\":{\"serve.queue_depth\":0},\"histograms\":{}}",
     );
     let ok = qsyn(&["check-metrics", good.to_str().unwrap()]);
-    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
     assert!(
         String::from_utf8_lossy(&ok.stderr).contains("invariants hold"),
         "{}",
@@ -904,7 +1014,11 @@ fn stream_verify_jobs_do_not_change_output() {
     for i in 0..48usize {
         match i % 3 {
             0 => qasm.push_str(&format!("h q[{}];\n", (i * 5 + 1) % 10)),
-            1 => qasm.push_str(&format!("cx q[{}],q[{}];\n", (i * 7) % 10, (i * 7 + 3) % 10)),
+            1 => qasm.push_str(&format!(
+                "cx q[{}],q[{}];\n",
+                (i * 7) % 10,
+                (i * 7 + 3) % 10
+            )),
             _ => qasm.push_str(&format!("t q[{}];\n", (i * 11 + 2) % 10)),
         }
     }
@@ -933,7 +1047,10 @@ fn stream_verify_jobs_do_not_change_output() {
     };
     let (serial_qasm, serial_log) = run("1", "streamv1.qasm");
     let (par_qasm, par_log) = run("4", "streamv4.qasm");
-    assert_eq!(serial_qasm, par_qasm, "parallel verification changed the QASM");
+    assert_eq!(
+        serial_qasm, par_qasm,
+        "parallel verification changed the QASM"
+    );
     let verdict_line = |log: &str| {
         log.lines()
             .find(|l| l.contains("verified") || l.contains("equivalence"))

@@ -9,7 +9,10 @@ use qsyn::prelude::*;
 fn classical_function_to_verified_qasm_on_every_device() {
     let functions: Vec<(&str, TruthTable)> = vec![
         ("and3", TruthTable::from_fn(3, |x| x == 0b111)),
-        ("parity", TruthTable::from_fn(3, |x| x.count_ones() % 2 == 1)),
+        (
+            "parity",
+            TruthTable::from_fn(3, |x| x.count_ones() % 2 == 1),
+        ),
         ("majority", TruthTable::from_fn(3, |x| x.count_ones() >= 2)),
     ];
     for (name, tt) in &functions {

@@ -39,7 +39,12 @@ fn swap_expansion_bound() {
         for (a, b) in device.couplings() {
             let mut out = Circuit::new(device.n_qubits());
             qsyn::core::route::emit_adjacent_swap(&device, a, b, &mut out).unwrap();
-            assert!(out.len() <= 7, "{}: swap {a},{b} took {}", device.name(), out.len());
+            assert!(
+                out.len() <= 7,
+                "{}: swap {a},{b} took {}",
+                device.name(),
+                out.len()
+            );
             let stats = out.stats();
             assert_eq!(stats.cnot_count, 3, "three CNOTs per SWAP");
             assert!(stats.other_single_count <= 4, "at most four H");
@@ -243,7 +248,11 @@ fn eqn2_consistency_with_table3_rows() {
     // Row #1: 7 T, 17 gates, cost 22.25 implies 7 CNOTs; row #07: 16 T,
     // 60 gates, cost 75 implies 28 CNOTs. Integral CNOT counts confirm the
     // formula reading.
-    for (t, gates, cost) in [(7.0f64, 17.0, 22.25), (16.0, 60.0, 75.0), (12.0, 42.0, 54.75)] {
+    for (t, gates, cost) in [
+        (7.0f64, 17.0, 22.25),
+        (16.0, 60.0, 75.0),
+        (12.0, 42.0, 54.75),
+    ] {
         let c: f64 = (cost - 0.5 * t - gates) / 0.25;
         assert!((c - c.round()).abs() < 1e-9, "non-integral CNOT count {c}");
         assert!(c >= 0.0);

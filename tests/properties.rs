@@ -28,8 +28,7 @@ fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
             .prop_filter("distinct", |(a, b, c)| a != b && b != c && a != c)
             .prop_map(|(a, b, c)| Gate::toffoli(a, b, c)),
     ];
-    proptest::collection::vec(gate, 0..max_len)
-        .prop_map(move |gates| Circuit::from_gates(n, gates))
+    proptest::collection::vec(gate, 0..max_len).prop_map(move |gates| Circuit::from_gates(n, gates))
 }
 
 /// Strategy: a circuit on `n` lines that opens with a generalized Toffoli
@@ -79,8 +78,7 @@ fn arb_tech_ready(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
             .prop_filter("distinct", |(a, b)| a != b)
             .prop_map(|(a, b)| Gate::cx(a, b)),
     ];
-    proptest::collection::vec(gate, 0..max_len)
-        .prop_map(move |gates| Circuit::from_gates(n, gates))
+    proptest::collection::vec(gate, 0..max_len).prop_map(move |gates| Circuit::from_gates(n, gates))
 }
 
 proptest! {

@@ -130,7 +130,10 @@ fn deadline_expired_requests_get_structured_rows() {
     // structured deadline error, not a hang or a dropped response.
     let out = serve(
         &[],
-        &toffoli_request("late", ",\"inject\":\"slow:300\",\"deadline_ms\":50,\"emit\":false"),
+        &toffoli_request(
+            "late",
+            ",\"inject\":\"slow:300\",\"deadline_ms\":50,\"emit\":false",
+        ),
     );
     assert!(out.status.success());
     let lines = stdout_lines(&out);
@@ -156,8 +159,14 @@ fn overload_sheds_requests_with_structured_rows() {
         .iter()
         .filter(|l| l.contains("\"kind\":\"overloaded\""))
         .count();
-    let ok = lines.iter().filter(|l| l.contains("\"status\":\"ok\"")).count();
-    assert!(overloaded > 0, "cap 1 with 8 slow requests must shed: {lines:#?}");
+    let ok = lines
+        .iter()
+        .filter(|l| l.contains("\"status\":\"ok\""))
+        .count();
+    assert!(
+        overloaded > 0,
+        "cap 1 with 8 slow requests must shed: {lines:#?}"
+    );
     assert!(ok >= 1, "at least the first request completes: {lines:#?}");
     assert_eq!(ok + overloaded, n, "{lines:#?}");
 }
@@ -173,7 +182,9 @@ fn sigterm_drains_in_flight_work_and_exits_zero() {
         .expect("qsyn serve spawns");
     let mut stdin = child.stdin.take().expect("stdin piped");
     stdin
-        .write_all(toffoli_request("before-term", ",\"inject\":\"slow:400\",\"emit\":false").as_bytes())
+        .write_all(
+            toffoli_request("before-term", ",\"inject\":\"slow:400\",\"emit\":false").as_bytes(),
+        )
         .expect("request written");
     stdin.flush().expect("flush");
     // Give the daemon time to admit the request, then TERM it while the
@@ -195,7 +206,11 @@ fn sigterm_drains_in_flight_work_and_exits_zero() {
         String::from_utf8_lossy(&out.stderr)
     );
     let lines = stdout_lines(&out);
-    assert_eq!(lines.len(), 1, "in-flight request still answered: {lines:#?}");
+    assert_eq!(
+        lines.len(),
+        1,
+        "in-flight request still answered: {lines:#?}"
+    );
     assert_eq!(field(&lines[0], "id"), Some("before-term"));
     assert_eq!(field(&lines[0], "status"), Some("ok"), "{}", lines[0]);
     let log = String::from_utf8_lossy(&out.stderr);
@@ -212,8 +227,14 @@ fn warm_restart_serves_from_disk_byte_identical() {
     assert!(cold.status.success());
     let cold_lines = stdout_lines(&cold);
     assert_eq!(cold_lines.len(), 1);
-    assert!(cold_lines[0].contains("\"cache_hit\":false"), "{}", cold_lines[0]);
-    let cold_qasm = field(&cold_lines[0], "qasm").expect("cold row carries qasm").to_string();
+    assert!(
+        cold_lines[0].contains("\"cache_hit\":false"),
+        "{}",
+        cold_lines[0]
+    );
+    let cold_qasm = field(&cold_lines[0], "qasm")
+        .expect("cold row carries qasm")
+        .to_string();
     let entries = std::fs::read_dir(&dir)
         .expect("cache dir exists")
         .filter_map(|e| e.ok())
@@ -343,7 +364,9 @@ fn live_metrics_poll_reconciles_with_response_rows() {
         hit_rows,
         "cache_hits counter matches the cache_hit fields on stdout"
     );
-    let lat = snap.histogram("serve.latency_us").expect("latency recorded");
+    let lat = snap
+        .histogram("serve.latency_us")
+        .expect("latency recorded");
     assert_eq!(lat.count, 2, "one latency sample per executed request");
 
     // Both snapshots pass the schema + invariant checker binary.

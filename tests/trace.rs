@@ -101,8 +101,14 @@ fn null_sink_results_are_bit_identical_to_untraced() {
         .with_trace(Arc::new(NullSink))
         .compile(&spec())
         .unwrap();
-    assert_eq!(plain.optimized.to_qasm().unwrap(), nulled.optimized.to_qasm().unwrap());
-    assert_eq!(plain.unoptimized.to_qasm().unwrap(), nulled.unoptimized.to_qasm().unwrap());
+    assert_eq!(
+        plain.optimized.to_qasm().unwrap(),
+        nulled.optimized.to_qasm().unwrap()
+    );
+    assert_eq!(
+        plain.unoptimized.to_qasm().unwrap(),
+        nulled.unoptimized.to_qasm().unwrap()
+    );
     assert_eq!(plain.verified, nulled.verified);
     // Same events, counters and snapshots; only wall times may differ.
     let (a, b) = (&plain.metrics().events, &nulled.metrics().events);

@@ -15,13 +15,7 @@ fn every_revlib_mapping_is_qmdd_verified() {
         for device in devices::ibm_devices() {
             match Compiler::new(device.clone()).compile(&b.circuit()) {
                 Ok(r) => {
-                    assert_eq!(
-                        r.verified,
-                        Some(true),
-                        "{} on {}",
-                        b.name,
-                        device.name()
-                    );
+                    assert_eq!(r.verified, Some(true), "{} on {}", b.name, device.name());
                     verified += 1;
                 }
                 Err(CompileError::NoAncilla { .. }) | Err(CompileError::TooWide { .. }) => {
