@@ -1099,34 +1099,42 @@ pub fn instantiate_mct_template(
 // Layer 3: the whole-compile cache.
 // ---------------------------------------------------------------------------
 
-static COMPILE_CACHE: OnceLock<Mutex<LruMap<u128, Arc<CompileResult>>>> = OnceLock::new();
+/// Entries are version-1 payloads ([`crate::persist`]), the bytes a disk
+/// entry holds after its header: one encoding for both tiers, decoded on
+/// each hit.
+static COMPILE_CACHE: OnceLock<Mutex<LruMap<u128, Arc<[u8]>>>> = OnceLock::new();
 
-fn compile_cache() -> &'static Mutex<LruMap<u128, Arc<CompileResult>>> {
+fn compile_cache() -> &'static Mutex<LruMap<u128, Arc<[u8]>>> {
     COMPILE_CACHE.get_or_init(|| Mutex::new(LruMap::new(COMPILE_CACHE_CAP)))
 }
 
-/// Looks up a memoized compile by its 128-bit content key, recording a
-/// hit or miss in the global stats.
-pub(crate) fn compile_cache_get(key: u128) -> Option<Arc<CompileResult>> {
-    let mut map = compile_cache().lock().expect("compile cache poisoned");
+/// Looks up a memoized compile by its 128-bit content key and decodes
+/// it, recording a hit or miss in the global stats. An entry that does
+/// not decode counts as a miss, and the compile that follows replaces it.
+pub(crate) fn compile_cache_get(key: u128) -> Option<CompileResult> {
     m_compile_lookups().inc();
-    match map.get(&key) {
-        Some(hit) => {
+    let payload = compile_cache()
+        .lock()
+        .expect("compile cache poisoned")
+        .get(&key);
+    match payload.map(|p| crate::persist::decode_result(&p)) {
+        Some(Ok(hit)) => {
             m_compile_hits().inc();
             Some(hit)
         }
-        None => {
+        _ => {
             m_compile_misses().inc();
             None
         }
     }
 }
 
-/// Memoizes a successful compile under its content key.
-pub(crate) fn compile_cache_insert(key: u128, result: Arc<CompileResult>) {
+/// Memoizes a successful compile, as its version-1 payload, under its
+/// content key.
+pub(crate) fn compile_cache_insert(key: u128, payload: Arc<[u8]>) {
     let mut map = compile_cache().lock().expect("compile cache poisoned");
     m_compile_inserts().inc();
-    let evicted = map.insert(key, result);
+    let evicted = map.insert(key, payload);
     m_compile_evictions().add(evicted);
 }
 
@@ -1460,5 +1468,78 @@ mod tests {
             mct_template(5, 0, DecomposeStrategy::Exact).unwrap_err(),
             CompileError::NoAncilla { controls: 5 }
         );
+    }
+
+    fn cache_tier_compiler(disk: Option<Arc<crate::DiskCache>>) -> crate::Compiler {
+        let compiler = crate::Compiler::new(devices::ibmqx5()).with_cache(CacheMode::Mem);
+        match disk {
+            Some(disk) => compiler.with_disk_cache(disk),
+            None => compiler,
+        }
+    }
+
+    #[test]
+    fn memory_hit_disk_hit_and_cold_compile_give_equal_results() {
+        // Circuits no other test compiles: the compile cache is
+        // process-wide.
+        let mut spec = qsyn_circuit::Circuit::new(4);
+        spec.push(Gate::toffoli(0, 3, 1));
+        spec.push(Gate::cx(2, 0));
+        spec.push(Gate::t(3));
+        spec.push(Gate::toffoli(1, 2, 3));
+        let dir = std::env::temp_dir().join(format!("qsyn-cache-tiers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(crate::DiskCache::open(&dir).expect("disk tier opens"));
+        let compiler = cache_tier_compiler(Some(disk));
+        let key = compiler.compile_key(&spec).expect("cacheable compile");
+        let cold = compiler.compile(&spec).expect("cold compile");
+        let memory = compiler.compile(&spec).expect("memory hit");
+        compile_cache().lock().unwrap().map.remove(&key);
+        let from_disk = compiler.compile(&spec).expect("disk hit");
+        assert!(!cold.metrics.cache_hit);
+        // A hit replays the stored compile: every field equal to the cold
+        // one, except that each event carries the `cache_hit` counter and
+        // the wall clock is the replay's own.
+        let mut stored = cold.metrics.clone();
+        stored.cache_hit = true;
+        for e in &mut stored.events {
+            e.counters.push(("cache_hit".to_string(), 1.0));
+        }
+        for hit in [&memory, &from_disk] {
+            assert_eq!(hit.placement, cold.placement);
+            assert_eq!(hit.placed, cold.placed);
+            assert_eq!(hit.unoptimized, cold.unoptimized);
+            assert_eq!(hit.optimized, cold.optimized);
+            assert_eq!(hit.verified, cold.verified);
+            let mut metrics = hit.metrics.clone();
+            metrics.total_seconds = stored.total_seconds;
+            assert_eq!(metrics, stored);
+        }
+        // The disk hit refilled the memory tier with the entry's payload,
+        // which is the cold compile's one encoding.
+        let payload = compile_cache()
+            .lock()
+            .unwrap()
+            .get(&key)
+            .expect("memory tier refilled");
+        assert_eq!(&payload[..], &crate::persist::encode_result(&cold)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_memory_entry_is_a_miss_and_recompiles() {
+        let mut spec = qsyn_circuit::Circuit::new(4);
+        spec.push(Gate::toffoli(3, 0, 2));
+        spec.push(Gate::cz(1, 3));
+        spec.push(Gate::toffoli(2, 1, 0));
+        let compiler = cache_tier_compiler(None);
+        let key = compiler.compile_key(&spec).expect("cacheable compile");
+        compile_cache_insert(key, Arc::from(&b"{\"placement\":"[..]));
+        assert!(compile_cache_get(key).is_none());
+        let cold = compiler.compile(&spec).expect("recompiles");
+        assert!(!cold.metrics.cache_hit);
+        let hit = compiler.compile(&spec).expect("memory hit");
+        assert!(hit.metrics.cache_hit, "the recompile replaced the entry");
+        assert_eq!(hit.optimized, cold.optimized);
     }
 }

@@ -345,16 +345,16 @@ impl Compiler {
             let key = self.compile_key(input);
             if let Some(key) = key {
                 if let Some(hit) = crate::cache::compile_cache_get(key) {
-                    return Ok(self.replay_cached(&hit, started));
+                    return Ok(self.replay_cached(hit, started));
                 }
                 // Memory miss: lazily consult the disk tier. A validated
-                // entry repopulates the in-memory cache and replays like
-                // any other hit; an invalid one has already been
-                // quarantined and we recompute below.
+                // entry hands its payload to the in-memory cache and
+                // replays like any other hit; an invalid one has already
+                // been quarantined and we recompute below.
                 if let Some(disk) = &self.disk {
-                    if let crate::persist::DiskLoad::Hit(hit) = disk.load(key) {
-                        crate::cache::compile_cache_insert(key, Arc::new((*hit).clone()));
-                        return Ok(self.replay_cached(&hit, started));
+                    if let crate::persist::DiskLoad::Hit { result, payload } = disk.load(key) {
+                        crate::cache::compile_cache_insert(key, payload);
+                        return Ok(self.replay_cached(*result, started));
                     }
                 }
             }
@@ -482,11 +482,13 @@ impl Compiler {
         // so, like errors, they are never memoized.
         if let Some(key) = cache_key {
             if !result.metrics.verdict.is_unverified() {
-                crate::cache::compile_cache_insert(key, Arc::new(result.clone()));
+                // One encoding for both tiers, serialized once.
+                let payload: Arc<[u8]> = crate::persist::encode_result(&result).into();
+                crate::cache::compile_cache_insert(key, Arc::clone(&payload));
                 // Persist best-effort: a full disk or unwritable directory
                 // costs the warm restart, not the compile.
                 if let Some(disk) = &self.disk {
-                    let _ = disk.store(key, &result);
+                    let _ = disk.store_payload(key, &payload);
                 }
             }
         }
@@ -877,12 +879,15 @@ impl Compiler {
         Some(h.finish())
     }
 
-    /// Replays a compile-cache hit: clones the memoized result, restamps
-    /// the per-pass events for this compiler's job, marks every event with
-    /// a `cache_hit` counter, and re-emits the stream to the trace sink so
-    /// cached compiles stay fully observable.
-    fn replay_cached(&self, cached: &CompileResult, started: std::time::Instant) -> CompileResult {
-        let mut result = cached.clone();
+    /// Replays a decoded compile-cache hit: restamps the per-pass events
+    /// for this compiler's job, marks every event with a `cache_hit`
+    /// counter, and re-emits the stream to the trace sink so cached
+    /// compiles stay fully observable.
+    fn replay_cached(
+        &self,
+        mut result: CompileResult,
+        started: std::time::Instant,
+    ) -> CompileResult {
         for e in &mut result.metrics.events {
             e.job = self.job;
             e.counters.push(("cache_hit".to_string(), 1.0));

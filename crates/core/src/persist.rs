@@ -49,6 +49,7 @@ use qsyn_trace::CompileMetrics;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Current on-disk entry format version. Bump on any payload or header
 /// change: entries stamped with another version quarantine and recompute
@@ -62,7 +63,13 @@ const MAGIC: &str = "qsync";
 #[derive(Debug)]
 pub enum DiskLoad {
     /// A valid entry was found, verified, and deserialized.
-    Hit(Box<CompileResult>),
+    Hit {
+        /// The deserialized compile.
+        result: Box<CompileResult>,
+        /// The entry's validated version-1 payload, the encoding the
+        /// in-memory compile cache holds too.
+        payload: Arc<[u8]>,
+    },
     /// No entry exists for the key.
     Miss,
     /// An entry existed but failed validation; it has been renamed to
@@ -116,9 +123,12 @@ impl DiskCache {
             Err(e) => return self.quarantine(&path, &format!("unreadable entry: {e}")),
         };
         match validate_entry(&raw, key) {
-            Ok(result) => {
+            Ok((result, payload)) => {
                 crate::cache::note_disk_hit();
-                DiskLoad::Hit(Box::new(result))
+                DiskLoad::Hit {
+                    result: Box::new(result),
+                    payload: Arc::from(payload),
+                }
             }
             Err(reason) => self.quarantine(&path, &reason),
         }
@@ -134,9 +144,15 @@ impl DiskCache {
     /// Any I/O error writing or renaming the temp file (the temp file is
     /// removed on failure, best-effort).
     pub fn store(&self, key: u128, result: &CompileResult) -> io::Result<()> {
-        let payload = serialize_result(result).to_string().into_bytes();
-        let mut entry = header_line(key, &payload).into_bytes();
-        entry.extend_from_slice(&payload);
+        self.store_payload(key, &encode_result(result))
+    }
+
+    /// Writes the entry for `key` from an already encoded payload (see
+    /// [`DiskCache::store`]), so a cold compile serializes once for both
+    /// cache tiers.
+    pub(crate) fn store_payload(&self, key: u128, payload: &[u8]) -> io::Result<()> {
+        let mut entry = header_line(key, payload).into_bytes();
+        entry.extend_from_slice(payload);
         let tmp = self
             .dir
             .join(format!(".tmp-{key:032x}-{}", std::process::id()));
@@ -303,9 +319,10 @@ fn checksum(payload: &[u8]) -> u128 {
     h.finish()
 }
 
-/// Header + payload validation; returns the deserialized result or the
-/// human-readable reason the entry cannot be trusted.
-fn validate_entry(raw: &[u8], want_key: u128) -> Result<CompileResult, String> {
+/// Header + payload validation; returns the deserialized result with its
+/// payload bytes, or the human-readable reason the entry cannot be
+/// trusted.
+fn validate_entry(raw: &[u8], want_key: u128) -> Result<(CompileResult, &[u8]), String> {
     let newline = raw
         .iter()
         .position(|&b| b == b'\n')
@@ -346,6 +363,17 @@ fn validate_entry(raw: &[u8], want_key: u128) -> Result<CompileResult, String> {
     if checksum(payload) != sum {
         return Err("payload checksum mismatch".to_string());
     }
+    Ok((decode_result(payload)?, payload))
+}
+
+/// Serializes a compile result to its version-1 payload: the encoding of
+/// a disk entry and of an in-memory compile-cache entry alike.
+pub(crate) fn encode_result(result: &CompileResult) -> Vec<u8> {
+    serialize_result(result).to_string().into_bytes()
+}
+
+/// Decodes a version-1 payload, or says why it cannot be trusted.
+pub(crate) fn decode_result(payload: &[u8]) -> Result<CompileResult, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
     let value = json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
     deserialize_result(&value).map_err(|e| format!("payload rejected: {e}"))
@@ -575,7 +603,7 @@ mod tests {
         assert!(matches!(cache.load(7), DiskLoad::Miss));
         cache.store(7, &result).unwrap();
         match cache.load(7) {
-            DiskLoad::Hit(back) => assert_eq!(back.optimized, result.optimized),
+            DiskLoad::Hit { result: back, .. } => assert_eq!(back.optimized, result.optimized),
             other => panic!("want hit, got {other:?}"),
         }
         // No temp files linger after a successful store.
@@ -621,7 +649,7 @@ mod tests {
             result.optimized.to_qasm().unwrap()
         );
         cache.store(11, &recomputed).unwrap();
-        assert!(matches!(cache.load(11), DiskLoad::Hit(_)));
+        assert!(matches!(cache.load(11), DiskLoad::Hit { .. }));
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -705,7 +733,7 @@ mod tests {
             other => panic!("want quarantine, got {other:?}"),
         }
         // The legitimate entry is untouched.
-        assert!(matches!(cache.load(eqn2_key), DiskLoad::Hit(_)));
+        assert!(matches!(cache.load(eqn2_key), DiskLoad::Hit { .. }));
         let _ = fs::remove_dir_all(cache.dir());
     }
 

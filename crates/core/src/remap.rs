@@ -17,7 +17,9 @@
 //! The restoration network sorts the layout permutation over the coupling
 //! graph with tree token-sorting: positions are fixed in reverse-BFS
 //! order, so each fix routes entirely through not-yet-fixed positions and
-//! the procedure provably terminates.
+//! the procedure provably terminates. On a split coupling map the BFS
+//! builds one tree per connected component, and every component is
+//! restored.
 
 use crate::error::CompileError;
 use crate::route::emit_adjacent_swap;
@@ -109,27 +111,36 @@ pub(crate) fn bring_adjacent(
 }
 
 /// Adjacent transpositions sorting the layout back to the identity, via
-/// token sorting on a BFS spanning tree (fix positions deepest-first; every
-/// move routes through not-yet-fixed ancestors only).
+/// token sorting on a BFS spanning forest (fix positions deepest-first;
+/// every move routes through not-yet-fixed ancestors only). SWAPs only
+/// run along couplings, so a line never drifts out of its connected
+/// component, and each component is restored on its own tree.
 pub(crate) fn restoration_swaps(device: &Device, layout: &mut Layout) -> Vec<(usize, usize)> {
     let n = device.n_qubits();
-    // BFS spanning tree from qubit 0 (devices are connected).
+    // BFS spanning forest: qubit 0's tree first, then one tree rooted at
+    // each qubit no earlier tree reached, in ascending order. A connected
+    // map gives the single tree from qubit 0.
     let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut order = Vec::with_capacity(n);
     let mut seen = vec![false; n];
-    seen[0] = true;
-    let mut queue = VecDeque::from([0usize]);
-    while let Some(q) = queue.pop_front() {
-        order.push(q);
-        for &nb in device.neighbors(q) {
-            if !seen[nb] {
-                seen[nb] = true;
-                parent[nb] = Some(q);
-                queue.push_back(nb);
+    let mut queue = VecDeque::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        queue.push_back(root);
+        while let Some(q) = queue.pop_front() {
+            order.push(q);
+            for &nb in device.neighbors(q) {
+                if !seen[nb] {
+                    seen[nb] = true;
+                    parent[nb] = Some(q);
+                    queue.push_back(nb);
+                }
             }
         }
     }
-    debug_assert_eq!(order.len(), n, "coupling map must be connected");
 
     let mut swaps = Vec::new();
     let mut fixed = vec![false; n];

@@ -15,7 +15,7 @@
 //! matrices are the sole early-terminating edges.
 
 use crate::ctable::{WeightId, WeightTable, W_ONE, W_ZERO};
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use qsyn_circuit::Circuit;
 use qsyn_gate::{Gate, Matrix, C64};
 use std::hash::{Hash, Hasher};
@@ -59,6 +59,111 @@ impl Edge {
 struct Node {
     var: u32,
     edges: [Edge; 4],
+}
+
+/// The unique (hash-cons) table: open addressing over arena node ids.
+///
+/// A slot holds the id of an arena node, or [`TERMINAL`] when empty (the
+/// terminal is never hash-consed). A probe hashes the key `(var, edges)`
+/// and compares it against the arena's copy of each occupant, so a slot
+/// costs 4 bytes and no key is stored twice. Probing is linear from the
+/// slot named by the hash's high bits (Fx mixes its low bits poorly).
+/// The load factor stays at most ½: past it the table doubles by
+/// re-inserting every arena node, which is also how it is rebuilt after
+/// a collection.
+#[derive(Debug)]
+struct UniqueTable {
+    /// Node ids; the length is a power of two.
+    slots: Vec<NodeId>,
+    /// `64 - log2(slots.len())`, the shift that turns a hash into a slot.
+    shift: u32,
+    /// Occupied slots.
+    len: usize,
+}
+
+/// Initial slot count of the unique table.
+const INITIAL_UNIQUE_SLOTS: usize = 1 << 8;
+
+impl UniqueTable {
+    fn new() -> Self {
+        let mut table = UniqueTable {
+            slots: Vec::new(),
+            shift: 0,
+            len: 0,
+        };
+        table.resize(INITIAL_UNIQUE_SLOTS);
+        table
+    }
+
+    /// Empties the table, keeping its slot count: a package reused for
+    /// checks of similar size does not regrow it every time.
+    fn clear(&mut self) {
+        self.slots.fill(TERMINAL);
+        self.len = 0;
+    }
+
+    /// Empties the table and sets its slot count to `slots` (a power of
+    /// two), keeping its buffer.
+    fn resize(&mut self, slots: usize) {
+        self.slots.clear();
+        self.slots.resize(slots, TERMINAL);
+        self.shift = 64 - slots.trailing_zeros();
+        self.len = 0;
+    }
+
+    #[inline]
+    fn hash(var: u32, edges: &[Edge; 4]) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_u32(var);
+        for e in edges {
+            h.write_u64(u64::from(e.node) << 32 | u64::from(e.weight));
+        }
+        h.finish()
+    }
+
+    /// The id of the arena node `(var, edges)`, or the empty slot where
+    /// that node belongs.
+    #[inline]
+    fn find(&self, nodes: &[Node], var: u32, edges: &[Edge; 4]) -> Result<NodeId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (Self::hash(var, edges) >> self.shift) as usize;
+        loop {
+            let id = self.slots[i];
+            if id == TERMINAL {
+                return Err(i);
+            }
+            let node = &nodes[id as usize];
+            if node.var == var && node.edges == *edges {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Records the arena's newest node at the empty `slot` that
+    /// [`UniqueTable::find`] returned for it, doubling the table once more
+    /// than half its slots are taken.
+    #[inline]
+    fn insert_at(&mut self, nodes: &[Node], slot: usize) {
+        self.slots[slot] = (nodes.len() - 1) as NodeId;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            self.rebuild(nodes);
+        }
+    }
+
+    /// Refills the table with every non-terminal arena node, at the
+    /// smallest slot count that keeps the load at most ½.
+    fn rebuild(&mut self, nodes: &[Node]) {
+        let live = nodes.len() - 1;
+        self.resize((2 * live).next_power_of_two().max(INITIAL_UNIQUE_SLOTS));
+        for (id, node) in nodes.iter().enumerate().skip(1) {
+            if let Err(slot) = self.find(nodes, node.var, &node.edges) {
+                self.slots[slot] = id as NodeId;
+            }
+        }
+        self.len = live;
+    }
 }
 
 /// A bounded, direct-mapped, generation-stamped compute table.
@@ -214,7 +319,7 @@ pub type M2 = [[C64; 2]; 2];
 pub struct Qmdd {
     n: usize,
     nodes: Vec<Node>,
-    unique: FxHashMap<(u32, [Edge; 4]), NodeId>,
+    unique: UniqueTable,
     weights: WeightTable,
     add_cache: ComputeTable<(NodeId, NodeId, WeightId)>,
     mul_cache: ComputeTable<(NodeId, NodeId)>,
@@ -283,7 +388,7 @@ impl Qmdd {
                 var: u32::MAX,
                 edges: [Edge::ZERO; 4],
             }],
-            unique: FxHashMap::default(),
+            unique: UniqueTable::new(),
             weights: WeightTable::new(),
             add_cache: ComputeTable::new(ADD_CACHE_SLOTS),
             mul_cache: ComputeTable::new(MUL_CACHE_SLOTS),
@@ -310,11 +415,13 @@ impl Qmdd {
 
     /// Returns the package to the state of `Qmdd::new(n)` while keeping
     /// its allocations: the arena is truncated to the terminal, the unique
-    /// and weight tables are emptied, each compute table is invalidated
-    /// and shrunk to its initial slot count, and counters, GC watermark,
-    /// node budget and latch return to their defaults. Every check run on
-    /// a reset package sees the same ids, slots and counters as on a new
-    /// one; it only skips allocating and faulting in the tables again.
+    /// and weight tables are emptied (the unique table keeps its slot
+    /// count, which no id or counter depends on), each compute table is
+    /// invalidated and shrunk to its initial slot count, and counters, GC
+    /// watermark, node budget and latch return to their defaults. Every
+    /// check run on a reset package sees the same ids, slots and counters
+    /// as on a new one; it only skips allocating and faulting in the
+    /// tables again.
     pub(crate) fn reset(&mut self, n: usize) {
         self.n = n;
         self.nodes.truncate(1);
@@ -359,7 +466,7 @@ impl Qmdd {
 
     /// Current number of entries in the unique (hash-cons) table.
     pub fn unique_len(&self) -> usize {
-        self.unique.len()
+        self.unique.len
     }
 
     /// Compute-table and collector counters accumulated so far.
@@ -510,12 +617,12 @@ impl Qmdd {
         for e in &mut edges {
             e.weight = self.weights.div(e.weight, norm);
         }
-        let id = match self.unique.get(&(var, edges)) {
-            Some(&id) => id,
-            None => {
+        let id = match self.unique.find(&self.nodes, var, &edges) {
+            Ok(id) => id,
+            Err(slot) => {
                 let id = self.nodes.len() as NodeId;
                 self.nodes.push(Node { var, edges });
-                self.unique.insert((var, edges), id);
+                self.unique.insert_at(&self.nodes, slot);
                 self.peak_nodes = self.peak_nodes.max(self.nodes.len());
                 if self.node_budget.is_some_and(|b| self.nodes.len() > b) {
                     self.budget_exceeded = true;
@@ -919,11 +1026,8 @@ impl Qmdd {
         }
         self.spare_weights = std::mem::replace(&mut self.weights, new_weights);
         self.gc_wmap = wmap;
-        self.unique.clear();
-        for (i, n) in new_nodes.iter().enumerate().skip(1) {
-            self.unique.insert((n.var, n.edges), i as NodeId);
-        }
         self.spare_nodes = std::mem::replace(&mut self.nodes, new_nodes);
+        self.unique.rebuild(&self.nodes);
         self.protected = protected;
         self.gc_map = map;
         self.gc_stack = stack;
@@ -1602,6 +1706,86 @@ mod tests {
         assert_eq!(used.cache_stats(), fresh.cache_stats());
         assert_eq!(used.cache_slots(), fresh.cache_slots());
         assert_eq!(used.node_budget(), None);
+    }
+
+    /// Asserts that the unique table indexes exactly the arena: every
+    /// non-terminal node is found at its own id, no other slot is taken,
+    /// and the load factor is at most ½.
+    fn assert_unique_table_indexes_the_arena(pkg: &Qmdd) {
+        assert_eq!(pkg.unique_len(), pkg.node_count_total() - 1);
+        for (id, node) in pkg.nodes.iter().enumerate().skip(1) {
+            assert_eq!(
+                pkg.unique.find(&pkg.nodes, node.var, &node.edges),
+                Ok(id as NodeId)
+            );
+        }
+        let taken = pkg.unique.slots.iter().filter(|&&s| s != TERMINAL).count();
+        assert_eq!(taken, pkg.unique_len());
+        assert!(2 * taken <= pkg.unique.slots.len());
+        assert_eq!(pkg.unique.slots.len(), 1 << (64 - pkg.unique.shift));
+    }
+
+    /// Strategy: a circuit over `n` lines of single-qubit gates, CNOTs
+    /// and Toffolis.
+    fn arb_circuit(n: usize, max_len: usize) -> impl proptest::strategy::Strategy<Value = Circuit> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec(
+            (0u8..3, 0..n, 1..n, 1..n, 0..qsyn_gate::SINGLE_OPS.len()),
+            0..max_len,
+        )
+        .prop_map(move |gates| {
+            let gates = gates.into_iter().map(|(kind, a, db, dc, op)| {
+                let b = (a + db) % n;
+                let c = (b + dc) % n;
+                match kind {
+                    0 => Gate::single(qsyn_gate::SINGLE_OPS[op], a),
+                    1 => Gate::cx(a, b),
+                    _ if c != a => Gate::toffoli(a, b, c),
+                    _ => Gate::cx(b, a),
+                }
+            });
+            Circuit::from_gates(n, gates.collect())
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+        #[test]
+        fn unique_table_indexes_the_arena_through_sweeps_and_resets(
+            history in arb_circuit(5, 40),
+            c in arb_circuit(5, 40),
+            threshold in 8usize..400,
+        ) {
+            // A package that built `history` under forced sweeps, then was
+            // reset, builds `c` exactly like a new package: same edges,
+            // arena, peak, unique table size and compute-table counters.
+            let mut used = Qmdd::new(6);
+            used.set_gc_threshold(threshold);
+            let mut acc = used.identity();
+            for g in history.gates() {
+                let ge = used.gate(g);
+                acc = used.mul(ge, acc);
+                acc = used.maybe_gc(acc);
+                assert_unique_table_indexes_the_arena(&used);
+            }
+            used.reset(5);
+            assert_unique_table_indexes_the_arena(&used);
+            let mut fresh = Qmdd::new(5);
+            used.set_gc_threshold(threshold);
+            fresh.set_gc_threshold(threshold);
+            let (e, expected) = (used.circuit(&c), fresh.circuit(&c));
+            proptest::prop_assert_eq!(e, expected);
+            proptest::prop_assert_eq!(used.node_count_total(), fresh.node_count_total());
+            proptest::prop_assert_eq!(used.peak_node_count(), fresh.peak_node_count());
+            proptest::prop_assert_eq!(used.unique_len(), fresh.unique_len());
+            proptest::prop_assert_eq!(used.cache_stats(), fresh.cache_stats());
+            assert_unique_table_indexes_the_arena(&used);
+            assert_unique_table_indexes_the_arena(&fresh);
+            let mut clean = Qmdd::new(5);
+            let reference = clean.circuit(&c);
+            proptest::prop_assert!(fresh.to_matrix(e).approx_eq(&clean.to_matrix(reference)));
+        }
     }
 
     /// The allocate-and-rehash compute table that in-place growth must

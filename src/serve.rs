@@ -20,6 +20,10 @@
 //!
 //! Responses are written in **completion order**, not arrival order —
 //! clients correlate by the echoed `id` field (that is what it is for).
+//! The coordinator sleeps on one event channel and wakes on whichever
+//! comes first: a request line, a finished row, the metrics tick, or (at
+//! most 50 ms late) SIGTERM. A row is therefore written the
+//! moment its compile finishes, not at the next poll.
 //!
 //! The daemon is also a metrics surface. Every session feeds the
 //! process-wide registry (`qsyn_trace::metrics`): `serve.requests` /
@@ -46,8 +50,24 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Set by the SIGTERM handler (installed by the binary); the coordinator
-/// polls it between lines and begins a graceful drain when it flips.
+/// checks it on every wake-up, at least every 50 ms, and
+/// begins a graceful drain when it flips.
 pub static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+/// Longest the coordinator sleeps between checks of [`SHUTDOWN`]; every
+/// other wake-up is an event.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+
+/// What wakes the coordinator.
+enum Event {
+    /// A request line from the reader thread, or the read error that
+    /// ended input.
+    Line(std::io::Result<String>),
+    /// Input reached EOF.
+    Eof,
+    /// A pool job has sent its row on the response channel.
+    RowReady,
+}
 
 /// Daemon configuration beyond the per-request defaults.
 pub struct ServeOptions {
@@ -181,26 +201,27 @@ pub fn run(
     let pool = WorkerPool::new(opts.workers);
     let mut summary = ServeSummary::default();
 
-    // Reader thread: lines flow through a bounded channel so a fast
-    // client cannot buffer unbounded input ahead of admission control.
-    let (line_tx, line_rx) = mpsc::sync_channel::<std::io::Result<String>>(opts.queue_cap.max(1));
+    // One bounded event channel wakes the coordinator: the reader thread
+    // sends request lines and an explicit `Eof`, and each pool job sends
+    // `RowReady` after its row. The bound keeps a fast client from
+    // buffering unbounded input ahead of admission control. The
+    // coordinator keeps a sender for the jobs, so the channel never
+    // disconnects on its own; `Eof` marks the end of input instead.
+    let (event_tx, event_rx) = mpsc::sync_channel::<Event>(opts.queue_cap.max(1));
+    let line_tx = event_tx.clone();
     let reader = std::thread::Builder::new()
         .name("qsyn-serve-reader".to_string())
         .spawn(move || {
             let mut input = input;
             loop {
                 let mut line = String::new();
-                match input.read_line(&mut line) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        if line_tx.send(Ok(line)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = line_tx.send(Err(e));
-                        break;
-                    }
+                let (event, last) = match input.read_line(&mut line) {
+                    Ok(0) => (Event::Eof, true),
+                    Ok(_) => (Event::Line(Ok(line)), false),
+                    Err(e) => (Event::Line(Err(e)), true),
+                };
+                if line_tx.send(event).is_err() || last {
+                    break;
                 }
             }
         })
@@ -228,8 +249,9 @@ pub fn run(
     let mut next_job: u64 = 0;
     let mut last_metrics = Instant::now();
     loop {
-        // Deliver any finished responses first so completion latency does
-        // not depend on new requests arriving.
+        // Deliver every finished row first. Each wake-up passes through
+        // here, so a row is written as soon as its `RowReady` (or any
+        // later event) arrives.
         while let Ok(row) = resp_rx.try_recv() {
             write_row(&mut output, &mut summary, &row)?;
         }
@@ -252,11 +274,20 @@ pub fn run(
             summary.terminated = true;
             break;
         }
-        let line = match line_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Ok(line)) => line,
-            Ok(Err(e)) => return Err(e),
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break, // EOF
+        // Sleep until the next event or metrics tick. A signal handler
+        // cannot send on a channel, so SIGTERM is seen within
+        // `SHUTDOWN_POLL` at worst. A zero interval ticks on every
+        // wake-up instead of spinning.
+        let until_tick = opts.metrics_interval.saturating_sub(last_metrics.elapsed());
+        let wait = if until_tick.is_zero() {
+            SHUTDOWN_POLL
+        } else {
+            until_tick.min(SHUTDOWN_POLL)
+        };
+        let line = match event_rx.recv_timeout(wait) {
+            Ok(Event::Line(line)) => line?,
+            Ok(Event::RowReady) | Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Ok(Event::Eof) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
         if line.trim().is_empty() {
             continue; // blank lines are keep-alive, not requests
@@ -339,6 +370,7 @@ pub fn run(
         }
         let ctx = Arc::clone(&ctx);
         let resp_tx = resp_tx.clone();
+        let event_tx = event_tx.clone();
         m_queue_depth().inc();
         pool.submit(move || {
             let row = qsyn_core::serve::execute(&req, job, accepted, &ctx);
@@ -346,13 +378,19 @@ pub fn run(
             // The coordinator may already have exited on a write error;
             // dropping the row is then the only option.
             let _ = resp_tx.send(row);
+            // Never blocks a worker: a full channel holds pending events,
+            // so the coordinator wakes anyway and delivers the row first.
+            let _ = event_tx.try_send(Event::RowReady);
         });
     }
 
     // Drain: answer lines already read but not yet admitted with
     // `shutting-down` rows (N in, N out), finish in-flight compiles,
     // deliver their rows, and stop.
-    while let Ok(line) = line_rx.try_recv() {
+    while let Ok(event) = event_rx.try_recv() {
+        let Event::Line(line) = event else {
+            continue;
+        };
         let line = line?;
         if line.trim().is_empty() {
             continue;
@@ -369,7 +407,7 @@ pub fn run(
         let row = ServeResponse::error(id, job, "shutting-down", "daemon is draining; resubmit");
         write_row(&mut output, &mut summary, &row)?;
     }
-    drop(line_rx); // reader unblocks on its next send
+    drop(event_rx); // reader unblocks on its next send
     pool.drain();
     drop(resp_tx);
     while let Ok(row) = resp_rx.recv() {

@@ -351,6 +351,35 @@ fn compile_against_custom_device_file() {
 }
 
 #[test]
+fn every_strategy_restores_the_layout_on_each_component_of_a_split_map() {
+    // Qubits 2, 3 and 4 form a component apart from qubit 0's. Routing
+    // the CX moves line 2 onto qubit 3; the T must follow it, and the
+    // restoration network must move it back although qubit 0's BFS tree
+    // never reaches that component.
+    let device = tmp(
+        "split.device",
+        "name split\nqubits 5\ncoupling 0 1\ncoupling 2 3\ncoupling 3 4\n",
+    );
+    let input = tmp(
+        "split.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\ncx q[2],q[4];\nt q[2];\n",
+    );
+    for strategy in ["ctr", "lookahead", "persistent"] {
+        let out = qsyn(&[
+            "compile",
+            input.to_str().unwrap(),
+            "--device",
+            device.to_str().unwrap(),
+            "--route-strategy",
+            strategy,
+        ]);
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{strategy}: {log}");
+        assert!(log.contains("verified = Some(true)"), "{strategy}: {log}");
+    }
+}
+
+#[test]
 fn dot_accepts_device_file() {
     let device = tmp("dotlab.device", "name dotlab\nqubits 2\ncoupling 0 1\n");
     let out = qsyn(&["dot", "--device", device.to_str().unwrap()]);

@@ -81,8 +81,121 @@ fn arb_tech_ready(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
     proptest::collection::vec(gate, 0..max_len).prop_map(move |gates| Circuit::from_gates(n, gates))
 }
 
+/// Strategy: a coupling map on 3–8 qubits, connected or split in two,
+/// with one- and two-way edges, CNOT- or CZ-native, and the qubits of
+/// each of its parts. Qubit labels are shuffled, so either part may hold
+/// qubit 0.
+fn arb_coupling_map() -> impl Strategy<Value = (Device, Vec<Vec<usize>>)> {
+    (
+        3usize..9,
+        0usize..8,
+        proptest::collection::vec((0usize..64, 0u8..3), 7..8),
+        proptest::collection::vec((0usize..8, 0usize..8, 0u8..3), 0..6),
+        0u64..u64::MAX,
+        0u8..2,
+    )
+        .prop_map(|(n, cut, tree, extra, seed, cz)| {
+            let mut label: Vec<usize> = (0..n).collect();
+            let mut s = seed | 1;
+            for i in (1..n).rev() {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                label.swap(i, (s % (i as u64 + 1)) as usize);
+            }
+            // `cut` 0 keeps the map connected; otherwise positions
+            // `..cut` and `cut..` of the shuffled labels are two trees.
+            let cut = cut % n;
+            let component = |i: usize| usize::from(cut > 0 && i >= cut);
+            let mut pairs = Vec::new();
+            let mut couple = |a: usize, b: usize, way: u8| {
+                let (a, b) = (label[a], label[b]);
+                if way != 1 {
+                    pairs.push((a, b));
+                }
+                if way != 0 {
+                    pairs.push((b, a));
+                }
+            };
+            for (i, &(pick, way)) in tree.iter().enumerate().take(n - 1) {
+                let i = i + 1;
+                let first = if component(i) == 1 { cut } else { 0 };
+                if i > first {
+                    couple(i, first + pick % (i - first), way);
+                }
+            }
+            for &(a, b, way) in &extra {
+                let (a, b) = (a % n, b % n);
+                if a != b && component(a) == component(b) {
+                    couple(a, b, way);
+                }
+            }
+            let device = Device::from_pairs(format!("random-{n}"), n, pairs);
+            let device = if cz == 1 {
+                device.with_native(TwoQubitNative::Cz)
+            } else {
+                device
+            };
+            let parts = if cut == 0 {
+                vec![label]
+            } else {
+                vec![label[..cut].to_vec(), label[cut..].to_vec()]
+            };
+            (device, parts)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On any coupling map, connected or split, every strategy either
+    /// compiles an output that verifies and equals the input under the
+    /// dense semantics, or fails cleanly with `RouteNotFound`.
+    #[test]
+    fn every_strategy_on_any_coupling_map_is_exact_or_route_not_found(
+        (device, parts) in arb_coupling_map(),
+        gates in proptest::collection::vec((0u8..6, 0usize..8, 0usize..8, 1usize..8, 1usize..8), 0..12),
+    ) {
+        // Most gates act inside one part, so routing (and drifting) runs
+        // on every part; kind 5 may span parts and so may be unroutable.
+        let n = device.n_qubits();
+        let mut c = Circuit::new(n);
+        for (kind, pick, a, db, dt) in gates {
+            let lines = if kind == 5 { (0..n).collect() } else { parts[pick % parts.len()].clone() };
+            let m = lines.len();
+            let (a, b, t) = if m < 2 {
+                (lines[0], lines[0], lines[0])
+            } else {
+                let b_i = (a % m + 1 + db % (m - 1)) % m;
+                let t_i = (b_i + 1 + dt % (m - 1)) % m;
+                (lines[a % m], lines[b_i], lines[t_i])
+            };
+            c.push(match kind {
+                _ if a == b => Gate::single(qsyn::gate::SINGLE_OPS[pick % 8], a),
+                0 => Gate::single(qsyn::gate::SINGLE_OPS[pick % 8], a),
+                1 | 5 => Gate::cx(a, b),
+                2 => Gate::cz(a, b),
+                _ if t != a && t != b => Gate::toffoli(a, b, t),
+                _ => Gate::cx(b, a),
+            });
+        }
+        let spec = c.to_matrix();
+        for strategy in RouteStrategyKind::ALL {
+            match Compiler::new(device.clone()).with_route_strategy(strategy).compile(&c) {
+                Ok(r) => {
+                    prop_assert_eq!(r.verified, Some(true), "{:?}", strategy);
+                    prop_assert!(
+                        qsyn::gate::equal_up_to_phase(&spec, &r.optimized.to_matrix()),
+                        "{:?} changed the unitary on {:?}",
+                        strategy,
+                        device.couplings().collect::<Vec<_>>()
+                    );
+                }
+                Err(CompileError::RouteNotFound { .. }) => {}
+                Err(e) => prop_assert!(false, "{:?}: {}", strategy, e),
+            }
+        }
+    }
 
     /// The QMDD of any circuit expands to exactly its dense unitary.
     #[test]

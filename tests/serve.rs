@@ -218,6 +218,44 @@ fn sigterm_drains_in_flight_work_and_exits_zero() {
 }
 
 #[test]
+fn rows_arrive_when_their_compile_finishes_while_stdin_stays_idle() {
+    // One request at a time, stdin left open and idle: nothing but the
+    // finished compile can wake the coordinator, so each row must arrive
+    // long before a 50 ms poll would have delivered it. The first
+    // request is a cold compile; the repeats are compile-cache hits.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qsyn"))
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("qsyn serve spawns");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut rows = std::io::BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut fastest = std::time::Duration::MAX;
+    for i in 0..6 {
+        let sent = std::time::Instant::now();
+        stdin
+            .write_all(toffoli_request(&format!("idle-{i}"), ",\"emit\":false").as_bytes())
+            .expect("request written");
+        stdin.flush().expect("flush");
+        let mut row = String::new();
+        std::io::BufRead::read_line(&mut rows, &mut row).expect("row read");
+        let waited = sent.elapsed();
+        assert_eq!(field(&row, "status"), Some("ok"), "{row}");
+        if i > 0 {
+            fastest = fastest.min(waited);
+        }
+    }
+    drop(stdin);
+    assert!(child.wait().expect("daemon exits").success());
+    assert!(
+        fastest < std::time::Duration::from_millis(25),
+        "fastest of five cache-hit rows took {fastest:?}"
+    );
+}
+
+#[test]
 fn warm_restart_serves_from_disk_byte_identical() {
     let dir = tmp_dir("warm");
     let dir_s = dir.to_str().unwrap().to_string();
