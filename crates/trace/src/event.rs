@@ -183,7 +183,10 @@ impl PassEvent {
 
     /// Looks up a backend counter by name.
     pub fn counter(&self, name: &str) -> Option<f64> {
-        self.counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+        self.counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|&(_, v)| v)
     }
 
     /// Serializes the event as one JSON object (the JSONL line format).
@@ -474,17 +477,17 @@ impl CompileMetrics {
             let _ = writeln!(
                 out,
                 "| specification | {} | {} | {} | {} | {} | {:.2} | | | |",
-                s.stats.t_count, s.stats.cnot_count, s.stats.volume, s.depth, s.t_depth,
+                s.stats.t_count,
+                s.stats.cnot_count,
+                s.stats.volume,
+                s.depth,
+                s.t_depth,
                 first.cost_in
             );
         }
         for e in &self.events {
             let s = e.output;
-            let detail: Vec<String> = e
-                .counters
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
+            let detail: Vec<String> = e.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {:.2} | {:+.2} | {:.2} | {} |",
@@ -550,10 +553,7 @@ impl CompileMetrics {
             },
             total_seconds: v.get("total_seconds")?.as_f64()?,
             // Absent in pre-cache traces: those were always fresh runs.
-            cache_hit: v
-                .get("cache_hit")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
+            cache_hit: v.get("cache_hit").and_then(Value::as_bool).unwrap_or(false),
             events: v
                 .get("events")?
                 .as_arr()?
@@ -706,7 +706,7 @@ mod tests {
                 verified: verdict.as_verified(),
                 verdict: verdict.clone(),
                 total_seconds: 0.0,
-            cache_hit: false,
+                cache_hit: false,
             };
             let parsed = CompileMetrics::parse(&m.to_json().to_string()).unwrap();
             assert_eq!(parsed.verdict, verdict);
@@ -747,11 +747,14 @@ mod tests {
         // And the boolean drives the reconstruction for the other states.
         m.verified = None;
         m.verdict = Verdict::Skipped;
-        let legacy = m
-            .to_json()
-            .to_string()
-            .replacen(",\"verdict\":{\"status\":\"skipped\"}", "", 1);
-        assert_eq!(CompileMetrics::parse(&legacy).unwrap().verdict, Verdict::Skipped);
+        let legacy =
+            m.to_json()
+                .to_string()
+                .replacen(",\"verdict\":{\"status\":\"skipped\"}", "", 1);
+        assert_eq!(
+            CompileMetrics::parse(&legacy).unwrap().verdict,
+            Verdict::Skipped
+        );
     }
 
     #[test]

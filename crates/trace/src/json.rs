@@ -324,7 +324,15 @@ mod tests {
 
     #[test]
     fn scalars_round_trip() {
-        for src in ["null", "true", "false", "0", "-1.5", "3.141592653589793", "\"hi\""] {
+        for src in [
+            "null",
+            "true",
+            "false",
+            "0",
+            "-1.5",
+            "3.141592653589793",
+            "\"hi\"",
+        ] {
             let v = parse(src).unwrap();
             assert_eq!(parse(&v.to_string()).unwrap(), v, "{src}");
         }
@@ -332,16 +340,22 @@ mod tests {
 
     #[test]
     fn nested_structure_round_trips() {
-        let src = r#"{"pass":"route","counters":{"swaps":4},"xs":[1,2.5,null,true],"s":"a\"b\\c\nd"}"#;
+        let src =
+            r#"{"pass":"route","counters":{"swaps":4},"xs":[1,2.5,null,true],"s":"a\"b\\c\nd"}"#;
         let v = parse(src).unwrap();
         let emitted = v.to_string();
         assert_eq!(parse(&emitted).unwrap(), v);
         assert_eq!(v.get("pass").and_then(Value::as_str), Some("route"));
         assert_eq!(
-            v.get("counters").and_then(|c| c.get("swaps")).and_then(Value::as_f64),
+            v.get("counters")
+                .and_then(|c| c.get("swaps"))
+                .and_then(Value::as_f64),
             Some(4.0)
         );
-        assert_eq!(v.get("xs").and_then(Value::as_arr).map(<[Value]>::len), Some(4));
+        assert_eq!(
+            v.get("xs").and_then(Value::as_arr).map(<[Value]>::len),
+            Some(4)
+        );
     }
 
     #[test]
@@ -370,7 +384,10 @@ mod tests {
     #[test]
     fn whitespace_is_tolerated() {
         let v = parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
-        assert_eq!(v.get("a").and_then(Value::as_arr).map(<[Value]>::len), Some(2));
+        assert_eq!(
+            v.get("a").and_then(Value::as_arr).map(<[Value]>::len),
+            Some(2)
+        );
     }
 
     #[test]

@@ -255,7 +255,9 @@ impl HistogramSnapshot {
         }
         // Unreachable when count == Σ bucket counts; fall back to the
         // last bucket's bound for defensively tolerated inconsistency.
-        self.buckets.last().map(|&(i, _)| bucket_bounds(i as usize).1)
+        self.buckets
+            .last()
+            .map(|&(i, _)| bucket_bounds(i as usize).1)
     }
 
     /// Sums `other` into `self` bucket-wise. Because bucket bounds are
@@ -265,7 +267,10 @@ impl HistogramSnapshot {
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
         let mut merged: Vec<(u32, u64)> = Vec::with_capacity(self.buckets.len());
-        let (mut a, mut b) = (self.buckets.iter().peekable(), other.buckets.iter().peekable());
+        let (mut a, mut b) = (
+            self.buckets.iter().peekable(),
+            other.buckets.iter().peekable(),
+        );
         loop {
             match (a.peek(), b.peek()) {
                 (Some(&&(ia, ca)), Some(&&(ib, cb))) => {
@@ -328,9 +333,7 @@ impl HistogramSnapshot {
                 Value::Arr(
                     self.buckets
                         .iter()
-                        .map(|&(i, c)| {
-                            Value::Arr(vec![Value::Num(i as f64), Value::Num(c as f64)])
-                        })
+                        .map(|&(i, c)| Value::Arr(vec![Value::Num(i as f64), Value::Num(c as f64)]))
                         .collect(),
                 ),
             ),
@@ -353,7 +356,11 @@ impl HistogramSnapshot {
                 _ => return Err("histogram bucket is not an [index, count] pair".to_string()),
             }
         }
-        Ok(HistogramSnapshot { count, sum, buckets })
+        Ok(HistogramSnapshot {
+            count,
+            sum,
+            buckets,
+        })
     }
 }
 
@@ -468,7 +475,9 @@ impl MetricsRegistry {
         };
         let mut histograms: Vec<(String, HistogramSnapshot)> = {
             let list = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-            list.iter().map(|(n, h)| (n.clone(), h.snapshot())).collect()
+            list.iter()
+                .map(|(n, h)| (n.clone(), h.snapshot()))
+                .collect()
         };
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         gauges.sort_by(|a, b| a.0.cmp(&b.0));
@@ -692,8 +701,8 @@ impl MetricsSnapshot {
         }
         let mut histograms = Vec::new();
         for (n, val) in section("histograms")? {
-            let h = HistogramSnapshot::from_json(&val)
-                .map_err(|e| format!("histogram `{n}`: {e}"))?;
+            let h =
+                HistogramSnapshot::from_json(&val).map_err(|e| format!("histogram `{n}`: {e}"))?;
             histograms.push((n, h));
         }
         counters.sort_by(|a, b| a.0.cmp(&b.0));
@@ -807,7 +816,11 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_into_one() {
-        let (a, b, both) = (Histogram::default(), Histogram::default(), Histogram::default());
+        let (a, b, both) = (
+            Histogram::default(),
+            Histogram::default(),
+            Histogram::default(),
+        );
         for v in [3u64, 7, 1_000_000] {
             a.record(v);
             both.record(v);
@@ -890,9 +903,15 @@ mod tests {
         h.record(10);
         h.record(20);
         let page = reg.snapshot().render_prometheus();
-        assert!(page.contains("# TYPE qsyn_serve_requests counter"), "{page}");
+        assert!(
+            page.contains("# TYPE qsyn_serve_requests counter"),
+            "{page}"
+        );
         assert!(page.contains("qsyn_serve_requests 3"), "{page}");
-        assert!(page.contains("qsyn_pass_route_us_bucket{le=\"+Inf\"} 2"), "{page}");
+        assert!(
+            page.contains("qsyn_pass_route_us_bucket{le=\"+Inf\"} 2"),
+            "{page}"
+        );
         assert!(page.contains("qsyn_pass_route_us_count 2"), "{page}");
         assert!(page.contains("qsyn_pass_route_us_sum 30"), "{page}");
     }

@@ -261,11 +261,9 @@ mod tests {
     #[test]
     fn violations_are_rejected() {
         assert!(validate_streaming_route_event(&event(&[(STREAMING, 1.0)])).is_err());
-        assert!(validate_streaming_route_event(&event(&[
-            (STREAMING, 1.0),
-            (WINDOWS, 0.0),
-        ]))
-        .is_err());
+        assert!(
+            validate_streaming_route_event(&event(&[(STREAMING, 1.0), (WINDOWS, 0.0),])).is_err()
+        );
         assert!(validate_streaming_route_event(&event(&[
             (STREAMING, 1.0),
             (WINDOWS, 2.0),

@@ -109,5 +109,8 @@ fn quantile_extremes_hit_min_and_max_buckets() {
     }
     let snap = h.snapshot();
     assert_eq!(snap.quantile(0.0), Some(bucket_bounds(bucket_index(1)).1));
-    assert_eq!(snap.quantile(1.0), Some(bucket_bounds(bucket_index(1000)).1));
+    assert_eq!(
+        snap.quantile(1.0),
+        Some(bucket_bounds(bucket_index(1000)).1)
+    );
 }
