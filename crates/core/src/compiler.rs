@@ -516,9 +516,13 @@ impl Compiler {
     /// Verification is windowed: each window's output is checked against
     /// its own specification with the interleaved miter under the
     /// compiler's [`CompileBudget`] node budget (window equivalence
-    /// composes to whole-stream equivalence). The check is the one
-    /// [`Compiler::compile`] runs: the miter is built on a compacted
-    /// register holding only the qubits the window touches
+    /// composes to whole-stream equivalence). A window whose spec and
+    /// output are both CNOT+phase circuits with equal parity matrices and
+    /// equal phase polynomials is verified first, without a QMDD, and
+    /// counted in [`StreamSummary::structural_windows`]; that step can
+    /// only accept, so every other window gets the same miter as before.
+    /// The miter is the check [`Compiler::compile`] runs: it is built on
+    /// a compacted register holding only the qubits the window touches
     /// ([`qsyn_qmdd::miter_support`]), which on sparse windows of a wide
     /// device shrinks the QMDD walks by an order of magnitude, and its
     /// fused-block length follows the window's length (one gate per
@@ -542,7 +546,7 @@ impl Compiler {
     /// time summed over all windows, and it carries the streaming counters
     /// (`windows`, `window_gates_cap`, `max_window_swaps`,
     /// `oracle_hits`/`oracle_misses`, `verified_windows`,
-    /// `unverified_windows`, `peak_resident_gates`,
+    /// `structural_windows`, `unverified_windows`, `peak_resident_gates`,
     /// `max_window_support`, `verify_seconds_total`, `verify_jobs`,
     /// `verify_lookups`, `verify_peak_nodes`, and the windows' summed
     /// optimize stage: `optimize_seconds_total`, `optimize_rounds`,
@@ -640,6 +644,7 @@ impl Compiler {
                 s.counter(sc::ORACLE_MISSES, acc.oracle_misses as f64);
             }
             s.counter(sc::VERIFIED_WINDOWS, acc.verified_windows as f64);
+            s.counter(sc::STRUCTURAL_WINDOWS, acc.structural_windows as f64);
             s.counter(sc::UNVERIFIED_WINDOWS, acc.unverified_windows as f64);
             s.counter(sc::PEAK_RESIDENT_GATES, acc.peak_resident_gates as f64);
             s.counter(sc::MAX_WINDOW_SUPPORT, acc.max_window_support as f64);
@@ -1191,8 +1196,13 @@ pub struct StreamSummary {
     /// The most SWAPs any single window needed — compare against the
     /// per-window [`CompileBudget::max_route_swaps`] cap.
     pub max_window_swaps: usize,
-    /// Windows whose miter check completed and passed.
+    /// Windows whose check passed: structurally, or by a miter check
+    /// that completed.
     pub verified_windows: usize,
+    /// Of the verified windows, those the structural CNOT+phase step
+    /// decided without a QMDD: equal parity matrices and equal reduced
+    /// phase polynomials (docs/VERIFICATION.md).
+    pub structural_windows: usize,
     /// Windows whose miter check exhausted the node budget under
     /// [`VerifyMode::Degrade`].
     pub unverified_windows: usize,
@@ -1229,7 +1239,7 @@ pub struct StreamSummary {
     pub verify_jobs: usize,
     /// QMDD compute-table lookups summed over every window check,
     /// exhausted ones included (a check that ran out of nodes adds the
-    /// lookups it made before it aborted).
+    /// lookups it made before it aborted); structural windows add none.
     pub verify_lookups: u64,
     /// The largest QMDD peak node count of any completed window check.
     pub verify_peak_nodes: usize,
@@ -1242,8 +1252,10 @@ pub struct StreamSummary {
 struct StreamVerifyState {
     /// Windows submitted to the pool and not yet finished.
     in_flight: usize,
-    /// Windows whose miter check completed and passed.
+    /// Windows whose check passed.
     verified: usize,
+    /// Of those, the windows the structural step decided.
+    structural: usize,
     /// Windows that exhausted the node budget.
     unverified: usize,
     /// A miter check rejected, or a verify job panicked: the stream must
@@ -1266,13 +1278,17 @@ struct StreamVerifyState {
 }
 
 impl StreamVerifyState {
-    /// Folds one window's check — its report or budget error, support
-    /// size and seconds, as [`verify_one_window`] returns them — into the
-    /// tally.
-    fn tally(&mut self, res: &Result<EquivReport, EquivBudgetError>, support: usize, seconds: f64) {
-        self.hist.record_seconds(seconds);
-        self.seconds_total += seconds;
-        self.max_support = self.max_support.max(support);
+    /// Folds one window's check, as [`verify_one_window`] returns it,
+    /// into the tally.
+    fn tally(&mut self, check: &WindowCheck) {
+        self.hist.record_seconds(check.seconds);
+        self.seconds_total += check.seconds;
+        self.max_support = self.max_support.max(check.support);
+        let Some(res) = &check.qmdd else {
+            self.verified += 1;
+            self.structural += 1;
+            return;
+        };
         match res {
             Ok(report) => {
                 self.lookups += report.cache_lookups;
@@ -1347,19 +1363,21 @@ impl StreamVerifier {
     /// an exhausted one under [`VerifyMode::Strict`].
     fn verify(&self, spec: Circuit, out: &Circuit) -> Result<(), CompileError> {
         let Some(par) = &self.par else {
-            let (res, support, seconds) = verify_one_window(&spec, out, self.equiv_budget);
+            let check = verify_one_window(&spec, out, self.equiv_budget);
             let mut st = self.shared.state.lock().expect("stream verify poisoned");
-            st.tally(&res, support, seconds);
+            st.tally(&check);
             if st.failed {
                 return Err(CompileError::VerificationFailed);
             }
-            return match res {
-                Err(e) if self.mode == VerifyMode::Strict => Err(CompileError::BudgetExceeded {
-                    pass: Pass::Verify,
-                    resource: BudgetResource::QmddNodes,
-                    limit: e.limit as u64,
-                    used: e.used as u64,
-                }),
+            return match check.qmdd {
+                Some(Err(e)) if self.mode == VerifyMode::Strict => {
+                    Err(CompileError::BudgetExceeded {
+                        pass: Pass::Verify,
+                        resource: BudgetResource::QmddNodes,
+                        limit: e.limit as u64,
+                        used: e.used as u64,
+                    })
+                }
                 _ => Ok(()),
             };
         };
@@ -1378,9 +1396,9 @@ impl StreamVerifier {
         let budget = self.equiv_budget;
         par.pool.submit(move || {
             let _slot = StreamSlotGuard(Arc::clone(&shared));
-            let (res, support, seconds) = verify_one_window(&spec, &out, budget);
+            let check = verify_one_window(&spec, &out, budget);
             let mut st = shared.state.lock().expect("stream verify poisoned");
-            st.tally(&res, support, seconds);
+            st.tally(&check);
         });
         Ok(())
     }
@@ -1397,6 +1415,7 @@ impl StreamVerifier {
             return Err(CompileError::VerificationFailed);
         }
         acc.verified_windows = st.verified;
+        acc.structural_windows = st.structural;
         acc.unverified_windows = st.unverified;
         acc.verify_seconds_total = st.seconds_total;
         acc.max_window_support = st.max_support;
@@ -1422,34 +1441,54 @@ impl StreamVerifier {
     }
 }
 
-/// Runs one window's miter through [`SupportCheck`] and returns the
-/// check's report (or its budget error), the window's support size, and
-/// the seconds spent. Also feeds the process-wide
-/// streaming-verify metrics: one `stream.verify_us` sample per window and
-/// an outcome counter (`stream.windows_verified` +
-/// `stream.windows_unverified` equals the histogram count in steady state;
-/// a rejected window aborts the stream and is counted by neither).
-fn verify_one_window(
-    spec: &Circuit,
-    out: &Circuit,
-    budget: EquivBudget,
-) -> (Result<EquivReport, EquivBudgetError>, usize, f64) {
+/// One window's check, as [`verify_one_window`] returns it.
+struct WindowCheck {
+    /// The miter's report or budget error; `None` when the structural
+    /// step decided the window equal and no QMDD ran.
+    qmdd: Option<Result<EquivReport, EquivBudgetError>>,
+    /// The window's support size.
+    support: usize,
+    /// Seconds spent on both steps.
+    seconds: f64,
+}
+
+/// Checks one window on its support: first the structural CNOT+phase
+/// step ([`crate::phase_poly`]), which can only say equal, then, unless
+/// it did, the miter through [`SupportCheck::run`].
+/// Also feeds the process-wide streaming-verify metrics: one
+/// `stream.verify_us` sample per window and an outcome counter
+/// (`stream.windows_verified` + `stream.windows_unverified` equals the
+/// histogram count in steady state; a rejected window aborts the stream
+/// and is counted by neither), and `stream.windows_structural` for the
+/// verified windows the structural step decided.
+fn verify_one_window(spec: &Circuit, out: &Circuit, budget: EquivBudget) -> WindowCheck {
     qsyn_trace::metric_handles! {
         fn m_verify_us() -> Histogram = "stream.verify_us";
         fn m_windows_verified() -> Counter = "stream.windows_verified";
         fn m_windows_unverified() -> Counter = "stream.windows_unverified";
+        fn m_windows_structural() -> Counter = "stream.windows_structural";
     }
     let started = std::time::Instant::now();
     let check = SupportCheck::new(spec, out);
-    let res = check.run(EquivMethod::Miter, budget);
+    let qmdd = if crate::phase_poly::structurally_equal(&check.support, spec, out) {
+        m_windows_structural().inc();
+        None
+    } else {
+        Some(check.run(EquivMethod::Miter, budget))
+    };
     let seconds = started.elapsed().as_secs_f64();
     m_verify_us().record_seconds(seconds);
-    match &res {
-        Ok(report) if report.equivalent => m_windows_verified().inc(),
-        Ok(_) => {}
-        Err(_) => m_windows_unverified().inc(),
+    match &qmdd {
+        None => m_windows_verified().inc(),
+        Some(Ok(report)) if report.equivalent => m_windows_verified().inc(),
+        Some(Ok(_)) => {}
+        Some(Err(_)) => m_windows_unverified().inc(),
     }
-    (res, check.support.len(), seconds)
+    WindowCheck {
+        qmdd,
+        support: check.support.len(),
+        seconds,
+    }
 }
 
 /// The compiler's one equivalence check, behind every rung of
@@ -2226,6 +2265,19 @@ mod tests {
         mutants
     }
 
+    /// The dense-matrix oracle's verdict (equal up to global phase) on
+    /// the pair's support, when the support has 10 lines or fewer.
+    fn dense_equal(spec: &Circuit, out: &Circuit) -> Option<bool> {
+        let support = miter_support(spec, out);
+        (support.len() <= 10).then(|| {
+            let pos = |q: usize| support.binary_search(&q).expect("inside the support");
+            qsyn_gate::equal_up_to_phase(
+                &spec.relabeled(support.len(), pos).to_matrix(),
+                &out.relabeled(support.len(), pos).to_matrix(),
+            )
+        })
+    }
+
     #[test]
     fn the_one_check_fails_every_one_gate_sabotage() {
         // A canonical compile (ibmq_16) and a miter compile (qc96), each
@@ -2261,13 +2313,9 @@ mod tests {
             assert!(mutants.len() > 30, "only {} mutants", mutants.len());
             for (label, bad) in mutants {
                 assert_eq!(ladder(&bad), failed, "{method} accepted {label}");
-                let support = miter_support(&r.placed, &bad);
-                if support.len() <= 10 {
-                    let pos = |q: usize| support.binary_search(&q).expect("inside the support");
-                    let spec_on = r.placed.relabeled(support.len(), pos);
-                    let bad_on = bad.relabeled(support.len(), pos);
+                if let Some(equal) = dense_equal(&r.placed, &bad) {
                     assert!(
-                        !qsyn_gate::equal_up_to_phase(&spec_on.to_matrix(), &bad_on.to_matrix()),
+                        !equal,
                         "dense oracle accepted {label} on {}",
                         compiler.device().name()
                     );
@@ -2276,6 +2324,100 @@ mod tests {
             }
         }
         assert!(dense_checked > 60, "only {dense_checked} dense checks");
+    }
+
+    #[test]
+    fn every_one_gate_sabotage_of_a_stream_window_is_rejected() {
+        // A CNOT+phase window, decided by the structural step, and an H
+        // window, decided by the miter; every one-gate mutant of either
+        // output must fail the window check, whichever step sees it.
+        // Small supports are also checked by the dense-matrix oracle.
+        use qsyn_gate::SingleOp;
+        let device = devices::device_by_name("grid:4x4").unwrap();
+        let compiler = Compiler::new(device);
+        let n = compiler.device().n_qubits();
+        let phase = Circuit::from_gates(
+            n,
+            vec![
+                Gate::cx(0, 1),
+                Gate::t(1),
+                Gate::cx(0, 5),
+                Gate::single(SingleOp::S, 5),
+                Gate::cx(5, 6),
+                Gate::single(SingleOp::Z, 0),
+                Gate::cx(1, 6),
+                Gate::single(SingleOp::Tdg, 6),
+                Gate::cx(1, 0),
+            ],
+        );
+        let hadamard = Circuit::from_gates(
+            n,
+            vec![
+                Gate::h(0),
+                Gate::cx(0, 1),
+                Gate::t(1),
+                Gate::h(5),
+                Gate::cx(0, 5),
+                Gate::t(5),
+            ],
+        );
+        let budget = EquivBudget::default();
+        let mut dense_checked = 0;
+        for (spec, structural) in [(phase, true), (hadamard, false)] {
+            let mut out = Circuit::new(n);
+            let summary = compiler
+                .compile_stream(n, spec.len(), spec.gates().to_vec(), |g| {
+                    out.push(g.clone())
+                })
+                .unwrap();
+            assert_eq!(summary.verified_windows, 1);
+            let check = verify_one_window(&spec, &out, budget);
+            assert_eq!(check.qmdd.is_none(), structural, "{out:?}");
+            let mutants = one_gate_mutants(&out);
+            assert!(mutants.len() > 15, "only {} mutants", mutants.len());
+            for (label, bad) in mutants {
+                let check = verify_one_window(&spec, &bad, budget);
+                assert!(
+                    matches!(check.qmdd, Some(Ok(report)) if !report.equivalent),
+                    "window check accepted {label}"
+                );
+                if let Some(equal) = dense_equal(&spec, &bad) {
+                    assert!(!equal, "dense oracle accepted {label}");
+                    dense_checked += 1;
+                }
+            }
+        }
+        assert!(dense_checked > 30, "only {dense_checked} dense checks");
+    }
+
+    #[test]
+    fn a_window_the_structural_step_cannot_decide_falls_through_to_the_miter() {
+        // Z(a) Z(b) Z(a ⊕ b) is the identity, but its phase polynomial is
+        // not zero: the structural step passes, and the miter verifies.
+        use qsyn_gate::SingleOp;
+        let z = |q| Gate::single(SingleOp::Z, q);
+        let spec = Circuit::from_gates(4, vec![z(0), z(1), Gate::cx(0, 1), z(1), Gate::cx(0, 1)]);
+        let empty = Circuit::new(4);
+        let verifier = Compiler::new(devices::ibmqx4()).stream_verifier();
+        verifier.verify(spec.clone(), &empty).unwrap();
+        verifier.verify(empty.clone(), &empty).unwrap();
+        let mut acc = StreamSummary {
+            windows: 2,
+            ..StreamSummary::default()
+        };
+        verifier.finish(&mut acc).unwrap();
+        assert_eq!(acc.verified_windows, 2);
+        assert_eq!(
+            acc.structural_windows, 1,
+            "only the empty pair is structural"
+        );
+        assert!(acc.verify_lookups > 0);
+        assert_eq!(
+            acc.verdict,
+            Verdict::Verified {
+                method: "windowed-miter".into()
+            }
+        );
     }
 
     #[test]

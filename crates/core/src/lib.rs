@@ -45,6 +45,7 @@ pub mod library;
 pub mod optimize;
 pub mod options;
 pub mod persist;
+mod phase_poly;
 pub mod place;
 pub mod pool;
 mod remap;

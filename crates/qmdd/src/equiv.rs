@@ -207,8 +207,8 @@ pub fn equivalent_with_gc_threshold(
 /// `budget.node_budget`. With no node budget this never fails.
 ///
 /// The benchmark harness's mirror of the compiler calls this on the full
-/// register, so its signature stays as it is until the next benchmark
-/// change (ROADMAP item 7); the compiler calls [`try_equivalent_on`].
+/// register, so its signature stays as it is until the next
+/// benchmark-only change; the compiler calls [`try_equivalent_on`].
 pub fn try_equivalent(
     a: &Circuit,
     b: &Circuit,
@@ -243,8 +243,8 @@ pub fn equivalent_miter(a: &Circuit, b: &Circuit) -> EquivReport {
 /// with one gate per product; see [`try_equivalent`].
 ///
 /// Kept for the benchmark harness, whose mirror of the compiler still
-/// checks this way until the next benchmark change (ROADMAP item 7);
-/// the compiler itself calls [`try_equivalent_on`].
+/// checks this way until the next benchmark-only change; the compiler
+/// itself calls [`try_equivalent_on`].
 pub fn try_equivalent_miter(
     a: &Circuit,
     b: &Circuit,
@@ -256,8 +256,8 @@ pub fn try_equivalent_miter(
 /// The stream verifier's former fixed fused-block length.
 ///
 /// Kept, with [`try_equivalent_miter_on_batched`], for the benchmark
-/// harness's mirror until the next benchmark change (ROADMAP item 7);
-/// the compiler's block follows the pair's length instead (see
+/// harness's mirror until the next benchmark-only change; the
+/// compiler's block follows the pair's length instead (see
 /// [`try_equivalent_on`]).
 pub const DEFAULT_MITER_BATCH: usize = 2;
 
@@ -331,7 +331,7 @@ fn miter_batched(
 /// The sorted set of qubits either circuit touches — the *support* of a
 /// check. Lines outside this set are exact identity on both sides by
 /// construction. The benchmark harness imports it, so its signature stays
-/// as it is until the next benchmark change (ROADMAP item 7).
+/// as it is until the next benchmark-only change.
 pub fn miter_support(a: &Circuit, b: &Circuit) -> Vec<usize> {
     let width = a.n_qubits().max(b.n_qubits());
     let mut touched = vec![false; width];
@@ -400,7 +400,7 @@ pub fn try_equivalent_on(
 /// (`batch <= 1` disables batching); see [`try_equivalent_on`].
 ///
 /// Kept for the benchmark harness's mirror of streaming verification
-/// until the next benchmark change (ROADMAP item 7); the compiler calls
+/// until the next benchmark-only change; the compiler calls
 /// [`try_equivalent_on`].
 ///
 /// # Panics

@@ -28,8 +28,12 @@ pub const WINDOW_SWAP_CAP: &str = "window_swap_cap";
 pub const ORACLE_HITS: &str = "oracle_hits";
 /// Distance-oracle memo misses (Dijkstra/search runs) over the stream.
 pub const ORACLE_MISSES: &str = "oracle_misses";
-/// Windows whose windowed-miter equivalence check succeeded.
+/// Windows whose equivalence check succeeded, by either step.
 pub const VERIFIED_WINDOWS: &str = "verified_windows";
+/// Of the [`VERIFIED_WINDOWS`], those the structural CNOT+phase step
+/// decided (equal parity matrices and equal reduced phase polynomials)
+/// without building a QMDD. Never more than [`VERIFIED_WINDOWS`].
+pub const STRUCTURAL_WINDOWS: &str = "structural_windows";
 /// Windows whose check exhausted its QMDD node budget (degraded mode).
 pub const UNVERIFIED_WINDOWS: &str = "unverified_windows";
 /// High-water mark of gates resident in memory at once.
@@ -44,8 +48,9 @@ pub const VERIFY_SECONDS_TOTAL: &str = "verify_seconds_total";
 /// Verify workers used: the pool size for parallel verification, 1 for
 /// inline verification, 0 when verification was disabled.
 pub const VERIFY_JOBS: &str = "verify_jobs";
-/// QMDD compute-table lookups summed over every window check that
-/// completed (an exhausted check contributes none).
+/// QMDD compute-table lookups summed over every window check, exhausted
+/// ones included: a check that ran out of nodes adds the lookups it made
+/// before it aborted. Windows the structural step decided add none.
 pub const VERIFY_LOOKUPS: &str = "verify_lookups";
 /// The largest QMDD peak node count of any completed window check.
 pub const VERIFY_PEAK_NODES: &str = "verify_peak_nodes";
@@ -66,6 +71,8 @@ pub const GATES_REMOVED: &str = "gates_removed";
 /// * [`WINDOWS`] is present and >= 1;
 /// * [`VERIFIED_WINDOWS`] + [`UNVERIFIED_WINDOWS`] accounts for every
 ///   window;
+/// * [`STRUCTURAL_WINDOWS`], when present, is no larger than
+///   [`VERIFIED_WINDOWS`];
 /// * oracle hit/miss counters, when present, are non-negative;
 /// * [`MAX_WINDOW_SWAPS`] does not exceed [`WINDOW_SWAP_CAP`] when a cap
 ///   was recorded — a completed stream reporting a blown per-window cap
@@ -74,8 +81,9 @@ pub const GATES_REMOVED: &str = "gates_removed";
 ///   [`OPTIMIZE_SECONDS_TOTAL`] and [`VERIFY_JOBS`], when present, are
 ///   non-negative, and a stream that verified at least one window reports
 ///   `verify_jobs >= 1`;
-/// * [`OPTIMIZE_ROUNDS`], [`GATES_REMOVED`], [`VERIFY_LOOKUPS`] and
-///   [`VERIFY_PEAK_NODES`], when present, are non-negative integers.
+/// * [`OPTIMIZE_ROUNDS`], [`GATES_REMOVED`], [`VERIFY_LOOKUPS`],
+///   [`VERIFY_PEAK_NODES`] and [`STRUCTURAL_WINDOWS`], when present, are
+///   non-negative integers.
 ///
 /// # Errors
 ///
@@ -136,11 +144,19 @@ pub fn validate_streaming_route_event(e: &PassEvent) -> Result<Option<f64>, Stri
         GATES_REMOVED,
         VERIFY_LOOKUPS,
         VERIFY_PEAK_NODES,
+        STRUCTURAL_WINDOWS,
     ] {
         if let Some(v) = e.counter(name) {
             if !(v >= 0.0 && v.fract() == 0.0) {
                 return Err(format!("`{name}` must be a non-negative integer, got {v}"));
             }
+        }
+    }
+    if let Some(structural) = e.counter(STRUCTURAL_WINDOWS) {
+        if structural > verified {
+            return Err(format!(
+                "`{STRUCTURAL_WINDOWS}` ({structural}) exceeds `{VERIFIED_WINDOWS}` ({verified})"
+            ));
         }
     }
     if let Some(verify_jobs) = e.counter(VERIFY_JOBS) {
@@ -187,6 +203,7 @@ mod tests {
             (STREAMING, 1.0),
             (WINDOWS, 4.0),
             (VERIFIED_WINDOWS, 3.0),
+            (STRUCTURAL_WINDOWS, 2.0),
             (UNVERIFIED_WINDOWS, 1.0),
             (MAX_WINDOW_SWAPS, 7.0),
             (WINDOW_SWAP_CAP, 16.0),
@@ -211,6 +228,7 @@ mod tests {
             GATES_REMOVED,
             VERIFY_LOOKUPS,
             VERIFY_PEAK_NODES,
+            STRUCTURAL_WINDOWS,
         ] {
             for bad in [-1.0, 2.5, f64::NAN, f64::INFINITY] {
                 let e = event(&[(STREAMING, 1.0), (WINDOWS, 2.0), (name, bad)]);
@@ -269,6 +287,13 @@ mod tests {
             (WINDOWS, 2.0),
             (VERIFIED_WINDOWS, 2.0),
             (UNVERIFIED_WINDOWS, 1.0),
+        ]))
+        .is_err());
+        assert!(validate_streaming_route_event(&event(&[
+            (STREAMING, 1.0),
+            (WINDOWS, 4.0),
+            (VERIFIED_WINDOWS, 3.0),
+            (STRUCTURAL_WINDOWS, 4.0),
         ]))
         .is_err());
         assert!(validate_streaming_route_event(&event(&[

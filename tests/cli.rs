@@ -794,6 +794,57 @@ fn check_trace_rejects_streaming_counts_that_are_not_counts() {
 }
 
 #[test]
+fn check_trace_rejects_more_structural_windows_than_verified_ones() {
+    // Both windows of this CNOT+phase stream are decided by the
+    // structural step, and the aggregate route event says so; a tampered
+    // copy claiming more structural windows than verified ones is
+    // rejected.
+    let input = tmp(
+        "phase-stream.qasm",
+        "qreg q[2]; cx q[0],q[1]; t q[1]; cx q[0],q[1]; s q[0];",
+    );
+    let trace = tmp("phase-stream.trace.jsonl", "");
+    let out = qsyn(&[
+        "compile",
+        input.to_str().unwrap(),
+        "--device",
+        "grid:8x8",
+        "--stream",
+        "2",
+        &format!("--trace={}", trace.to_str().unwrap()),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(text.contains("\"verified_windows\":2"), "{text}");
+    assert!(text.contains("\"structural_windows\":2"), "{text}");
+    let ok = qsyn(&["check-trace", trace.to_str().unwrap()]);
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    // Prepended keys win: PassEvent::counter returns the first match.
+    let tampered = text.replacen(
+        "\"counters\":{\"streaming\"",
+        "\"counters\":{\"structural_windows\":3,\"streaming\"",
+        1,
+    );
+    assert_ne!(text, tampered, "streaming route event not found");
+    let file = tmp("phase-stream.tampered.jsonl", &tampered);
+    let bad = qsyn(&["check-trace", file.to_str().unwrap()]);
+    let log = String::from_utf8_lossy(&bad.stderr);
+    assert_eq!(bad.status.code(), Some(1), "{log}");
+    assert!(
+        log.contains("`structural_windows` (3) exceeds `verified_windows` (2)"),
+        "{log}"
+    );
+}
+
+#[test]
 fn check_trace_rejects_verify_events_with_impossible_support_counters() {
     // A genuine verify event carries the support it checked on and the
     // miter block (0: the canonical check decided); a tampered event
