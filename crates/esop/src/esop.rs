@@ -226,9 +226,7 @@ impl Esop {
                         continue;
                     };
                     let extra = big.care ^ small.care;
-                    if extra.count_ones() == 1
-                        && big.polarity & small.care == small.polarity
-                    {
+                    if extra.count_ones() == 1 && big.polarity & small.care == small.polarity {
                         cubes[bi] = Cube::new(big.care, big.polarity ^ extra);
                         cubes.swap_remove(si);
                         return true;

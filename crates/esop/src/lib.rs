@@ -31,7 +31,9 @@ mod mmd;
 mod pla;
 mod truth_table;
 
-pub use cascade::{cascade_from_esop, cascade_size_estimate, synthesize_multi_output, synthesize_single_target};
+pub use cascade::{
+    cascade_from_esop, cascade_size_estimate, synthesize_multi_output, synthesize_single_target,
+};
 pub use cube::Cube;
 pub use esop::{assignment_to_row, row_to_assignment, Esop};
 pub use mmd::{synthesize_permutation, Permutation};

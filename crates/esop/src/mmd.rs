@@ -150,7 +150,9 @@ pub fn synthesize_permutation(perm: &Permutation) -> Circuit {
             }
         }
         let controls: Vec<usize> = (0..n).filter(|q| cmask >> (n - 1 - q) & 1 == 1).collect();
-        let target = (0..n).find(|q| tbit >> (n - 1 - q) & 1 == 1).expect("target bit");
+        let target = (0..n)
+            .find(|q| tbit >> (n - 1 - q) & 1 == 1)
+            .expect("target bit");
         gates.push(Gate::mct(controls, target));
     };
 

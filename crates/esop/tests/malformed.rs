@@ -24,9 +24,9 @@ fn pla_truncations_and_garbage_never_panic() {
     corpus.push(PLA_SEED.to_string());
     corpus.extend([
         String::new(),
-        ".i 3\n.o 1\n1--1-1 1\n.e\n".into(),     // cube wider than .i
-        ".i 2\n.o 1\n0 11\n.e\n".into(),          // outputs wider than .o
-        ".i x\n.o 1\n.e\n".into(),                // non-numeric header
+        ".i 3\n.o 1\n1--1-1 1\n.e\n".into(), // cube wider than .i
+        ".i 2\n.o 1\n0 11\n.e\n".into(),     // outputs wider than .o
+        ".i x\n.o 1\n.e\n".into(),           // non-numeric header
         "\u{0}\u{1}garbage".into(),
         "9".repeat(128),
     ]);
@@ -34,6 +34,9 @@ fn pla_truncations_and_garbage_never_panic() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = parse_pla(input);
         }));
-        assert!(outcome.is_ok(), "pla parser panicked on case {k}: {input:?}");
+        assert!(
+            outcome.is_ok(),
+            "pla parser panicked on case {k}: {input:?}"
+        );
     }
 }

@@ -594,7 +594,10 @@ mod tests {
         assert_eq!(fuse(SingleOp::T, SingleOp::T), Fusion::Single(SingleOp::S));
         assert_eq!(fuse(SingleOp::S, SingleOp::S), Fusion::Single(SingleOp::Z));
         assert_eq!(fuse(SingleOp::T, SingleOp::Tdg), Fusion::Identity);
-        assert_eq!(fuse(SingleOp::S, SingleOp::Z), Fusion::Single(SingleOp::Sdg));
+        assert_eq!(
+            fuse(SingleOp::S, SingleOp::Z),
+            Fusion::Single(SingleOp::Sdg)
+        );
         // X then Z is -iY: global phase, must NOT fuse.
         assert_eq!(fuse(SingleOp::X, SingleOp::Z), Fusion::None);
     }
@@ -786,6 +789,9 @@ mod tests {
     fn display_is_informative() {
         assert_eq!(Gate::t(3).to_string(), "T q3");
         assert_eq!(Gate::cx(1, 2).to_string(), "CNOT q1 -> q2");
-        assert_eq!(Gate::mct(vec![0, 1, 2], 5).to_string(), "T4(q0, q1, q2 -> q5)");
+        assert_eq!(
+            Gate::mct(vec![0, 1, 2], 5).to_string(),
+            "T4(q0, q1, q2 -> q5)"
+        );
     }
 }

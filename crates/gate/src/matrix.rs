@@ -129,7 +129,8 @@ impl Matrix {
 
     /// Whether `self * self^dagger` is the identity.
     pub fn is_unitary(&self) -> bool {
-        self.mul(&self.adjoint()).approx_eq(&Matrix::identity(self.dim))
+        self.mul(&self.adjoint())
+            .approx_eq(&Matrix::identity(self.dim))
     }
 
     /// Whether the matrix is a 0/1 permutation matrix (the signature of a
