@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsyn_circuit::Circuit;
 use qsyn_gate::Gate;
-use qsyn_qmdd::Qmdd;
+use qsyn_qmdd::{miter_support, try_equivalent_on, EquivBudget, EquivMethod, EquivReport, Qmdd};
 use std::hint::black_box;
 
 fn ghz(n: usize) -> Circuit {
@@ -94,6 +94,12 @@ fn bench_circuit_product(c: &mut Criterion) {
     group.finish();
 }
 
+/// The canonical check on the pair's support, as the compiler runs it.
+fn check(a: &Circuit, b: &Circuit, budget: EquivBudget) -> EquivReport {
+    let support = miter_support(a, b);
+    try_equivalent_on(&support, a, b, EquivMethod::Canonical, budget).unwrap()
+}
+
 fn bench_equivalence(c: &mut Criterion) {
     let mut group = c.benchmark_group("qmdd_equivalence");
     group.sample_size(30);
@@ -104,7 +110,7 @@ fn bench_equivalence(c: &mut Criterion) {
         b_.push(Gate::t(n - 1));
         b_.push(Gate::tdg(n - 1));
         group.bench_with_input(BenchmarkId::from_parameter(n), &(a, b_), |bch, (a, b_)| {
-            bch.iter(|| black_box(qsyn_qmdd::equivalent(a, b_).equivalent))
+            bch.iter(|| black_box(check(a, b_, EquivBudget::default()).equivalent))
         });
     }
     group.finish();
@@ -123,7 +129,7 @@ fn bench_gc_sweep(c: &mut Criterion) {
     for (label, watermark) in [("off", usize::MAX), ("forced", 1 << 10)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &a, |b, a| {
             b.iter(|| {
-                let r = qsyn_qmdd::equivalent_with_gc_threshold(a, a, Some(watermark));
+                let r = check(a, a, EquivBudget::with_gc_threshold(watermark));
                 black_box((r.equivalent, r.gc_runs, r.nodes_reclaimed))
             })
         });

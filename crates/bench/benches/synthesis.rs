@@ -10,6 +10,7 @@ use qsyn_bench::big::BIG_BENCHMARKS;
 use qsyn_bench::revlib::REVLIB_BENCHMARKS;
 use qsyn_bench::stg::stg_by_id;
 use qsyn_core::{Compiler, Verification};
+use qsyn_qmdd::{miter_support, try_equivalent_on, EquivBudget, EquivMethod};
 use std::hint::black_box;
 
 /// Table 3 class: single-target gates on IBM devices.
@@ -70,17 +71,19 @@ fn bench_verification(c: &mut Criterion) {
         .with_verification(Verification::None)
         .compile(&cascade)
         .unwrap();
-    group.bench_function("canonical_stg_0356_ibmqx5", |b| {
-        b.iter(|| black_box(qsyn_qmdd::equivalent(&mapped.placed, &mapped.optimized)))
-    });
-    group.bench_function("miter_stg_0356_ibmqx5", |b| {
-        b.iter(|| {
-            black_box(qsyn_qmdd::equivalent_miter(
-                &mapped.placed,
-                &mapped.optimized,
-            ))
-        })
-    });
+    let (spec, out) = (&mapped.placed, &mapped.optimized);
+    let budget = EquivBudget::default();
+    for (name, method) in [
+        ("canonical_stg_0356_ibmqx5", EquivMethod::Canonical),
+        ("miter_stg_0356_ibmqx5", EquivMethod::Miter),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let support = miter_support(spec, out);
+                black_box(try_equivalent_on(&support, spec, out, method, budget))
+            })
+        });
+    }
     group.finish();
 }
 

@@ -6,7 +6,7 @@ use qsyn_arch::devices;
 use qsyn_circuit::Circuit;
 use qsyn_core::{ctr_route_with, CtrStrategy, RouteRequest, RoutingObjective, RoutingStrategy};
 use qsyn_gate::Gate;
-use qsyn_qmdd::equivalent_miter;
+use qsyn_qmdd::{miter_support, try_equivalent_on, EquivBudget, EquivMethod};
 
 fn main() {
     let device = devices::ibmqx3();
@@ -41,7 +41,9 @@ fn main() {
     );
     print!("{mapped}");
 
-    let report = equivalent_miter(&spec, &mapped);
+    let (support, budget) = (miter_support(&spec, &mapped), EquivBudget::default());
+    let report = try_equivalent_on(&support, &spec, &mapped, EquivMethod::Miter, budget)
+        .expect("an unbudgeted check cannot exhaust");
     println!(
         "QMDD equivalence with the original CNOT: {}",
         report.equivalent

@@ -76,8 +76,13 @@ fn forced_gc_sweeps_leave_verdicts_unchanged() {
         // A textually different but unitarily identical tail.
         b.push(qsyn_gate::Gate::t(0));
         b.push(qsyn_gate::Gate::tdg(0));
-        let lax = qsyn_qmdd::equivalent_with_gc_threshold(&a, &b, Some(usize::MAX));
-        let forced = qsyn_qmdd::equivalent_with_gc_threshold(&a, &b, Some(64));
+        let check = |gc_threshold| {
+            let support = qsyn_qmdd::miter_support(&a, &b);
+            let method = qsyn_qmdd::EquivMethod::Canonical;
+            let budget = qsyn_qmdd::EquivBudget::with_gc_threshold(gc_threshold);
+            qsyn_qmdd::try_equivalent_on(&support, &a, &b, method, budget).unwrap()
+        };
+        let (lax, forced) = (check(usize::MAX), check(64));
         assert!(lax.equivalent, "seed {seed}");
         assert_eq!(lax.equivalent, forced.equivalent, "seed {seed}");
         assert!(

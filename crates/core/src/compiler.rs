@@ -983,10 +983,9 @@ impl Compiler {
     }
 
     /// Walks the verification degradation ladder and emits the verify
-    /// [`PassEvent`]. Every rung runs the compiler's one check,
-    /// [`SupportCheck`]: the pair's support is computed once, and each
-    /// rung's method runs on that compacted register, with a verdict equal
-    /// to the full-register verdict.
+    /// [`PassEvent`]. The pair's support is computed once, and every rung
+    /// runs [`try_equivalent_on`] on that compacted register, with a
+    /// verdict equal to the full-register verdict.
     ///
     /// Rungs, in order (later rungs only exist under a node budget, where
     /// exhaustion is possible):
@@ -1056,7 +1055,7 @@ impl Compiler {
 
         let verify_started = std::time::Instant::now();
         let seconds = || verify_started.elapsed().as_secs_f64();
-        let check = SupportCheck::new(spec, output);
+        let support = miter_support(spec, output);
         let mut tried = 0usize;
         let mut last_err: Option<EquivBudgetError> = None;
         for (rung, (label, method, budget)) in rungs.into_iter().enumerate() {
@@ -1064,7 +1063,7 @@ impl Compiler {
                 break; // deadline mid-ladder: stop retrying, degrade below
             }
             tried += 1;
-            match check.run(method, budget) {
+            match try_equivalent_on(&support, spec, output, method, budget) {
                 Ok(report) => {
                     record(self.event(Pass::Verify, seconds(), snap, snap, |s| {
                         s.counter("peak_nodes", report.peak_nodes as f64);
@@ -1074,7 +1073,7 @@ impl Compiler {
                         s.counter("cache_evictions", report.cache_evictions as f64);
                         s.counter("gc_runs", report.gc_runs as f64);
                         s.counter("nodes_reclaimed", report.nodes_reclaimed as f64);
-                        s.counter("support", check.support.len() as f64);
+                        s.counter("support", support.len() as f64);
                         s.counter("miter", f64::from(u8::from(method == Miter)));
                         s.counter("miter_block", report.miter_block as f64);
                         s.counter("ladder_rung", (rung + 1) as f64);
@@ -1454,7 +1453,7 @@ struct WindowCheck {
 
 /// Checks one window on its support: first the structural CNOT+phase
 /// step ([`crate::phase_poly`]), which can only say equal, then, unless
-/// it did, the miter through [`SupportCheck::run`].
+/// it did, the miter through [`try_equivalent_on`].
 /// Also feeds the process-wide streaming-verify metrics: one
 /// `stream.verify_us` sample per window and an outcome counter
 /// (`stream.windows_verified` + `stream.windows_unverified` equals the
@@ -1469,12 +1468,18 @@ fn verify_one_window(spec: &Circuit, out: &Circuit, budget: EquivBudget) -> Wind
         fn m_windows_structural() -> Counter = "stream.windows_structural";
     }
     let started = std::time::Instant::now();
-    let check = SupportCheck::new(spec, out);
-    let qmdd = if crate::phase_poly::structurally_equal(&check.support, spec, out) {
+    let support = miter_support(spec, out);
+    let qmdd = if crate::phase_poly::structurally_equal(&support, spec, out) {
         m_windows_structural().inc();
         None
     } else {
-        Some(check.run(EquivMethod::Miter, budget))
+        Some(try_equivalent_on(
+            &support,
+            spec,
+            out,
+            EquivMethod::Miter,
+            budget,
+        ))
     };
     let seconds = started.elapsed().as_secs_f64();
     m_verify_us().record_seconds(seconds);
@@ -1486,42 +1491,8 @@ fn verify_one_window(spec: &Circuit, out: &Circuit, budget: EquivBudget) -> Wind
     }
     WindowCheck {
         qmdd,
-        support: check.support.len(),
+        support: support.len(),
         seconds,
-    }
-}
-
-/// The compiler's one equivalence check, behind every rung of
-/// [`Compiler::compile`]'s verify ladder and every window of
-/// [`Compiler::compile_stream`]: a spec/output pair and its support,
-/// computed once, on whose compacted register each rung runs
-/// ([`try_equivalent_on`]). Lines outside the support are exact identity
-/// factors on both sides, so the verdict equals the full-register
-/// verdict, and the method labels stay those of the full-register
-/// checks.
-struct SupportCheck<'a> {
-    spec: &'a Circuit,
-    out: &'a Circuit,
-    /// The qubits either circuit touches, ascending.
-    support: Vec<usize>,
-}
-
-impl<'a> SupportCheck<'a> {
-    fn new(spec: &'a Circuit, out: &'a Circuit) -> Self {
-        SupportCheck {
-            spec,
-            out,
-            support: miter_support(spec, out),
-        }
-    }
-
-    /// One rung: `method` on the support under `budget`.
-    fn run(
-        &self,
-        method: EquivMethod,
-        budget: EquivBudget,
-    ) -> Result<EquivReport, EquivBudgetError> {
-        try_equivalent_on(&self.support, self.spec, self.out, method, budget)
     }
 }
 
@@ -1737,7 +1708,7 @@ mod tests {
             .unwrap();
         let qasm = r.optimized.to_qasm().unwrap();
         let parsed = Circuit::from_qasm(&qasm).unwrap();
-        assert!(qsyn_qmdd::circuits_equal(&r.optimized, &parsed));
+        assert!(crate::qmdd_equal(&r.optimized, &parsed));
     }
 
     #[test]
@@ -2462,10 +2433,7 @@ mod tests {
                 // whole output.
                 assert!(summary.peak_resident_gates < streamed.gates().len());
             }
-            assert!(
-                qsyn_qmdd::circuits_equal(&spec, &streamed),
-                "window={window}"
-            );
+            assert!(crate::qmdd_equal(&spec, &streamed), "window={window}");
         }
 
         // A batch compile is one window: with the whole input in a single
@@ -2513,7 +2481,7 @@ mod tests {
                 streamed.push(g.clone())
             })
             .unwrap();
-        assert!(qsyn_qmdd::circuits_equal(&spec, &streamed));
+        assert!(crate::qmdd_equal(&spec, &streamed));
         assert_eq!(summary.unverified_windows, 0);
     }
 

@@ -552,7 +552,7 @@ mod tests {
         let mut spec = Circuit::new(n);
         spec.push(Gate::mct(controls.to_vec(), target));
         assert!(
-            qsyn_qmdd::circuits_equal(&spec, &got),
+            crate::qmdd_equal(&spec, &got),
             "relative phases failed to cancel for {controls:?}"
         );
     }

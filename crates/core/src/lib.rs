@@ -85,3 +85,14 @@ fn one_of(names: &[&str]) -> String {
         None => String::new(),
     }
 }
+
+#[cfg(test)]
+/// Whether `a` and `b` realize the same unitary, exactly: the canonical
+/// QMDD check on the pair's support, unbudgeted.
+pub(crate) fn qmdd_equal(a: &qsyn_circuit::Circuit, b: &qsyn_circuit::Circuit) -> bool {
+    let support = qsyn_qmdd::miter_support(a, b);
+    let method = qsyn_qmdd::EquivMethod::Canonical;
+    qsyn_qmdd::try_equivalent_on(&support, a, b, method, Default::default())
+        .expect("an unbudgeted check cannot exhaust")
+        .equivalent
+}

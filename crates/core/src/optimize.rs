@@ -440,8 +440,8 @@ pub fn optimize_bounded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qmdd_equal;
     use qsyn_arch::TransmonCost;
-    use qsyn_qmdd::circuits_equal;
 
     fn opt(c: &Circuit) -> Circuit {
         let cost = TransmonCost::default();
@@ -510,7 +510,7 @@ mod tests {
         c.push(Gate::tdg(0));
         let o = opt(&c);
         assert_eq!(o.len(), 1);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -521,7 +521,7 @@ mod tests {
         c.push(Gate::tdg(1));
         let o = opt(&c);
         assert_eq!(o.len(), 3);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -531,7 +531,7 @@ mod tests {
         c.push(Gate::t(0));
         let o = opt(&c);
         assert_eq!(o.gates(), &[Gate::single(SingleOp::S, 0)]);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -545,7 +545,7 @@ mod tests {
         c.push(Gate::single(SingleOp::S, 0));
         c.push(Gate::single(SingleOp::S, 0));
         let o = opt(&c);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
         assert!(o.len() <= 3, "got {} gates", o.len());
     }
 
@@ -566,7 +566,7 @@ mod tests {
         c.push(Gate::h(0));
         let o = opt(&c);
         assert_eq!(o.gates(), &[Gate::x(0)]);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -576,7 +576,7 @@ mod tests {
         c.push(Gate::x(1));
         c.push(Gate::single(SingleOp::S, 1));
         let o = opt(&c);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
         assert!(o.len() <= 1, "S X S† is a single Y: got {}", o.len());
     }
 
@@ -589,7 +589,7 @@ mod tests {
         c.push(Gate::single(SingleOp::Z, 0));
         c.push(Gate::x(0));
         let o = opt(&c);
-        assert!(circuits_equal(&c, &o), "phase must be preserved");
+        assert!(qmdd_equal(&c, &o), "phase must be preserved");
     }
 
     #[test]
@@ -603,7 +603,7 @@ mod tests {
         c.push(Gate::tdg(1));
         c.push(Gate::h(0));
         let o = opt(&c);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
         // H Z H -> X and the T T† pair on line 1 cancels.
         assert_eq!(o.gates(), &[Gate::x(0)]);
     }
@@ -618,7 +618,7 @@ mod tests {
         c.push(Gate::h(1));
         let o = opt(&c);
         assert_eq!(o.gates(), &[Gate::cx(1, 0)]);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -638,7 +638,7 @@ mod tests {
                 assert!(d.has_coupling(*control, *target));
             }
         }
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -655,7 +655,7 @@ mod tests {
         }
         c.push(Gate::cx(1, 0));
         let o = opt(&c);
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
         assert!(o.len() <= 3, "got {}", o.len());
     }
 
@@ -671,7 +671,7 @@ mod tests {
         c.push(Gate::h(2));
         let o = opt(&c);
         assert!(cost.circuit_cost(&o) <= cost.circuit_cost(&c));
-        assert!(circuits_equal(&c, &o));
+        assert!(qmdd_equal(&c, &o));
     }
 
     #[test]
@@ -769,7 +769,7 @@ mod tests {
             }
         }
         let o = opt(&c);
-        assert!(circuits_equal(&c, &o), "optimizer broke a random circuit");
+        assert!(qmdd_equal(&c, &o), "optimizer broke a random circuit");
         assert!(o.len() <= c.len());
     }
 

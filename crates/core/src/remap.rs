@@ -230,11 +230,11 @@ fn tree_path(parent: &[Option<usize>], a: usize, b: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qmdd_equal;
     use crate::strategy::{CtrStrategy, PersistentStrategy, RouteOutcome, RouteRequest};
     use crate::RoutingStrategy;
     use qsyn_arch::{devices, TwoQubitNative};
     use qsyn_gate::Gate;
-    use qsyn_qmdd::circuits_equal;
 
     fn persistent(c: &Circuit, d: &Device) -> RouteOutcome {
         PersistentStrategy.route(&RouteRequest::new(c, d)).unwrap()
@@ -242,7 +242,7 @@ mod tests {
 
     fn routed_equal(c: &Circuit, d: &Device) -> Circuit {
         let r = persistent(c, d).circuit;
-        assert!(circuits_equal(c, &r), "persistent routing broke semantics");
+        assert!(qmdd_equal(c, &r), "persistent routing broke semantics");
         for g in r.gates() {
             if let Gate::Cx { control, target } = g {
                 assert!(d.has_coupling(*control, *target), "illegal {g}");
@@ -313,7 +313,7 @@ mod tests {
         c.push(Gate::cz(0, 3));
         c.push(Gate::cx(1, 4));
         let r = persistent(&c, &d).circuit;
-        assert!(circuits_equal(&c, &r));
+        assert!(qmdd_equal(&c, &r));
         for g in r.gates() {
             assert!(d.supports(g), "unsupported {g}");
         }

@@ -422,9 +422,9 @@ fn emit_cnot_via(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qmdd_equal;
     use crate::strategy::{CtrStrategy, RoutingStrategy};
     use qsyn_arch::devices;
-    use qsyn_qmdd::circuits_equal;
 
     /// CTR routing under `objective` and an optional SWAP cap, through the
     /// shared routing lookup for the device.
@@ -498,7 +498,7 @@ mod tests {
         assert_eq!(out.stats().cnot_count, 1);
         let mut spec = Circuit::new(5);
         spec.push(Gate::cx(1, 0));
-        assert!(circuits_equal(&spec, &out));
+        assert!(qmdd_equal(&spec, &out));
     }
 
     #[test]
@@ -509,7 +509,7 @@ mod tests {
         assert_eq!(out.len(), 7, "paper: max 7 gates per SWAP");
         let mut spec = Circuit::new(5);
         spec.push(Gate::swap(0, 1));
-        assert!(circuits_equal(&spec, &out));
+        assert!(qmdd_equal(&spec, &out));
     }
 
     #[test]
@@ -517,7 +517,7 @@ mod tests {
         let d = devices::ibmqx3();
         let spec = one_cnot(16, 5, 10);
         let out = routed(&spec, &d, None).unwrap().circuit;
-        assert!(circuits_equal(&spec, &out));
+        assert!(qmdd_equal(&spec, &out));
         // Every CNOT in the output respects the coupling map.
         for g in out.gates() {
             if let Gate::Cx { control, target } = g {
@@ -535,7 +535,7 @@ mod tests {
         c.push(Gate::t(2));
         c.push(Gate::cx(4, 1));
         let out = routed(&c, &d, None).unwrap().circuit;
-        assert!(circuits_equal(&c, &out));
+        assert!(qmdd_equal(&c, &out));
         for g in out.gates() {
             if let Gate::Cx { control, target } = g {
                 assert!(d.has_coupling(*control, *target));
@@ -635,7 +635,7 @@ mod tests {
         let fast = routed_with(&spec, &d, RoutingObjective::FewestSwaps, None).unwrap();
         let clean = routed_with(&spec, &d, RoutingObjective::HighestFidelity, None).unwrap();
         assert_ne!(fast.circuit, clean.circuit);
-        assert!(circuits_equal(&fast.circuit, &clean.circuit));
+        assert!(qmdd_equal(&fast.circuit, &clean.circuit));
     }
 
     #[test]
@@ -673,7 +673,7 @@ mod tests {
         c.push(Gate::cx(0, 3)); // distant: swaps + CZ legs
         c.push(Gate::cz(2, 5)); // native CZ, distant
         let out = routed(&c, &d, None).unwrap().circuit;
-        assert!(circuits_equal(&c, &out));
+        assert!(qmdd_equal(&c, &out));
         for g in out.gates() {
             assert!(d.supports(g), "unsupported {g}");
             assert!(!matches!(g, Gate::Cx { .. }), "no CNOT on a CZ device");
@@ -699,7 +699,10 @@ mod tests {
         let spec = one_cnot(96, 5, 45);
         let out = routed(&spec, &d, None).unwrap().circuit;
         // Wide register: use the miter strategy.
-        assert!(qsyn_qmdd::equivalent_miter(&spec, &out).equivalent);
+        let support = qsyn_qmdd::miter_support(&spec, &out);
+        let method = qsyn_qmdd::EquivMethod::Miter;
+        let r = qsyn_qmdd::try_equivalent_on(&support, &spec, &out, method, Default::default());
+        assert!(r.unwrap().equivalent);
     }
 
     #[test]

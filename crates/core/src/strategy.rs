@@ -615,8 +615,8 @@ impl RouteStrategyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qmdd_equal;
     use qsyn_arch::devices;
-    use qsyn_qmdd::circuits_equal;
 
     fn workload() -> Circuit {
         let mut c = Circuit::new(16);
@@ -700,7 +700,7 @@ mod tests {
             let out = LookaheadStrategy
                 .route(&RouteRequest::new(&c, &d).with_objective(objective))
                 .unwrap();
-            assert!(circuits_equal(&c, &out.circuit), "{objective:?}");
+            assert!(qmdd_equal(&c, &out.circuit), "{objective:?}");
             for g in out.circuit.gates() {
                 if let Gate::Cx { control, target } = g {
                     assert!(d.has_coupling(*control, *target), "illegal {g}");
@@ -821,7 +821,7 @@ mod tests {
         c.push(Gate::cx(1, 4));
         c.push(Gate::h(2));
         let out = LookaheadStrategy.route(&RouteRequest::new(&c, &d)).unwrap();
-        assert!(circuits_equal(&c, &out.circuit));
+        assert!(qmdd_equal(&c, &out.circuit));
         for g in out.circuit.gates() {
             assert!(d.supports(g), "unsupported {g}");
         }

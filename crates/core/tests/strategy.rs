@@ -11,7 +11,7 @@ use qsyn_core::{
     RoutingStrategy,
 };
 use qsyn_gate::Gate;
-use qsyn_qmdd::{circuits_equal, equivalent_miter};
+use qsyn_qmdd::{miter_support, try_equivalent_on, EquivBudget, EquivMethod};
 
 /// A routing workload touching distant pairs, repeats, reversals, and
 /// interleaved one-qubit gates, scaled to the device width.
@@ -32,11 +32,15 @@ fn mixed_workload(d: &Device) -> Circuit {
 /// QMDD equivalence sized to the register: canonical QMDDs up to 16
 /// qubits, the interleaved miter beyond (the qc96 fabric).
 fn equivalent_for(d: &Device, spec: &Circuit, routed: &Circuit) -> bool {
-    if d.n_qubits() <= 16 {
-        circuits_equal(spec, routed)
+    let method = if d.n_qubits() <= 16 {
+        EquivMethod::Canonical
     } else {
-        equivalent_miter(spec, routed).equivalent
-    }
+        EquivMethod::Miter
+    };
+    let support = miter_support(spec, routed);
+    try_equivalent_on(&support, spec, routed, method, EquivBudget::default())
+        .expect("an unbudgeted check cannot exhaust")
+        .equivalent
 }
 
 #[test]

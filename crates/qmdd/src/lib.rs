@@ -13,7 +13,7 @@
 //! ```
 //! use qsyn_circuit::Circuit;
 //! use qsyn_gate::Gate;
-//! use qsyn_qmdd::circuits_equal;
+//! use qsyn_qmdd::{miter_support, try_equivalent_on, EquivBudget, EquivMethod};
 //!
 //! // CNOT reversal identity (paper Fig. 6).
 //! let mut fwd = Circuit::new(2);
@@ -22,7 +22,16 @@
 //! for g in [Gate::h(0), Gate::h(1), Gate::cx(0, 1), Gate::h(0), Gate::h(1)] {
 //!     rev.push(g);
 //! }
-//! assert!(circuits_equal(&fwd, &rev));
+//! let support = miter_support(&fwd, &rev);
+//! let report = try_equivalent_on(
+//!     &support,
+//!     &fwd,
+//!     &rev,
+//!     EquivMethod::Canonical,
+//!     EquivBudget::default(),
+//! )?;
+//! assert!(report.equivalent);
+//! # Ok::<(), qsyn_qmdd::EquivBudgetError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -36,8 +45,7 @@ mod state;
 
 pub use ctable::{WeightId, WeightTable, W_NEG_ONE, W_ONE, W_ZERO};
 pub use equiv::{
-    build_circuit_qmdd, circuits_equal, equivalent, equivalent_miter, equivalent_with_ancillas,
-    equivalent_with_gc_threshold, miter_support, process_fidelity, try_equivalent,
+    build_circuit_qmdd, equivalent_with_ancillas, miter_support, process_fidelity, try_equivalent,
     try_equivalent_miter, try_equivalent_miter_on_batched, try_equivalent_on, EquivBudget,
     EquivBudgetError, EquivMethod, EquivReport, DEFAULT_MITER_BATCH,
 };

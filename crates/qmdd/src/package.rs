@@ -1129,17 +1129,32 @@ impl Qmdd {
         }
     }
 
-    /// The trace of the represented matrix, computed on the diagram
-    /// (linear in the diagram size, so it works at any register width).
+    /// The trace of the represented matrix, computed on the diagram in
+    /// time linear in the diagram size. The trace of a unitary on `n`
+    /// lines can reach `2^n`, which overflows `f64` past about 1023
+    /// lines; [`process_fidelity`](crate::process_fidelity) uses the
+    /// normalized trace instead, which stays finite at any width.
     pub fn trace(&self, e: Edge) -> C64 {
+        self.diagonal_sum(e, 1.0)
+    }
+
+    /// `trace(e) / 2^n`, halving the diagonal sum at each level of the
+    /// walk so that no `2^n` is ever formed.
+    pub(crate) fn normalized_trace(&self, e: Edge) -> C64 {
+        self.diagonal_sum(e, 0.5)
+    }
+
+    /// The diagonal sum with each level's sum scaled by `per_level`.
+    fn diagonal_sum(&self, e: Edge, per_level: f64) -> C64 {
         let mut memo: crate::fxhash::FxHashMap<NodeId, C64> = crate::fxhash::FxHashMap::default();
-        self.trace_rec(e, self.n as u32, &mut memo)
+        self.trace_rec(e, self.n as u32, per_level, &mut memo)
     }
 
     fn trace_rec(
         &self,
         e: Edge,
         levels_below: u32,
+        per_level: f64,
         memo: &mut crate::fxhash::FxHashMap<NodeId, C64>,
     ) -> C64 {
         if e.is_zero() {
@@ -1158,9 +1173,9 @@ impl Qmdd {
         let sub = if let Some(&hit) = memo.get(&e.node) {
             hit
         } else {
-            let t0 = self.trace_rec(node.edges[0], levels_below - 1, memo);
-            let t1 = self.trace_rec(node.edges[3], levels_below - 1, memo);
-            let s = t0 + t1;
+            let t0 = self.trace_rec(node.edges[0], levels_below - 1, per_level, memo);
+            let t1 = self.trace_rec(node.edges[3], levels_below - 1, per_level, memo);
+            let s = (t0 + t1) * per_level;
             memo.insert(e.node, s);
             s
         };

@@ -52,10 +52,14 @@ fn main() -> Result<(), CompileError> {
     );
 
     // Both mappings realize the identical unitary.
-    assert!(circuits_equal(
-        &r.optimized,
-        &ibm.optimized.relabeled(16, |q| q)
-    ));
+    let (cz, cx) = (&r.optimized, &ibm.optimized);
+    let support = miter_support(cz, cx);
+    let check = try_equivalent_on(&support, cz, cx, EquivMethod::Canonical, Default::default());
+    assert!(
+        check
+            .expect("an unbudgeted check cannot exhaust")
+            .equivalent
+    );
     println!("cross-library equivalence (CZ machine vs IBM machine): OK");
     Ok(())
 }

@@ -20,23 +20,33 @@ fn load(path: &str) -> Circuit {
     }
 }
 
+/// The compiler's check: canonical QMDDs built on the pair's support.
+fn qmdd_equal(a: &Circuit, b: &Circuit) -> bool {
+    let support = miter_support(a, b);
+    try_equivalent_on(
+        &support,
+        a,
+        b,
+        EquivMethod::Canonical,
+        EquivBudget::default(),
+    )
+    .expect("an unbudgeted check cannot exhaust")
+    .equivalent
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() == 2 {
         let a = load(&args[0]);
         let b = load(&args[1]);
-        let report = equivalent(&a, &b);
+        let equal = qmdd_equal(&a, &b);
         println!(
             "{} vs {}: {}",
             args[0],
             args[1],
-            if report.equivalent {
-                "EQUIVALENT"
-            } else {
-                "DIFFERENT"
-            }
+            if equal { "EQUIVALENT" } else { "DIFFERENT" }
         );
-        std::process::exit(if report.equivalent { 0 } else { 1 });
+        std::process::exit(if equal { 0 } else { 1 });
     }
 
     // Demo mode: three pairs exercising the identities of the paper.
@@ -49,7 +59,7 @@ fn main() {
         Circuit::from_qasm("qreg q[2]; h q[0]; h q[1]; cx q[0],q[1]; h q[0]; h q[1];").unwrap();
     println!(
         "Fig. 6 reversal identity        : {}",
-        equivalent(&fwd, &rev).equivalent
+        qmdd_equal(&fwd, &rev)
     );
 
     // (2) Fig. 3 — SWAP from three CNOTs.
@@ -58,7 +68,7 @@ fn main() {
     let three = Circuit::from_qasm("qreg q[2]; cx q[0],q[1]; cx q[1],q[0]; cx q[0],q[1];").unwrap();
     println!(
         "Fig. 3 SWAP identity            : {}",
-        equivalent(&swap, &three).equivalent
+        qmdd_equal(&swap, &three)
     );
 
     // (3) A near-miss: the 15-gate Toffoli network with one T dagger
@@ -72,6 +82,6 @@ fn main() {
     broken.gates_mut()[last] = Gate::t(1);
     println!(
         "sabotaged Toffoli caught        : {}",
-        !equivalent(&tof, &broken).equivalent
+        !qmdd_equal(&tof, &broken)
     );
 }

@@ -75,7 +75,9 @@ pub mod prelude {
         Esop, Pla, TruthTable,
     };
     pub use qsyn_gate::{Gate, Matrix, SingleOp, C64};
-    pub use qsyn_qmdd::{circuits_equal, equivalent, equivalent_miter, Qmdd, Simulator};
+    pub use qsyn_qmdd::{
+        miter_support, try_equivalent_on, EquivBudget, EquivMethod, Qmdd, Simulator,
+    };
     pub use qsyn_trace::{
         CompileMetrics, JsonlSink, NullSink, Pass, PassEvent, TableSink, TraceSink, Verdict,
     };

@@ -81,8 +81,11 @@ fn lookahead_beats_ctr_on_swaps_and_eqn2_cost_on_every_ibm_device() {
             let look = route(&LookaheadStrategy, &workload, d, objective);
             for out in [&ctr.circuit, &look.circuit] {
                 if !verified.contains(out) {
+                    let support = miter_support(&workload, out);
+                    let budget = EquivBudget::default();
+                    let r = try_equivalent_on(&support, &workload, out, EquivMethod::Miter, budget);
                     assert!(
-                        equivalent_miter(&workload, out).equivalent,
+                        r.unwrap().equivalent,
                         "routed output failed QMDD verification ({what})"
                     );
                     verified.push(out.clone());

@@ -4,6 +4,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+mod check;
+use check::qmdd_equal;
+
 fn qsyn(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_qsyn"))
         .args(args)
@@ -65,7 +68,7 @@ fn compile_writes_out_file_and_round_trips() {
     let qasm = std::fs::read_to_string(&output).unwrap();
     let mapped = qsyn::circuit::Circuit::from_qasm(&qasm).unwrap();
     let spec = qsyn::circuit::Circuit::from_real(TOFFOLI_REAL).unwrap();
-    assert!(qsyn::qmdd::circuits_equal(&spec, &mapped));
+    assert!(qmdd_equal(&spec, &mapped));
 }
 
 #[test]

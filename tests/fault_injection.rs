@@ -6,6 +6,9 @@
 
 use qsyn::prelude::*;
 
+mod check;
+use check::qmdd_equal;
+
 fn compiled_toffoli() -> (Circuit, Circuit) {
     let mut spec = Circuit::new(3);
     spec.push(Gate::toffoli(0, 1, 2));
@@ -20,13 +23,13 @@ fn compiled_toffoli() -> (Circuit, Circuit) {
 #[test]
 fn deletion_mutants_are_rejected() {
     let (spec, mapped) = compiled_toffoli();
-    assert!(circuits_equal(&spec, &mapped), "baseline sanity");
+    assert!(qmdd_equal(&spec, &mapped), "baseline sanity");
     let mut undetected = Vec::new();
     for k in 0..mapped.len() {
         let mut mutant_gates = mapped.gates().to_vec();
         mutant_gates.remove(k);
         let mutant = Circuit::from_gates(mapped.n_qubits(), mutant_gates);
-        if circuits_equal(&spec, &mutant) {
+        if qmdd_equal(&spec, &mutant) {
             undetected.push(k);
         }
     }
@@ -52,10 +55,7 @@ fn t_sign_mutants_are_rejected() {
         let mut mutant_gates = mapped.gates().to_vec();
         mutant_gates[k] = Gate::single(flipped, qubit);
         let mutant = Circuit::from_gates(mapped.n_qubits(), mutant_gates);
-        assert!(
-            !circuits_equal(&spec, &mutant),
-            "T/T† flip at {k} undetected"
-        );
+        assert!(!qmdd_equal(&spec, &mutant), "T/T† flip at {k} undetected");
     }
 }
 
@@ -71,7 +71,7 @@ fn cnot_direction_mutants_are_rejected() {
         mutant_gates[k] = Gate::cx(target, control);
         let mutant = Circuit::from_gates(mapped.n_qubits(), mutant_gates);
         assert!(
-            !circuits_equal(&spec, &mutant),
+            !qmdd_equal(&spec, &mutant),
             "CNOT reversal at {k} undetected"
         );
     }
@@ -88,7 +88,7 @@ fn transposition_mutants() {
         let mut mutant_gates = mapped.gates().to_vec();
         mutant_gates.swap(k, k + 1);
         let mutant = Circuit::from_gates(mapped.n_qubits(), mutant_gates.clone());
-        let equal = circuits_equal(&spec, &mutant);
+        let equal = qmdd_equal(&spec, &mutant);
         // Accepted swaps must genuinely commute.
         if equal {
             accepted += 1;
@@ -114,12 +114,24 @@ fn miter_catches_faults_on_qc96() {
         .with_verification(Verification::None)
         .compile(&spec)
         .unwrap();
-    assert!(equivalent_miter(&r.placed, &r.optimized).equivalent);
+    let miter = |out: &Circuit| {
+        let support = miter_support(&r.placed, out);
+        try_equivalent_on(
+            &support,
+            &r.placed,
+            out,
+            EquivMethod::Miter,
+            EquivBudget::default(),
+        )
+        .expect("an unbudgeted check cannot exhaust")
+        .equivalent
+    };
+    assert!(miter(&r.optimized));
     // Drop a mid-circuit gate.
     let mut broken = r.optimized.gates().to_vec();
     broken.remove(broken.len() / 2);
     let mutant = Circuit::from_gates(96, broken);
-    assert!(!equivalent_miter(&r.placed, &mutant).equivalent);
+    assert!(!miter(&mutant));
 }
 
 /// End-to-end: a compiler forced to verify rejects a sabotaged result by
@@ -132,6 +144,6 @@ fn verification_failure_surfaces_as_error() {
     let (spec, mapped) = compiled_toffoli();
     let mut wrong_spec = spec.clone();
     wrong_spec.push(Gate::x(0));
-    assert!(circuits_equal(&spec, &mapped));
-    assert!(!circuits_equal(&wrong_spec, &mapped));
+    assert!(qmdd_equal(&spec, &mapped));
+    assert!(!qmdd_equal(&wrong_spec, &mapped));
 }

@@ -7,13 +7,15 @@ use qsyn::core::{decompose_circuit_memo, optimize_bounded};
 use qsyn::prelude::*;
 use qsyn::qmdd::build_circuit_qmdd;
 
+mod check;
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
+use check::qmdd_equal;
 
-/// Strategy: a random circuit over `n` qubits drawn from the full gate
-/// vocabulary (including technology-independent gates).
-fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
-    let gate = prop_oneof![
+/// Strategy: a random gate on `n` qubits from the full gate vocabulary
+/// (including technology-independent gates).
+fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
+    prop_oneof![
         (0..8usize, 0..n).prop_map(|(op, q)| Gate::single(qsyn::gate::SINGLE_OPS[op], q)),
         (0..n, 0..n)
             .prop_filter("distinct", |(a, b)| a != b)
@@ -27,8 +29,13 @@ fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
         (0..n, 0..n, 0..n)
             .prop_filter("distinct", |(a, b, c)| a != b && b != c && a != c)
             .prop_map(|(a, b, c)| Gate::toffoli(a, b, c)),
-    ];
-    proptest::collection::vec(gate, 0..max_len).prop_map(move |gates| Circuit::from_gates(n, gates))
+    ]
+}
+
+/// Strategy: a random circuit over `n` qubits drawn from [`arb_gate`].
+fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
+    proptest::collection::vec(arb_gate(n), 0..max_len)
+        .prop_map(move |gates| Circuit::from_gates(n, gates))
 }
 
 /// Strategy: a circuit on `n` lines that opens with a generalized Toffoli
@@ -209,7 +216,7 @@ proptest! {
     fn circuit_times_inverse_is_identity(c in arb_circuit(4, 14)) {
         let mut both = c.clone();
         both.append(&c.inverse());
-        prop_assert!(circuits_equal(&both, &Circuit::new(4)));
+        prop_assert!(qmdd_equal(&both, &Circuit::new(4)));
     }
 
     /// The local optimizer preserves the exact unitary (QMDD equality) and
@@ -218,7 +225,7 @@ proptest! {
     fn optimizer_is_sound_and_monotone(c in arb_tech_ready(4, 30)) {
         let cost = TransmonCost::default();
         let o = optimize_bounded(&c, None, &cost, OptimizeConfig::default(), None).0;
-        prop_assert!(circuits_equal(&c, &o));
+        prop_assert!(qmdd_equal(&c, &o));
         prop_assert!(cost.circuit_cost(&o) <= cost.circuit_cost(&c) + 1e-9);
     }
 
@@ -258,7 +265,7 @@ proptest! {
     fn persistent_router_is_sound(c in arb_tech_ready(5, 12)) {
         for d in [devices::ibmqx2(), devices::ibmqx5()] {
             let r = PersistentStrategy.route(&RouteRequest::new(&c, &d)).unwrap().circuit;
-            prop_assert!(circuits_equal(&c, &r), "{}", d.name());
+            prop_assert!(qmdd_equal(&c, &r), "{}", d.name());
         }
     }
 
@@ -283,12 +290,41 @@ proptest! {
         }
     }
 
-    /// The miter equivalence check agrees with the canonical check.
+    /// The canonical check, the miter and the dense unitary (exact, not
+    /// up to phase) agree on the full register. Half the pairs are built
+    /// equal, by inserting `g` and `g⁻¹` at a random point of `a`, so the
+    /// equal verdict is exercised as often as the unequal one.
     #[test]
-    fn miter_agrees_with_canonical(a in arb_circuit(3, 8), b in arb_circuit(3, 8)) {
-        let canon = equivalent(&a, &b).equivalent;
-        let miter = equivalent_miter(&a, &b).equivalent;
+    fn miter_agrees_with_canonical(
+        a in arb_circuit(3, 8),
+        b in arb_circuit(3, 8),
+        g in arb_gate(3),
+        at in 0usize..8,
+        build_equal in 0u8..2,
+    ) {
+        let b = if build_equal == 1 {
+            let mut gates = a.gates().to_vec();
+            let at = at.min(gates.len());
+            gates.insert(at, g.inverse());
+            gates.insert(at, g);
+            Circuit::from_gates(3, gates)
+        } else {
+            b
+        };
+        let full: Vec<usize> = (0..3).collect();
+        let check = |method| {
+            try_equivalent_on(&full, &a, &b, method, EquivBudget::default())
+                .expect("an unbudgeted check cannot exhaust")
+                .equivalent
+        };
+        let canon = check(EquivMethod::Canonical);
+        let miter = check(EquivMethod::Miter);
+        let dense = a.to_matrix().approx_eq(&b.to_matrix());
         prop_assert_eq!(canon, miter);
+        prop_assert_eq!(canon, dense);
+        if build_equal == 1 {
+            prop_assert!(canon, "a pair built equal was rejected");
+        }
     }
 
     /// Minimized ESOPs cover their truth tables for random functions.
@@ -411,7 +447,7 @@ proptest! {
         };
         let fast = routed(RoutingObjective::FewestSwaps);
         let clean = routed(RoutingObjective::HighestFidelity);
-        prop_assert!(circuits_equal(&fast, &clean));
+        prop_assert!(qmdd_equal(&fast, &clean));
     }
 
     /// The DD simulator agrees with dense state vectors on random
