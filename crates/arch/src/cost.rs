@@ -190,8 +190,10 @@ impl Default for FidelityCost {
 impl CostModel for FidelityCost {
     fn cost(&self, s: &CircuitStats) -> f64 {
         let per = |count: usize, err: f64| -(count as f64) * (1.0 - err).ln();
-        per(s.other_single_count + s.unmapped_multi_count, self.single_error)
-            + per(s.cnot_count, self.cnot_error)
+        per(
+            s.other_single_count + s.unmapped_multi_count,
+            self.single_error,
+        ) + per(s.cnot_count, self.cnot_error)
             + per(s.t_count, self.t_error)
     }
 

@@ -64,7 +64,10 @@ impl Device {
         let mut couplings = BTreeSet::new();
         for (control, targets) in map {
             for target in *targets {
-                assert!(*control < n_qubits && *target < n_qubits, "coupling out of range");
+                assert!(
+                    *control < n_qubits && *target < n_qubits,
+                    "coupling out of range"
+                );
                 assert_ne!(control, target, "self-coupling");
                 couplings.insert((*control, *target));
             }
@@ -145,7 +148,10 @@ impl Device {
             self.has_coupling(control, target),
             "no coupling {control} -> {target}"
         );
-        assert!((0.0..1.0).contains(&error), "error probability out of range");
+        assert!(
+            (0.0..1.0).contains(&error),
+            "error probability out of range"
+        );
         self.cnot_errors.insert((control, target), error);
     }
 
@@ -219,8 +225,8 @@ impl Device {
     /// ordered pair is a legal CNOT placement and the coupling complexity
     /// is exactly one.
     pub fn simulator(n_qubits: usize) -> Self {
-        let pairs = (0..n_qubits)
-            .flat_map(|c| (0..n_qubits).filter(move |&t| t != c).map(move |t| (c, t)));
+        let pairs =
+            (0..n_qubits).flat_map(|c| (0..n_qubits).filter(move |&t| t != c).map(move |t| (c, t)));
         Device::from_pairs("simulator", n_qubits, pairs)
     }
 

@@ -157,7 +157,16 @@ pub fn ibmq20() -> Device {
         }
     }
     // Diagonal cross-couplings of the Tokyo lattice.
-    for (a, b) in [(1, 7), (2, 6), (3, 9), (4, 8), (11, 17), (12, 16), (13, 19), (14, 18)] {
+    for (a, b) in [
+        (1, 7),
+        (2, 6),
+        (3, 9),
+        (4, 8),
+        (11, 17),
+        (12, 16),
+        (13, 19),
+        (14, 18),
+    ] {
         pairs.push((a, b));
         pairs.push((b, a));
     }
@@ -477,7 +486,11 @@ mod tests {
             for (c, t) in d.couplings().collect::<Vec<_>>() {
                 assert!(d.has_coupling(t, c), "{}: {c}->{t} not symmetric", d.name());
                 let e = d.cnot_error(c, t).unwrap();
-                assert!((5e-3..2e-2).contains(&e), "{}: error {e} out of band", d.name());
+                assert!(
+                    (5e-3..2e-2).contains(&e),
+                    "{}: error {e} out of band",
+                    d.name()
+                );
             }
         }
     }
@@ -491,7 +504,7 @@ mod tests {
         assert_eq!(g.coupling_count(), 2 * (2 * 31 * 32));
         let hh = heavy_hex(3);
         assert_eq!(hh.n_qubits(), (3 + 1) * (5 * 3 + 3)); // 72
-        // Vertex qubits cap at degree 3, middles at 2.
+                                                          // Vertex qubits cap at degree 3, middles at 2.
         for q in 0..hh.n_qubits() {
             assert!(hh.neighbors(q).len() <= 3, "q{q} overconnected");
         }
@@ -510,8 +523,18 @@ mod tests {
     fn generated_names_parse() {
         assert_eq!(device_by_name("lnn:100").unwrap().n_qubits(), 100);
         assert_eq!(device_by_name("grid:32x32").unwrap().n_qubits(), 1024);
-        assert_eq!(device_by_name("heavy-hex:7").unwrap().n_qubits(), (7 + 1) * (5 * 7 + 3));
-        for bad in ["lnn:1", "lnn:x", "grid:0x5", "grid:4", "grid:999x999", "heavy-hex:0"] {
+        assert_eq!(
+            device_by_name("heavy-hex:7").unwrap().n_qubits(),
+            (7 + 1) * (5 * 7 + 3)
+        );
+        for bad in [
+            "lnn:1",
+            "lnn:x",
+            "grid:0x5",
+            "grid:4",
+            "grid:999x999",
+            "heavy-hex:0",
+        ] {
             assert!(device_by_name(bad).is_none(), "{bad} must not parse");
         }
     }

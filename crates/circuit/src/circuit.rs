@@ -2,7 +2,7 @@
 //! back-end, and verifier.
 
 use crate::stats::CircuitStats;
-use qsyn_gate::{C64, Gate, Matrix};
+use qsyn_gate::{Gate, Matrix, C64};
 use std::fmt;
 
 /// A quantum circuit: an ordered list of [`Gate`]s over `n` qubit lines.
@@ -164,14 +164,9 @@ impl Circuit {
     /// Panics if the mapping sends two lines of one gate to the same index
     /// or produces an index `>= n_qubits`.
     pub fn relabeled(&self, n_qubits: usize, map: impl Fn(usize) -> usize) -> Circuit {
-        let gates: Vec<Gate> = self
-            .gates
-            .iter()
-            .map(|g| relabel_gate(g, &map))
-            .collect();
-        Circuit::from_gates(n_qubits, gates).with_name(
-            self.name.clone().unwrap_or_else(|| "circuit".into()),
-        )
+        let gates: Vec<Gate> = self.gates.iter().map(|g| relabel_gate(g, &map)).collect();
+        Circuit::from_gates(n_qubits, gates)
+            .with_name(self.name.clone().unwrap_or_else(|| "circuit".into()))
     }
 
     /// Gate, T, and CNOT statistics used by cost models.

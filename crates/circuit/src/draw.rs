@@ -101,11 +101,7 @@ pub fn draw(circuit: &Circuit) -> String {
                 None if column_crosses(&vertical, q) => {
                     // A vertical connector passes through this line.
                     let left = (width - 1) / 2;
-                    format!(
-                        "─{}┼{}─",
-                        "─".repeat(left),
-                        "─".repeat(width - 1 - left)
-                    )
+                    format!("─{}┼{}─", "─".repeat(left), "─".repeat(width - 1 - left))
                 }
                 None => "─".repeat(width + 2),
             };

@@ -31,9 +31,9 @@ mod real;
 mod stats;
 
 pub use circuit::Circuit;
-pub use hash::{structural_hash, Fnv128};
 pub use draw::{draw, layers};
 pub use error::ParseCircuitError;
+pub use hash::{structural_hash, Fnv128};
 pub use qasm::{parse_qasm, qasm_header, to_qasm, write_gate_qasm};
 pub use qc::{parse_qc, to_qc};
 pub use real::{parse_real, to_real};

@@ -66,7 +66,11 @@ pub fn write_gate_qasm(out: &mut String, g: &Gate) -> Result<(), String> {
         }
         Gate::Mct { controls, target } => {
             if controls.len() == 2 {
-                let _ = writeln!(out, "ccx q[{}],q[{}],q[{}];", controls[0], controls[1], target);
+                let _ = writeln!(
+                    out,
+                    "ccx q[{}],q[{}],q[{}];",
+                    controls[0], controls[1], target
+                );
             } else {
                 return Err(format!(
                     "generalized Toffoli with {} controls has no QASM 2.0 name; decompose first",
@@ -237,12 +241,12 @@ fn parse_args(
         if piece.is_empty() {
             continue;
         }
-        let open = piece
-            .find('[')
-            .ok_or_else(|| ParseCircuitError::new(lineno, format!("expected `reg[i]`, got `{piece}`")))?;
-        let close = piece
-            .find(']')
-            .ok_or_else(|| ParseCircuitError::new(lineno, format!("expected `reg[i]`, got `{piece}`")))?;
+        let open = piece.find('[').ok_or_else(|| {
+            ParseCircuitError::new(lineno, format!("expected `reg[i]`, got `{piece}`"))
+        })?;
+        let close = piece.find(']').ok_or_else(|| {
+            ParseCircuitError::new(lineno, format!("expected `reg[i]`, got `{piece}`"))
+        })?;
         let rname = piece[..open].trim();
         let idx: usize = piece[open + 1..close]
             .trim()
@@ -262,11 +266,18 @@ fn parse_args(
     Ok(out)
 }
 
-fn gate_from_qasm(mnemonic: &str, args: &[usize], lineno: usize) -> Result<Gate, ParseCircuitError> {
+fn gate_from_qasm(
+    mnemonic: &str,
+    args: &[usize],
+    lineno: usize,
+) -> Result<Gate, ParseCircuitError> {
     let arity_err = |want: usize| {
         ParseCircuitError::new(
             lineno,
-            format!("gate `{mnemonic}` expects {want} operands, got {}", args.len()),
+            format!(
+                "gate `{mnemonic}` expects {want} operands, got {}",
+                args.len()
+            ),
         )
     };
     // Multi-qubit gates act on distinct lines; a repeated operand (e.g.

@@ -48,8 +48,8 @@ pub fn parse_real(src: &str) -> Result<Circuit, ParseCircuitError> {
         let head = toks.next().expect("non-empty line");
         let rest: Vec<&str> = toks.collect();
         match head {
-            ".version" | ".inputs" | ".outputs" | ".constants" | ".garbage" | ".begin"
-            | ".end" | ".inputbus" | ".outputbus" | ".state" | ".module" => {}
+            ".version" | ".inputs" | ".outputs" | ".constants" | ".garbage" | ".begin" | ".end"
+            | ".inputbus" | ".outputbus" | ".state" | ".module" => {}
             ".numvars" => {
                 let n: usize = rest
                     .first()
@@ -143,11 +143,7 @@ fn parse_real_gate(
     };
 
     // Wrap negative controls in X pairs.
-    let negated: Vec<usize> = ops
-        .iter()
-        .filter(|o| o.negated)
-        .map(|o| o.index)
-        .collect();
+    let negated: Vec<usize> = ops.iter().filter(|o| o.negated).map(|o| o.index).collect();
     for &q in &negated {
         gates.push(Gate::x(q));
     }

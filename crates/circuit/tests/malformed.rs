@@ -91,21 +91,33 @@ fn garbage() -> Vec<String> {
 
 #[test]
 fn qasm_truncations_and_garbage_never_panic() {
-    for (k, input) in truncations(QASM_SEED).iter().chain(garbage().iter()).enumerate() {
+    for (k, input) in truncations(QASM_SEED)
+        .iter()
+        .chain(garbage().iter())
+        .enumerate()
+    {
         assert_no_panic("qasm", &format!("case {k}"), input, Circuit::from_qasm);
     }
 }
 
 #[test]
 fn qc_truncations_and_garbage_never_panic() {
-    for (k, input) in truncations(QC_SEED).iter().chain(garbage().iter()).enumerate() {
+    for (k, input) in truncations(QC_SEED)
+        .iter()
+        .chain(garbage().iter())
+        .enumerate()
+    {
         assert_no_panic("qc", &format!("case {k}"), input, Circuit::from_qc);
     }
 }
 
 #[test]
 fn real_truncations_and_garbage_never_panic() {
-    for (k, input) in truncations(REAL_SEED).iter().chain(garbage().iter()).enumerate() {
+    for (k, input) in truncations(REAL_SEED)
+        .iter()
+        .chain(garbage().iter())
+        .enumerate()
+    {
         assert_no_panic("real", &format!("case {k}"), input, Circuit::from_real);
     }
 }
@@ -127,7 +139,14 @@ fn qasm_duplicate_operands_are_parse_errors() {
 
 #[test]
 fn qc_duplicate_operands_are_parse_errors() {
-    for line in ["cnot a a", "swap b b", "cz c c", "tof a a", "tof a b a", "tof a a b"] {
+    for line in [
+        "cnot a a",
+        "swap b b",
+        "cz c c",
+        "tof a a",
+        "tof a b a",
+        "tof a a b",
+    ] {
         let src = format!(".v a b c\nBEGIN\n{line}\nEND\n");
         let err = Circuit::from_qc(&src);
         assert!(err.is_err(), "accepted duplicate operands: {line}");
@@ -136,7 +155,9 @@ fn qc_duplicate_operands_are_parse_errors() {
 
 #[test]
 fn real_duplicate_operands_are_parse_errors() {
-    for line in ["t2 a a", "t3 a b a", "t3 a a b", "f2 b b", "f3 a c c", "f3 a a c"] {
+    for line in [
+        "t2 a a", "t3 a b a", "t3 a a b", "f2 b b", "f3 a c c", "f3 a a c",
+    ] {
         let src = format!(".numvars 3\n.variables a b c\n{line}\n");
         let err = Circuit::from_real(&src);
         assert!(err.is_err(), "accepted duplicate operands: {line}");
