@@ -433,8 +433,15 @@ impl Compiler {
             }));
             snap = out;
         })?;
-        let mut unoptimized = window.routed.circuit;
-        let mut optimized = window.optimized.unwrap_or_else(|| unoptimized.clone());
+        let WindowOutput {
+            routed,
+            optimized,
+            decomposed,
+            source,
+            ..
+        } = window;
+        let mut unoptimized = routed.circuit;
+        let mut optimized = optimized.unwrap_or_else(|| unoptimized.clone());
         let mapped_name = format!("{base_name}@{}", self.device.name());
         unoptimized.set_name(mapped_name.clone());
         optimized.set_name(mapped_name);
@@ -447,7 +454,13 @@ impl Compiler {
         let verdict = match self.effective_verification() {
             Verification::None => Verdict::Skipped,
             mode => {
-                self.run_verify_ladder(mode, started, &placed, &optimized, snap, &mut record)?
+                let pair = VerifyPair {
+                    spec: &placed,
+                    decomposed: &decomposed,
+                    output: &optimized,
+                    source: &source,
+                };
+                self.run_verify_ladder(mode, started, pair, snap, &mut record)?
             }
         };
         let verified = verdict.as_verified();
@@ -686,9 +699,10 @@ impl Compiler {
         let (optimized, seconds) = self.run_stage(started, Pass::Optimize, || {
             Ok(self.optimize_stage(&routed.circuit))
         })?;
+        let unoptimized = OptimizeCounters::default();
         let (output, counters) = match &optimized {
-            Some((circuit, counters)) => (circuit, *counters),
-            None => (&routed.circuit, OptimizeCounters::default()),
+            Some((circuit, counters)) => (circuit, counters),
+            None => (&routed.circuit, &unoptimized),
         };
         on_stage(StageDone::Optimize(output, counters), seconds);
         let peak_gates = window
@@ -696,10 +710,21 @@ impl Compiler {
             .max(decomposed.len())
             .max(routed.circuit.len())
             .max(output.len());
+        // Output gate -> routed gate -> decomposed gate.
+        let source = match &optimized {
+            Some((_, counters)) => counters
+                .sources
+                .iter()
+                .map(|&s| routed.source[s as usize])
+                .collect(),
+            None => routed.source.clone(),
+        };
         Ok(WindowOutput {
             routed,
             oracle,
             optimized: optimized.map(|(circuit, _)| circuit),
+            decomposed,
+            source,
             peak_gates,
         })
     }
@@ -996,6 +1021,16 @@ impl Compiler {
     /// 3. for canonical mode, the interleaved `miter` check, whose working
     ///    set is typically far smaller.
     ///
+    /// Every miter rung first checks two links through the pair's
+    /// decomposed circuit, each on its own support under the rung's
+    /// budget: link A, spec ≡ decomposed, with the miter; link B,
+    /// decomposed ≡ output, with the miter scheduled by the pair's
+    /// `source` ([`EquivMethod::Scheduled`]). Both
+    /// passing means spec ≡ output, and the rung is verified. If either
+    /// link rejects or exhausts, the rung runs the end-to-end miter on
+    /// the same budget and that verdict stands, so every verdict is the
+    /// end-to-end miter's. Both ways the method is `miter`.
+    ///
     /// A rung that completes yields [`Verdict::Verified`] or
     /// [`Verdict::Failed`] naming the method. A rung that exhausts the
     /// node budget falls through to the next; when every rung exhausts,
@@ -1007,11 +1042,11 @@ impl Compiler {
         &self,
         mode: Verification,
         started: std::time::Instant,
-        spec: &Circuit,
-        output: &Circuit,
+        pair: VerifyPair<'_>,
         snap: StageSnapshot,
         record: &mut dyn FnMut(PassEvent),
     ) -> Result<Verdict, CompileError> {
+        let VerifyPair { spec, output, .. } = pair;
         if let Err(e) = self.check_deadline(started, Pass::Verify) {
             match self.budget.verify_mode {
                 VerifyMode::Strict => return Err(e),
@@ -1063,8 +1098,19 @@ impl Compiler {
                 break; // deadline mid-ladder: stop retrying, degrade below
             }
             tried += 1;
-            match try_equivalent_on(&support, spec, output, method, budget) {
-                Ok(report) => {
+            let links = if method == Miter {
+                two_links(pair, budget)
+            } else {
+                None
+            };
+            let decided = match links {
+                Some([a, b]) => Ok((chained(&a, &b), links)),
+                None => {
+                    try_equivalent_on(&support, spec, output, method, budget).map(|r| (r, None))
+                }
+            };
+            match decided {
+                Ok((report, links)) => {
                     record(self.event(Pass::Verify, seconds(), snap, snap, |s| {
                         s.counter("peak_nodes", report.peak_nodes as f64);
                         s.counter("unique_nodes", report.unique_nodes as f64);
@@ -1076,6 +1122,13 @@ impl Compiler {
                         s.counter("support", support.len() as f64);
                         s.counter("miter", f64::from(u8::from(method == Miter)));
                         s.counter("miter_block", report.miter_block as f64);
+                        s.counter("links", if links.is_some() { 2.0 } else { 1.0 });
+                        if let Some([a, b]) = links {
+                            s.counter("link_a_lookups", a.cache_lookups as f64);
+                            s.counter("link_b_lookups", b.cache_lookups as f64);
+                            s.counter("link_a_peak_nodes", a.peak_nodes as f64);
+                            s.counter("link_b_peak_nodes", b.peak_nodes as f64);
+                        }
                         s.counter("ladder_rung", (rung + 1) as f64);
                         s.counter("unverified", 0.0);
                     }));
@@ -1127,6 +1180,53 @@ impl Compiler {
     }
 }
 
+/// The two links of a miter rung under `budget`: the spec ≡ the
+/// decomposed circuit by the miter, then the decomposed circuit ≡ the
+/// output by the miter scheduled by provenance, each on its own support.
+/// `Some` with both reports when both pass; `None` as soon as one
+/// rejects or exhausts, and the rung then decides on the end-to-end pair.
+fn two_links(pair: VerifyPair<'_>, budget: EquivBudget) -> Option<[EquivReport; 2]> {
+    let VerifyPair {
+        spec,
+        decomposed: mid,
+        output,
+        source,
+    } = pair;
+    let passed = |r: Result<EquivReport, EquivBudgetError>| r.ok().filter(|r| r.equivalent);
+    let a = passed(try_equivalent_on(
+        &miter_support(spec, mid),
+        spec,
+        mid,
+        EquivMethod::Miter,
+        budget,
+    ))?;
+    let scheduled = EquivMethod::Scheduled { sources: source };
+    let b = passed(try_equivalent_on(
+        &miter_support(mid, output),
+        mid,
+        output,
+        scheduled,
+        budget,
+    ))?;
+    Some([a, b])
+}
+
+/// One report for two checks run one after the other: work counters
+/// add, sizes take the larger link's.
+fn chained(a: &EquivReport, b: &EquivReport) -> EquivReport {
+    EquivReport {
+        equivalent: a.equivalent && b.equivalent,
+        peak_nodes: a.peak_nodes.max(b.peak_nodes),
+        unique_nodes: a.unique_nodes.max(b.unique_nodes),
+        cache_lookups: a.cache_lookups + b.cache_lookups,
+        cache_hits: a.cache_hits + b.cache_hits,
+        cache_evictions: a.cache_evictions + b.cache_evictions,
+        gc_runs: a.gc_runs + b.gc_runs,
+        nodes_reclaimed: a.nodes_reclaimed + b.nodes_reclaimed,
+        miter_block: a.miter_block.max(b.miter_block),
+    }
+}
+
 /// [`CompileError::TooWide`] unless `needed` lines fit in `available`.
 fn check_width(needed: usize, available: usize) -> Result<(), CompileError> {
     if needed > available {
@@ -1144,7 +1244,7 @@ enum StageDone<'a> {
     /// The route outcome and the sparse oracle's `(hits, misses)`.
     Route(&'a RouteOutcome, Option<(u64, u64)>),
     /// The optimized circuit (the routed one when optimization is off).
-    Optimize(&'a Circuit, OptimizeCounters),
+    Optimize(&'a Circuit, &'a OptimizeCounters),
 }
 
 impl<'a> StageDone<'a> {
@@ -1172,8 +1272,25 @@ struct WindowOutput {
     oracle: Option<(u64, u64)>,
     /// The optimize stage's output; `None` when optimization is disabled.
     optimized: Option<Circuit>,
+    /// The decompose stage's output: the middle of the two-link check.
+    decomposed: Circuit,
+    /// Per gate of the window's output (optimized, else routed), the
+    /// index of the decomposed gate it came from: the route's provenance
+    /// composed with the optimizer's.
+    source: Vec<u32>,
     /// The most gates any stage held at once: the window's footprint.
     peak_gates: usize,
+}
+
+/// What the verify ladder checks: the placed spec against the output,
+/// with the decomposed circuit between them and, per output gate, the
+/// index of the decomposed gate it came from.
+#[derive(Clone, Copy)]
+struct VerifyPair<'a> {
+    spec: &'a Circuit,
+    decomposed: &'a Circuit,
+    output: &'a Circuit,
+    source: &'a [u32],
 }
 
 /// Aggregate counters of one [`Compiler::compile_stream`] run — the
@@ -2249,11 +2366,42 @@ mod tests {
         })
     }
 
+    /// Runs `compiler`'s verify ladder on `pair`; returns the verdict and
+    /// the verify event's `links`.
+    fn ladder_verdict(
+        compiler: &Compiler,
+        pair: VerifyPair<'_>,
+    ) -> (qsyn_trace::Verdict, Option<f64>) {
+        let snap = StageSnapshot::of(pair.output);
+        let mode = compiler.effective_verification();
+        let now = std::time::Instant::now();
+        let mut links = None;
+        let verdict = compiler
+            .run_verify_ladder(mode, now, pair, snap, &mut |e| {
+                links = e.counter("links");
+            })
+            .unwrap();
+        (verdict, links)
+    }
+
+    /// The decomposed circuit and output provenance of `compiler` on
+    /// `placed`, from the window driver the compile ran.
+    fn window_of(compiler: &Compiler, placed: &Circuit) -> WindowOutput {
+        let lookup = crate::cache::routing_lookup(compiler.device(), compiler.routing).0;
+        let now = std::time::Instant::now();
+        compiler
+            .run_window(placed, now, &lookup, &mut |_, _| {})
+            .unwrap()
+    }
+
     #[test]
     fn the_one_check_fails_every_one_gate_sabotage() {
         // A canonical compile (ibmq_16) and a miter compile (qc96), each
-        // checked by the verify ladder's support-restricted check against
-        // every one-gate mutant of its output. Small supports are also
+        // checked by the verify ladder against every one-gate mutant of
+        // its output. On qc96 the ladder runs the two links, once with
+        // the mutant's own provenance and once with a scrambled one (out
+        // of order, some past the decomposed circuit): link B rejects,
+        // and the end-to-end miter decides. Small supports are also
         // checked by the dense-matrix oracle, which shares no code with
         // the QMDD package.
         let mut spec = Circuit::new(5).with_name("sabotage");
@@ -2269,21 +2417,50 @@ mod tests {
             let compiler = Compiler::new(device);
             let r = compiler.compile(&spec).unwrap();
             assert_eq!(r.verified, Some(true));
-            let ladder = |out: &Circuit| {
-                let snap = StageSnapshot::of(out);
-                let mode = compiler.effective_verification();
-                let now = std::time::Instant::now();
-                compiler
-                    .run_verify_ladder(mode, now, &r.placed, out, snap, &mut |_| {})
-                    .unwrap()
+            let window = window_of(&compiler, &r.placed);
+            let same = window.optimized.as_ref().map(Circuit::gates);
+            assert_eq!(same, Some(r.optimized.gates()));
+            let ladder = |output: &Circuit, source: &[u32]| {
+                let pair = VerifyPair {
+                    spec: &r.placed,
+                    decomposed: &window.decomposed,
+                    output,
+                    source,
+                };
+                ladder_verdict(&compiler, pair)
             };
+            let (verdict, links) = ladder(&r.optimized, &window.source);
+            assert!(matches!(verdict, qsyn_trace::Verdict::Verified { .. }));
+            assert_eq!(links, Some(if method == "miter" { 2.0 } else { 1.0 }));
             let failed = qsyn_trace::Verdict::Failed {
                 method: method.into(),
             };
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let span = window.decomposed.len() as u64 + 3;
             let mutants = one_gate_mutants(&r.optimized);
             assert!(mutants.len() > 30, "only {} mutants", mutants.len());
             for (label, bad) in mutants {
-                assert_eq!(ladder(&bad), failed, "{method} accepted {label}");
+                let mut own = window.source.clone();
+                if bad.len() < own.len() {
+                    let at = label[5..].split(' ').next().unwrap().parse().unwrap();
+                    own.remove(at);
+                }
+                let scrambled: Vec<u32> = (0..bad.len())
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % span) as u32
+                    })
+                    .collect();
+                for (which, source) in [("own", &own), ("scrambled", &scrambled)] {
+                    let (verdict, links) = ladder(&bad, source);
+                    assert_eq!(
+                        verdict, failed,
+                        "{method} accepted {label} ({which} provenance)"
+                    );
+                    assert_eq!(links, Some(1.0), "{label}: a rejected link falls back");
+                }
                 if let Some(equal) = dense_equal(&r.placed, &bad) {
                     assert!(
                         !equal,
@@ -2295,6 +2472,71 @@ mod tests {
             }
         }
         assert!(dense_checked > 60, "only {dense_checked} dense checks");
+    }
+
+    #[test]
+    fn a_wrong_middle_falls_back_to_the_end_to_end_miter() {
+        // A correct output checked through a middle that is not the
+        // decomposed circuit: link A rejects, so the rung decides on the
+        // end-to-end pair, which is equal. A sound verdict never rests on
+        // the middle.
+        let mut spec = Circuit::new(5);
+        spec.push(Gate::toffoli(0, 1, 2));
+        spec.push(Gate::cx(3, 4));
+        let compiler = Compiler::new(devices::qc96());
+        let r = compiler.compile(&spec).unwrap();
+        let window = window_of(&compiler, &r.placed);
+        let mut wrong = window.decomposed.clone();
+        wrong.push(Gate::t(0));
+        let verified = qsyn_trace::Verdict::Verified {
+            method: "miter".into(),
+        };
+        for (decomposed, want_links) in [(&window.decomposed, 2.0), (&wrong, 1.0)] {
+            let pair = VerifyPair {
+                spec: &r.placed,
+                decomposed,
+                output: &r.optimized,
+                source: &window.source,
+            };
+            let (verdict, links) = ladder_verdict(&compiler, pair);
+            assert_eq!(verdict, verified);
+            assert_eq!(links, Some(want_links));
+        }
+    }
+
+    #[test]
+    fn under_a_node_budget_the_links_can_decide_on_an_earlier_rung() {
+        // A 6-control MCT on qc96 under a 6,000-node budget. Without
+        // forced collection the end-to-end miter exhausts it, so it would
+        // decide on rung 2 (`miter+gc`); the two links fit, and rung 1
+        // verifies. Links can move a verdict to an earlier rung, never
+        // between verified and failed.
+        let mut spec = Circuit::new(20);
+        spec.push(Gate::mct((0..6).collect(), 6));
+        let budget = CompileBudget::default().with_node_budget(6_000);
+        let r = Compiler::new(devices::qc96())
+            .with_budget(budget)
+            .compile(&spec)
+            .unwrap();
+        let verify = r.metrics().pass(Pass::Verify).unwrap();
+        assert_eq!(verify.counter("ladder_rung"), Some(1.0));
+        assert_eq!(verify.counter("links"), Some(2.0));
+        let check = |gc_threshold| {
+            let budget = EquivBudget {
+                gc_threshold,
+                node_budget: Some(6_000),
+            };
+            let support = miter_support(&r.placed, &r.optimized);
+            try_equivalent_on(
+                &support,
+                &r.placed,
+                &r.optimized,
+                EquivMethod::Miter,
+                budget,
+            )
+        };
+        assert!(check(None).is_err(), "the end-to-end miter fits rung 1");
+        assert!(check(Some(3_000)).unwrap().equivalent);
     }
 
     #[test]

@@ -139,9 +139,14 @@ impl Buffer {
         Buffer { slots, occ }
     }
 
-    /// The live gates, in order.
-    fn live(&self) -> Vec<Gate> {
-        self.slots.iter().flatten().cloned().collect()
+    /// The live gates, in order, and each one's slot index: the index of
+    /// the input gate it came from.
+    fn live(&self) -> (Vec<Gate>, Vec<u32>) {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.clone().map(|g| (g, i as u32)))
+            .unzip()
     }
 
     /// Next live slot after `i` touching `q`.
@@ -378,8 +383,9 @@ impl Default for OptimizeConfig {
     }
 }
 
-/// What the optimizer did (the trace layer reports these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// What the optimizer did (the trace layer reports these), and where
+/// each output gate came from.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OptimizeCounters {
     /// Improvement rounds that were *kept* (each ran every enabled family
     /// once and lowered the cost).
@@ -389,6 +395,10 @@ pub struct OptimizeCounters {
     /// Whether a round cap stopped the loop while it was still improving
     /// (graceful early stop under a [`crate::CompileBudget`]).
     pub capped: bool,
+    /// Provenance: per output gate, the index of the input gate it was
+    /// rewritten from (its buffer slot), taken from the round that was
+    /// kept. Strictly increasing; `0..len` when no round was kept.
+    pub sources: Vec<u32>,
 }
 
 /// Runs the local optimizers recursively until the cost function stops
@@ -411,7 +421,10 @@ pub fn optimize_bounded(
     let mut buf = Buffer::new(circuit.gates(), n);
     let mut best = circuit.clone();
     let mut best_cost = cost.circuit_cost(&best);
-    let mut counters = OptimizeCounters::default();
+    let mut counters = OptimizeCounters {
+        sources: (0..circuit.len() as u32).collect(),
+        ..OptimizeCounters::default()
+    };
     loop {
         if max_rounds.is_some_and(|cap| counters.rounds >= cap) {
             counters.capped = true;
@@ -420,7 +433,8 @@ pub fn optimize_bounded(
         if !buf.round(config, device) {
             break;
         }
-        let mut cand = Circuit::from_gates(n, buf.live());
+        let (gates, sources) = buf.live();
+        let mut cand = Circuit::from_gates(n, gates);
         if let Some(name) = best.name() {
             cand.set_name(name);
         }
@@ -429,6 +443,7 @@ pub fn optimize_bounded(
             best = cand;
             best_cost = c;
             counters.rounds += 1;
+            counters.sources = sources;
         } else {
             break;
         }
@@ -730,7 +745,11 @@ mod tests {
         let cost = TransmonCost::default();
         let (o, counters) = optimize_bounded(&c, None, &cost, OptimizeConfig::default(), None);
         assert_eq!(o, c);
-        assert_eq!(counters, OptimizeCounters::default());
+        let identity = OptimizeCounters {
+            sources: vec![0],
+            ..OptimizeCounters::default()
+        };
+        assert_eq!(counters, identity);
     }
 
     #[test]
@@ -776,6 +795,9 @@ mod tests {
     /// Reference driver without buffer persistence: every pass of every
     /// round runs on a new `Buffer` built from the previous pass's gates,
     /// under the same round order and cost rule as [`optimize_bounded`].
+    /// Sources are composed pass by pass, so they match the one buffer's
+    /// slot indices only if every rewrite keeps each live gate in the
+    /// slot of the gate it came from.
     fn rebuild_per_pass(
         circuit: &Circuit,
         device: Option<&Device>,
@@ -798,19 +820,25 @@ mod tests {
         let n = circuit.n_qubits();
         let mut best = circuit.clone();
         let mut best_cost = cost.circuit_cost(&best);
-        let mut counters = OptimizeCounters::default();
+        let mut counters = OptimizeCounters {
+            sources: (0..circuit.len() as u32).collect(),
+            ..OptimizeCounters::default()
+        };
         loop {
             if max_rounds.is_some_and(|cap| counters.rounds >= cap) {
                 counters.capped = true;
                 break;
             }
             let mut gates = best.gates().to_vec();
+            let mut sources = counters.sources.clone();
             let mut changed = false;
             for (enabled, pass) in passes {
                 if enabled {
                     let mut buf = Buffer::new(&gates, n);
                     changed |= pass(&mut buf);
-                    gates = buf.live();
+                    let (live, slots) = buf.live();
+                    gates = live;
+                    sources = slots.iter().map(|&k| sources[k as usize]).collect();
                 }
             }
             if !changed {
@@ -825,6 +853,7 @@ mod tests {
                 best = cand;
                 best_cost = c;
                 counters.rounds += 1;
+                counters.sources = sources;
             } else {
                 break;
             }

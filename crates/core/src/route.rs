@@ -362,7 +362,8 @@ pub fn emit_adjacent_swap(
 /// from the request's lookup (the dense table or the sparse oracle, both
 /// of which store exactly what [`ctr_route_with`] returns), and more
 /// SWAPs than the request's cap abort with
-/// [`CompileError::BudgetExceeded`].
+/// [`CompileError::BudgetExceeded`]. Every gate of a gate's segment
+/// (SWAPs out, the gate, SWAPs back) has that gate's index as its source.
 pub(crate) fn route_bounded(req: &RouteRequest<'_>) -> Result<RouteOutcome, CompileError> {
     let lookup = req.resolve_lookup();
     let device = req.device;
@@ -372,10 +373,12 @@ pub(crate) fn route_bounded(req: &RouteRequest<'_>) -> Result<RouteOutcome, Comp
         out.set_name(name.to_string());
     }
     let (mut swaps, mut rerouted) = (0, 0);
-    for g in req.circuit.gates() {
+    let mut source: Vec<u32> = Vec::with_capacity(req.circuit.len());
+    for (i, g) in req.circuit.gates().iter().enumerate() {
         let (control, target, cz) = match g {
             Gate::Single { .. } => {
                 out.push(g.clone());
+                source.push(i as u32);
                 continue;
             }
             Gate::Cx { control, target } => (*control, *target, false),
@@ -390,8 +393,10 @@ pub(crate) fn route_bounded(req: &RouteRequest<'_>) -> Result<RouteOutcome, Comp
             req.check_swap_cap(swaps)?;
         }
         emit_cnot_via(device, &route, target, cz, &mut out)?;
+        // Each gate's segment restores the layout, so segments concatenate.
+        source.resize(out.len(), i as u32);
     }
-    Ok(RouteOutcome::of(out, swaps, rerouted, 0))
+    Ok(RouteOutcome::of(out, source, swaps, rerouted, 0))
 }
 
 /// Emits a two-qubit gate along an already-computed route: SWAP out,

@@ -165,12 +165,26 @@ pub struct RouteOutcome {
     /// Adjacent SWAPs of a final restoration network (zero for strategies
     /// that restore per gate, like CTR).
     pub restoration_swaps: usize,
+    /// Provenance: per routed gate, the index of the input gate it was
+    /// emitted for. A SWAP carries the index of the gate it brought
+    /// together, and a final restoration network the last index. Every
+    /// built-in strategy emits in input order, so the vector never
+    /// decreases. The verify ladder schedules its miter by it.
+    pub source: Vec<u32>,
 }
 
 impl RouteOutcome {
-    pub(crate) fn of(circuit: Circuit, swaps: usize, rerouted: usize, restoration: usize) -> Self {
+    pub(crate) fn of(
+        circuit: Circuit,
+        source: Vec<u32>,
+        swaps: usize,
+        rerouted: usize,
+        restoration: usize,
+    ) -> Self {
+        debug_assert_eq!(source.len(), circuit.len(), "one source per routed gate");
         RouteOutcome {
             circuit,
+            source,
             swaps_inserted: swaps,
             gates_rerouted: rerouted,
             restoration_swaps: restoration,
@@ -181,6 +195,12 @@ impl RouteOutcome {
     pub fn total_swaps(&self) -> usize {
         self.swaps_inserted + self.restoration_swaps
     }
+}
+
+/// The source a final restoration network carries: the index of the
+/// input's last gate (0 for an empty input, which needs no restoration).
+fn last_source(input: &Circuit) -> u32 {
+    input.len().saturating_sub(1) as u32
 }
 
 /// A coupling-map router. Implementations take a whole technology-ready
@@ -275,8 +295,9 @@ impl RoutingStrategy for LookaheadStrategy {
         let mut swaps_inserted = 0usize;
         let mut gates_rerouted = 0usize;
 
+        let mut source: Vec<u32> = Vec::new();
         let mut next_pair = 0usize; // index into `pairs` of the front gate
-        for g in req.circuit.gates() {
+        for (i, g) in req.circuit.gates().iter().enumerate() {
             match g {
                 Gate::Single { op, qubit } => {
                     out.push(Gate::single(*op, layout.phys_of[*qubit]));
@@ -314,6 +335,7 @@ impl RoutingStrategy for LookaheadStrategy {
                 }
                 other => return Err(CompileError::UnmappedGate(other.to_string())),
             }
+            source.resize(out.len(), i as u32);
         }
 
         // Return every logical line home with one sorting network.
@@ -325,8 +347,10 @@ impl RoutingStrategy for LookaheadStrategy {
             }
             req.check_swap_cap(swaps_inserted + restoration)?;
         }
+        source.resize(out.len(), last_source(req.circuit));
         Ok(RouteOutcome::of(
             out,
+            source,
             swaps_inserted,
             gates_rerouted,
             restoration,
@@ -479,10 +503,12 @@ impl RoutingStrategy for PersistentStrategy {
         }
         let mut layout = Layout::identity(n);
         let (mut swaps_inserted, mut gates_rerouted) = (0, 0);
-        for g in req.circuit.gates() {
+        let mut source: Vec<u32> = Vec::new();
+        for (i, g) in req.circuit.gates().iter().enumerate() {
             let (control, target, cz) = match g {
                 Gate::Single { op, qubit } => {
                     out.push(Gate::single(*op, layout.phys_of[*qubit]));
+                    source.push(i as u32);
                     continue;
                 }
                 Gate::Cx { control, target } => (*control, *target, false),
@@ -500,6 +526,7 @@ impl RoutingStrategy for PersistentStrategy {
             } else {
                 emit_adjacent_cnot(device, eff, pt, &mut out)?;
             }
+            source.resize(out.len(), i as u32);
         }
 
         // Restore the identity layout with one sorting network.
@@ -512,8 +539,10 @@ impl RoutingStrategy for PersistentStrategy {
             debug_assert!(layout.is_identity());
         }
         req.check_swap_cap(swaps_inserted + restoration)?;
+        source.resize(out.len(), last_source(req.circuit));
         Ok(RouteOutcome::of(
             out,
+            source,
             swaps_inserted,
             gates_rerouted,
             restoration,

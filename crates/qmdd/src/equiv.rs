@@ -7,7 +7,10 @@
 //! ([`EquivMethod::Miter`]): the product `U1 * U2^dagger` is accumulated
 //! gate by gate, alternating between the two circuits, so that the
 //! intermediate diagram stays close to the identity while the circuits
-//! agree. [`try_equivalent_on`] runs either method on the pair's support.
+//! agree. When the output is known to be made gate by gate from the spec,
+//! [`EquivMethod::Scheduled`] orders the miter's products by where each
+//! output gate came from. [`try_equivalent_on`] runs any method on the
+//! pair's support.
 
 use crate::package::{CacheStats, Edge, Qmdd};
 use qsyn_circuit::Circuit;
@@ -305,6 +308,65 @@ fn miter_batched(
     })
 }
 
+/// The miter of [`EquivMethod::Scheduled`]: spec gate `i`, one per
+/// product, then the output gates whose source is at most `i`, each run
+/// of one source fused into blocks of at most `batch` gates. After the
+/// last spec gate every remaining output gate is applied, so a vector
+/// that is short, non-monotone or out of range still yields the full
+/// product `U_spec * U_out^dagger`; as in [`miter_batched`], left and
+/// right products commute as operations, so the verdict does not depend
+/// on the schedule.
+fn miter_scheduled(
+    spec: &Circuit,
+    out: &Circuit,
+    sources: &[u32],
+    budget: EquivBudget,
+    batch: usize,
+) -> Result<EquivReport, EquivBudgetError> {
+    let n = spec.n_qubits().max(out.n_qubits());
+    let source = |j: usize| sources.get(j).map_or(usize::MAX, |&s| s as usize);
+    with_package(n, |pkg| {
+        apply_budget(pkg, budget);
+        let batch = batch.max(1);
+        let (spec_gates, out_gates) = (spec.gates(), out.gates());
+        let mut acc = pkg.identity();
+        let mut j = 0usize;
+        for i in 0..=spec_gates.len() {
+            if pkg.budget_exceeded() {
+                break;
+            }
+            let due = match spec_gates.get(i) {
+                Some(g) => {
+                    let ge = pkg.gate(g);
+                    acc = pkg.mul(ge, acc);
+                    acc = pkg.maybe_gc(acc);
+                    i
+                }
+                None => usize::MAX,
+            };
+            // As in `miter_batched`, no collection runs while a block is
+            // live: it would root only `acc`.
+            while j < out_gates.len() && source(j) <= due && !pkg.budget_exceeded() {
+                let (run, end) = (source(j), (j + batch).min(out_gates.len()));
+                let mut block = pkg.gate(&out_gates[j].inverse());
+                j += 1;
+                while j < end && source(j) == run && !pkg.budget_exceeded() {
+                    let ge = pkg.gate(&out_gates[j].inverse());
+                    block = pkg.mul(block, ge);
+                    j += 1;
+                }
+                acc = pkg.mul(acc, block);
+                acc = pkg.maybe_gc(acc);
+            }
+        }
+        let id = pkg.identity();
+        budget_verdict(pkg, acc == id).map(|report| EquivReport {
+            miter_block: batch,
+            ..report
+        })
+    })
+}
+
 /// The sorted set of qubits either circuit touches — the *support* of a
 /// check. Lines outside this set are exact identity on both sides by
 /// construction. The benchmark harness imports it, so its signature stays
@@ -322,13 +384,32 @@ pub fn miter_support(a: &Circuit, b: &Circuit) -> Vec<usize> {
 
 /// How [`try_equivalent_on`] decides equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EquivMethod {
+pub enum EquivMethod<'a> {
     /// The paper's check: build both diagrams in one package and compare
     /// root edges ([`try_equivalent`]).
     Canonical,
     /// The interleaved miter `U_spec * U_out^dagger = I`, with gate
     /// products fused in blocks whose length follows the pair's length.
     Miter,
+    /// The miter scheduled by provenance: `sources[j]` names the spec
+    /// gate output gate `j` was made from. The check applies spec gate
+    /// `i`, then every output gate not yet applied whose source is at
+    /// most `i`, in output order, fusing each run of output gates with
+    /// one source into blocks of at most the [`EquivMethod::Miter`]
+    /// length. When the output is a gate-by-gate expansion of the spec
+    /// (a router's or an optimizer's output against its input), the
+    /// accumulator then stays near the identity.
+    ///
+    /// The schedule only orders products: spec gates still multiply on
+    /// the left in program order and inverted output gates on the right
+    /// in program order, so every schedule gives the same product and
+    /// the verdict is [`EquivMethod::Miter`]'s. A wrong vector (too
+    /// short, out of order, pointing past the spec) can only cost time;
+    /// output gates it leaves unscheduled are applied at the end.
+    Scheduled {
+        /// Per output gate, the index of the spec gate it came from.
+        sources: &'a [u32],
+    },
 }
 
 /// Checks `spec` against `out` on a compacted register of just the
@@ -357,12 +438,14 @@ pub fn try_equivalent_on(
     support: &[usize],
     spec: &Circuit,
     out: &Circuit,
-    method: EquivMethod,
+    method: EquivMethod<'_>,
     budget: EquivBudget,
 ) -> Result<EquivReport, EquivBudgetError> {
     let block = match method {
         EquivMethod::Canonical => 0,
-        EquivMethod::Miter => (spec.len().max(out.len()) / 64).clamp(1, 32),
+        EquivMethod::Miter | EquivMethod::Scheduled { .. } => {
+            (spec.len().max(out.len()) / 64).clamp(1, 32)
+        }
     };
     let Some((spec_on, out_on)) = restrict(support, spec, out) else {
         return Ok(empty_support_report(block));
@@ -370,6 +453,9 @@ pub fn try_equivalent_on(
     match method {
         EquivMethod::Canonical => try_equivalent(&spec_on, &out_on, budget),
         EquivMethod::Miter => miter_batched(&spec_on, &out_on, budget, block),
+        EquivMethod::Scheduled { sources } => {
+            miter_scheduled(&spec_on, &out_on, sources, budget, block)
+        }
     }
 }
 
@@ -530,14 +616,14 @@ mod tests {
     fn check_with(
         a: &Circuit,
         b: &Circuit,
-        method: EquivMethod,
+        method: EquivMethod<'_>,
         budget: EquivBudget,
     ) -> Result<EquivReport, EquivBudgetError> {
         try_equivalent_on(&miter_support(a, b), a, b, method, budget)
     }
 
     /// `method` on the pair's support, unbudgeted.
-    fn check(a: &Circuit, b: &Circuit, method: EquivMethod) -> EquivReport {
+    fn check(a: &Circuit, b: &Circuit, method: EquivMethod<'_>) -> EquivReport {
         check_with(a, b, method, EquivBudget::default()).unwrap()
     }
 
@@ -898,6 +984,85 @@ mod tests {
                 assert_eq!(fused.miter_block, batch);
             }
         }
+    }
+
+    /// A spec of SWAPs and Clifford+T gates on `n` lines, its expansion
+    /// (each SWAP as three CNOTs, every other gate kept), and the
+    /// expansion's true provenance.
+    fn expanded(n: usize, gates: usize, seed: u64) -> (Circuit, Circuit, Vec<u32>) {
+        let mut spec = dense_clifford_t(n, gates, seed);
+        for (k, q) in (0..n - 1).enumerate() {
+            spec.gates_mut().insert(3 * k, Gate::swap(q, q + 1));
+        }
+        let (mut out, mut sources) = (Circuit::new(n), Vec::new());
+        for (i, g) in spec.gates().iter().enumerate() {
+            let before = out.len();
+            match *g {
+                Gate::Swap { a, b } => {
+                    out.push(Gate::cx(a, b));
+                    out.push(Gate::cx(b, a));
+                    out.push(Gate::cx(a, b));
+                }
+                ref other => out.push(other.clone()),
+            }
+            sources.resize(sources.len() + out.len() - before, i as u32);
+        }
+        (spec, out, sources)
+    }
+
+    #[test]
+    fn scheduled_miter_verdict_does_not_depend_on_the_schedule() {
+        // Equal and unequal pairs, under the true provenance and under
+        // vectors that are reversed, scrambled, short, empty or past the
+        // spec: every verdict is the miter's.
+        let (spec, out, truth) = expanded(5, 150, 11);
+        let mut tweaked = out.clone();
+        tweaked.gates_mut().insert(40, Gate::t(3));
+        let mut tweaked_truth = truth.clone();
+        tweaked_truth.insert(40, tweaked_truth[40]);
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let scrambled: Vec<u32> = (0..tweaked.len())
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s % (spec.len() as u64 + 4)) as u32
+            })
+            .collect();
+        for (b, own) in [(&out, &truth), (&tweaked, &tweaked_truth)] {
+            let want = check(&spec, b, Miter);
+            let reversed: Vec<u32> = own.iter().rev().copied().collect();
+            let vectors: [&[u32]; 6] = [
+                own,
+                &reversed,
+                &scrambled,
+                &own[..own.len() / 2],
+                &[],
+                &[u32::MAX; 8],
+            ];
+            for sources in vectors {
+                let got = check(&spec, b, EquivMethod::Scheduled { sources });
+                assert_eq!(
+                    got.equivalent,
+                    want.equivalent,
+                    "{:?}",
+                    &sources[..4.min(sources.len())]
+                );
+                assert_eq!(got.miter_block, want.miter_block);
+            }
+        }
+        assert!(check(&spec, &out, Miter).equivalent);
+        assert!(!check(&spec, &tweaked, Miter).equivalent);
+    }
+
+    #[test]
+    fn scheduled_miter_honors_node_budgets() {
+        let (spec, out, truth) = expanded(6, 300, 5);
+        let scheduled = EquivMethod::Scheduled { sources: &truth };
+        let err = check_with(&spec, &out, scheduled, EquivBudget::with_node_budget(16))
+            .expect_err("16 nodes cannot host a 6-qubit miter");
+        assert!(err.lookups > 0, "{err:?}");
+        assert!(check(&spec, &out, scheduled).equivalent);
     }
 
     #[test]

@@ -58,7 +58,9 @@ impl Simulator {
         }
     }
 
-    /// Creates a simulator initialized to an arbitrary basis state.
+    /// Creates a simulator initialized to an arbitrary basis state. Line
+    /// 0 is the most significant bit of `basis`; on more than 128 lines,
+    /// the lines above the index's 128 bits start in `|0>`.
     ///
     /// # Panics
     ///
@@ -67,7 +69,7 @@ impl Simulator {
         assert!(n >= 128 || basis < (1u128 << n), "basis state out of range");
         let mut sim = Simulator::new(n);
         for q in 0..n {
-            if basis >> (n - 1 - q) & 1 == 1 {
+            if line_bit(basis, n, q) {
                 sim.apply(&Gate::x(q));
             }
         }
@@ -102,7 +104,9 @@ impl Simulator {
         }
     }
 
-    /// The amplitude `<basis|psi>`.
+    /// The amplitude `<basis|psi>`. Line 0 is the most significant bit
+    /// of `basis`; on more than 128 lines, the lines above the index's
+    /// 128 bits are read as `|0>`.
     ///
     /// # Panics
     ///
@@ -118,7 +122,7 @@ impl Simulator {
                 return C64::ZERO;
             }
             acc *= self.pkg.weight_value(e.weight);
-            let r = (basis >> (n - 1 - var) & 1) as usize;
+            let r = usize::from(line_bit(basis, n, var));
             e = self.pkg.children(e)[2 * r]; // column bit 0
         }
         if e.is_zero() {
@@ -210,14 +214,24 @@ impl Simulator {
     ///
     /// Walks the diagram once, choosing each qubit's bit with the correct
     /// conditional probability (chain rule), so a sample costs `O(n ·
-    /// branch-norm evaluations)` rather than anything exponential.
+    /// branch-norm evaluations)` rather than anything exponential. Line 0
+    /// is the outcome's most significant bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 128 lines: the outcome is a `u128`, one bit
+    /// per line, and would lose the lines that do not fit.
     pub fn sample(&self, mut uniform: impl FnMut() -> f64) -> u128 {
         let n = self.n_qubits();
+        assert!(
+            n <= 128,
+            "sample returns one bit per line in a u128: at most 128 lines, got {n}"
+        );
         let mut memo = self.norm_memo.borrow_mut();
         memo.clear();
         let mut outcome = 0u128;
         let mut e = self.state;
-        for _ in 0..n {
+        for q in 0..n {
             debug_assert!(!e.is_zero(), "state must be normalized");
             let w2 = self.pkg.weight_value(e.weight).norm_sqr();
             let ch = self.pkg.children(e);
@@ -225,9 +239,11 @@ impl Simulator {
             let p1 = self.branch_norm(ch[2], &mut memo);
             let total = (p0 + p1).max(f64::MIN_POSITIVE);
             let _ = w2; // cancels in the conditional probability
-            let bit = if uniform() < p1 / total { 1u128 } else { 0 };
-            outcome = outcome << 1 | bit;
-            e = ch[if bit == 1 { 2 } else { 0 }];
+            let one = uniform() < p1 / total;
+            if one {
+                outcome |= 1 << line_shift(n, q).expect("at most 128 lines");
+            }
+            e = ch[if one { 2 } else { 0 }];
         }
         outcome
     }
@@ -252,6 +268,21 @@ impl Simulator {
         };
         w2 * sub
     }
+}
+
+/// The shift that brings line `q`'s bit of an `n`-line basis index down
+/// to bit 0 (line 0 is the most significant bit), or `None` for a line
+/// past the 128 bits a `u128` index holds.
+fn line_shift(n: usize, q: usize) -> Option<u32> {
+    u32::try_from(n - 1 - q)
+        .ok()
+        .filter(|&shift| shift < u128::BITS)
+}
+
+/// Line `q`'s bit of the `n`-line basis index `basis`; a line past the
+/// index's 128 bits reads 0.
+fn line_bit(basis: u128, n: usize, q: usize) -> bool {
+    line_shift(n, q).is_some_and(|shift| basis >> shift & 1 == 1)
 }
 
 #[cfg(test)]
@@ -472,6 +503,44 @@ mod tests {
         };
         let ones: usize = (0..100).map(|_| sim.sample(&mut uniform) as usize).sum();
         assert_eq!(ones, 50, "deterministic sweep hits exactly P(1)=0.5");
+    }
+
+    #[test]
+    fn basis_states_past_128_lines_set_only_the_lines_the_index_holds() {
+        // Bit 0 of the index is the last line; lines 0 and 1 lie past
+        // the index's 128 bits and start in |0>.
+        let n = 130;
+        let sim = Simulator::with_basis_state(n, 1);
+        for q in 0..n {
+            let want = if q == n - 1 { 1.0 } else { 0.0 };
+            assert!((sim.probability_one(q) - want).abs() < 1e-12, "line {q}");
+        }
+        assert!(sim.amplitude(1).approx_eq(C64::ONE));
+        assert!(sim.amplitude(0).approx_eq(C64::ZERO));
+        assert!(sim.amplitude(1 << 127).approx_eq(C64::ZERO));
+        let top = Simulator::with_basis_state(n, 1 << 127);
+        assert!((top.probability_one(2) - 1.0).abs() < 1e-12);
+        assert!(top.amplitude(1 << 127).approx_eq(C64::ONE));
+        // A line the index cannot hold reads as |0>.
+        let mut high = Simulator::new(n);
+        high.apply(&Gate::x(0));
+        assert!(high.amplitude(0).approx_eq(C64::ZERO));
+    }
+
+    #[test]
+    fn sampling_reads_line_zero_as_the_top_bit() {
+        let mut sim = Simulator::new(128);
+        sim.apply(&Gate::x(0));
+        sim.apply(&Gate::x(127));
+        assert_eq!(sim.sample(|| 0.5), 1 << 127 | 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 lines, got 130")]
+    fn sampling_more_than_128_lines_panics() {
+        let mut sim = Simulator::new(130);
+        sim.apply(&Gate::x(0));
+        sim.sample(|| 0.5);
     }
 
     #[test]

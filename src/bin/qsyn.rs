@@ -133,8 +133,11 @@ USAGE:
       recorded in the same event. A verify event's `support` must fit
       in the device, its `miter` counter must be 0 (canonical) or 1
       (miter), and its `miter_block` must be 1..=32 on a miter rung and
-      0 on a canonical one. Prints a per-pass summary; exits 1 on
-      malformed input.
+      0 on a canonical one. Its `links` must be 1 or 2; a two-link
+      event's link lookups must add up to `cache_lookups` and its larger
+      link peak must equal `peak_nodes`, and a one-link event carries no
+      link counters. Prints a per-pass summary; exits 1 on malformed
+      input.
 
   qsyn synth <hex> <n-vars> [--out FILE]
       Synthesize the single-target gate of a control function given as a
@@ -979,8 +982,10 @@ fn cmd_report(args: &[String]) -> ExitCode {
 /// its `miter_block` is a length the block rule can give — 0 on canonical
 /// rungs, 1..=32 on miter rungs. The rung's method is its `miter` counter
 /// (1: miter, 0: canonical); the third rung exists only on the canonical
-/// ladder, and it is the miter.
+/// ladder, and it is the miter. The link counters follow the rung's
+/// `links` (see [`check_verify_links`]).
 fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
+    check_verify_links(e)?;
     let width = e.input.qubits as f64;
     if let Some(support) = e.counter("support") {
         if support > width {
@@ -1014,6 +1019,54 @@ fn check_verify_support(e: &PassEvent, rung: f64) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The per-link counters of a decided verify event (absent on traces
+/// that predate them): `links` is 1 or 2, only a miter rung checks two
+/// links, a two-link event carries all four link counters, whose lookups
+/// add up to `cache_lookups` and whose larger peak is `peak_nodes`, and a
+/// one-link event carries none of them.
+fn check_verify_links(e: &PassEvent) -> Result<(), String> {
+    const LINK_COUNTERS: [&str; 4] = [
+        "link_a_lookups",
+        "link_b_lookups",
+        "link_a_peak_nodes",
+        "link_b_peak_nodes",
+    ];
+    let links = e.counter("links");
+    if links == Some(2.0) {
+        if e.counter("miter") == Some(0.0) {
+            return Err("a canonical rung (`miter` 0) cannot check two links".to_string());
+        }
+        let [a, b, peak_a, peak_b] = LINK_COUNTERS.map(|name| {
+            e.counter(name)
+                .ok_or_else(|| format!("a two-link verify event must carry `{name}`"))
+        });
+        let (a, b, peak_a, peak_b) = (a?, b?, peak_a?, peak_b?);
+        let lookups = e.counter("cache_lookups").unwrap_or(0.0);
+        if a + b != lookups {
+            return Err(format!(
+                "verify link lookups {a} + {b} do not add up to `cache_lookups` {lookups}"
+            ));
+        }
+        let peak = e.counter("peak_nodes").unwrap_or(0.0);
+        if peak_a.max(peak_b) != peak {
+            return Err(format!(
+                "the larger verify link peak ({peak_a}, {peak_b}) is not `peak_nodes` {peak}"
+            ));
+        }
+        return Ok(());
+    }
+    if let Some(l) = links.filter(|&l| l != 1.0) {
+        return Err(format!("verify `links` must be 1 or 2, got {l}"));
+    }
+    match LINK_COUNTERS
+        .into_iter()
+        .find(|&name| e.counter(name).is_some())
+    {
+        Some(name) => Err(format!("a verify event without two links carries `{name}`")),
+        None => Ok(()),
+    }
 }
 
 fn cmd_check_metrics(args: &[String]) -> ExitCode {

@@ -295,3 +295,69 @@ fn canonical_on_the_support_cuts_table5_lookups_on_ibmq_16() {
         "canonical on the support must do fewer lookups ({restricted_lookups} vs {full_lookups})"
     );
 }
+
+#[test]
+fn two_link_verification_cuts_qc96_lookups_and_peak_nodes() {
+    // The five Table 7/8 cascades on the 96-qubit machine. Each compile's
+    // verify rung checks two links (placed ≡ decomposed by the miter,
+    // decomposed ≡ optimized by the miter scheduled by provenance); the
+    // verify event carries each link's lookups and peak nodes. Against
+    // them, the single end-to-end check the rung replaced: the miter of
+    // placed against optimized on their support. Measured: 2,421,720
+    // against 9,293,800 lookups, peak 164,057 against 1,049,042 nodes.
+    let compiler = Compiler::new(devices::qc96());
+    let (mut links_lookups, mut single_lookups) = (0u64, 0u64);
+    let (mut links_peak, mut single_peak) = (0usize, 0usize);
+    for bench in BIG_BENCHMARKS {
+        let r = compiler.compile(&bench.circuit()).expect("maps to qc96");
+        assert_eq!(
+            *r.verdict(),
+            Verdict::Verified {
+                method: "miter".into()
+            },
+            "{}",
+            bench.name
+        );
+        let verify = r
+            .metrics()
+            .events
+            .iter()
+            .find(|e| e.pass == Pass::Verify)
+            .expect("a verify event");
+        let counter = |name: &str| {
+            verify
+                .counter(name)
+                .unwrap_or_else(|| panic!("{}: no `{name}`", bench.name))
+        };
+        assert_eq!(counter("links"), 2.0, "{} fell back", bench.name);
+        let (a, b) = (counter("link_a_lookups"), counter("link_b_lookups"));
+        assert_eq!(a + b, counter("cache_lookups"), "{}", bench.name);
+        links_lookups += (a + b) as u64;
+        let peak = counter("link_a_peak_nodes").max(counter("link_b_peak_nodes"));
+        links_peak = links_peak.max(peak as usize);
+        let single = on_support(
+            &r.placed,
+            &r.optimized,
+            EquivMethod::Miter,
+            EquivBudget::default(),
+        )
+        .unwrap();
+        assert!(single.equivalent, "{}", bench.name);
+        single_lookups += single.cache_lookups;
+        single_peak = single_peak.max(single.peak_nodes);
+    }
+    eprintln!(
+        "qc96 cascades: two links {links_lookups} lookups, peak {links_peak} nodes; \
+         single check {single_lookups} lookups, peak {single_peak} nodes"
+    );
+    assert!(
+        links_lookups * 3 <= single_lookups,
+        "the two links must do at most 1/3 of the single check's lookups \
+         ({links_lookups} vs {single_lookups})"
+    );
+    assert!(
+        links_peak * 4 <= single_peak,
+        "the two links' peak must be at most 1/4 of the single check's \
+         ({links_peak} vs {single_peak} nodes)"
+    );
+}

@@ -893,6 +893,88 @@ fn check_trace_rejects_verify_events_with_impossible_support_counters() {
 }
 
 #[test]
+fn check_trace_rejects_verify_events_with_inconsistent_link_counters() {
+    // A compile on the 96-qubit machine verifies in two links, and its
+    // verify event says so; a compile on ibmqx4 decides canonically in
+    // one. Tampered link counters are rejected.
+    let input = tmp("tof-links.real", TOFFOLI_REAL);
+    let mut traces = Vec::new();
+    for device in ["qc96", "ibmqx4"] {
+        let trace = tmp(&format!("tof-links-{device}.trace.jsonl"), "");
+        let out = qsyn(&[
+            "compile",
+            input.to_str().unwrap(),
+            "--device",
+            device,
+            &format!("--trace={}", trace.to_str().unwrap()),
+        ]);
+        assert!(out.status.success(), "{device}");
+        let check = qsyn(&["check-trace", trace.to_str().unwrap()]);
+        assert!(
+            check.status.success(),
+            "{device}: the genuine trace validates"
+        );
+        traces.push(std::fs::read_to_string(&trace).unwrap());
+    }
+    let verify_of = |text: &str| {
+        text.lines()
+            .find(|line| line.contains("\"pass\":\"verify\""))
+            .expect("a verify event")
+            .to_string()
+    };
+    let (two, one) = (verify_of(&traces[0]), verify_of(&traces[1]));
+    assert!(two.contains("\"links\":2,"), "{two}");
+    assert!(two.contains("\"link_b_lookups\":"), "{two}");
+    assert!(one.contains("\"links\":1,"), "{one}");
+    assert!(!one.contains("link_a"), "{one}");
+    for (text, verify, prepend, needle) in [
+        (
+            &traces[0],
+            &two,
+            "\"link_a_lookups\":1,",
+            "do not add up to `cache_lookups`",
+        ),
+        (
+            &traces[0],
+            &two,
+            "\"link_b_peak_nodes\":1e9,",
+            "is not `peak_nodes`",
+        ),
+        (&traces[0], &two, "\"links\":3,", "`links` must be 1 or 2"),
+        (
+            &traces[0],
+            &two,
+            "\"miter\":0,\"miter_block\":0,",
+            "cannot check two links",
+        ),
+        (
+            &traces[1],
+            &one,
+            "\"link_a_lookups\":0,",
+            "without two links carries",
+        ),
+        (
+            &traces[1],
+            &one,
+            "\"links\":2,\"miter\":1,",
+            "must carry `link_a_lookups`",
+        ),
+    ] {
+        let tampered = text.replacen(
+            verify.as_str(),
+            &verify.replacen("\"counters\":{", &format!("\"counters\":{{{prepend}"), 1),
+            1,
+        );
+        assert_ne!(*text, tampered);
+        let bad_file = tmp("tof-links.tampered.jsonl", &tampered);
+        let bad = qsyn(&["check-trace", bad_file.to_str().unwrap()]);
+        let log = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(bad.status.code(), Some(1), "{prepend}: {log}");
+        assert!(log.contains(needle), "{prepend}: {log}");
+    }
+}
+
+#[test]
 fn check_trace_matches_the_miter_block_to_the_rung_method() {
     // Hand-written first-rung verify events. The `miter` counter names
     // the method the rung ran, so a miter rung without a fused block, or a

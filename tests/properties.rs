@@ -152,6 +152,46 @@ fn arb_coupling_map() -> impl Strategy<Value = (Device, Vec<Vec<usize>>)> {
         })
 }
 
+/// Raw draws of [`circuit_on_parts`]: `(kind, pick, a, db, dt)`.
+type PartDraws = Vec<(u8, usize, usize, usize, usize)>;
+
+/// Strategy: the raw draws of up to 12 gates for [`circuit_on_parts`].
+fn arb_part_draws() -> impl Strategy<Value = PartDraws> {
+    proptest::collection::vec((0u8..6, 0usize..8, 0usize..8, 1usize..8, 1usize..8), 0..12)
+}
+
+/// A circuit on `device` from raw draws: one-qubit gates, CX, CZ and
+/// Toffolis. Most gates act inside one part, so routing (and drifting)
+/// runs on every part; kind 5 may span parts and so may be unroutable.
+fn circuit_on_parts(device: &Device, parts: &[Vec<usize>], draws: PartDraws) -> Circuit {
+    let n = device.n_qubits();
+    let mut c = Circuit::new(n);
+    for (kind, pick, a, db, dt) in draws {
+        let lines = if kind == 5 {
+            (0..n).collect()
+        } else {
+            parts[pick % parts.len()].clone()
+        };
+        let m = lines.len();
+        let (a, b, t) = if m < 2 {
+            (lines[0], lines[0], lines[0])
+        } else {
+            let b_i = (a % m + 1 + db % (m - 1)) % m;
+            let t_i = (b_i + 1 + dt % (m - 1)) % m;
+            (lines[a % m], lines[b_i], lines[t_i])
+        };
+        c.push(match kind {
+            _ if a == b => Gate::single(qsyn::gate::SINGLE_OPS[pick % 8], a),
+            0 => Gate::single(qsyn::gate::SINGLE_OPS[pick % 8], a),
+            1 | 5 => Gate::cx(a, b),
+            2 => Gate::cz(a, b),
+            _ if t != a && t != b => Gate::toffoli(a, b, t),
+            _ => Gate::cx(b, a),
+        });
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -161,31 +201,9 @@ proptest! {
     #[test]
     fn every_strategy_on_any_coupling_map_is_exact_or_route_not_found(
         (device, parts) in arb_coupling_map(),
-        gates in proptest::collection::vec((0u8..6, 0usize..8, 0usize..8, 1usize..8, 1usize..8), 0..12),
+        draws in arb_part_draws(),
     ) {
-        // Most gates act inside one part, so routing (and drifting) runs
-        // on every part; kind 5 may span parts and so may be unroutable.
-        let n = device.n_qubits();
-        let mut c = Circuit::new(n);
-        for (kind, pick, a, db, dt) in gates {
-            let lines = if kind == 5 { (0..n).collect() } else { parts[pick % parts.len()].clone() };
-            let m = lines.len();
-            let (a, b, t) = if m < 2 {
-                (lines[0], lines[0], lines[0])
-            } else {
-                let b_i = (a % m + 1 + db % (m - 1)) % m;
-                let t_i = (b_i + 1 + dt % (m - 1)) % m;
-                (lines[a % m], lines[b_i], lines[t_i])
-            };
-            c.push(match kind {
-                _ if a == b => Gate::single(qsyn::gate::SINGLE_OPS[pick % 8], a),
-                0 => Gate::single(qsyn::gate::SINGLE_OPS[pick % 8], a),
-                1 | 5 => Gate::cx(a, b),
-                2 => Gate::cz(a, b),
-                _ if t != a && t != b => Gate::toffoli(a, b, t),
-                _ => Gate::cx(b, a),
-            });
-        }
+        let c = circuit_on_parts(&device, &parts, draws);
         let spec = c.to_matrix();
         for strategy in RouteStrategyKind::ALL {
             match Compiler::new(device.clone()).with_route_strategy(strategy).compile(&c) {
@@ -201,6 +219,43 @@ proptest! {
                 Err(CompileError::RouteNotFound { .. }) => {}
                 Err(e) => prop_assert!(false, "{:?}: {}", strategy, e),
             }
+        }
+    }
+
+    /// Provenance on any coupling map, for every strategy: one source
+    /// per routed gate, each naming a decomposed gate, never decreasing;
+    /// the optimizer's sources strictly increase and name routed gates;
+    /// and the composed vector schedules a miter that accepts the pair.
+    #[test]
+    fn provenance_names_the_decomposed_gate_of_every_output_gate(
+        (device, parts) in arb_coupling_map(),
+        draws in arb_part_draws(),
+    ) {
+        let c = circuit_on_parts(&device, &parts, draws);
+        let Ok((decomposed, _)) = decompose_circuit_memo(&c, Some(&device), DecomposeStrategy::Exact) else {
+            return Ok(()); // no spare line for a wide gate
+        };
+        let cost = TransmonCost::default();
+        for strategy in RouteStrategyKind::CONCRETE {
+            let routed = match strategy.instance().route(&RouteRequest::new(&decomposed, &device)) {
+                Ok(routed) => routed,
+                Err(CompileError::RouteNotFound { .. }) => continue,
+                Err(e) => return Err(TestCaseError::fail(format!("{strategy:?}: {e}"))),
+            };
+            prop_assert_eq!(routed.source.len(), routed.circuit.len(), "{:?}", strategy);
+            prop_assert!(routed.source.iter().all(|&s| (s as usize) < decomposed.len()));
+            prop_assert!(routed.source.windows(2).all(|w| w[0] <= w[1]), "{:?}", strategy);
+            let (optimized, k) =
+                optimize_bounded(&routed.circuit, Some(&device), &cost, OptimizeConfig::default(), None);
+            prop_assert_eq!(k.sources.len(), optimized.len());
+            prop_assert!(k.sources.iter().all(|&s| (s as usize) < routed.circuit.len()));
+            prop_assert!(k.sources.windows(2).all(|w| w[0] < w[1]), "{:?}", strategy);
+            let composed: Vec<u32> = k.sources.iter().map(|&s| routed.source[s as usize]).collect();
+            let scheduled = EquivMethod::Scheduled { sources: &composed };
+            let support = miter_support(&decomposed, &optimized);
+            let r = try_equivalent_on(&support, &decomposed, &optimized, scheduled, EquivBudget::default())
+                .expect("an unbudgeted check cannot exhaust");
+            prop_assert!(r.equivalent, "{:?}", strategy);
         }
     }
 
@@ -290,10 +345,14 @@ proptest! {
         }
     }
 
-    /// The canonical check, the miter and the dense unitary (exact, not
-    /// up to phase) agree on the full register. Half the pairs are built
-    /// equal, by inserting `g` and `g⁻¹` at a random point of `a`, so the
-    /// equal verdict is exercised as often as the unequal one.
+    /// The canonical check, the miter, the miter scheduled by provenance
+    /// and the dense unitary (exact, not up to phase) agree on the full
+    /// register. Half the pairs are built equal, by inserting `g` and
+    /// `g⁻¹` at a random point of `a`, so the equal verdict is exercised
+    /// as often as the unequal one. The scheduled miter runs under the
+    /// true provenance of a built-equal pair (both inserted gates named
+    /// after the gate they precede), that vector reversed, and random
+    /// values, some past the spec.
     #[test]
     fn miter_agrees_with_canonical(
         a in arb_circuit(3, 8),
@@ -301,16 +360,21 @@ proptest! {
         g in arb_gate(3),
         at in 0usize..8,
         build_equal in 0u8..2,
+        random in proptest::collection::vec(0u32..12, 0..12),
     ) {
+        let at = at.min(a.len());
         let b = if build_equal == 1 {
             let mut gates = a.gates().to_vec();
-            let at = at.min(gates.len());
             gates.insert(at, g.inverse());
             gates.insert(at, g);
             Circuit::from_gates(3, gates)
         } else {
             b
         };
+        let truth: Vec<u32> = (0..b.len())
+            .map(|j| if j < at { j } else if j < at + 2 { at } else { j - 2 } as u32)
+            .collect();
+        let reversed: Vec<u32> = truth.iter().rev().copied().collect();
         let full: Vec<usize> = (0..3).collect();
         let check = |method| {
             try_equivalent_on(&full, &a, &b, method, EquivBudget::default())
@@ -322,6 +386,9 @@ proptest! {
         let dense = a.to_matrix().approx_eq(&b.to_matrix());
         prop_assert_eq!(canon, miter);
         prop_assert_eq!(canon, dense);
+        for sources in [&truth, &reversed, &random] {
+            prop_assert_eq!(check(EquivMethod::Scheduled { sources }), canon, "{:?}", sources);
+        }
         if build_equal == 1 {
             prop_assert!(canon, "a pair built equal was rejected");
         }
